@@ -47,7 +47,7 @@ func main() {
 		brownoutOn    = flag.Bool("brownout", false, "arm the brownout controller: sustained shedding downgrades tolerant traffic to the -brownout-tier policy until the overload clears")
 		brownoutTier  = flag.Float64("brownout-tier", 0, "tolerance tier brownout downgrades to (0 = 0.10)")
 
-		coalesceOn     = flag.Bool("coalesce", false, "coalesce concurrent POST /dispatch requests of the same tier into batch windows (zero added latency when idle, at most one window under load)")
+		coalesceOn     = flag.Bool("coalesce", false, "coalesce concurrent single requests (POST /dispatch, POST /compute) of the same tier into batch windows (zero added latency when idle, at most one window under load)")
 		coalesceWindow = flag.Duration("coalesce-window", 0, "coalescing time trigger (0 = 200µs; clamped to 100µs–500µs)")
 		coalesceMax    = flag.Int("coalesce-max", 0, "coalescing size trigger: flush a window at this many requests (0 = 64)")
 

@@ -51,7 +51,6 @@ func (c *Client) WithTenant(id string) *Client {
 // the dispatch to the caller's id — the retry wrappers mint one per
 // logical call, making every attempt of a retried request one trace.
 func (c *Client) annotate(req *http.Request, tolerance float64, objective rulegen.Objective) {
-	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("Tolerance", strconv.FormatFloat(tolerance, 'f', -1, 64))
 	req.Header.Set("Objective", string(objective))
 	if c.tenant != "" {
@@ -62,61 +61,70 @@ func (c *Client) annotate(req *http.Request, tolerance float64, objective rulege
 	}
 }
 
-// Compute sends one annotated request.
-func (c *Client) Compute(ctx context.Context, requestID int, tolerance float64, objective rulegen.Objective) (*api.ComputeResult, error) {
-	body, err := json.Marshal(api.ComputeRequest{RequestID: requestID})
-	if err != nil {
-		return nil, fmt.Errorf("client: encode request: %w", err)
+// roundTrip is the one HTTP exchange every SDK method makes: JSON-encode
+// body (nil sends none), let prepare decorate the request (nil leaves it
+// plain), send, turn any status other than want into an *APIError, and
+// decode the response into a T. op names the call in errors.
+func roundTrip[T any](ctx context.Context, c *Client, op, method, path string, body any, prepare func(*http.Request), want int) (*T, error) {
+	var rd io.Reader
+	if body != nil {
+		data, err := json.Marshal(body)
+		if err != nil {
+			return nil, fmt.Errorf("client: %s: encode request: %w", op, err)
+		}
+		rd = bytes.NewReader(data)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/compute", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
-		return nil, fmt.Errorf("client: build request: %w", err)
+		return nil, fmt.Errorf("client: %s: build request: %w", op, err)
 	}
-	c.annotate(req, tolerance, objective)
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if prepare != nil {
+		prepare(req)
+	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("client: compute: %w", err)
+		return nil, fmt.Errorf("client: %s: %w", op, err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode != want {
 		return nil, decodeError(resp)
 	}
-	var out api.ComputeResult
+	var out T
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("client: decode result: %w", err)
+		return nil, fmt.Errorf("client: %s: decode response: %w", op, err)
 	}
 	return &out, nil
+}
+
+// get is roundTrip for the plain status reads.
+func get[T any](ctx context.Context, c *Client, op, path string) (*T, error) {
+	return roundTrip[T](ctx, c, op, http.MethodGet, path, nil, nil, http.StatusOK)
+}
+
+// tierCall is roundTrip for the three tier-execution endpoints: a POST
+// carrying the §IV-A annotation.
+func tierCall[T any](ctx context.Context, c *Client, op, path string, body any, tolerance float64, objective rulegen.Objective) (*T, error) {
+	return roundTrip[T](ctx, c, op, http.MethodPost, path, body,
+		func(req *http.Request) { c.annotate(req, tolerance, objective) }, http.StatusOK)
+}
+
+func deadlineMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// Compute sends one annotated request.
+func (c *Client) Compute(ctx context.Context, requestID int, tolerance float64, objective rulegen.Objective) (*api.ComputeResult, error) {
+	return tierCall[api.ComputeResult](ctx, c, "compute", "/compute",
+		api.ComputeRequest{RequestID: requestID}, tolerance, objective)
 }
 
 // Dispatch sends one annotated request through the online
 // tier-execution runtime (POST /dispatch). deadline is the per-request
 // latency budget (0 = none; arming it also arms deadline hedging).
 func (c *Client) Dispatch(ctx context.Context, requestID int, tolerance float64, objective rulegen.Objective, deadline time.Duration) (*api.DispatchResult, error) {
-	body, err := json.Marshal(api.DispatchRequest{
-		RequestID:  requestID,
-		DeadlineMS: float64(deadline) / float64(time.Millisecond),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("client: encode request: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/dispatch", bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("client: build request: %w", err)
-	}
-	c.annotate(req, tolerance, objective)
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: dispatch: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	var out api.DispatchResult
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("client: decode dispatch result: %w", err)
-	}
-	return &out, nil
+	return tierCall[api.DispatchResult](ctx, c, "dispatch", "/dispatch",
+		api.DispatchRequest{RequestID: requestID, DeadlineMS: deadlineMS(deadline)}, tolerance, objective)
 }
 
 // DispatchBatch sends many annotated corpus requests through the online
@@ -126,56 +134,21 @@ func (c *Client) Dispatch(ctx context.Context, requestID int, tolerance float64,
 // in its item's Error while the rest of the batch completes. deadline
 // applies to every item (0 = none).
 func (c *Client) DispatchBatch(ctx context.Context, requestIDs []int, tolerance float64, objective rulegen.Objective, deadline time.Duration) (*api.DispatchBatchResult, error) {
-	body, err := json.Marshal(api.DispatchBatchRequest{
-		RequestIDs: requestIDs,
-		DeadlineMS: float64(deadline) / float64(time.Millisecond),
-	})
+	out, err := tierCall[api.DispatchBatchResult](ctx, c, "dispatch batch", "/dispatch/batch",
+		api.DispatchBatchRequest{RequestIDs: requestIDs, DeadlineMS: deadlineMS(deadline)}, tolerance, objective)
 	if err != nil {
-		return nil, fmt.Errorf("client: encode request: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/dispatch/batch", bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("client: build request: %w", err)
-	}
-	c.annotate(req, tolerance, objective)
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: dispatch batch: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	var out api.DispatchBatchResult
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("client: decode batch result: %w", err)
+		return nil, err
 	}
 	if len(out.Items) != len(requestIDs) {
 		return nil, fmt.Errorf("client: batch returned %d items for %d requests", len(out.Items), len(requestIDs))
 	}
-	return &out, nil
+	return out, nil
 }
 
 // Telemetry fetches the runtime's online per-tier/per-backend serving
 // statistics (GET /telemetry).
 func (c *Client) Telemetry(ctx context.Context) (*api.TelemetrySnapshot, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/telemetry", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: telemetry: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	var out api.TelemetrySnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("client: decode telemetry: %w", err)
-	}
-	return &out, nil
+	return get[api.TelemetrySnapshot](ctx, c, "telemetry", "/telemetry")
 }
 
 // TelemetryForTenant fetches one tenant's telemetry partition
@@ -188,24 +161,7 @@ func (c *Client) TelemetryForTenant(ctx context.Context, tenant string) (*api.Te
 	if tenant == "" {
 		return nil, fmt.Errorf("client: empty tenant (anonymous traffic has no partition; use Telemetry)")
 	}
-	u := c.base + "/telemetry?tenant=" + url.QueryEscape(tenant)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: tenant telemetry: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	var out api.TenantTelemetry
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("client: decode tenant telemetry: %w", err)
-	}
-	return &out, nil
+	return get[api.TenantTelemetry](ctx, c, "tenant telemetry", "/telemetry?tenant="+url.QueryEscape(tenant))
 }
 
 // CancelRules cancels the node's running rule-generation job
@@ -214,91 +170,30 @@ func (c *Client) TelemetryForTenant(ctx context.Context, tenant string) (*api.Te
 // or for "done" when the sweep finished before the cancel landed (a
 // lost race; the job's tables stand).
 func (c *Client) CancelRules(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.base+"/rules/generate", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return fmt.Errorf("client: cancel rules: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		return decodeError(resp)
-	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain for keep-alive
-	return nil
+	_, err := roundTrip[json.RawMessage](ctx, c, "cancel rules", http.MethodDelete, "/rules/generate", nil, nil, http.StatusAccepted)
+	return err
 }
 
 // Tiers lists the offered tiers.
 func (c *Client) Tiers(ctx context.Context) ([]api.TierInfo, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/tiers", nil)
+	out, err := get[[]api.TierInfo](ctx, c, "tiers", "/tiers")
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: tiers: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	var out []api.TierInfo
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("client: decode tiers: %w", err)
-	}
-	return out, nil
+	return *out, nil
 }
 
 // GenerateRules asks the node to regenerate its routing tables with the
 // sharded generator (POST /rules/generate). The job runs asynchronously;
 // poll RulesStatus for completion.
 func (c *Client) GenerateRules(ctx context.Context, genReq api.RuleGenRequest) (*api.RuleGenAccepted, error) {
-	body, err := json.Marshal(genReq)
-	if err != nil {
-		return nil, fmt.Errorf("client: encode request: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/rules/generate", bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("client: build request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: generate rules: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		return nil, decodeError(resp)
-	}
-	var out api.RuleGenAccepted
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("client: decode accepted job: %w", err)
-	}
-	return &out, nil
+	return roundTrip[api.RuleGenAccepted](ctx, c, "generate rules", http.MethodPost, "/rules/generate", genReq, nil, http.StatusAccepted)
 }
 
 // RulesStatus reports the state of the node's rule-generation job
 // (GET /rules/status).
 func (c *Client) RulesStatus(ctx context.Context) (*api.RuleGenStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/rules/status", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: rules status: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	var out api.RuleGenStatus
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("client: decode status: %w", err)
-	}
-	return &out, nil
+	return get[api.RuleGenStatus](ctx, c, "rules status", "/rules/status")
 }
 
 // Drift fetches the node's drift-monitor status: detector states per
@@ -306,23 +201,7 @@ func (c *Client) RulesStatus(ctx context.Context) (*api.RuleGenStatus, error) {
 // completed self-healing attempt with its canary verdict), and the
 // self-healing loop's progress (GET /drift).
 func (c *Client) Drift(ctx context.Context) (*api.DriftStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/drift", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: drift: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	var out api.DriftStatus
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("client: decode drift status: %w", err)
-	}
-	return &out, nil
+	return get[api.DriftStatus](ctx, c, "drift", "/drift")
 }
 
 // SetDriftConfig replaces the node's drift-monitor configuration
@@ -330,28 +209,7 @@ func (c *Client) Drift(ctx context.Context) (*api.DriftStatus, error) {
 // auto-reprofile loop, or retuning the detectors; every detector resets
 // to the new parameters. It returns the resulting status.
 func (c *Client) SetDriftConfig(ctx context.Context, cfg api.DriftConfig) (*api.DriftStatus, error) {
-	body, err := json.Marshal(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("client: encode drift config: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/drift/config", bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("client: build request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: set drift config: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	var out api.DriftStatus
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("client: decode drift status: %w", err)
-	}
-	return &out, nil
+	return roundTrip[api.DriftStatus](ctx, c, "set drift config", http.MethodPost, "/drift/config", cfg, nil, http.StatusOK)
 }
 
 // Fleet fetches the front tier's fleet status: the fenced table
@@ -359,46 +217,14 @@ func (c *Client) SetDriftConfig(ctx context.Context, cfg api.DriftConfig) (*api.
 // latest rolling table push, and the autoscale hint (GET /fleet).
 // Single-node servers and workers answer 404.
 func (c *Client) Fleet(ctx context.Context) (*api.FleetStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/fleet", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: fleet: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	var out api.FleetStatus
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("client: decode fleet status: %w", err)
-	}
-	return &out, nil
+	return get[api.FleetStatus](ctx, c, "fleet", "/fleet")
 }
 
 // Admission fetches the node's admission-layer status: configuration,
 // brownout state, the in-flight gauge, and per-tenant
 // accept/shed/downgrade counters (GET /admission).
 func (c *Client) Admission(ctx context.Context) (*api.AdmissionStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/admission", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: admission: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	var out api.AdmissionStatus
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("client: decode admission status: %w", err)
-	}
-	return &out, nil
+	return get[api.AdmissionStatus](ctx, c, "admission", "/admission")
 }
 
 // SetAdmissionConfig replaces the node's admission configuration
@@ -406,28 +232,7 @@ func (c *Client) Admission(ctx context.Context) (*api.AdmissionStatus, error) {
 // bucket rates, or arming the brownout controller. Counters and
 // brownout state carry over. It returns the resulting status.
 func (c *Client) SetAdmissionConfig(ctx context.Context, cfg api.AdmissionConfig) (*api.AdmissionStatus, error) {
-	body, err := json.Marshal(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("client: encode admission config: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/admission/config", bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("client: build request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: set admission config: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	var out api.AdmissionStatus
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("client: decode admission status: %w", err)
-	}
-	return &out, nil
+	return roundTrip[api.AdmissionStatus](ctx, c, "set admission config", http.MethodPost, "/admission/config", cfg, nil, http.StatusOK)
 }
 
 // TraceRecent fetches the node's most recent flight-recorder spans
@@ -449,27 +254,11 @@ func (c *Client) TraceRecent(ctx context.Context, tier, tenant, kind string, n i
 	if n > 0 {
 		q.Set("n", strconv.Itoa(n))
 	}
-	u := c.base + "/trace/recent"
+	path := "/trace/recent"
 	if enc := q.Encode(); enc != "" {
-		u += "?" + enc
+		path += "?" + enc
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: trace recent: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	var out api.TraceRecent
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("client: decode trace recent: %w", err)
-	}
-	return &out, nil
+	return get[api.TraceRecent](ctx, c, "trace recent", path)
 }
 
 // Trace fetches one flight-recorder span by its 16-hex trace id — the
@@ -477,23 +266,7 @@ func (c *Client) TraceRecent(ctx context.Context, tier, tenant, kind string, n i
 // The server answers 404 when the ring no longer holds the id (sampled
 // out or evicted).
 func (c *Client) Trace(ctx context.Context, id string) (*api.TraceSpan, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/trace/"+url.PathEscape(id), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: trace: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	var out api.TraceSpan
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("client: decode trace span: %w", err)
-	}
-	return &out, nil
+	return get[api.TraceSpan](ctx, c, "trace", "/trace/"+url.PathEscape(id))
 }
 
 // Healthy reports whether the endpoint answers /healthz.
@@ -505,23 +278,7 @@ func (c *Client) Healthy(ctx context.Context) error {
 // Health fetches the endpoint's /healthz status — notably the served
 // corpus size, which load generators use to bound their request IDs.
 func (c *Client) Health(ctx context.Context) (*api.HealthStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: healthz: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	var out api.HealthStatus
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("client: decode healthz: %w", err)
-	}
-	return &out, nil
+	return get[api.HealthStatus](ctx, c, "healthz", "/healthz")
 }
 
 // APIError is a non-200 response from the service.

@@ -691,17 +691,12 @@ const (
 	HealFailed   = "failed"
 )
 
-// BeginReprofile marks a self-healing loop in flight, suppressing
-// further triggers until the heal finishes. Claim it before starting
-// the heal's asynchronous work: the matching FinishHeal may run on
-// another goroutine the moment that work exists.
-func (m *Monitor) BeginReprofile() {
-	m.BeginHeal(time.Now(), "")
-}
-
-// BeginHeal is BeginReprofile with provenance: it stamps the heal's
-// start time and trigger description so the eventual HealRecord can
-// say what fired and how long the loop took.
+// BeginHeal marks a self-healing loop in flight, suppressing further
+// triggers until the heal finishes, and stamps the heal's start time and
+// trigger description so the eventual HealRecord can say what fired and
+// how long the loop took. Claim it before starting the heal's
+// asynchronous work: the matching FinishHeal may run on another
+// goroutine the moment that work exists.
 func (m *Monitor) BeginHeal(now time.Time, trigger string) {
 	m.evMu.Lock()
 	m.healStart = now
@@ -730,14 +725,7 @@ func (m *Monitor) FinishHeal(now time.Time, verdict, errMsg string) {
 	cfg := m.cfg
 	m.mu.RUnlock()
 	m.evMu.Lock()
-	rec := HealRecord{
-		At: now, Trigger: m.healTrigger, JobID: int(m.lastJobID.Load()),
-		Verdict: verdict, Promoted: promoted, Err: errMsg,
-	}
-	if !m.healStart.IsZero() {
-		rec.Duration = now.Sub(m.healStart)
-	}
-	m.heals = append(m.heals, rec)
+	m.heals = append(m.heals, m.pendingHealLocked(now, verdict, errMsg))
 	if n := len(m.heals); n > maxHeals {
 		m.heals = append(m.heals[:0], m.heals[n-maxHeals:]...)
 	}
@@ -755,6 +743,27 @@ func (m *Monitor) FinishHeal(now time.Time, verdict, errMsg string) {
 	m.healStart, m.healTrigger = time.Time{}, ""
 	m.evMu.Unlock()
 	m.inFlight.Store(false)
+}
+
+// PendingHeal returns the record FinishHeal(now, verdict, errMsg) would
+// append for the in-flight heal, without finishing it — what a
+// promotion persists before it publishes (the snapshot must already
+// hold the heal when GET /drift first reports it).
+func (m *Monitor) PendingHeal(now time.Time, verdict, errMsg string) HealRecord {
+	m.evMu.Lock()
+	defer m.evMu.Unlock()
+	return m.pendingHealLocked(now, verdict, errMsg)
+}
+
+func (m *Monitor) pendingHealLocked(now time.Time, verdict, errMsg string) HealRecord {
+	rec := HealRecord{
+		At: now, Trigger: m.healTrigger, JobID: int(m.lastJobID.Load()),
+		Verdict: verdict, Promoted: verdict == HealPromoted, Err: errMsg,
+	}
+	if !m.healStart.IsZero() {
+		rec.Duration = now.Sub(m.healStart)
+	}
+	return rec
 }
 
 // Heals returns a copy of the heal history (newest last).
@@ -778,22 +787,10 @@ func (m *Monitor) SeedHeals(heals []HealRecord, reprofiles int64) {
 
 // NoteReprofileJob records the rule-generation job serving the current
 // (or most recent) heal. It deliberately does not touch the in-flight
-// flag: the job may already have finished — and called EndReprofile —
-// by the time its id is known.
+// flag: the job may already have finished — and called FinishHeal — by
+// the time its id is known.
 func (m *Monitor) NoteReprofileJob(jobID int) {
 	m.lastJobID.Store(int64(jobID))
-}
-
-// EndReprofile marks the loop finished — the legacy entry point kept
-// for callers that predate canary verdicts: applied maps to a promoted
-// heal, anything else to a failed one (which advances the retry
-// backoff, exactly as a failed re-profile should).
-func (m *Monitor) EndReprofile(applied bool) {
-	if applied {
-		m.FinishHeal(time.Now(), HealPromoted, "")
-	} else {
-		m.FinishHeal(time.Now(), HealFailed, "")
-	}
 }
 
 // Reprofiles counts completed, applied self-healing loops.

@@ -147,7 +147,7 @@ func TestMonitorReprofileLifecycle(t *testing.T) {
 	if !trigger {
 		t.Fatal("no trigger")
 	}
-	m.BeginReprofile()
+	m.BeginHeal(time.Unix(1, 0), "")
 	m.NoteReprofileJob(7)
 	// In-flight reprofile suppresses further triggers even past cooldown.
 	if _, trigger := m.Check(time.Unix(1e6, 0), nil); trigger {
@@ -157,7 +157,7 @@ func TestMonitorReprofileLifecycle(t *testing.T) {
 	if st.State != "triggered" || st.LastJobID != 7 {
 		t.Fatalf("status %q job %d during reprofile", st.State, st.LastJobID)
 	}
-	m.EndReprofile(true)
+	m.FinishHeal(time.Unix(2, 0), HealPromoted, "")
 	if got := m.Reprofiles(); got != 1 {
 		t.Fatalf("reprofiles %d after applied heal", got)
 	}

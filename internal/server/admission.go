@@ -2,30 +2,31 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"github.com/toltiers/toltiers/internal/admit"
 	"github.com/toltiers/toltiers/internal/api"
+	"github.com/toltiers/toltiers/internal/coalesce"
 	"github.com/toltiers/toltiers/internal/dispatch"
-	"github.com/toltiers/toltiers/internal/ensemble"
 	"github.com/toltiers/toltiers/internal/rulegen"
 )
 
-// Admission endpoints and the per-request admission check.
+// Admission endpoints and the admit stage of the tier-execution path.
 //
 //	GET  /admission         -> api.AdmissionStatus (counters, brownout state)
 //	POST /admission/config  body: api.AdmissionConfig -> api.AdmissionStatus
 //
-// Every tier-execution handler (/compute, /dispatch, /dispatch/batch)
-// runs its resolved rule through the admission controller before the
-// dispatcher leases any backend slot. The tenant travels in the Tenant
-// header ("" = the default tenant). Sheds answer 429 (token bucket) or
-// 503 (capacity, unmeetable deadline) with a Retry-After header in
-// whole seconds (rounded up) and the precise hint in
-// X-Toltiers-Retry-After-MS; a brownout downgrade re-resolves the
-// request at the cheaper brownout tier and marks the response
+// Every window the tier-execution path forms (see dispatch.go) passes
+// admitWindow before the dispatcher leases any backend slot. The tenant
+// travels in the Tenant header ("" = the default tenant). Sheds answer
+// 429 (token bucket) or 503 (capacity, unmeetable deadline) with a
+// Retry-After header in whole seconds (rounded up) and the precise hint
+// in X-Toltiers-Retry-After-MS; a brownout downgrade re-resolves the
+// window at the cheaper brownout tier and marks the responses
 // Downgraded.
 
 func (s *Server) handleAdmission(w http.ResponseWriter, _ *http.Request) {
@@ -58,58 +59,93 @@ func (s *Server) handleAdmissionConfig(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(s.adm.Status())
 }
 
-// policyFloor is the observed latency floor of a policy's primary
-// backend in nanoseconds (NaN until the tracker warms). Every response
-// the policy can produce includes its primary's service time, so the
-// primary's window minimum lower-bounds the tier's latency.
-func (s *Server) policyFloor(p ensemble.Policy) float64 {
-	return s.disp.Floor(p.Primary)
+// shedError carries an admission shed from admitWindow back to the
+// handler — through the coalescer's flush when one formed the window —
+// which renders it as 429/503 with Retry-After.
+type shedError struct {
+	dec admit.Decision
 }
 
-// admitRequest runs one resolved rule through the admission controller.
-// n > 1 admits a batch as one unit. On a shed the 429/503 response is
-// already written and ok is false. On admission the returned rule is
-// the one to serve — the brownout tier's when the decision downgraded —
-// and the caller must hand dec back to s.adm.Done once the dispatch
-// finishes, which is what makes brownout transitions drop nothing:
-// in-flight requests hold their slot and complete under the policy
-// they were admitted with.
-func (s *Server) admitRequest(w http.ResponseWriter, r *http.Request, obj rulegen.Objective, rule rulegen.Rule, budget time.Duration, n int) (rulegen.Rule, admit.Decision, bool) {
-	tenantID := r.Header.Get("Tenant")
-	floor := s.policyFloor(rule.Candidate.Policy)
-	var dec admit.Decision
-	if n > 1 {
-		dec = s.adm.AdmitBatch(time.Now(), tenantID, rule.Tolerance, budget, floor, n)
-	} else {
-		dec = s.adm.Admit(time.Now(), tenantID, rule.Tolerance, budget, floor)
+func (e *shedError) Error() string {
+	return "admission: " + e.dec.Verdict.String() + " (retry after " + e.dec.RetryAfter.String() + ")"
+}
+
+// splitTierKey inverts dispatch.TierKey ("objective/tolerance"):
+// objectives never contain '/', so the last slash is the separator.
+// TierKey renders the tolerance with %g, which round-trips exactly.
+func splitTierKey(tier string) (rulegen.Objective, float64, bool) {
+	i := strings.LastIndexByte(tier, '/')
+	if i < 0 {
+		return "", 0, false
 	}
+	obj, err := rulegen.ParseObjective(tier[:i])
+	if err != nil {
+		return "", 0, false
+	}
+	tol, err := strconv.ParseFloat(tier[i+1:], 64)
+	if err != nil {
+		return "", 0, false
+	}
+	return obj, tol, true
+}
+
+// admitWindow is the node's one admission composition: it admits a
+// window of n requests holding ticket t — n bucket tokens, one in-flight
+// slot — before the dispatcher leases anything. The coalescer calls it
+// as its Gate, once per flush; the non-coalesced single path and the
+// batch path call it directly with n = 1 and n = len(ids).
+//
+// It admits the ticket it was handed — tolerance and policy as the
+// handler's one resolve produced them (the floor is that of the policy's
+// primary, which lower-bounds every response the policy can produce) —
+// and never resolves the tier key again: a promotion between resolve and
+// flush must not swap the policy under a response whose version header
+// is already decided. The one exception is a brownout downgrade, which
+// re-resolves the whole window at the cheaper brownout tier from the
+// incumbent registry (leaving any canary slice) and returns the
+// rewritten tier as the grant's Served; Served is nil otherwise.
+//
+// A shed rejects the whole window with a *shedError. On admission the
+// caller owes Release once the dispatch finishes, which is what makes
+// brownout transitions drop nothing: in-flight windows hold their slot
+// and complete under the policy they were admitted with.
+func (s *Server) admitWindow(n int, t dispatch.Ticket) (coalesce.Grant, error) {
+	obj, tol, ok := splitTierKey(t.Tier)
+	if !ok {
+		// Unreachable from the handlers, which build the key with
+		// TierKey; fail the window rather than dispatch unadmitted.
+		return coalesce.Grant{}, fmt.Errorf("admission: malformed tier key %q", t.Tier)
+	}
+	dec := s.adm.AdmitBatch(time.Now(), t.Tenant, tol, t.Budget, s.disp.Floor(t.Policy.Primary), n)
 	if dec.Verdict.Shed() {
-		s.recordShed(r.Context(), dispatch.TierKey(string(obj), rule.Tolerance), tenantID, dec.Verdict)
-		writeShed(w, dec)
-		return rule, dec, false
+		return coalesce.Grant{}, &shedError{dec: dec}
 	}
+	g := coalesce.Grant{Ticket: t, Release: func() { s.adm.Done(dec) }}
 	if dec.Verdict == admit.Downgrade {
-		if drule, err := s.registry().Resolve(dec.Tolerance, obj); err == nil && drule.Tolerance > rule.Tolerance {
-			rule = drule
-		} else {
-			// The grid offers nothing cheaper than the tier already
-			// resolved; serve it unchanged.
-			dec.Verdict = admit.Accept
+		// When the grid offers nothing cheaper than the tier already
+		// resolved, the window serves unchanged.
+		if rule, err := s.registry().Resolve(dec.Tolerance, obj); err == nil && rule.Tolerance > tol {
+			t.Tier = dispatch.TierKey(string(obj), rule.Tolerance)
+			t.Policy = rule.Candidate.Policy
+			t.Downgraded = true
+			t.Canary = false
+			g.Ticket = t
+			g.Served = resolved{tolerance: rule.Tolerance, obj: obj, ticket: t}
 		}
 	}
-	return rule, dec, true
+	return g, nil
 }
 
-// writeShed answers a shed decision: 429 for a drained token bucket,
-// 503 for capacity or deadline sheds, Retry-After in both the standard
+// write answers the shed: 429 for a drained token bucket, 503 for
+// capacity or deadline sheds, Retry-After in both the standard
 // whole-second form and millisecond precision.
-func writeShed(w http.ResponseWriter, dec admit.Decision) {
-	secs := (dec.RetryAfter + time.Second - 1) / time.Second
+func (e *shedError) write(w http.ResponseWriter) {
+	secs := (e.dec.RetryAfter + time.Second - 1) / time.Second
 	if secs < 1 {
 		secs = 1
 	}
 	w.Header().Set("Retry-After", strconv.FormatInt(int64(secs), 10))
 	w.Header().Set("X-Toltiers-Retry-After-MS",
-		strconv.FormatFloat(float64(dec.RetryAfter)/float64(time.Millisecond), 'f', 3, 64))
-	httpError(w, dec.Verdict.StatusCode(), "admission: %s (retry after %v)", dec.Verdict, dec.RetryAfter)
+		strconv.FormatFloat(float64(e.dec.RetryAfter)/float64(time.Millisecond), 'f', 3, 64))
+	httpError(w, e.dec.Verdict.StatusCode(), "%v", e)
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/toltiers/toltiers/internal/drift"
-	"github.com/toltiers/toltiers/internal/profile"
 	"github.com/toltiers/toltiers/internal/rulegen"
 	"github.com/toltiers/toltiers/internal/tiers"
 )
@@ -24,17 +23,15 @@ import (
 // records the rejection in the heal history.
 
 // canaryState is one staged heal: the candidate registry built from the
-// healed tables, the re-profiled matrix behind them, and the traffic
-// stride the slice is cut with. It hangs on Server.canary while the
-// trial runs; promotion and rollback both clear the pointer, so the
-// steady-state resolve path pays one atomic load.
+// healed tables, the job that generated them (and holds the re-profiled
+// matrix behind them), and the traffic stride the slice is cut with. It
+// hangs on Server.canary while the trial runs; promotion and rollback
+// both clear the pointer, so the steady-state resolve path pays one
+// atomic load.
 type canaryState struct {
-	reg     *tiers.Registry
-	matrix  *profile.Matrix
-	tables  []rulegen.RuleTable
-	stride  uint64
-	job     *ruleJob
-	started time.Time
+	reg    *tiers.Registry
+	stride uint64
+	job    *ruleJob
 }
 
 // inCanarySlice cuts the deterministic traffic slice: a named tenant
@@ -49,43 +46,23 @@ func (s *Server) inCanarySlice(cs *canaryState, tenant string) bool {
 	return s.canarySeq.Add(1)%cs.stride == 0
 }
 
-// resolveRule is the handlers' rule resolution: without a staged canary
-// it is exactly registry().Resolve; with one, requests in the trial
-// slice resolve against the candidate registry and come back marked
-// canary. A candidate that cannot serve the annotation (objective or
-// tolerance outside the healed tables) falls back to the incumbent
-// rather than failing traffic over a trial. The third return is the
-// fleet version fence the rule resolved under (0 for canary-resolved
-// requests: trial tables carry no fence until promoted).
+// resolveRule is the resolve stage's rule lookup (see resolve): without
+// a staged canary it is exactly registry().Resolve; with one, requests
+// in the trial slice resolve against the candidate registry and come
+// back marked canary. A candidate that cannot serve the annotation
+// (objective or tolerance outside the healed tables) falls back to the
+// incumbent rather than failing traffic over a trial. The third return
+// is the fleet version fence the rule resolved under (0 for
+// canary-resolved requests: trial tables carry no fence until promoted).
 func (s *Server) resolveRule(tol float64, obj rulegen.Objective, tenant string) (rulegen.Rule, bool, int64, error) {
-	cs := s.canary.Load()
-	if cs == nil || !s.inCanarySlice(cs, tenant) {
-		reg, ver := s.registryAndVersion()
-		rule, err := reg.Resolve(tol, obj)
-		return rule, false, ver, err
-	}
-	if rule, err := cs.reg.Resolve(tol, obj); err == nil {
-		return rule, true, 0, nil
+	if cs := s.canary.Load(); cs != nil && s.inCanarySlice(cs, tenant) {
+		if rule, err := cs.reg.Resolve(tol, obj); err == nil {
+			return rule, true, 0, nil
+		}
 	}
 	reg, ver := s.registryAndVersion()
 	rule, err := reg.Resolve(tol, obj)
 	return rule, false, ver, err
-}
-
-// resolveFor re-resolves a ticket whose canary membership was already
-// decided (the coalesce gate, which receives the slice decision inside
-// the ticket it keys windows by). A canary ticket whose trial ended
-// mid-flight falls back to the incumbent.
-func (s *Server) resolveFor(canary bool, tol float64, obj rulegen.Objective) (rulegen.Rule, bool, error) {
-	if canary {
-		if cs := s.canary.Load(); cs != nil {
-			if rule, err := cs.reg.Resolve(tol, obj); err == nil {
-				return rule, true, nil
-			}
-		}
-	}
-	rule, err := s.registry().Resolve(tol, obj)
-	return rule, false, err
 }
 
 // canaryArmed reports that drift heals should stage through a canary
@@ -104,16 +81,8 @@ func (s *Server) beginCanary(job *ruleJob, tables []rulegen.RuleTable, now time.
 		// without a reference; the smallest meaningful slice is half.
 		stride = 2
 	}
-	cs := &canaryState{
-		reg:     newRegistryFrom(s.registry(), tables),
-		matrix:  job.matrix,
-		tables:  tables,
-		stride:  stride,
-		job:     job,
-		started: now,
-	}
 	s.mon.StartCanaryTrial(now)
-	s.canary.Store(cs)
+	s.canary.Store(&canaryState{reg: newRegistryFrom(s.registry(), tables), stride: stride, job: job})
 }
 
 // checkCanary polls the live trial's verdict, promoting or rolling back
@@ -126,28 +95,43 @@ func (s *Server) checkCanary(now time.Time) {
 	d := s.mon.CanaryVerdict(now)
 	switch d.Action {
 	case drift.CanaryPromote:
-		s.promoteCanary(cs, now)
+		s.promote(cs.reg, cs.job, now)
 	case drift.CanaryReject:
-		s.rollbackCanary(cs, d.Reason, now)
+		s.rollbackCanary(d.Reason, now)
 	}
 }
 
-// promoteCanary makes the candidate the incumbent: the atomic registry
-// swap, the training-matrix promotion, re-anchored drift baselines, the
-// heal record — and a state snapshot, so the healed state survives a
-// crash from this moment on.
-func (s *Server) promoteCanary(cs *canaryState, now time.Time) {
-	s.installPromoted(cs.reg)
-	s.canary.Store(nil)
+// promote is the node's one promotion sequence — a manual apply, a
+// blind drift heal and a canary win all run it: make reg the serving
+// registry under a new version fence and mark job applied; for a drift
+// heal, also adopt the job's re-profiled matrix, re-anchor the drift
+// baselines on it (at the quantile the live trackers estimate, as at
+// construction), restore the hedging quantiles and clear the last heal
+// error. Then persist, and only then publish: the snapshot already
+// carries the heal's record and reprofile count when FinishHeal makes
+// them visible on GET /drift, so a kill -9 at any point leaves the API
+// having reported nothing the disk does not hold.
+func (s *Server) promote(reg *tiers.Registry, job *ruleJob, now time.Time) {
+	s.installPromoted(reg)
+	// A winning candidate leaves the trial slice only after the swap, so
+	// slice traffic never falls back to the tables it displaced.
+	if cs := s.canary.Load(); cs != nil && cs.reg == reg {
+		s.canary.Store(nil)
+	}
 	s.jobMu.Lock()
-	cs.job.applied = true
+	job.applied = true
 	s.jobMu.Unlock()
-	s.setTrainingMatrix(cs.matrix)
-	s.mon.SetBaselines(drift.BackendBaselinesAt(cs.matrix, s.hedgeQuantile))
+	if !job.drift {
+		s.saveState(nil)
+		return
+	}
+	s.setTrainingMatrix(job.matrix)
+	s.mon.SetBaselines(drift.BackendBaselinesAt(job.matrix, s.hedgeQuantile))
 	s.restoreHedgeBoost()
-	s.mon.FinishHeal(now, drift.HealPromoted, "")
 	s.setDriftErr("")
-	s.saveState()
+	heal := s.mon.PendingHeal(now, drift.HealPromoted, "")
+	s.saveState(&heal)
+	s.mon.FinishHeal(now, drift.HealPromoted, "")
 }
 
 // rollbackCanary ends a losing trial: the candidate registry is
@@ -155,8 +139,7 @@ func (s *Server) promoteCanary(cs *canaryState, now time.Time) {
 // traffic — resumes serving everything, and the rejection lands in the
 // heal history (advancing the monitor's retry backoff, so a flapping
 // backend cannot heal-storm).
-func (s *Server) rollbackCanary(cs *canaryState, reason string, now time.Time) {
-	_ = cs
+func (s *Server) rollbackCanary(reason string, now time.Time) {
 	s.canary.Store(nil)
 	s.restoreHedgeBoost()
 	s.mon.FinishHeal(now, drift.HealRejected, reason)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"math"
@@ -10,36 +11,54 @@ import (
 	"sync"
 	"time"
 
-	"github.com/toltiers/toltiers/internal/admit"
 	"github.com/toltiers/toltiers/internal/api"
+	"github.com/toltiers/toltiers/internal/coalesce"
 	"github.com/toltiers/toltiers/internal/dispatch"
 	"github.com/toltiers/toltiers/internal/rulegen"
 	"github.com/toltiers/toltiers/internal/service"
+	"github.com/toltiers/toltiers/internal/trace"
 )
 
-// Runtime tier-execution endpoints: where POST /compute answers from
-// the simulated service clock, POST /dispatch runs the resolved tier
-// through the online dispatcher — per-backend concurrency limiters,
-// deadline budgets, hedging, and live telemetry — POST /dispatch/batch
-// amortizes that path over many corpus requests per round trip, and
-// GET /telemetry serves the accumulated per-tier/per-backend
-// statistics.
+// The tier-execution path. The paper's API (§IV-A) is one request shape
+// — an input plus the Tolerance/Objective annotation — and the tier, not
+// the endpoint, decides how it executes. So the node has one staged
+// path and three thin adapters over it:
 //
-//	POST /dispatch
-//	  Tolerance: 0.05
-//	  Objective: response-time
-//	  body: {"request_id": 1234, "deadline_ms": 40}
-//	POST /dispatch/batch
-//	  Tolerance: 0.05
-//	  Objective: response-time
-//	  body: {"request_ids": [1234, 1235, 1236], "deadline_ms": 40}
-//	GET /telemetry -> api.TelemetrySnapshot
-//	GET /telemetry?tenant=acme -> api.TenantTelemetry
+//	parse    annotation headers + JSON body                  (parseCall)
+//	resolve  rule, canary bit and version fence from a single
+//	         read, and from them the request's one ticket    (resolve)
+//	admit    a window of n requests holding that ticket      (admitWindow)
+//	dispatch Do for a window of one, DoBatch for more
+//	render   the outcome under the tier actually served      (dispatchResult)
+//
+// A single request is a window of one — formed by the coalescer when
+// Config.Coalesce is set, so concurrent singles of one ticket share a
+// window, and admitted directly otherwise; a batch is a pre-formed
+// window. The adapters differ only in body shape, in whether the worker
+// fleet is offered the request first, and in response shape (all carry
+// `Tolerance:`, and optionally `Objective:` and `Tenant:`, headers):
+//
+//	POST /compute         body: {"request_id": 1234}
+//	  -> api.ComputeResult; never offered to the fleet, no deadline
+//	POST /dispatch        body: {"request_id": 1234, "deadline_ms": 40}
+//	  -> api.DispatchResult
+//	POST /dispatch/batch  body: {"request_ids": [1234, 1235], "deadline_ms": 40}
+//	  -> api.DispatchBatchResult
+//	GET /telemetry[?tenant=acme] -> api.TelemetrySnapshot / api.TenantTelemetry
 
-// parseAnnotation reads the §IV-A tier annotation headers shared by
-// /compute and /dispatch. A missing Objective defaults to
-// response-time; errors are already written to w.
-func parseAnnotation(w http.ResponseWriter, r *http.Request) (float64, rulegen.Objective, bool) {
+// resolved is a tier as it travels the staged path: the ticket the
+// dispatcher executes, plus the two rule fields a response renders that
+// the ticket only carries folded into its tier key.
+type resolved struct {
+	tolerance float64 // of the rule, i.e. the tier served
+	obj       rulegen.Objective
+	ticket    dispatch.Ticket
+}
+
+// parseCall is the parse stage: the §IV-A annotation headers (a missing
+// Objective defaults to response-time), then the JSON body into the
+// endpoint's request shape. Errors are already written to w.
+func parseCall(w http.ResponseWriter, r *http.Request, body any) (float64, rulegen.Objective, bool) {
 	tolHeader := r.Header.Get("Tolerance")
 	if tolHeader == "" {
 		httpError(w, http.StatusBadRequest, "missing Tolerance header")
@@ -57,6 +76,10 @@ func parseAnnotation(w http.ResponseWriter, r *http.Request) (float64, rulegen.O
 	obj, err := rulegen.ParseObjective(objHeader)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "invalid Objective header %q", objHeader)
+		return 0, "", false
+	}
+	if err := json.NewDecoder(r.Body).Decode(body); err != nil {
+		httpError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
 		return 0, "", false
 	}
 	return tol, obj, true
@@ -81,6 +104,161 @@ func parseBudget(w http.ResponseWriter, deadlineMS float64) (time.Duration, bool
 	return time.Duration(ns), true
 }
 
+// resolve is the resolve stage, run exactly once per HTTP request: the
+// rule, its canary bit and the version fence come from a single read
+// under regMu, so a concurrent promotion can never yield a response
+// whose X-Toltiers-Table-Version names one table and whose policy
+// another, nor a mixed-version batch. Everything downstream — the
+// coalescing key, admission, the dispatcher, the renderer — works from
+// the ticket built here. Errors are already written to w.
+func (s *Server) resolve(w http.ResponseWriter, r *http.Request, tol float64, obj rulegen.Objective, deadlineMS float64) (resolved, int64, bool) {
+	budget, ok := parseBudget(w, deadlineMS)
+	if !ok {
+		return resolved{}, 0, false
+	}
+	tenant := r.Header.Get("Tenant")
+	rule, isCanary, tableVer, err := s.resolveRule(tol, obj, tenant)
+	if err != nil {
+		httpError(w, http.StatusUnprocessableEntity, "%v", err)
+		return resolved{}, 0, false
+	}
+	return resolved{
+		tolerance: rule.Tolerance,
+		obj:       obj,
+		ticket: dispatch.Ticket{
+			Tier:   dispatch.TierKey(string(obj), rule.Tolerance),
+			Tenant: tenant,
+			Policy: rule.Candidate.Policy,
+			Budget: budget,
+			Canary: isCanary,
+		},
+	}, tableVer, true
+}
+
+// lookup finds a corpus request by ID; a miss is already answered 404.
+func (s *Server) lookup(w http.ResponseWriter, id int) (*service.Request, bool) {
+	req, found := s.byID[id]
+	if !found {
+		httpError(w, http.StatusNotFound, "request_id %d not in corpus", id)
+	}
+	return req, found
+}
+
+// dispatchOne admits and executes a window of one. On a coalescing node
+// the coalescer forms the window (its zero-wait bypass makes an
+// uncontended request exactly the direct path below) and calls
+// admitWindow as its gate; otherwise the window is admitted here. The
+// returned tier is the one actually served — rt unless a brownout
+// downgrade rewrote the window.
+func (s *Server) dispatchOne(ctx context.Context, req *service.Request, rt resolved) (dispatch.Outcome, resolved, error) {
+	var (
+		out    dispatch.Outcome
+		served any
+		err    error
+	)
+	if s.coal != nil {
+		out, served, err = s.coal.Do(ctx, req, rt.ticket)
+	} else {
+		var g coalesce.Grant
+		if g, err = s.admitWindow(1, rt.ticket); err == nil {
+			out, err = s.disp.Do(ctx, req, g.Ticket)
+			g.Release()
+			served = g.Served
+		}
+	}
+	if d, ok := served.(resolved); ok {
+		rt = d
+	}
+	return out, rt, err
+}
+
+// renderFailure answers a window that produced no outcomes: an
+// admission shed as 429/503 with both Retry-After forms — captured in
+// the flight recorder here, under the request's own trace id, because
+// sheds never reach the dispatcher — anything else as 502.
+func (s *Server) renderFailure(w http.ResponseWriter, r *http.Request, t dispatch.Ticket, err error) {
+	var sh *shedError
+	if !errors.As(err, &sh) {
+		httpError(w, http.StatusBadGateway, "%v", err)
+		return
+	}
+	if s.rec != nil {
+		s.rec.RecordShed(trace.IDFromContext(r.Context()), t.Tier, t.Tenant, shedAdmitCode(sh.dec.Verdict))
+	}
+	sh.write(w)
+}
+
+// dispatchResult is the render stage: one dispatched outcome under the
+// tier that served it (policy is rt.ticket.Policy rendered once per
+// response). /compute answers with the embedded ComputeResult alone.
+func dispatchResult(req *service.Request, out *dispatch.Outcome, rt *resolved, policy string) api.DispatchResult {
+	res := api.DispatchResult{
+		ComputeResult: api.ComputeResult{
+			Confidence: out.Result.Confidence,
+			Tier:       rt.tolerance,
+			Objective:  string(rt.obj),
+			Policy:     policy,
+			LatencyMS:  float64(out.Latency) / float64(time.Millisecond),
+			CostUSD:    out.InvCost,
+			Escalated:  out.Escalated,
+		},
+		Backend:          out.Backend,
+		Started:          out.Started,
+		Hedged:           out.Hedged,
+		DeadlineExceeded: out.DeadlineExceeded,
+		Downgraded:       rt.ticket.Downgraded,
+		IaaSUSD:          out.IaaSCost,
+	}
+	if req.Utterance != nil {
+		res.Transcript = out.Result.Transcript
+	} else {
+		c := out.Result.Class
+		res.Class = &c
+	}
+	return res
+}
+
+// single runs one corpus request down the staged path for the two
+// single-request adapters. On !ok the response is already written.
+func (s *Server) single(w http.ResponseWriter, r *http.Request, tol float64, obj rulegen.Objective, id int, deadlineMS float64) (res api.DispatchResult, tableVer int64, ok bool) {
+	rt, tableVer, ok := s.resolve(w, r, tol, obj, deadlineMS)
+	if !ok {
+		return res, 0, false
+	}
+	req, ok := s.lookup(w, id)
+	if !ok {
+		return res, 0, false
+	}
+	out, rt, err := s.dispatchOne(r.Context(), req, rt)
+	if err != nil {
+		s.renderFailure(w, r, rt.ticket, err)
+		return res, 0, false
+	}
+	return dispatchResult(req, &out, &rt, rt.ticket.Policy.String()), tableVer, true
+}
+
+// handleCompute is the paper's §IV-A endpoint: the staged path with no
+// deadline (so no hedging), answered with the ComputeResult fields and
+// the latency/cost accounting headers. On a coalescing node it rides
+// the coalescer like /dispatch — the two endpoints build the same ticket
+// for the same annotation, so their requests share windows.
+func (s *Server) handleCompute(w http.ResponseWriter, r *http.Request) {
+	var body api.ComputeRequest
+	tol, obj, ok := parseCall(w, r, &body)
+	if !ok {
+		return
+	}
+	res, _, ok := s.single(w, r, tol, obj, body.RequestID, 0)
+	if !ok {
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("X-Toltiers-Policy", res.Policy)
+	w.Header().Set("X-Toltiers-Latency-MS", strconv.FormatFloat(res.LatencyMS, 'f', 3, 64))
+	w.Header().Set("X-Toltiers-Cost-USD", strconv.FormatFloat(res.CostUSD, 'f', 6, 64))
+	_ = json.NewEncoder(w).Encode(res.ComputeResult)
+}
+
 func (s *Server) handleDispatch(w http.ResponseWriter, r *http.Request) {
 	// Front tier: route to the worker fleet before local admission —
 	// the fleet is the capacity; the local path is the fallback when no
@@ -88,123 +266,21 @@ func (s *Server) handleDispatch(w http.ResponseWriter, r *http.Request) {
 	if s.pool != nil && s.proxyDispatch(w, r, "/dispatch") {
 		return
 	}
-	tol, obj, ok := parseAnnotation(w, r)
-	if !ok {
-		return
-	}
 	var body api.DispatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
-		return
-	}
-	budget, ok := parseBudget(w, body.DeadlineMS)
+	tol, obj, ok := parseCall(w, r, &body)
 	if !ok {
 		return
 	}
-	req, found := s.byID[body.RequestID]
-	if !found {
-		httpError(w, http.StatusNotFound, "request_id %d not in corpus", body.RequestID)
+	res, tableVer, ok := s.single(w, r, tol, obj, body.RequestID, body.DeadlineMS)
+	if !ok {
 		return
-	}
-	rule, isCanary, tableVer, err := s.resolveRule(tol, obj, r.Header.Get("Tenant"))
-	if err != nil {
-		httpError(w, http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
-	var (
-		out        dispatch.Outcome
-		downgraded bool
-	)
-	if s.coal != nil {
-		// Coalescing path: the ticket is the coalescing key, so it
-		// carries the resolved tier — and its canary membership, keeping
-		// trial windows separate — as-is; admission happens per window
-		// in the coalesce gate, which also applies any brownout
-		// downgrade to the whole window (see coalesce.go).
-		ticket := dispatch.Ticket{
-			Tier:   dispatch.TierKey(string(obj), rule.Tolerance),
-			Tenant: r.Header.Get("Tenant"),
-			Policy: rule.Candidate.Policy,
-			Budget: budget,
-			Canary: isCanary,
-		}
-		var served any
-		out, served, err = s.coal.Do(r.Context(), req, ticket)
-		if err != nil {
-			var sh *shedError
-			if errors.As(err, &sh) {
-				writeShed(w, sh.dec)
-				return
-			}
-			httpError(w, http.StatusBadGateway, "%v", err)
-			return
-		}
-		if sv, ok := served.(servedRule); ok {
-			rule, downgraded = sv.rule, sv.downgraded
-		}
-	} else {
-		var dec admit.Decision
-		var admitted bool
-		rule, dec, admitted = s.admitRequest(w, r, obj, rule, budget, 1)
-		if !admitted {
-			return
-		}
-		defer s.adm.Done(dec)
-		downgraded = dec.Verdict == admit.Downgrade
-		if downgraded {
-			isCanary = false // downgrade re-resolved from the incumbent
-		}
-		ticket := dispatch.Ticket{
-			Tier:       dispatch.TierKey(string(obj), rule.Tolerance),
-			Tenant:     r.Header.Get("Tenant"),
-			Policy:     rule.Candidate.Policy,
-			Budget:     budget,
-			Downgraded: downgraded,
-			Canary:     isCanary,
-		}
-		out, err = s.disp.Do(r.Context(), req, ticket)
-		if err != nil {
-			httpError(w, http.StatusBadGateway, "%v", err)
-			return
-		}
-	}
-	resp := api.DispatchResult{
-		ComputeResult:    computeResult(req, out.Result, rule, obj, out.Latency, out.InvCost, out.Escalated),
-		Backend:          out.Backend,
-		Started:          out.Started,
-		Hedged:           out.Hedged,
-		DeadlineExceeded: out.DeadlineExceeded,
-		Downgraded:       downgraded,
-		IaaSUSD:          out.IaaSCost,
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Toltiers-Policy", rule.Candidate.Policy.String())
-	w.Header().Set("X-Toltiers-Backend", out.Backend)
-	w.Header().Set("X-Toltiers-Latency-MS", strconv.FormatFloat(resp.LatencyMS, 'f', 3, 64))
+	w.Header().Set("X-Toltiers-Policy", res.Policy)
+	w.Header().Set("X-Toltiers-Backend", res.Backend)
+	w.Header().Set("X-Toltiers-Latency-MS", strconv.FormatFloat(res.LatencyMS, 'f', 3, 64))
 	w.Header().Set("X-Toltiers-Table-Version", strconv.FormatInt(tableVer, 10))
-	_ = json.NewEncoder(w).Encode(resp)
-}
-
-// computeResult assembles the shared wire payload of /compute and
-// /dispatch from a routed result.
-func computeResult(req *service.Request, res service.Result, rule rulegen.Rule, obj rulegen.Objective,
-	latency time.Duration, invCost float64, escalated bool) api.ComputeResult {
-	out := api.ComputeResult{
-		Confidence: res.Confidence,
-		Tier:       rule.Tolerance,
-		Objective:  string(obj),
-		Policy:     rule.Candidate.Policy.String(),
-		LatencyMS:  float64(latency) / float64(time.Millisecond),
-		CostUSD:    invCost,
-		Escalated:  escalated,
-	}
-	if req.Utterance != nil {
-		out.Transcript = res.Transcript
-	} else {
-		c := res.Class
-		out.Class = &c
-	}
-	return out
+	_ = json.NewEncoder(w).Encode(res)
 }
 
 // handleTelemetry serves the global snapshot (with its per-tenant
@@ -246,16 +322,8 @@ func (s *Server) handleDispatchBatch(w http.ResponseWriter, r *http.Request) {
 	if s.pool != nil && s.proxyDispatch(w, r, "/dispatch/batch") {
 		return
 	}
-	tol, obj, ok := parseAnnotation(w, r)
-	if !ok {
-		return
-	}
 	var body api.DispatchBatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
-		return
-	}
-	budget, ok := parseBudget(w, body.DeadlineMS)
+	tol, obj, ok := parseCall(w, r, &body)
 	if !ok {
 		return
 	}
@@ -267,14 +335,8 @@ func (s *Server) handleDispatchBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "batch of %d exceeds the %d-item limit", len(body.RequestIDs), maxBatchItems)
 		return
 	}
-	// One resolve serves the whole batch: the rule and the version fence
-	// come from a single read under regMu, so a concurrent promotion can
-	// never produce a mixed-version batch — requests before the swap
-	// serve the old (tables, version) pair in full, requests after it
-	// the new one.
-	rule, isCanary, tableVer, err := s.resolveRule(tol, obj, r.Header.Get("Tenant"))
-	if err != nil {
-		httpError(w, http.StatusUnprocessableEntity, "%v", err)
+	rt, tableVer, ok := s.resolve(w, r, tol, obj, body.DeadlineMS)
+	if !ok {
 		return
 	}
 
@@ -282,52 +344,37 @@ func (s *Server) handleDispatchBatch(w http.ResponseWriter, r *http.Request) {
 	defer batchEncoders.Put(e)
 	e.reqs = e.reqs[:0]
 	for _, id := range body.RequestIDs {
-		req, found := s.byID[id]
-		if !found {
-			httpError(w, http.StatusNotFound, "request_id %d not in corpus", id)
+		req, ok := s.lookup(w, id)
+		if !ok {
 			return
 		}
 		e.reqs = append(e.reqs, req)
 	}
 
-	rule, dec, admitted := s.admitRequest(w, r, obj, rule, budget, len(e.reqs))
-	if !admitted {
-		return
+	// The batch is a pre-formed window: admitted as one unit, dispatched
+	// as one DoBatch.
+	g, err := s.admitWindow(len(e.reqs), rt.ticket)
+	if err == nil {
+		e.outs, e.errs, err = s.disp.DoBatch(r.Context(), e.reqs, g.Ticket, e.outs, e.errs)
+		g.Release()
 	}
-	defer s.adm.Done(dec)
-	if dec.Verdict == admit.Downgrade {
-		isCanary = false // downgrade re-resolved from the incumbent
-	}
-	ticket := dispatch.Ticket{
-		Tier:       dispatch.TierKey(string(obj), rule.Tolerance),
-		Tenant:     r.Header.Get("Tenant"),
-		Policy:     rule.Candidate.Policy,
-		Budget:     budget,
-		Downgraded: dec.Verdict == admit.Downgrade,
-		Canary:     isCanary,
-	}
-	e.outs, e.errs, err = s.disp.DoBatch(r.Context(), e.reqs, ticket, e.outs, e.errs)
 	if err != nil {
-		httpError(w, http.StatusBadGateway, "%v", err)
+		s.renderFailure(w, r, rt.ticket, err)
 		return
+	}
+	if d, ok := g.Served.(resolved); ok {
+		rt = d
 	}
 
+	policy := rt.ticket.Policy.String()
 	resp := api.DispatchBatchResult{Items: e.items[:0]}
-	for i, out := range e.outs {
+	for i := range e.outs {
 		var item api.DispatchBatchItem
 		if e.errs[i] != nil {
 			item.Error = e.errs[i].Error()
 			resp.Failed++
 		} else {
-			item.DispatchResult = api.DispatchResult{
-				ComputeResult:    computeResult(e.reqs[i], out.Result, rule, obj, out.Latency, out.InvCost, out.Escalated),
-				Backend:          out.Backend,
-				Started:          out.Started,
-				Hedged:           out.Hedged,
-				DeadlineExceeded: out.DeadlineExceeded,
-				Downgraded:       ticket.Downgraded,
-				IaaSUSD:          out.IaaSCost,
-			}
+			item.DispatchResult = dispatchResult(e.reqs[i], &e.outs[i], &rt, policy)
 		}
 		resp.Items = append(resp.Items, item)
 	}
@@ -339,7 +386,7 @@ func (s *Server) handleDispatchBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Toltiers-Policy", rule.Candidate.Policy.String())
+	w.Header().Set("X-Toltiers-Policy", policy)
 	w.Header().Set("X-Toltiers-Table-Version", strconv.FormatInt(tableVer, 10))
 	_, _ = w.Write(e.buf.Bytes())
 }

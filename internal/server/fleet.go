@@ -92,7 +92,7 @@ func (s *Server) handleFleetStatus(w http.ResponseWriter, _ *http.Request) {
 // promoted rule tables, in the internal/state section format — so a
 // bare ttworker can bootstrap without a corpus or a profiling run.
 func (s *Server) handleFleetSnapshot(w http.ResponseWriter, _ *http.Request) {
-	snap := s.buildSnapshot()
+	snap := s.buildSnapshot(nil)
 	if snap == nil {
 		httpError(w, http.StatusServiceUnavailable, "no training matrix on this node; nothing to ship")
 		return

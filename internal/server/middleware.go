@@ -28,8 +28,6 @@ type Metrics struct {
 	mu sync.Mutex
 	// requests counts completed requests by "METHOD path status" keys.
 	requests map[string]int64
-	// tierHits counts resolved tiers by "objective/tolerance".
-	tierHits map[string]int64
 	// latencySum/latencyCount aggregate handler wall time; buckets is
 	// the fixed histogram (buckets[i] counts observations at or under
 	// latencyBucketsMS[i]; the last entry is the overflow bucket).
@@ -40,7 +38,7 @@ type Metrics struct {
 
 // NewMetrics returns an empty metrics registry.
 func NewMetrics() *Metrics {
-	return &Metrics{requests: make(map[string]int64), tierHits: make(map[string]int64)}
+	return &Metrics{requests: make(map[string]int64)}
 }
 
 // observe records one completed request.
@@ -59,13 +57,6 @@ func (m *Metrics) observe(key string, d time.Duration) {
 	m.latencySum += d
 	m.latencyCount++
 	m.buckets[idx]++
-}
-
-// ObserveTier records one tier resolution.
-func (m *Metrics) ObserveTier(key string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.tierHits[key]++
 }
 
 // quantileLocked reports the histogram's q-quantile as the upper bound
@@ -96,15 +87,9 @@ func (m *Metrics) quantileLocked(q float64) float64 {
 func (m *Metrics) Snapshot() MetricsSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	snap := MetricsSnapshot{
-		Requests: make(map[string]int64, len(m.requests)),
-		TierHits: make(map[string]int64, len(m.tierHits)),
-	}
+	snap := MetricsSnapshot{Requests: make(map[string]int64, len(m.requests))}
 	for k, v := range m.requests {
 		snap.Requests[k] = v
-	}
-	for k, v := range m.tierHits {
-		snap.TierHits[k] = v
 	}
 	if m.latencyCount > 0 {
 		snap.MeanHandlerLatencyMS = float64(m.latencySum) / float64(m.latencyCount) / 1e6
@@ -134,15 +119,6 @@ func (m *Metrics) writePrometheus(b *bytes.Buffer) {
 		method, path, status := splitRequestKey(k)
 		p.count("toltiers_handler_requests_total", m.requests[k],
 			"method", method, "path", path, "status", status)
-	}
-	p.family("toltiers_tier_hits_total", "counter", "Tier resolutions by tier key.")
-	tiers := make([]string, 0, len(m.tierHits))
-	for k := range m.tierHits {
-		tiers = append(tiers, k)
-	}
-	sort.Strings(tiers)
-	for _, k := range tiers {
-		p.count("toltiers_tier_hits_total", m.tierHits[k], "tier", k)
 	}
 	p.family("toltiers_handler_latency_ms", "histogram", "Handler wall time in milliseconds.")
 	var cum int64
@@ -215,7 +191,6 @@ type MetricsSnapshot struct {
 	P95HandlerLatencyMS float64          `json:"p95_handler_latency_ms"`
 	P99HandlerLatencyMS float64          `json:"p99_handler_latency_ms"`
 	Requests            map[string]int64 `json:"requests"`
-	TierHits            map[string]int64 `json:"tier_hits"`
 }
 
 // statusRecorder captures the response code for metrics/logging.

@@ -43,9 +43,13 @@ func TestInstrumentCountsRequests(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	inner := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {})
 	m := NewMetrics()
-	m.ObserveTier("response-time/0.05")
 	ts := httptest.NewServer(Instrument(inner, m, nil))
 	defer ts.Close()
+	if resp, err := http.Get(ts.URL + "/x"); err != nil {
+		t.Fatal(err)
+	} else {
+		resp.Body.Close()
+	}
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -55,8 +59,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.TierHits["response-time/0.05"] != 1 {
-		t.Fatalf("tier hits = %v", snap.TierHits)
+	if snap.Handled != 1 || snap.Requests["GET /x 200"] != 1 {
+		t.Fatalf("snapshot over the wire = %+v", snap)
 	}
 }
 
@@ -208,7 +212,6 @@ func TestMetricsConcurrentSafety(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				m.observe("GET /x 200", 0)
-				m.ObserveTier("cost/0.1")
 				_ = m.Snapshot()
 			}
 		}()
@@ -257,7 +260,6 @@ func TestInstrumentConcurrentRequests(t *testing.T) {
 					return
 				}
 				resp.Body.Close()
-				m.ObserveTier("response-time/0.05")
 			}
 		}(g)
 	}
@@ -287,9 +289,6 @@ func TestInstrumentConcurrentRequests(t *testing.T) {
 	}
 	if counted != want {
 		t.Fatalf("per-key counts sum to %d, want %d", counted, want)
-	}
-	if snap.TierHits["response-time/0.05"] != clients*perEach {
-		t.Fatalf("tier hits = %d", snap.TierHits["response-time/0.05"])
 	}
 	// Log lines must be whole: the slog handler emits one Write per
 	// record, so every line is exactly one request record.

@@ -183,12 +183,10 @@ func (s *Server) handleRulesGenerate(w http.ResponseWriter, r *http.Request) {
 }
 
 // runRuleJob executes the sharded sweep and, on success with Apply set,
-// swaps the serving registry. A cancelled context (DELETE
-// /rules/generate) stops the sweep at the next batch boundary and marks
-// the job cancelled instead of failed. A drift-triggered job that
-// applies additionally promotes its re-profiled matrix to the node's
-// training matrix, re-anchors the monitor's latency baselines, and
-// resets the detectors so healed traffic re-baselines.
+// promotes the generated tables (see promote) — or, for a drift heal
+// with the canary armed, stages them for a trial. A cancelled context
+// (DELETE /rules/generate) stops the sweep at the next batch boundary
+// and marks the job cancelled instead of failed.
 func (s *Server) runRuleJob(ctx context.Context, job *ruleJob, gcfg rulegen.Config, step, maxTol float64) {
 	opts := shard.Options{
 		Shards:    job.req.Shards,
@@ -210,7 +208,7 @@ func (s *Server) runRuleJob(ctx context.Context, job *ruleJob, gcfg rulegen.Conf
 	cancelRequested := job.cancelled
 	s.jobMu.Unlock()
 
-	var applied, staged bool
+	var staged bool
 	var tables []rulegen.RuleTable
 	if err == nil && !cancelRequested {
 		grid := rulegen.ToleranceGrid(maxTol, step)
@@ -229,8 +227,9 @@ func (s *Server) runRuleJob(ctx context.Context, job *ruleJob, gcfg rulegen.Conf
 				// it back; see canary.go.
 				staged = true
 			} else {
-				s.installPromoted(newRegistryFrom(s.registry(), tables))
-				applied = true
+				// Promoted before the job reports "done", so a client that
+				// polls the status and then resolves sees the new tables.
+				s.promote(newRegistryFrom(s.registry(), tables), job, time.Now())
 			}
 		}
 	}
@@ -260,29 +259,16 @@ func (s *Server) runRuleJob(ctx context.Context, job *ruleJob, gcfg rulegen.Conf
 		job.cancelled = false
 		job.shards, job.workers = rep.Shards, rep.Workers
 		job.trials = rep.TrialCounts
-		job.applied = applied
 	}
-	fromDrift, finalApplied := job.drift, job.applied
 	finalErr, finalCancelled := job.err, job.cancelled
 	s.jobMu.Unlock()
 
-	if fromDrift {
+	if job.drift {
 		switch {
 		case staged:
 			// The heal stays in flight: the candidate now serves its
 			// canary slice, and the drift loop polls the trial's verdict.
 			s.beginCanary(job, tables, time.Now())
-			return
-		case finalApplied:
-			s.setTrainingMatrix(job.matrix)
-			// Re-anchor at the same quantile the live trackers estimate,
-			// as at construction.
-			s.mon.SetBaselines(drift.BackendBaselinesAt(job.matrix, s.hedgeQuantile))
-			s.restoreHedgeBoost()
-			s.setDriftErr("") // the last heal is clean
-			s.mon.EndReprofile(true)
-			s.saveState()
-			return
 		case finalErr != nil:
 			s.setDriftErr("reprofile rules job: " + finalErr.Error())
 			s.restoreHedgeBoost()

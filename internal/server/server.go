@@ -1,7 +1,7 @@
 // Package server exposes a Tolerance Tiers service over HTTP, following
-// the request annotation of §IV-A: the API consumer POSTs an input to
-// /compute with `Tolerance` and `Objective` headers and receives the
-// result with latency/cost accounting headers.
+// the request annotation of §IV-A: the API consumer POSTs an input with
+// `Tolerance` and `Objective` headers and receives the result with
+// latency/cost accounting.
 //
 // Payload formats (the repository's corpora are synthetic, so inputs are
 // referenced by corpus ID rather than uploaded media):
@@ -11,7 +11,10 @@
 //	  Objective: response-time
 //	  body: {"request_id": 1234}
 //
-// Responses are JSON (Result below). GET /tiers lists the offered tiers
+// /compute, /dispatch and /dispatch/batch are three adapters over one
+// tier-execution path — parse, resolve once, admit a window, dispatch,
+// render (dispatch.go) — differing only in body and response shape.
+// Responses are JSON (internal/api). GET /tiers lists the offered tiers
 // and GET /healthz reports readiness.
 package server
 
@@ -20,7 +23,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,13 +63,12 @@ type Config struct {
 	// constructed but disabled; POST /admission/config can enable it at
 	// runtime).
 	Admission admit.Config
-	// Coalesce, when non-nil, inserts a cross-request coalescer between
-	// POST /dispatch and the dispatcher: concurrent single dispatches of
-	// the same resolved tier gather in time/size windows and flush as
-	// one DoBatch, admitted per window through AdmitBatch (see
-	// internal/coalesce and coalesce.go). Other endpoints keep the
-	// serial per-request path. The Gate field is overwritten with the
-	// node's admission gate.
+	// Coalesce, when non-nil, lets single requests (/dispatch and
+	// /compute) share windows: concurrent singles holding the same
+	// resolved ticket gather in time/size windows and flush as one
+	// DoBatch, admitted once per window (see internal/coalesce). With
+	// nil, every single request is its own window of one. The Gate
+	// field is overwritten with the node's admission function.
 	Coalesce *coalesce.Options
 	// Trace parameterizes the per-dispatch flight recorder behind
 	// GET /trace/recent and GET /trace/{id} (zero = a 1024-slot ring
@@ -125,24 +126,24 @@ type Server struct {
 	// (Config.Fleet); nil on workers and single-node servers.
 	pool *fleet.Pool
 
-	// disp is the online tier-execution runtime: /compute and /dispatch
-	// both route through it, so live telemetry covers all traffic. The
-	// dispatcher wraps the configured backends; registry swaps (rule
+	// disp is the online tier-execution runtime: every endpoint's
+	// windows execute through it, so live telemetry covers all traffic.
+	// The dispatcher wraps the configured backends; registry swaps (rule
 	// regeneration) change tables, not backends.
 	disp     *dispatch.Dispatcher
 	backends []dispatch.Backend
 	domain   service.Domain
 
-	// adm gates every tier-execution handler before the dispatcher
-	// leases a backend slot (see admission.go).
+	// adm admits every window before the dispatcher leases a backend
+	// slot; admitWindow (admission.go) is its only caller.
 	adm *admit.Controller
 
 	// rec is the per-dispatch flight recorder (nil when Config.Trace
 	// disabled it; see trace.go for the read-side handlers).
 	rec *trace.Recorder
 
-	// coal, when configured, coalesces POST /dispatch traffic into
-	// batch windows (nil = serial per-request path; see coalesce.go).
+	// coal, when configured, forms the windows of single requests (nil =
+	// each is a window of one; see dispatchOne).
 	coal *coalesce.Coalescer
 
 	// matrix is the profiled training corpus backing the rule-generation
@@ -261,7 +262,7 @@ func NewWithConfig(reg *tiers.Registry, reqs []*service.Request, cfg Config) *Se
 	s.adm = admit.New(cfg.Admission)
 	if cfg.Coalesce != nil {
 		copts := *cfg.Coalesce
-		copts.Gate = s.coalesceGate
+		copts.Gate = s.admitWindow
 		s.coal = coalesce.New(s.disp, copts)
 	}
 
@@ -353,7 +354,7 @@ func (s *Server) Close() {
 	if s.pool != nil {
 		s.pool.Close()
 	}
-	s.saveState()
+	s.saveState(nil)
 }
 
 // Dispatcher exposes the server's tier-execution runtime (load
@@ -396,12 +397,6 @@ func (s *Server) registry() *tiers.Registry {
 	return s.reg
 }
 
-func (s *Server) setRegistry(reg *tiers.Registry) {
-	s.regMu.Lock()
-	s.reg = reg
-	s.regMu.Unlock()
-}
-
 // registryAndVersion returns the serving registry together with the
 // fleet version fence it was installed under — one consistent pair.
 func (s *Server) registryAndVersion() (*tiers.Registry, int64) {
@@ -428,8 +423,7 @@ func (s *Server) Fleet() *fleet.Pool { return s.pool }
 // tier itself swaps, so a worker joining mid-promotion already sees the
 // new version and resyncs — otherwise the version increments locally
 // (the single-node case keeps the dispatch header meaningful). Every
-// promotion path (manual apply, drift heal, canary win) funnels through
-// here; plain setRegistry is for construction-time plumbing only.
+// promotion (see promote) funnels through here.
 func (s *Server) installPromoted(reg *tiers.Registry) {
 	var ver int64
 	if s.pool != nil {
@@ -458,58 +452,6 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-func (s *Server) handleCompute(w http.ResponseWriter, r *http.Request) {
-	tol, obj, ok := parseAnnotation(w, r)
-	if !ok {
-		return
-	}
-	var body api.ComputeRequest
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
-		return
-	}
-	req, found := s.byID[body.RequestID]
-	if !found {
-		httpError(w, http.StatusNotFound, "request_id %d not in corpus", body.RequestID)
-		return
-	}
-	rule, isCanary, _, err := s.resolveRule(tol, obj, r.Header.Get("Tenant"))
-	if err != nil {
-		httpError(w, http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
-	rule, dec, admitted := s.admitRequest(w, r, obj, rule, 0, 1)
-	if !admitted {
-		return
-	}
-	defer s.adm.Done(dec)
-	if dec.Verdict == admit.Downgrade {
-		// The brownout re-resolution came from the incumbent registry;
-		// the request leaves the trial slice.
-		isCanary = false
-	}
-	// /compute routes through the dispatcher (no deadline, no hedging),
-	// reproducing Registry.Handle's outcome while feeding telemetry.
-	ticket := dispatch.Ticket{
-		Tier:       dispatch.TierKey(string(obj), rule.Tolerance),
-		Tenant:     r.Header.Get("Tenant"),
-		Policy:     rule.Candidate.Policy,
-		Downgraded: dec.Verdict == admit.Downgrade,
-		Canary:     isCanary,
-	}
-	out, err := s.disp.Do(r.Context(), req, ticket)
-	if err != nil {
-		httpError(w, http.StatusBadGateway, "%v", err)
-		return
-	}
-	resp := computeResult(req, out.Result, rule, obj, out.Latency, out.InvCost, out.Escalated)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Toltiers-Policy", rule.Candidate.Policy.String())
-	w.Header().Set("X-Toltiers-Latency-MS", strconv.FormatFloat(resp.LatencyMS, 'f', 3, 64))
-	w.Header().Set("X-Toltiers-Cost-USD", strconv.FormatFloat(out.InvCost, 'f', 6, 64))
-	_ = json.NewEncoder(w).Encode(resp)
 }
 
 func (s *Server) handleTiers(w http.ResponseWriter, _ *http.Request) {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"strconv"
@@ -85,16 +84,6 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(traceSpanWire(&sp))
-}
-
-// recordShed captures an admission rejection in the flight recorder —
-// sheds never reach the dispatcher, so the admission check reports them
-// itself. ctx carries the middleware-minted trace id when there is one.
-func (s *Server) recordShed(ctx context.Context, tier, tenant string, v admit.Verdict) {
-	if s.rec == nil {
-		return
-	}
-	s.rec.RecordShed(trace.IDFromContext(ctx), tier, tenant, shedAdmitCode(v))
 }
 
 // shedAdmitCode maps an admission shed verdict to the span's admit code.

@@ -162,8 +162,11 @@ type (
 	// CoalesceOptions parameterizes a Coalescer (size trigger, 100–500 µs
 	// time trigger, admission gate).
 	CoalesceOptions = coalesce.Options
-	// CoalesceGate admits one window flush (compose with an
-	// AdmissionController's AdmitBatch: n bucket tokens, one slot).
+	// CoalesceGate admits one window of n requests holding a resolved
+	// ticket (compose with an AdmissionController's AdmitBatch: n bucket
+	// tokens, one slot). The HTTP server installs its one admission
+	// function here — the same one its non-coalesced and batch requests
+	// pass through.
 	CoalesceGate = coalesce.Gate
 	// CoalesceGrant is a gate's admission of one flush.
 	CoalesceGrant = coalesce.Grant
