@@ -1,24 +1,26 @@
-// Command ttload is a closed-loop load generator for the tolerance-tier
-// dispatch runtime. It synthesizes an annotated arrival trace (Poisson
-// or bursty, drawn from the paper's consumer mix), drives it at a
-// target RPS through a bounded worker pool, and reports achieved
-// latency percentiles per tier.
+// Command ttload is the scenario driver for a tolerance-tier serving
+// node: it synthesizes an annotated arrival trace (Poisson or bursty,
+// drawn from the paper's consumer mix), drives it at a target RPS
+// through a bounded worker pool against the node's HTTP API, and checks
+// that every arrival is accounted for — overload, coalescing, drift,
+// chaos and fleet-failover scenarios all end in the same ledger
+// (-assert).
 //
-// Two targets are supported:
-//
-//   - In-process replay (default): the corpus is profiled, rule tables
-//     are generated, and requests dispatch through ReplayBackends — the
-//     full runtime (limiters, hedging, telemetry) without any engine or
-//     network, sustaining hundreds of thousands of dispatches/sec.
-//   - A remote endpoint (-target http://host:port): requests go through
-//     POST /dispatch with the same annotations.
+// The node is either a remote endpoint (-target http://host:port) or —
+// the default — one this process boots: the corpus is profiled, rule
+// tables are generated, and the same server ttserver serves is assembled
+// over replay backends and driven through the client SDK on an
+// in-memory transport (no listener, no port). Either way requests take
+// the node's one tier-execution path, and every report is read back
+// through the node's own endpoints (GET /telemetry, /admission, /drift,
+// /trace/recent). ttload is not a throughput instrument: the wall times
+// it prints include the generator, the SDK and the HTTP handler; the
+// served path's numbers are benchmark/REPEATABILITY.md.
 //
 // With -batch N, arrivals of one consumer class are grouped into
 // N-item batches (dispatched when the last arrival of the group lands)
-// and issued through the batched runtime path — Dispatcher.DoBatch in
-// process, POST /dispatch/batch against a remote target — which
-// amortizes the per-request limiter/telemetry/HTTP costs and reports
-// the same per-item percentiles.
+// and issued through POST /dispatch/batch, which reports the same
+// per-item percentiles.
 //
 // Examples:
 //
@@ -35,9 +37,9 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
+	"net/http"
+	"net/http/httptest"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -45,674 +47,364 @@ import (
 	"github.com/toltiers/toltiers/internal/admit"
 	"github.com/toltiers/toltiers/internal/api"
 	"github.com/toltiers/toltiers/internal/client"
+	"github.com/toltiers/toltiers/internal/coalesce"
 	"github.com/toltiers/toltiers/internal/dispatch"
-	"github.com/toltiers/toltiers/internal/stats"
-	"github.com/toltiers/toltiers/internal/tablewriter"
+	"github.com/toltiers/toltiers/internal/drift"
+	"github.com/toltiers/toltiers/internal/server"
 	"github.com/toltiers/toltiers/internal/trace"
 	"github.com/toltiers/toltiers/internal/workload"
 )
 
-type tierSeries struct {
-	sent        int
-	wallMS      []float64
-	simulatedMS []float64
-	escalated   int
-	hedged      int
-	misses      int
-	failures    int
-	downgraded  int
-	shed        int
+// options is the flag set (see register for what each one means).
+type options struct {
+	target, service, chaos                              string
+	corpus, concurrency, perBackend, batch, tenants     int
+	driftWindow, admitInflight, coalesceMax             int
+	rps, burst, deadlineMS, sleepScale, step, admitRate float64
+	duration, coalesceWindow                            time.Duration
+	seed                                                uint64
+	drift, trace, overload, coalesce, assert            bool
 }
 
-// tenantTally is one round-robin tenant's arrival ledger: every sent
-// arrival lands in exactly one of graded/failed/shed, and unrouted
-// marks the failures that never reached the dispatcher (no rule), so
-// the tenant's telemetry partition should read graded + failed -
-// unrouted requests.
-type tenantTally struct {
-	sent     int
-	graded   int
-	failed   int
-	shed     int
-	unrouted int
+func (o *options) register(fs *flag.FlagSet) {
+	fs.StringVar(&o.target, "target", "", "remote endpoint URL (empty = boot a replay node in this process)")
+	fs.StringVar(&o.service, "service", "vision", "service the booted node serves: asr | vision | vision-cpu")
+	fs.IntVar(&o.corpus, "corpus", 1000, "corpus size to profile for the booted node (a -target run reads the target's corpus from /healthz)")
+	fs.Float64Var(&o.rps, "rps", 2000, "target mean arrival rate")
+	fs.DurationVar(&o.duration, "duration", 5*time.Second, "trace length")
+	fs.IntVar(&o.concurrency, "concurrency", 32, "closed-loop worker pool size")
+	fs.Float64Var(&o.burst, "burst", 1, "arrival burstiness (>1 enables the two-state modulated process)")
+	fs.Float64Var(&o.deadlineMS, "deadline-ms", 0, "per-request latency budget in ms (0 = none; arms hedging)")
+	fs.Float64Var(&o.sleepScale, "sleep-scale", 0, "the booted node's replay backends occupy wall time for latency*scale")
+	fs.IntVar(&o.perBackend, "max-per-backend", 0, "the booted node's per-backend concurrency limit (0 = unlimited)")
+	fs.Float64Var(&o.step, "step", 0.01, "tolerance grid step of the booted node's rule tables")
+	fs.Uint64Var(&o.seed, "seed", 0x10ad, "trace seed")
+	fs.IntVar(&o.batch, "batch", 1, "group arrivals of one consumer class into batches of this size (1 = per-request dispatch)")
+	fs.StringVar(&o.chaos, "chaos", "", "scripted backend perturbations for the booted node, e.g. 'backend=0,kind=latency,shape=step,start=1000,magnitude=2/backend=1,kind=accuracy,magnitude=0.5' (kinds latency|accuracy|error; shapes step|ramp|osc; logical time = invocations)")
+	fs.BoolVar(&o.drift, "drift", false, "print the node's drift-detector state from GET /drift after the run (the booted node watches its traffic with a drift monitor)")
+	fs.IntVar(&o.driftWindow, "drift-window", 64, "dispatches per drift-detector window of the booted node (-drift)")
+	fs.BoolVar(&o.trace, "trace", false, "print the slowest flight-recorder exemplars per tier from GET /trace/recent after the run (the booted node records per-dispatch spans)")
+
+	fs.BoolVar(&o.overload, "overload", false, "overload scenario: the booted node admits through its admission layer with brownout armed (a -target's 429/503 answers count as sheds either way); prints GET /admission after the run")
+	fs.IntVar(&o.admitInflight, "admit-max-inflight", 0, "admitted in-flight cap of the booted node under -overload (0 = half of -concurrency)")
+	fs.Float64Var(&o.admitRate, "admit-rate", 0, "per-consumer-class token-bucket refill under -overload, req/s (0 = unlimited)")
+
+	fs.BoolVar(&o.coalesce, "coalesce", false, "the booted node gathers concurrent per-request dispatches of one tier into batch windows")
+	fs.DurationVar(&o.coalesceWindow, "coalesce-window", 0, "coalescing time trigger (0 = 200µs; clamped to 100µs–500µs)")
+	fs.IntVar(&o.coalesceMax, "coalesce-max", 0, "coalescing size trigger (0 = 64)")
+	fs.IntVar(&o.tenants, "tenants", 0, "spread arrivals round-robin across this many named tenants (tenant-0..) of the booted node: each gets its own telemetry partition and report row")
+	fs.BoolVar(&o.assert, "assert", false, "after the run, verify the accounting reconciles and exit 1 on mismatch: per tier, sent = graded + failed + shed with nothing failed unless -chaos injected it; per Tenant header sent, the node's telemetry partition agrees; on a booted -coalesce node, no waiter lost")
 }
 
-// collector accumulates per-tier latency series (and, under -tenants,
-// per-tenant ledgers) across workers.
-type collector struct {
-	mu      sync.Mutex
-	tiers   map[string]*tierSeries
-	tenants map[string]*tenantTally
-}
-
-func (c *collector) series(tier string) *tierSeries {
-	ts := c.tiers[tier]
-	if ts == nil {
-		ts = &tierSeries{}
-		c.tiers[tier] = ts
+// validate rejects flag combinations that cannot mean anything.
+func (o *options) validate() error {
+	switch {
+	case o.batch < 1:
+		return errors.New("-batch must be >= 1")
+	case o.target != "" && o.coalesce:
+		return errors.New("-coalesce configures the booted node; point -target at a ttserver started with -coalesce instead")
+	case o.target != "" && o.tenants > 0:
+		return errors.New("-tenants applies to the booted node")
+	case o.target != "" && o.chaos != "":
+		return errors.New("-chaos applies to the booted node")
+	case o.coalesce && o.batch != 1:
+		return errors.New("-coalesce gathers per-request dispatch into windows; drop -batch")
 	}
-	return ts
-}
-
-func (c *collector) tally(tenant string) *tenantTally {
-	tl := c.tenants[tenant]
-	if tl == nil {
-		tl = &tenantTally{}
-		c.tenants[tenant] = tl
-	}
-	return tl
-}
-
-// sent records n arrivals handed to a tenant's issue path.
-func (c *collector) sent(tenant string, n int) {
-	if tenant == "" {
-		return
-	}
-	c.mu.Lock()
-	c.tally(tenant).sent += n
-	c.mu.Unlock()
-}
-
-// sentTier records n arrivals entering a tier's issue path — the
-// per-tier half of the ledger, kept in every mode (remote runs have no
-// named tenants, so -assert against a remote target reconciles here).
-func (c *collector) sentTier(tier string, n int) {
-	c.mu.Lock()
-	c.series(tier).sent += n
-	c.mu.Unlock()
-}
-
-func (c *collector) observe(tier, tenant string, wall time.Duration, simulated time.Duration, escalated, hedged, missed, downgraded bool) {
-	c.mu.Lock()
-	ts := c.series(tier)
-	ts.wallMS = append(ts.wallMS, float64(wall)/1e6)
-	ts.simulatedMS = append(ts.simulatedMS, float64(simulated)/1e6)
-	if escalated {
-		ts.escalated++
-	}
-	if hedged {
-		ts.hedged++
-	}
-	if missed {
-		ts.misses++
-	}
-	if downgraded {
-		ts.downgraded++
-	}
-	if tenant != "" {
-		c.tally(tenant).graded++
-	}
-	c.mu.Unlock()
-}
-
-func (c *collector) fail(tier, tenant string, unrouted bool) {
-	c.mu.Lock()
-	c.series(tier).failures++
-	if tenant != "" {
-		tl := c.tally(tenant)
-		tl.failed++
-		if unrouted {
-			tl.unrouted++
-		}
-	}
-	c.mu.Unlock()
-}
-
-// shed records n admission rejections of one consumer class.
-func (c *collector) shed(tier, tenant string, n int) {
-	c.mu.Lock()
-	c.series(tier).shed += n
-	if tenant != "" {
-		c.tally(tenant).shed += n
-	}
-	c.mu.Unlock()
+	return nil
 }
 
 func main() {
-	var (
-		target      = flag.String("target", "", "remote endpoint URL (empty = in-process replay dispatch)")
-		svcName     = flag.String("service", "vision", "service for in-process mode: asr | vision | vision-cpu")
-		corpusN     = flag.Int("corpus", 1000, "corpus size to profile (in-process mode; remote mode reads the target's corpus from /healthz)")
-		rps         = flag.Float64("rps", 2000, "target mean arrival rate")
-		duration    = flag.Duration("duration", 5*time.Second, "trace length")
-		concurrency = flag.Int("concurrency", 32, "closed-loop worker pool size")
-		burstiness  = flag.Float64("burst", 1, "arrival burstiness (>1 enables the two-state modulated process)")
-		deadlineMS  = flag.Float64("deadline-ms", 0, "per-request latency budget in ms (0 = none; arms hedging)")
-		sleepScale  = flag.Float64("sleep-scale", 0, "replay backends occupy wall time for latency*scale (in-process mode)")
-		perBackend  = flag.Int("max-per-backend", 0, "per-backend concurrency limit (in-process mode, 0 = unlimited)")
-		step        = flag.Float64("step", 0.01, "tolerance grid step for rule generation (in-process mode)")
-		seed        = flag.Uint64("seed", 0x10ad, "trace seed")
-		batchN      = flag.Int("batch", 1, "group arrivals of one consumer class into batches of this size (1 = per-request dispatch)")
-		chaosSpec   = flag.String("chaos", "", "scripted backend perturbations for in-process mode, e.g. 'backend=0,kind=latency,shape=step,start=1000,magnitude=2/backend=1,kind=accuracy,magnitude=0.5' (kinds latency|accuracy|error; shapes step|ramp|osc; logical time = invocations)")
-		driftOn     = flag.Bool("drift", false, "watch the traffic with a drift monitor (in-process: attached to the dispatcher; remote: reported from the target's GET /drift) and print detector state")
-		driftWindow = flag.Int("drift-window", 64, "dispatches per drift-detector window (in-process -drift)")
-		traceOn     = flag.Bool("trace", false, "record per-dispatch flight spans (in-process: recorder attached to the dispatcher; remote: read from the target's GET /trace/recent) and print the slowest exemplars per tier")
-
-		overload      = flag.Bool("overload", false, "overload scenario: gate in-process dispatch through an admission controller with brownout armed (remote mode: count the target's 429/503 sheds) and report graceful-degradation counters")
-		admitInflight = flag.Int("admit-max-inflight", 0, "admitted in-flight cap for -overload's in-process admission layer (0 = half of -concurrency)")
-		admitRate     = flag.Float64("admit-rate", 0, "per-consumer-class token-bucket refill for -overload, req/s (0 = unlimited)")
-
-		coalesceOn     = flag.Bool("coalesce", false, "gather concurrent per-request dispatches of one consumer class into batch windows before the dispatcher (in-process mode)")
-		coalesceWindow = flag.Duration("coalesce-window", 0, "coalescing time trigger (0 = 200µs; clamped to 100µs–500µs)")
-		coalesceMax    = flag.Int("coalesce-max", 0, "coalescing size trigger (0 = 64)")
-		tenants        = flag.Int("tenants", 0, "spread arrivals round-robin across this many named tenants (tenant-0..): each gets its own telemetry partition and report row (in-process mode)")
-		assertMode     = flag.Bool("assert", false, "after the run, verify the accounting reconciles and exit 1 on mismatch — in-process: per tenant, sent = graded + failed + shed and the dispatcher's partition agrees; remote: per tier, sent = graded + failed + shed with zero hard failures (a fleet front tier must fail over or shed, never lose)")
-	)
+	var o options
+	o.register(flag.CommandLine)
 	flag.Parse()
-	if *batchN < 1 {
-		log.Fatal("-batch must be >= 1")
+	if err := o.validate(); err != nil {
+		log.Fatal(err)
 	}
-	if *target != "" {
-		switch {
-		case *coalesceOn:
-			log.Fatal("-coalesce applies to in-process replay mode; point -target at a ttserver started with -coalesce instead")
-		case *tenants > 0:
-			log.Fatal("-tenants applies to in-process replay mode")
-		}
-	}
-	if *coalesceOn && *batchN != 1 {
-		log.Fatal("-coalesce gathers per-request dispatch into windows; drop -batch")
-	}
-	if *coalesceOn && *overload {
-		log.Fatal("-coalesce composes with admission server-side: drive a ttserver -coalesce -admit target")
-	}
-	var chaos []dispatch.ChaosSpec
-	if *chaosSpec != "" {
-		var err error
-		if chaos, err = dispatch.ParseChaos(*chaosSpec); err != nil {
+	var node *server.Server
+	if o.target == "" {
+		m, reg, err := profileCorpus(o.service, o.corpus, o.step)
+		if err != nil {
 			log.Fatal(err)
 		}
-		if *target != "" {
-			log.Fatal("-chaos only applies to in-process replay mode")
+		if node, err = bootNode(m, reg, o); err != nil {
+			log.Fatal(err)
 		}
 	}
+	if _, err := run(o, node); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	budget := time.Duration(*deadlineMS * float64(time.Millisecond))
+// profileCorpus builds what a booted node serves: the profile matrix
+// its replay backends answer from and the rule tables generated over it.
+func profileCorpus(service string, n int, step float64) (*toltiers.Matrix, *toltiers.Registry, error) {
+	svc, reqs, err := toltiers.NewCorpusByName(service, n)
+	if err != nil {
+		return nil, nil, err
+	}
+	log.Printf("profiling %d requests of %s ...", len(reqs), svc.Domain)
+	m := toltiers.Profile(svc, reqs)
+	log.Printf("generating rule tables (step %g) ...", step)
+	gen, err := toltiers.ShardedGenerate(m, nil, toltiers.DefaultGeneratorConfig(), 0, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	grid := toltiers.ToleranceGrid(0.10, step)
+	return m, toltiers.NewRegistry(svc,
+		gen.Generate(grid, toltiers.MinimizeLatency),
+		gen.Generate(grid, toltiers.MinimizeCost)), nil
+}
 
-	var issue func(ctx context.Context, arr workload.Arrival, tenant string, col *collector)
-	var issueBatch func(ctx context.Context, arrs []workload.Arrival, tenant string, col *collector)
-	var disp *dispatch.Dispatcher
-	var coal *toltiers.Coalescer
-	var mon *toltiers.DriftMonitor
-	var rec *toltiers.TraceRecorder
-	var ctrl *admit.Controller
-	corpusSize := *corpusN
-	if *target == "" {
-		var reqs []*toltiers.Request
-		disp, reqs, mon, rec = buildReplayRuntime(*svcName, *corpusN, *sleepScale, *perBackend, chaos, *driftOn, *driftWindow, *traceOn)
-		corpusSize = len(reqs)
-		reg := mustRegistry(*svcName, *corpusN, *step)
-		if *coalesceOn {
-			coal = toltiers.NewCoalescer(disp, toltiers.CoalesceOptions{Window: *coalesceWindow, MaxBatch: *coalesceMax})
-			log.Printf("coalescing per-request dispatch (window %v, max batch %d)", coal.Window(), coal.MaxBatch())
+// bootNode assembles the node ttserver serves over replay backends of
+// the matrix, configured by the scenario flags. Its drift loop ticks as
+// a serving node's does — the per-backend quantile-shift tests need
+// consecutive Check strikes — but never self-heals: a scenario reports
+// the detectors, it does not re-profile under them.
+func bootNode(m *toltiers.Matrix, reg *toltiers.Registry, o options) (*server.Server, error) {
+	backends := toltiers.NewReplayBackends(m)
+	if o.sleepScale > 0 {
+		for _, b := range backends {
+			b.(*dispatch.ReplayBackend).SleepScale = o.sleepScale
 		}
-		// doOne is the per-request dispatch seam: straight through the
-		// dispatcher, or through the coalescer's batch windows under
-		// -coalesce.
-		doOne := func(ctx context.Context, req *toltiers.Request, t dispatch.Ticket) (dispatch.Outcome, error) {
-			if coal == nil {
-				return disp.Do(ctx, req, t)
-			}
-			o, _, err := coal.Do(ctx, req, t)
-			return o, err
-		}
-		if *overload {
-			capIF := *admitInflight
-			if capIF <= 0 {
-				capIF = *concurrency / 2
-				if capIF < 4 {
-					capIF = 4
-				}
-			}
-			ctrl = admit.New(admit.Config{
-				Enabled:     true,
-				MaxInFlight: capIF,
-				DefaultRate: admit.Rate{PerSec: *admitRate},
-				Brownout:    true,
-				Interval:    250 * time.Millisecond,
-			})
-		}
-		// Under -overload both paths gate through ctrl first (tenant =
-		// the requested annotation, so every consumer class gets its own
-		// bucket and admission-status row).
-		issue = func(ctx context.Context, arr workload.Arrival, tenant string, col *collector) {
-			// The report keys by the *requested* annotation so successes
-			// and failures of one consumer class always share a row; the
-			// dispatcher's own telemetry keys by the resolved tier and
-			// partitions by the ticket's tenant — the consumer class
-			// unless -tenants assigned a named one.
-			tier := dispatch.TierKey(string(arr.Objective), arr.Tolerance)
-			col.sentTier(tier, 1)
-			rule, err := reg.Resolve(arr.Tolerance, arr.Objective)
-			if err != nil {
-				col.fail(tier, tenant, true)
-				return
-			}
-			partition := tier
-			if tenant != "" {
-				partition = tenant
-			}
-			downgraded := false
-			if ctrl != nil {
-				dec := ctrl.Admit(time.Now(), tier, arr.Tolerance, budget, disp.Floor(rule.Candidate.Policy.Primary))
-				if dec.Verdict.Shed() {
-					col.shed(tier, tenant, 1)
-					return
-				}
-				defer ctrl.Done(dec)
-				if dec.Verdict == admit.Downgrade {
-					if drule, derr := reg.Resolve(dec.Tolerance, arr.Objective); derr == nil && drule.Tolerance > rule.Tolerance {
-						rule = drule
-						downgraded = true
-					}
-				}
-			}
-			start := time.Now()
-			o, err := doOne(ctx, reqs[arr.RequestIndex%len(reqs)], dispatch.Ticket{
-				Tier:       dispatch.TierKey(string(arr.Objective), rule.Tolerance),
-				Tenant:     partition,
-				Policy:     rule.Candidate.Policy,
-				Budget:     budget,
-				Downgraded: downgraded,
-			})
-			if err != nil {
-				col.fail(tier, tenant, false)
-				return
-			}
-			col.observe(tier, tenant, time.Since(start), o.Latency, o.Escalated, o.Hedged, o.DeadlineExceeded, downgraded)
-		}
-		issueBatch = func(ctx context.Context, arrs []workload.Arrival, tenant string, col *collector) {
-			tier := dispatch.TierKey(string(arrs[0].Objective), arrs[0].Tolerance)
-			col.sentTier(tier, len(arrs))
-			rule, err := reg.Resolve(arrs[0].Tolerance, arrs[0].Objective)
-			if err != nil {
-				for range arrs {
-					col.fail(tier, tenant, true)
-				}
-				return
-			}
-			partition := tier
-			if tenant != "" {
-				partition = tenant
-			}
-			downgraded := false
-			if ctrl != nil {
-				dec := ctrl.AdmitBatch(time.Now(), tier, arrs[0].Tolerance, budget, disp.Floor(rule.Candidate.Policy.Primary), len(arrs))
-				if dec.Verdict.Shed() {
-					col.shed(tier, tenant, len(arrs))
-					return
-				}
-				defer ctrl.Done(dec)
-				if dec.Verdict == admit.Downgrade {
-					if drule, derr := reg.Resolve(dec.Tolerance, arrs[0].Objective); derr == nil && drule.Tolerance > rule.Tolerance {
-						rule = drule
-						downgraded = true
-					}
-				}
-			}
-			batchReqs := make([]*toltiers.Request, len(arrs))
-			for i, arr := range arrs {
-				batchReqs[i] = reqs[arr.RequestIndex%len(reqs)]
-			}
-			start := time.Now()
-			outs, errs, err := disp.DoBatch(ctx, batchReqs, dispatch.Ticket{
-				Tier:       dispatch.TierKey(string(arrs[0].Objective), rule.Tolerance),
-				Tenant:     partition,
-				Policy:     rule.Candidate.Policy,
-				Budget:     budget,
-				Downgraded: downgraded,
-			}, nil, nil)
-			wall := time.Since(start)
-			if err != nil {
-				for range arrs {
-					col.fail(tier, tenant, false)
-				}
-				return
-			}
-			for i, o := range outs {
-				if errs[i] != nil {
-					col.fail(tier, tenant, false)
-					continue
-				}
-				col.observe(tier, tenant, wall, o.Latency, o.Escalated, o.Hedged, o.DeadlineExceeded, downgraded)
-			}
-		}
-	} else {
-		cl := client.New(*target, nil)
-		st, err := cl.Health(context.Background())
+	}
+	if o.chaos != "" {
+		specs, err := dispatch.ParseChaos(o.chaos)
 		if err != nil {
-			log.Fatalf("target not healthy: %v", err)
+			return nil, err
 		}
-		// Size the trace to the corpus the target actually serves, so
-		// request IDs never 404 on a corpus-size mismatch.
-		if st.Corpus > 0 {
-			corpusSize = st.Corpus
-		}
-		// isShed classifies a remote failure as an admission shed (the
-		// target's 429 bucket / 503 capacity-or-deadline rejections).
-		isShed := func(err error) bool {
-			var apiErr *client.APIError
-			return errors.As(err, &apiErr) &&
-				(apiErr.StatusCode == 429 || apiErr.StatusCode == 503)
-		}
-		issue = func(ctx context.Context, arr workload.Arrival, tenant string, col *collector) {
-			tier := dispatch.TierKey(string(arr.Objective), arr.Tolerance)
-			col.sentTier(tier, 1)
-			start := time.Now()
-			res, err := cl.Dispatch(ctx, arr.RequestIndex, arr.Tolerance, arr.Objective, budget)
-			if err != nil {
-				if isShed(err) {
-					col.shed(tier, tenant, 1)
-					return
-				}
-				col.fail(tier, tenant, false)
-				return
-			}
-			col.observe(tier, tenant, time.Since(start),
-				time.Duration(res.LatencyMS*float64(time.Millisecond)),
-				res.Escalated, res.Hedged, res.DeadlineExceeded, res.Downgraded)
-		}
-		issueBatch = func(ctx context.Context, arrs []workload.Arrival, tenant string, col *collector) {
-			tier := dispatch.TierKey(string(arrs[0].Objective), arrs[0].Tolerance)
-			col.sentTier(tier, len(arrs))
-			ids := make([]int, len(arrs))
-			for i, arr := range arrs {
-				ids[i] = arr.RequestIndex
-			}
-			start := time.Now()
-			res, err := cl.DispatchBatch(ctx, ids, arrs[0].Tolerance, arrs[0].Objective, budget)
-			wall := time.Since(start)
-			if err != nil {
-				if isShed(err) {
-					col.shed(tier, tenant, len(arrs))
-					return
-				}
-				for range arrs {
-					col.fail(tier, tenant, false)
-				}
-				return
-			}
-			for _, item := range res.Items {
-				if item.Error != "" {
-					col.fail(tier, tenant, false)
-					continue
-				}
-				col.observe(tier, tenant, wall,
-					time.Duration(item.LatencyMS*float64(time.Millisecond)),
-					item.Escalated, item.Hedged, item.DeadlineExceeded, item.Downgraded)
-			}
+		if backends, err = dispatch.ApplyChaos(backends, specs); err != nil {
+			return nil, err
 		}
 	}
+	cfg := server.Config{
+		Matrix:        m,
+		Backends:      backends,
+		Dispatch:      dispatch.Options{MaxConcurrentPerBackend: o.perBackend},
+		Drift:         drift.Config{Enabled: o.drift, Window: o.driftWindow},
+		DriftInterval: 250 * time.Millisecond,
+		Trace:         trace.Options{Disabled: !o.trace},
+	}
+	if o.overload {
+		inflight := o.admitInflight
+		if inflight <= 0 {
+			inflight = max(o.concurrency/2, 4)
+		}
+		cfg.Admission = admit.Config{
+			Enabled:     true,
+			MaxInFlight: inflight,
+			DefaultRate: admit.Rate{PerSec: o.admitRate},
+			Brownout:    true,
+			Interval:    250 * time.Millisecond,
+		}
+	}
+	if o.coalesce {
+		cfg.Coalesce = &coalesce.Options{Window: o.coalesceWindow, MaxBatch: o.coalesceMax}
+	}
+	return server.NewWithConfig(reg, toltiers.ReplayRequests(m), cfg), nil
+}
 
-	trace := workload.Generate(workload.Config{
-		RatePerSec: *rps,
-		Duration:   *duration,
-		CorpusSize: corpusSize,
-		Burstiness: *burstiness,
-		Seed:       *seed,
+// inProcess is the transport of a booted node: each round trip is one
+// ServeHTTP call on the caller's goroutine.
+type inProcess struct{ h http.Handler }
+
+func (t inProcess) RoundTrip(req *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	t.h.ServeHTTP(rec, req)
+	if req.Body != nil {
+		_ = req.Body.Close() // a bytes.Reader behind a NopCloser: cannot fail
+	}
+	return rec.Result(), nil
+}
+
+// driver issues arrivals at the node through the client SDK and files
+// every outcome in the ledger.
+type driver struct {
+	cl     *client.Client
+	budget time.Duration
+	// booted marks a node this process assembled (see tenantHeader).
+	booted bool
+	l      *ledger
+}
+
+// tenantHeader is the Tenant header an arrival of consumer class tier
+// carries: the named tenant under -tenants; else, on a booted node, the
+// class itself, so every class gets its own admission bucket and
+// telemetry partition; else none — a remote target sees the anonymous
+// traffic it always has.
+func (d *driver) tenantHeader(named, tier string) string {
+	if named == "" && d.booted {
+		return tier
+	}
+	return named
+}
+
+func (d *driver) issue(ctx context.Context, arr workload.Arrival, named string) {
+	tier := dispatch.TierKey(string(arr.Objective), arr.Tolerance)
+	tenant := d.tenantHeader(named, tier)
+	d.l.sent(tier, tenant, 1)
+	start := time.Now()
+	res, err := d.cl.WithTenant(tenant).Dispatch(ctx, arr.RequestIndex, arr.Tolerance, arr.Objective, d.budget)
+	if err != nil {
+		d.l.rejected(tier, tenant, 1, err)
+		return
+	}
+	d.l.graded(tier, tenant, time.Since(start), res)
+}
+
+// issueBatch issues one batch; every arrival in it carries the same
+// annotation (see batchTrace).
+func (d *driver) issueBatch(ctx context.Context, arrs []workload.Arrival, named string) {
+	tier := dispatch.TierKey(string(arrs[0].Objective), arrs[0].Tolerance)
+	tenant := d.tenantHeader(named, tier)
+	d.l.sent(tier, tenant, len(arrs))
+	ids := make([]int, len(arrs))
+	for i, arr := range arrs {
+		ids[i] = arr.RequestIndex
+	}
+	start := time.Now()
+	res, err := d.cl.WithTenant(tenant).DispatchBatch(ctx, ids, arrs[0].Tolerance, arrs[0].Objective, d.budget)
+	wall := time.Since(start)
+	if err != nil {
+		d.l.rejected(tier, tenant, len(arrs), err)
+		return
+	}
+	for i := range res.Items {
+		if item := &res.Items[i]; item.Error != "" {
+			d.l.rejected(tier, tenant, 1, errors.New(item.Error))
+		} else {
+			d.l.graded(tier, tenant, wall, &item.DispatchResult)
+		}
+	}
+}
+
+// run drives one scenario against node — or, with node nil, against
+// o.target — prints the reports, and under -assert verifies the ledger.
+func run(o options, node *server.Server) (*ledger, error) {
+	cl := client.New(o.target, nil)
+	if node != nil {
+		defer node.Close()
+		// ttserver's handler stack: the Instrument middleware mints the
+		// trace ids that sheds and exemplars are recorded under.
+		h := server.Instrument(node, server.NewMetrics(), nil)
+		cl = client.New("http://ttload.in-process", &http.Client{Transport: inProcess{h}})
+	}
+	ctx := context.Background()
+	st, err := cl.Health(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("node not healthy: %w", err)
+	}
+	// The trace is sized to the corpus the node actually serves, so
+	// request IDs never 404.
+	arrivals := workload.Generate(workload.Config{
+		RatePerSec: o.rps,
+		Duration:   o.duration,
+		CorpusSize: st.Corpus,
+		Burstiness: o.burst,
+		Seed:       o.seed,
 	})
-	if len(trace) == 0 {
-		log.Fatal("empty trace: check -rps/-duration/-corpus")
+	if len(arrivals) == 0 {
+		return nil, errors.New("empty trace: check -rps/-duration/-corpus")
 	}
-
-	var tenantNames []string
-	if *tenants > 0 {
-		tenantNames = make([]string, *tenants)
-		for i := range tenantNames {
-			tenantNames[i] = fmt.Sprintf("tenant-%d", i)
-		}
-	}
+	// A job is one call: a batch, or a single arrival as a batch of one.
+	jobs := batchTrace(arrivals, o.batch)
 
 	log.Printf("driving %d arrivals over %v at target %.0f rps with %d workers (batch %d) ...",
-		len(trace), *duration, *rps, *concurrency, *batchN)
-	col := &collector{tiers: make(map[string]*tierSeries), tenants: make(map[string]*tenantTally)}
-	ctx := context.Background()
+		len(arrivals), o.duration, o.rps, o.concurrency, o.batch)
+	l := newLedger()
+	d := &driver{
+		cl:     cl,
+		budget: time.Duration(o.deadlineMS * float64(time.Millisecond)),
+		booted: node != nil,
+		l:      l,
+	}
+	next := make(chan int, o.concurrency)
 	var wg sync.WaitGroup
-	var start time.Time
-	var stopChecks chan struct{}
-	if mon != nil {
-		// Tick the monitor during the run, as a serving node's drift
-		// loop would: the per-backend quantile-shift tests need
-		// consecutive Check strikes, which a single post-run check could
-		// never supply.
-		stopChecks = make(chan struct{})
+	start := time.Now()
+	for w := 0; w < o.concurrency; w++ {
+		wg.Add(1)
 		go func() {
-			t := time.NewTicker(250 * time.Millisecond)
-			defer t.Stop()
-			for {
-				select {
-				case <-stopChecks:
-					return
-				case now := <-t.C:
-					mon.Check(now, disp.P95)
+			defer wg.Done()
+			for i := range next {
+				arrs := jobs[i]
+				// Open-loop pacing to the trace clock — a job is
+				// dispatchable when its last arrival lands — with
+				// closed-loop back-pressure from the bounded pool: a
+				// saturated pool falls behind rather than piling up
+				// unbounded work.
+				if wait := arrs[len(arrs)-1].At - time.Since(start); wait > 0 {
+					time.Sleep(wait)
+				}
+				named := ""
+				if o.tenants > 0 {
+					named = fmt.Sprintf("tenant-%d", i%o.tenants)
+				}
+				if o.batch > 1 {
+					d.issueBatch(ctx, arrs, named)
+				} else {
+					d.issue(ctx, arrs[0], named)
 				}
 			}
 		}()
 	}
-	if *batchN > 1 {
-		type batchJob struct {
-			arrs   []workload.Arrival
-			tenant string
-		}
-		jobs := batchTrace(trace, *batchN)
-		next := make(chan batchJob, *concurrency)
-		start = time.Now()
-		for w := 0; w < *concurrency; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := range next {
-					// A batch is complete — and dispatchable — when its
-					// last arrival lands.
-					if wait := j.arrs[len(j.arrs)-1].At - time.Since(start); wait > 0 {
-						time.Sleep(wait)
-					}
-					col.sent(j.tenant, len(j.arrs))
-					issueBatch(ctx, j.arrs, j.tenant, col)
-				}
-			}()
-		}
-		for i, j := range jobs {
-			next <- batchJob{j, tenantName(tenantNames, i)}
-		}
-		close(next)
-	} else {
-		type job struct {
-			arr    workload.Arrival
-			tenant string
-		}
-		next := make(chan job, *concurrency)
-		start = time.Now()
-		for w := 0; w < *concurrency; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := range next {
-					// Open-loop pacing to the trace clock, closed-loop
-					// back-pressure from the bounded pool: a saturated pool
-					// falls behind rather than piling up unbounded work.
-					if wait := j.arr.At - time.Since(start); wait > 0 {
-						time.Sleep(wait)
-					}
-					col.sent(j.tenant, 1)
-					issue(ctx, j.arr, j.tenant, col)
-				}
-			}()
-		}
-		for i, arr := range trace {
-			next <- job{arr, tenantName(tenantNames, i)}
-		}
-		close(next)
+	for i := range jobs {
+		next <- i
 	}
+	close(next)
 	wg.Wait()
 	elapsed := time.Since(start)
-	if stopChecks != nil {
-		close(stopChecks)
-	}
 
-	report(col, elapsed, *batchN)
-	if disp != nil {
-		reportTelemetry(disp)
-		if *tenants > 0 {
-			reportTenants(col, disp)
-		}
-		if coal != nil {
-			st := coal.Stats()
-			log.Printf("coalescer: %d bypassed, %d coalesced into %d windows (%d size-triggered), %d shed, %d left",
-				st.Bypassed, st.Coalesced, st.Windows, st.SizeFlushes, st.Shed, st.Left)
+	report(l, elapsed, o.batch)
+	global, err := cl.Telemetry(ctx)
+	if err != nil {
+		return l, err
+	}
+	reportTelemetry(global)
+	parts := make(map[string]*api.TenantTelemetry, len(l.tenants))
+	for k := range l.tenants {
+		if parts[k], err = cl.TelemetryForTenant(ctx, k); err != nil {
+			return l, err
 		}
 	}
-	if *overload {
-		if ctrl != nil {
-			reportAdmission(ctrl.Status())
+	if len(parts) > 0 {
+		reportTenants(l, parts)
+	}
+	// The one read that has no endpoint: a booted node's coalescer
+	// counters, for the ledger's no-waiter-lost line.
+	var coal *coalesce.Stats
+	if node != nil && node.Coalescer() != nil {
+		cs := node.Coalescer().Stats()
+		coal = &cs
+		log.Printf("coalescer: %d bypassed, %d coalesced into %d windows (%d size-triggered), %d shed, %d left",
+			cs.Bypassed, cs.Coalesced, cs.Windows, cs.SizeFlushes, cs.Shed, cs.Left)
+	}
+	if o.overload {
+		if l.admission, err = cl.Admission(ctx); err != nil {
+			log.Printf("admission status: %v", err)
 		} else {
-			st, err := client.New(*target, nil).Admission(context.Background())
-			if err != nil {
-				log.Printf("admission status: %v", err)
-			} else {
-				reportAdmission(*st)
-			}
+			reportAdmission(*l.admission)
 		}
 	}
-	if mon != nil {
-		mon.Check(time.Now(), disp.P95)
-		reportDrift(mon.Status(disp.P95))
-	} else if *driftOn && *target != "" {
-		st, err := client.New(*target, nil).Drift(context.Background())
-		if err != nil {
+	if o.drift {
+		if st, err := cl.Drift(ctx); err != nil {
 			log.Printf("drift status: %v", err)
 		} else {
 			reportDrift(*st)
 		}
 	}
-	if *traceOn {
-		if rec != nil {
-			reportTrace(traceRowsFromSpans(rec.Recent(toltiers.TraceFilter{}, rec.Size())))
+	if o.trace {
+		if tr, err := cl.TraceRecent(ctx, "", "", "", 256); err != nil {
+			log.Printf("trace exemplars: %v", err)
 		} else {
-			tr, err := client.New(*target, nil).TraceRecent(context.Background(), "", "", "", 256)
-			if err != nil {
-				log.Printf("trace exemplars: %v", err)
-			} else {
-				reportTrace(traceRowsFromWire(tr.Spans))
-			}
+			reportTrace(tr.Spans)
 		}
 	}
-	if *assertMode {
-		if *target != "" {
-			if err := assertRemote(col); err != nil {
-				log.Fatalf("assert: %v", err)
-			}
-			log.Printf("assert: remote accounting reconciles (per tier, sent = graded + failed + shed; zero dispatches lost)")
-		} else {
-			if err := assertRun(col, disp, coal); err != nil {
-				log.Fatalf("assert: %v", err)
-			}
-			log.Printf("assert: accounting reconciles (per tenant, sent = graded + failed + shed; telemetry partitions agree)")
+	if o.assert {
+		if err := l.verify(global, parts, coal, o.chaos != ""); err != nil {
+			return l, fmt.Errorf("assert: %w", err)
 		}
+		log.Printf("assert: accounting reconciles (per tier and per Tenant header, sent = graded + failed + shed; telemetry partitions agree)")
 	}
-}
-
-// tenantName assigns arrivals (or batches) round-robin across the
-// named tenants; empty when -tenants is off.
-func tenantName(names []string, i int) string {
-	if len(names) == 0 {
-		return ""
-	}
-	return names[i%len(names)]
-}
-
-// reportTenants prints the round-robin tenants' arrival ledgers
-// alongside the dispatcher's per-tenant telemetry partitions.
-func reportTenants(col *collector, d *dispatch.Dispatcher) {
-	keys := make([]string, 0, len(col.tenants))
-	for k := range col.tenants {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	t := tablewriter.New("per-tenant accounting",
-		"tenant", "sent", "graded", "failed", "shed", "partition reqs", "partition fails")
-	for _, k := range keys {
-		tl := col.tenants[k]
-		snap := d.TenantSnapshot(k)
-		t.AddStrings(k, fmt.Sprint(tl.sent), fmt.Sprint(tl.graded), fmt.Sprint(tl.failed),
-			fmt.Sprint(tl.shed), fmt.Sprint(snap.Requests), fmt.Sprint(snap.Failures))
-	}
-	t.Caption = "partition columns read back the dispatcher's per-tenant telemetry; sheds and unrouted failures never reach it"
-	if err := t.WriteText(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// assertRemote verifies a remote run's ledger per requested tier:
-// every sent arrival lands in exactly one bucket (sent = graded +
-// failed + shed), and no dispatch failed outright. Sheds are the
-// target's explicit 429/503 answers — an accounted outcome — but a
-// hard failure means a request vanished into the fleet, which a
-// failover-correct front tier must never allow.
-func assertRemote(col *collector) error {
-	var sentTotal, failedTotal int
-	for tier, ts := range col.tiers {
-		got := len(ts.wallMS) + ts.failures + ts.shed
-		if ts.sent != got {
-			return fmt.Errorf("%s: sent %d != graded %d + failed %d + shed %d",
-				tier, ts.sent, len(ts.wallMS), ts.failures, ts.shed)
-		}
-		sentTotal += ts.sent
-		failedTotal += ts.failures
-	}
-	if sentTotal == 0 {
-		return errors.New("no arrivals were sent")
-	}
-	if failedTotal > 0 {
-		return fmt.Errorf("%d of %d dispatches failed outright (a lossless fleet must fail over or shed, never lose)",
-			failedTotal, sentTotal)
-	}
-	return nil
-}
-
-// assertRun verifies the run's ledger: every arrival is accounted
-// exactly once (sent = graded + failed + shed per tenant), each
-// tenant's telemetry partition agrees with the generator's own tally,
-// the global snapshot equals the sum of the partitions, and — under
-// -coalesce — no waiter was lost, double-delivered, or stranded.
-func assertRun(col *collector, d *dispatch.Dispatcher, coal *toltiers.Coalescer) error {
-	var sentTotal, unroutedTotal int
-	var partitionTotal int64
-	for k, tl := range col.tenants {
-		if tl.sent != tl.graded+tl.failed+tl.shed {
-			return fmt.Errorf("%s: sent %d != graded %d + failed %d + shed %d",
-				k, tl.sent, tl.graded, tl.failed, tl.shed)
-		}
-		snap := d.TenantSnapshot(k)
-		if dispatched := int64(tl.graded + tl.failed - tl.unrouted); snap.Requests != dispatched {
-			return fmt.Errorf("%s: telemetry partition saw %d requests, generator dispatched %d",
-				k, snap.Requests, dispatched)
-		}
-		if failed := int64(tl.failed - tl.unrouted); snap.Failures != failed {
-			return fmt.Errorf("%s: telemetry partition saw %d failures, generator recorded %d",
-				k, snap.Failures, failed)
-		}
-		sentTotal += tl.sent
-		unroutedTotal += tl.unrouted
-		partitionTotal += snap.Requests
-	}
-	if len(col.tenants) > 0 {
-		if global := d.Snapshot(); global.Requests != partitionTotal {
-			return fmt.Errorf("global telemetry saw %d requests, tenant partitions sum to %d",
-				global.Requests, partitionTotal)
-		}
-	}
-	if coal != nil {
-		st := coal.Stats()
-		if st.Shed != 0 || st.Left != 0 {
-			return fmt.Errorf("coalescer shed %d / abandoned %d under a nil gate and background context", st.Shed, st.Left)
-		}
-		if want := int64(sentTotal - unroutedTotal); len(col.tenants) > 0 && st.Bypassed+st.Coalesced != want {
-			return fmt.Errorf("coalescer delivered %d (bypassed %d + coalesced %d), %d routed",
-				st.Bypassed+st.Coalesced, st.Bypassed, st.Coalesced, want)
-		}
-	}
-	return nil
+	return l, nil
 }
 
 // batchTrace groups a time-ordered trace into per-consumer-class
@@ -745,303 +437,4 @@ func batchTrace(trace []workload.Arrival, n int) [][]workload.Arrival {
 		out = append(out, pending[k])
 	}
 	return out
-}
-
-func quantile(xs []float64, q float64) float64 {
-	v, err := stats.Quantile(xs, q)
-	if err != nil {
-		return 0
-	}
-	return v
-}
-
-func report(col *collector, elapsed time.Duration, batchN int) {
-	keys := make([]string, 0, len(col.tiers))
-	total := 0
-	for k, ts := range col.tiers {
-		keys = append(keys, k)
-		total += len(ts.wallMS) + ts.failures + ts.shed
-	}
-	sort.Strings(keys)
-	t := tablewriter.New(
-		fmt.Sprintf("ttload — %d requests in %v (%.0f achieved rps)", total, elapsed.Round(time.Millisecond), float64(total)/elapsed.Seconds()),
-		"tier", "n", "wall p50 (ms)", "wall p95 (ms)", "wall p99 (ms)", "svc p50 (ms)", "svc p95 (ms)", "escalated", "hedged", "deadline miss", "downgraded", "shed", "fail")
-	for _, k := range keys {
-		ts := col.tiers[k]
-		t.AddStrings(k, fmt.Sprint(len(ts.wallMS)),
-			fmt.Sprintf("%.3f", quantile(ts.wallMS, 0.50)),
-			fmt.Sprintf("%.3f", quantile(ts.wallMS, 0.95)),
-			fmt.Sprintf("%.3f", quantile(ts.wallMS, 0.99)),
-			fmt.Sprintf("%.2f", quantile(ts.simulatedMS, 0.50)),
-			fmt.Sprintf("%.2f", quantile(ts.simulatedMS, 0.95)),
-			fmt.Sprint(ts.escalated), fmt.Sprint(ts.hedged), fmt.Sprint(ts.misses),
-			fmt.Sprint(ts.downgraded), fmt.Sprint(ts.shed), fmt.Sprint(ts.failures))
-	}
-	t.Caption = "tiers key by requested annotation; wall = end-to-end dispatch time at the generator; svc = reported service latency"
-	if batchN > 1 {
-		t.Caption = fmt.Sprintf("tiers key by requested annotation; wall = whole-batch dispatch time (batch %d, every item of a batch shares it); svc = reported service latency", batchN)
-	}
-	if err := t.WriteText(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-}
-
-func reportTelemetry(d *dispatch.Dispatcher) {
-	snap := d.Snapshot()
-	t := tablewriter.New("runtime telemetry (per backend)",
-		"backend", "invocations", "mean lat (ms)", "p95 lat (ms)", "invocation $", "IaaS $")
-	for _, b := range snap.Backends {
-		t.AddStrings(b.Backend, fmt.Sprint(b.Invocations),
-			fmt.Sprintf("%.2f", b.MeanLatencyMS), fmt.Sprintf("%.2f", b.P95LatencyMS),
-			fmt.Sprintf("%.4f", b.InvocationUSD), fmt.Sprintf("%.6f", b.IaaSUSD))
-	}
-	if err := t.WriteText(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// reportAdmission prints the admission layer's per-tenant counters and
-// brownout state (the graceful-degradation ledger of an -overload run).
-func reportAdmission(st api.AdmissionStatus) {
-	t := tablewriter.New(
-		fmt.Sprintf("admission — state %s, in-flight %d, brownout engaged %d / released %d",
-			st.State, st.InFlight, st.BrownoutEngaged, st.BrownoutReleased),
-		"tenant", "admitted", "shed 429", "shed 503 capacity", "shed 503 deadline", "downgraded")
-	for _, tn := range st.Tenants {
-		t.AddStrings(tn.Tenant, fmt.Sprint(tn.Admitted), fmt.Sprint(tn.ShedRate),
-			fmt.Sprint(tn.ShedCapacity), fmt.Sprint(tn.ShedDeadline), fmt.Sprint(tn.Downgraded))
-	}
-	t.AddStrings("(fleet)", fmt.Sprint(st.Admitted), fmt.Sprint(st.ShedRate),
-		fmt.Sprint(st.ShedCapacity), fmt.Sprint(st.ShedDeadline), fmt.Sprint(st.Downgraded))
-	t.Caption = "admitted + shed + downgraded account for every arrival the layer saw; downgrades are also admitted"
-	if err := t.WriteText(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// buildReplayRuntime profiles the corpus and assembles the replay
-// dispatcher, optionally wrapping backends with scripted chaos and
-// attaching a drift monitor and a flight recorder.
-func buildReplayRuntime(svcName string, corpusN int, sleepScale float64, perBackend int,
-	chaos []dispatch.ChaosSpec, driftOn bool, driftWindow int, traceOn bool) (*dispatch.Dispatcher, []*toltiers.Request, *toltiers.DriftMonitor, *toltiers.TraceRecorder) {
-	matrix := mustMatrix(svcName, corpusN)
-	backends := toltiers.NewReplayBackends(matrix)
-	if sleepScale > 0 {
-		for _, b := range backends {
-			b.(*dispatch.ReplayBackend).SleepScale = sleepScale
-		}
-	}
-	if len(chaos) > 0 {
-		var err error
-		if backends, err = dispatch.ApplyChaos(backends, chaos); err != nil {
-			log.Fatal(err)
-		}
-	}
-	opts := toltiers.DispatchOptions{MaxConcurrentPerBackend: perBackend}
-	var mon *toltiers.DriftMonitor
-	if driftOn {
-		names := make([]string, len(backends))
-		for i, b := range backends {
-			names[i] = b.Name()
-		}
-		mon = toltiers.NewDriftMonitor(toltiers.DriftConfig{Enabled: true, Window: driftWindow},
-			names, toltiers.DriftBackendBaselines(matrix))
-		opts.Observer = mon
-	}
-	var rec *toltiers.TraceRecorder
-	if traceOn {
-		rec = toltiers.NewTraceRecorder(toltiers.TraceOptions{})
-		opts.Recorder = rec
-	}
-	d := toltiers.NewDispatcher(backends, opts)
-	return d, toltiers.ReplayRequests(matrix), mon, rec
-}
-
-// traceRow is one exemplar in the -trace report, built from either an
-// in-process recorder span or the wire form of a remote one.
-type traceRow struct {
-	tier, id, kind, admit, legs string
-	latencyMS, parkMS           float64
-	window                      uint64
-}
-
-// traceExemplarsPerTier caps the -trace report at the slowest few
-// spans per tier; the full ring stays queryable over GET /trace/recent.
-const traceExemplarsPerTier = 3
-
-func traceRowsFromSpans(spans []trace.Span) []traceRow {
-	rows := make([]traceRow, 0, len(spans))
-	for i := range spans {
-		s := &spans[i]
-		legs := make([]string, 0, int(s.NLegs))
-		for j := 0; j < int(s.NLegs); j++ {
-			l := &s.Legs[j]
-			legs = append(legs, legString(l.Backend, float64(l.ServiceNs)/1e6, l.Hedge, l.Escalated, l.Cancelled, l.Err))
-		}
-		rows = append(rows, traceRow{
-			tier: s.Tier, id: trace.FormatID(s.ID),
-			kind: trace.KindName(s.Kind), admit: trace.AdmitName(s.Admit),
-			legs:      strings.Join(legs, " | "),
-			latencyMS: float64(s.LatencyNs) / 1e6, parkMS: float64(s.ParkNs) / 1e6,
-			window: s.Window,
-		})
-	}
-	return rows
-}
-
-func traceRowsFromWire(spans []api.TraceSpan) []traceRow {
-	rows := make([]traceRow, 0, len(spans))
-	for _, s := range spans {
-		legs := make([]string, 0, len(s.Legs))
-		for _, l := range s.Legs {
-			legs = append(legs, legString(l.Backend, l.ServiceMS, l.Hedge, l.Escalated, l.Cancelled, l.Error))
-		}
-		rows = append(rows, traceRow{
-			tier: s.Tier, id: s.ID, kind: s.Kind, admit: s.Admit,
-			legs:      strings.Join(legs, " | "),
-			latencyMS: s.LatencyMS, parkMS: s.ParkMS, window: s.Window,
-		})
-	}
-	return rows
-}
-
-func legString(backend string, serviceMS float64, hedge, escalated, cancelled bool, errStr string) string {
-	s := fmt.Sprintf("%s %.2fms", backend, serviceMS)
-	var flags []string
-	if hedge {
-		flags = append(flags, "hedge")
-	}
-	if escalated {
-		flags = append(flags, "esc")
-	}
-	if cancelled {
-		flags = append(flags, "cancelled")
-	}
-	if errStr != "" {
-		flags = append(flags, "err:"+errStr)
-	}
-	if len(flags) > 0 {
-		s += " (" + strings.Join(flags, ",") + ")"
-	}
-	return s
-}
-
-// reportTrace prints the slowest recorded exemplars per tier — head
-// samples plus the always-kept tail (errors, sheds, hedges, slow
-// outliers).
-func reportTrace(rows []traceRow) {
-	if len(rows) == 0 {
-		log.Printf("trace: recorder holds no spans (sampled out or no traffic)")
-		return
-	}
-	byTier := make(map[string][]traceRow)
-	for _, r := range rows {
-		byTier[r.tier] = append(byTier[r.tier], r)
-	}
-	keys := make([]string, 0, len(byTier))
-	for k := range byTier {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	t := tablewriter.New("slowest trace exemplars (per tier)",
-		"tier", "trace id", "kind", "admit", "latency (ms)", "park (ms)", "window", "legs")
-	for _, k := range keys {
-		rs := byTier[k]
-		sort.Slice(rs, func(i, j int) bool { return rs[i].latencyMS > rs[j].latencyMS })
-		if len(rs) > traceExemplarsPerTier {
-			rs = rs[:traceExemplarsPerTier]
-		}
-		for _, r := range rs {
-			win, park, adm := "-", "-", r.admit
-			if r.window != 0 {
-				win = fmt.Sprint(r.window)
-			}
-			if r.parkMS > 0 {
-				park = fmt.Sprintf("%.3f", r.parkMS)
-			}
-			if adm == "" {
-				adm = "-"
-			}
-			t.AddStrings(r.tier, r.id, r.kind, adm,
-				fmt.Sprintf("%.3f", r.latencyMS), park, win, r.legs)
-		}
-	}
-	t.Caption = "head-sampled plus tail exemplars (errors, sheds, hedges, slow outliers always kept); fetch one by id with GET /trace/{id}"
-	if err := t.WriteText(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// reportDrift prints the drift monitor's detector state and any
-// confirmed shift events.
-func reportDrift(st api.DriftStatus) {
-	t := tablewriter.New(fmt.Sprintf("drift detectors (%s, %d reprofiles)", st.State, st.Reprofiles),
-		"stream", "windows", "mean err", "mean lat (ms)", "err PH", "lat PH", "err CUSUM", "lat CUSUM", "alarmed")
-	for _, ti := range st.Tiers {
-		t.AddStrings("tier:"+ti.Tier, fmt.Sprint(ti.Windows),
-			fmt.Sprintf("%.4f", ti.MeanErr), fmt.Sprintf("%.2f", ti.MeanLatencyMS),
-			fmt.Sprintf("%.3f", ti.ErrPH), fmt.Sprintf("%.3f", ti.LatPH),
-			fmt.Sprintf("%.2f", ti.ErrCusum), fmt.Sprintf("%.2f", ti.LatCusum),
-			fmt.Sprint(ti.Alarmed))
-	}
-	for _, b := range st.Backends {
-		t.AddStrings("backend:"+b.Backend, "-", "-",
-			fmt.Sprintf("p95 %.2f/%.2f", b.ObservedP95MS, b.BaselineP95MS),
-			"-", "-", "-", fmt.Sprintf("strikes %d", b.Strikes), fmt.Sprint(b.Alarmed))
-	}
-	if err := t.WriteText(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-	for _, e := range st.Events {
-		log.Printf("drift event: %s %s value %.4g threshold %.4g", e.Stream, e.Detector, e.Value, e.Threshold)
-	}
-	if len(st.Heals) > 0 {
-		h := tablewriter.New(fmt.Sprintf("self-healing history (%d attempts)", len(st.Heals)),
-			"finished", "verdict", "duration (s)", "job", "trigger / error")
-		for _, rec := range st.Heals {
-			detail := rec.Trigger
-			if rec.Error != "" {
-				detail = rec.Error
-			}
-			h.AddStrings(time.UnixMilli(rec.UnixMS).Format("15:04:05"), rec.Verdict,
-				fmt.Sprintf("%.2f", rec.DurationMS/1e3), fmt.Sprint(rec.JobID), detail)
-		}
-		if err := h.WriteText(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-	}
-}
-
-// corpus/profile/registry construction, cached per process run.
-var (
-	matrixOnce sync.Once
-	matrix     *toltiers.Matrix
-	svcCached  *toltiers.Service
-)
-
-func mustMatrix(svcName string, corpusN int) *toltiers.Matrix {
-	matrixOnce.Do(func() {
-		svc, reqs, err := toltiers.NewCorpusByName(svcName, corpusN)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		svcCached = svc
-		log.Printf("profiling %d requests of %s ...", len(reqs), svcCached.Domain)
-		matrix = toltiers.Profile(svcCached, reqs)
-	})
-	return matrix
-}
-
-func mustRegistry(svcName string, corpusN int, step float64) *toltiers.Registry {
-	m := mustMatrix(svcName, corpusN)
-	log.Printf("generating rule tables (step %g) ...", step)
-	gen, err := toltiers.ShardedGenerate(m, nil, toltiers.DefaultGeneratorConfig(), 0, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	grid := toltiers.ToleranceGrid(0.10, step)
-	return toltiers.NewRegistry(svcCached,
-		gen.Generate(grid, toltiers.MinimizeLatency),
-		gen.Generate(grid, toltiers.MinimizeCost))
 }

@@ -3,14 +3,10 @@ package client
 import (
 	"context"
 	"errors"
-	"fmt"
-	"math/rand/v2"
-	"net/http"
 	"time"
 
 	"github.com/toltiers/toltiers/internal/api"
 	"github.com/toltiers/toltiers/internal/rulegen"
-	"github.com/toltiers/toltiers/internal/trace"
 )
 
 // RetryPolicy controls the *WithRetry calls. Transient failures —
@@ -44,131 +40,42 @@ func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{MaxAttempts: 3, BaseBackoff: 50 * time.Millisecond}
 }
 
-func (p RetryPolicy) sleep(ctx context.Context, d time.Duration) error {
-	if p.Sleep != nil {
-		return p.Sleep(ctx, d)
-	}
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
-// maxRetryAfterHonor bounds how long a server Retry-After hint can
-// stretch one sleep. The hint deliberately overrides MaxBackoff — the
-// cap shapes the client's own jitter, while the hint is the server
-// saying how long it needs; truncating it to the cap would send the
-// whole client fleet back early, in sync, at an overloaded node — but
-// an absurd or hostile hint must not park a caller for hours, hence
-// this explicit ceiling.
-const maxRetryAfterHonor = 5 * time.Minute
-
-// next draws the decorrelated-jitter delay following prev, stretched to
-// at least the server's Retry-After hint when the last error carried
-// one. MaxBackoff caps only the jittered draw; the hint is honored
-// above it, up to maxRetryAfterHonor.
-func (p RetryPolicy) next(prev time.Duration, lastErr error) time.Duration {
+// backoff maps the policy onto the shared api.Backoff, filling the
+// SDK's default cap.
+func (p RetryPolicy) backoff() api.Backoff {
 	capd := p.MaxBackoff
 	if capd <= 0 {
 		capd = 10 * time.Second
 	}
-	d := prev
-	if p.BaseBackoff > 0 {
-		r := p.Rand
-		if r == nil {
-			r = rand.Float64
-		}
-		hi := 3 * prev
-		if hi < p.BaseBackoff {
-			hi = p.BaseBackoff
-		}
-		d = p.BaseBackoff + time.Duration(r()*float64(hi-p.BaseBackoff))
-		if d > capd {
-			d = capd
-		}
-	}
-	var apiErr *APIError
-	if errors.As(lastErr, &apiErr) {
-		hint := apiErr.RetryAfter
-		if hint > maxRetryAfterHonor {
-			hint = maxRetryAfterHonor
-		}
-		if hint > d {
-			d = hint
-		}
-	}
-	return d
+	return api.Backoff{Attempts: p.MaxAttempts, Base: p.BaseBackoff, Max: capd, Rand: p.Rand, Sleep: p.Sleep}
 }
 
-// retryable reports whether err warrants another attempt.
-func retryable(err error) bool {
+// verdict classifies a failed attempt for the backoff loop: an API
+// error carries the server's Retry-After hint and is transient by its
+// status (api.TransientStatus); transport-level failures are retryable.
+func verdict(err error) (retryAfter time.Duration, transient bool) {
 	var apiErr *APIError
 	if errors.As(err, &apiErr) {
-		// 429 is the admission layer's token-bucket shed: transient by
-		// definition, and it tells the client when to come back.
-		return apiErr.StatusCode >= http.StatusInternalServerError ||
-			apiErr.StatusCode == http.StatusTooManyRequests
+		return apiErr.RetryAfter, api.TransientStatus(apiErr.StatusCode)
 	}
-	// Transport-level failures are retryable.
-	return true
+	return 0, true
 }
 
 // withRetry drives one idempotent call through the policy. All the
 // repo's API calls are idempotent (corpus requests are pure lookups by
 // ID), so retrying a response that may already have been computed is
 // safe.
-func withRetry[T any](ctx context.Context, policy RetryPolicy, call func() (T, error)) (T, error) {
-	var zero T
-	attempts := policy.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	var backoff time.Duration
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			backoff = policy.next(backoff, lastErr)
-			if err := policy.sleep(ctx, backoff); err != nil {
-				return zero, err
-			}
-		}
-		res, err := call()
-		if err == nil {
-			return res, nil
-		}
-		lastErr = err
-		if !retryable(err) {
-			return zero, err
-		}
-		if ctx.Err() != nil {
-			return zero, lastErr
-		}
-	}
-	return zero, fmt.Errorf("client: %d attempts failed: %w", attempts, lastErr)
-}
-
-// ensureTrace returns ctx carrying a trace id, minting one when absent,
-// so every attempt of a retried call presents the same
-// X-Toltiers-Trace id and the server correlates them as one logical
-// request.
-func ensureTrace(ctx context.Context) context.Context {
-	if trace.IDFromContext(ctx) != 0 {
-		return ctx
-	}
-	return trace.ContextWithID(ctx, trace.NextID())
+func withRetry[T any](ctx context.Context, policy RetryPolicy, call func(context.Context) (T, error)) (T, error) {
+	return api.Retry(ctx, policy.backoff(), func(ctx context.Context) (T, time.Duration, bool, error) {
+		res, err := call(ctx)
+		retryAfter, transient := verdict(err)
+		return res, retryAfter, transient, err
+	})
 }
 
 // ComputeWithRetry is Compute with the retry policy applied.
 func (c *Client) ComputeWithRetry(ctx context.Context, requestID int, tolerance float64, objective rulegen.Objective, policy RetryPolicy) (*api.ComputeResult, error) {
-	ctx = ensureTrace(ctx)
-	return withRetry(ctx, policy, func() (*api.ComputeResult, error) {
+	return withRetry(ctx, policy, func(ctx context.Context) (*api.ComputeResult, error) {
 		return c.Compute(ctx, requestID, tolerance, objective)
 	})
 }
@@ -177,8 +84,7 @@ func (c *Client) ComputeWithRetry(ctx context.Context, requestID int, tolerance 
 // notably, a 429 token-bucket shed backs off by the server's
 // Retry-After hint before the next attempt.
 func (c *Client) DispatchWithRetry(ctx context.Context, requestID int, tolerance float64, objective rulegen.Objective, deadline time.Duration, policy RetryPolicy) (*api.DispatchResult, error) {
-	ctx = ensureTrace(ctx)
-	return withRetry(ctx, policy, func() (*api.DispatchResult, error) {
+	return withRetry(ctx, policy, func(ctx context.Context) (*api.DispatchResult, error) {
 		return c.Dispatch(ctx, requestID, tolerance, objective, deadline)
 	})
 }

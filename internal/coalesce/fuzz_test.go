@@ -94,10 +94,16 @@ func FuzzCoalesceWindow(f *testing.F) {
 		if live != 0 {
 			t.Fatalf("%d windows still open after all callers returned", live)
 		}
+		// A delivered caller (bypassed or flushed) can still end in
+		// context.Canceled when its context dies during the dispatch, and
+		// one cancelled before Do counts it appears in no counter, so the
+		// ledger brackets the ground truth rather than equalling it:
+		// ok + shed <= delivered, and delivered + left <= callers.
 		st := c.Stats()
-		if st.Bypassed+st.Coalesced != ok.Load()+shed.Load() {
-			t.Fatalf("stats %+v: delivered %d, ground truth ok %d + shed %d",
-				st, st.Bypassed+st.Coalesced, ok.Load(), shed.Load())
+		delivered := st.Bypassed + st.Coalesced
+		if delivered < ok.Load()+shed.Load() || delivered+st.Left > int64(len(data)) {
+			t.Fatalf("stats %+v: delivered %d + left %d of %d callers, ground truth ok %d + shed %d",
+				st, delivered, st.Left, len(data), ok.Load(), shed.Load())
 		}
 		if st.Shed != shed.Load() {
 			t.Fatalf("stats Shed %d, ground truth %d", st.Shed, shed.Load())

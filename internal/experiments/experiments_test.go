@@ -153,22 +153,6 @@ func TestE10HeadlineMentionsPaper(t *testing.T) {
 	}
 }
 
-func TestC1ClusterServing(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cluster simulation is expensive")
-	}
-	e := quickEnv(t)
-	tables := e.C1()
-	if len(tables) != 2 {
-		t.Fatalf("C1 tables = %d, want ASR + IC-gpu", len(tables))
-	}
-	for _, tb := range tables {
-		if len(tb.Rows) != 2 {
-			t.Fatalf("C1 table %q rows = %d", tb.Title, len(tb.Rows))
-		}
-	}
-}
-
 func TestAblationsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablations are expensive")

@@ -32,7 +32,6 @@ func All() []Descriptor {
 		{"a3", "ablation: bootstrap confidence level", (*Env).A3},
 		{"a4", "ablation: FO vs ET under both billing models", (*Env).A4},
 		{"a5", "ablation: result selection on escalation", (*Env).A5},
-		{"c1", "cluster serving at equal node budget (OSFA vs tiers)", (*Env).C1},
 	}
 }
 

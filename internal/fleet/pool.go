@@ -7,8 +7,7 @@
 // maintains membership from the other end of the wire.
 //
 // The paper's scale-out setting — multiple instantiations of each
-// version behind a load balancer — was previously simulated in-process
-// by internal/cluster; this package is the real thing: ttworker nodes
+// version behind a load balancer — is served for real here: ttworker nodes
 // bootstrap from the snapshot-shipping endpoint (no pre-deployed
 // corpus), serve the existing dispatch wire shapes, and the front tier
 // routes around failures so a worker kill mid-run loses no requests.

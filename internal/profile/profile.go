@@ -117,8 +117,8 @@ func (m *Matrix) Row(i int) []Cell {
 }
 
 // ReadRow fills buf with row i and returns it, growing buf if needed.
-// It lets row-oriented callers (legacy simulation, the cluster replayer)
-// reuse one buffer across rows.
+// It lets row-oriented callers (the legacy simulation path) reuse one
+// buffer across rows.
 func (m *Matrix) ReadRow(i int, buf []Cell) []Cell {
 	nv := m.NumVersions()
 	if cap(buf) < nv {

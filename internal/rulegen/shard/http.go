@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net/http"
 	"time"
 
@@ -84,39 +83,32 @@ type HTTPTransport struct {
 // Run implements Transport by POSTing the batch to the remote worker,
 // retrying transient failures. Every attempt of one batch carries the
 // same X-Toltiers-Trace id (the context's when the caller set one,
-// otherwise minted here), so worker-side logs correlate retries to one
-// logical batch.
+// otherwise minted by api.Retry), so worker-side logs correlate retries
+// to one logical batch.
 func (t *HTTPTransport) Run(ctx context.Context, req BatchRequest) (BatchResponse, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return BatchResponse{}, fmt.Errorf("shard: encode batch: %w", err)
 	}
-	if trace.IDFromContext(ctx) == 0 {
-		ctx = trace.ContextWithID(ctx, trace.NextID())
+	return api.Retry(ctx, t.backoff(), func(ctx context.Context) (BatchResponse, time.Duration, bool, error) {
+		return t.post(ctx, body)
+	})
+}
+
+// backoff maps the transport's retry fields onto the shared api.Backoff,
+// filling its defaults.
+func (t *HTTPTransport) backoff() api.Backoff {
+	b := api.Backoff{Attempts: t.MaxAttempts, Base: t.BaseBackoff, Max: t.MaxBackoff, Rand: t.Rand}
+	if b.Attempts < 1 {
+		b.Attempts = 3
 	}
-	attempts := t.MaxAttempts
-	if attempts < 1 {
-		attempts = 3
+	if b.Base <= 0 {
+		b.Base = 25 * time.Millisecond
 	}
-	var backoff time.Duration
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			if err := t.sleep(ctx, backoff); err != nil {
-				return BatchResponse{}, err
-			}
-		}
-		resp, retryAfter, transient, err := t.post(ctx, body)
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
-		if !transient || ctx.Err() != nil {
-			return BatchResponse{}, err
-		}
-		backoff = t.next(backoff, retryAfter)
+	if b.Max <= 0 {
+		b.Max = 2 * time.Second
 	}
-	return BatchResponse{}, fmt.Errorf("shard: %d attempts failed: %w", attempts, lastErr)
+	return b
 }
 
 // post sends one attempt. transient classifies the failure; retryAfter
@@ -142,8 +134,7 @@ func (t *HTTPTransport) post(ctx context.Context, body []byte) (BatchResponse, t
 	if hresp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(hresp.Body, 4096))
 		drainBody(hresp.Body)
-		transient := hresp.StatusCode >= http.StatusInternalServerError ||
-			hresp.StatusCode == http.StatusTooManyRequests
+		transient := api.TransientStatus(hresp.StatusCode)
 		retryAfter := api.ParseRetryAfter(hresp.Header.Get("Retry-After"), time.Now())
 		return BatchResponse{}, retryAfter, transient,
 			fmt.Errorf("shard: worker %s: status %d: %s", t.Base, hresp.StatusCode, bytes.TrimSpace(msg))
@@ -165,61 +156,4 @@ func (t *HTTPTransport) post(ctx context.Context, body []byte) (BatchResponse, t
 // than to swallow.
 func drainBody(r io.Reader) {
 	_, _ = io.Copy(io.Discard, io.LimitReader(r, 1<<20))
-}
-
-// maxRetryAfterHonor bounds how long a worker's Retry-After hint can
-// stretch one sleep. The hint deliberately overrides MaxBackoff — the
-// cap shapes our own jitter, while the hint is the worker saying how
-// long it needs, and truncating it to the cap just hammers an
-// overloaded worker early — but an absurd or hostile hint must not park
-// the coordinator for hours, hence this explicit ceiling.
-const maxRetryAfterHonor = 5 * time.Minute
-
-// next draws the decorrelated-jitter delay following prev, stretched to
-// at least the worker's Retry-After hint. MaxBackoff caps only the
-// jittered draw; the hint is honored above it, up to
-// maxRetryAfterHonor.
-func (t *HTTPTransport) next(prev, retryAfter time.Duration) time.Duration {
-	base := t.BaseBackoff
-	if base <= 0 {
-		base = 25 * time.Millisecond
-	}
-	capd := t.MaxBackoff
-	if capd <= 0 {
-		capd = 2 * time.Second
-	}
-	r := t.Rand
-	if r == nil {
-		r = rand.Float64
-	}
-	hi := 3 * prev
-	if hi < base {
-		hi = base
-	}
-	d := base + time.Duration(r()*float64(hi-base))
-	if d > capd {
-		d = capd
-	}
-	if retryAfter > maxRetryAfterHonor {
-		retryAfter = maxRetryAfterHonor
-	}
-	if retryAfter > d {
-		d = retryAfter
-	}
-	return d
-}
-
-// sleep waits d or until the context dies.
-func (t *HTTPTransport) sleep(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	tm := time.NewTimer(d)
-	defer tm.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-tm.C:
-		return nil
-	}
 }

@@ -31,7 +31,7 @@ func testRuleGenServer(t testing.TB) (*Server, *httptest.Server, *dataset.Vision
 	reg := tiers.NewRegistry(c.Service,
 		g.Generate(tols, rulegen.MinimizeLatency),
 		g.Generate(tols, rulegen.MinimizeCost))
-	srv := NewWithRuleGen(reg, c.Requests, m)
+	srv := NewWithConfig(reg, c.Requests, Config{Matrix: m})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return srv, ts, c

@@ -191,18 +191,10 @@ type Server struct {
 	healTableHook func([]rulegen.RuleTable) []rulegen.RuleTable
 }
 
-// New builds the HTTP handler. The /rules endpoints answer 503 until a
-// training matrix is supplied via NewWithRuleGen.
+// New builds the HTTP handler. The /rules endpoints answer 503 without
+// a training matrix (Config.Matrix).
 func New(reg *tiers.Registry, reqs []*service.Request) *Server {
 	return NewWithConfig(reg, reqs, Config{})
-}
-
-// NewWithRuleGen builds the HTTP handler with the rule-generation
-// endpoints enabled: m is the profiled corpus the sharded generator
-// sweeps when POST /rules/generate asks this node to rebuild its
-// tables.
-func NewWithRuleGen(reg *tiers.Registry, reqs []*service.Request, m *profile.Matrix) *Server {
-	return NewWithConfig(reg, reqs, Config{Matrix: m})
 }
 
 // NewWithConfig builds the HTTP handler with full control over the

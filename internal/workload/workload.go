@@ -1,6 +1,6 @@
-// Package workload synthesizes request arrival processes for the
-// cluster simulation: Poisson and bursty (two-state modulated) traffic,
-// with per-request tier annotations drawn from a consumer mix.
+// Package workload synthesizes request arrival processes for the load
+// generators: Poisson and bursty (two-state modulated) traffic, with
+// per-request tier annotations drawn from a consumer mix.
 package workload
 
 import (

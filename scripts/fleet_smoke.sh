@@ -102,8 +102,8 @@ kill -0 "$LOAD_PID" 2>/dev/null || fail "ttload exited before the worker was kil
 kill -9 "${WORKER_PIDS[2]}"
 WORKER_PIDS[2]=""
 wait "$LOAD_PID" || fail "ttload lost requests across the worker crash (sent != graded + failed + shed, or hard failures)"
-grep -q "assert: remote accounting reconciles" "$LOG_DIR/ttload.log" \
-    || fail "ttload never ran the remote assertion"
+grep -q "assert: accounting reconciles" "$LOG_DIR/ttload.log" \
+    || fail "ttload never ran the assertion"
 # The killed worker stops heartbeating; its lease must lapse before the
 # rollout so the push set is deterministic.
 wait_workers 2

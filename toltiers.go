@@ -33,7 +33,6 @@ import (
 	"net/http"
 
 	"github.com/toltiers/toltiers/internal/admit"
-	"github.com/toltiers/toltiers/internal/api"
 	"github.com/toltiers/toltiers/internal/client"
 	"github.com/toltiers/toltiers/internal/coalesce"
 	"github.com/toltiers/toltiers/internal/dataset"
@@ -58,34 +57,13 @@ type (
 	Service = service.Service
 	// Request is one API request.
 	Request = service.Request
-	// Result is a version's answer.
-	Result = service.Result
-	// Version is one deployable model instantiation.
-	Version = service.Version
-	// Domain names a service domain (speech or vision).
-	Domain = service.Domain
 )
 
-// Service domains.
-const (
-	SpeechDomain = service.SpeechDomain
-	VisionDomain = service.VisionDomain
-)
-
-// Profiling.
-type (
-	// Matrix is the request x version measurement table.
-	Matrix = profile.Matrix
-	// Category classifies per-request accuracy-latency behaviour.
-	Category = profile.Category
-)
+// Matrix is the profiled request x version measurement table.
+type Matrix = profile.Matrix
 
 // Routing.
 type (
-	// Policy is one ensemble routing configuration.
-	Policy = ensemble.Policy
-	// Outcome is a policy execution result with accounting.
-	Outcome = ensemble.Outcome
 	// PolicyEvaluator is the columnar policy-evaluation kernel: it fuses
 	// a policy into flat per-row outcome columns so repeated evaluation
 	// over subsets (the Fig.-7 bootstrap, custom sweeps) is a branch-free
@@ -112,9 +90,6 @@ type (
 	// Backend is one live invocable deployment the dispatcher routes
 	// tier policies over.
 	Backend = dispatch.Backend
-	// BackendResponse is one backend invocation's answer with its
-	// accounting.
-	BackendResponse = dispatch.Response
 	// Dispatcher executes tolerance-tier policies against live backends
 	// at request time: escalation on live confidence, per-backend
 	// concurrency limiters, deadline-aware hedging, online telemetry.
@@ -132,19 +107,6 @@ type (
 	DispatchTicket = dispatch.Ticket
 	// DispatchOutcome is the result of dispatching one request.
 	DispatchOutcome = dispatch.Outcome
-	// RuntimeTelemetry is the dispatcher's online per-tier/per-backend
-	// serving statistics.
-	RuntimeTelemetry = dispatch.Telemetry
-	// DispatchObserver watches the dispatch stream in-line (drift
-	// monitors hang on DispatchOptions.Observer).
-	DispatchObserver = dispatch.Observer
-	// ChaosBackend wraps a backend with a scripted, deterministic
-	// perturbation schedule — the dispatch stack's fault-injection
-	// layer (latency inflation, accuracy degradation, error bursts;
-	// step/ramp/oscillation envelopes over logical time).
-	ChaosBackend = dispatch.ChaosBackend
-	// Perturbation is one scripted distortion of a backend's behaviour.
-	Perturbation = dispatch.Perturbation
 )
 
 // Cross-request coalescing (batch throughput for single-dispatch
@@ -162,20 +124,8 @@ type (
 	// CoalesceOptions parameterizes a Coalescer (size trigger, 100–500 µs
 	// time trigger, admission gate).
 	CoalesceOptions = coalesce.Options
-	// CoalesceGate admits one window of n requests holding a resolved
-	// ticket (compose with an AdmissionController's AdmitBatch: n bucket
-	// tokens, one slot). The HTTP server installs its one admission
-	// function here — the same one its non-coalesced and batch requests
-	// pass through.
-	CoalesceGate = coalesce.Gate
 	// CoalesceGrant is a gate's admission of one flush.
 	CoalesceGrant = coalesce.Grant
-	// CoalesceStats counts a coalescer's traffic shape.
-	CoalesceStats = coalesce.Stats
-	// TenantTelemetry is one tenant's telemetry partition: per-tier
-	// streams and per-backend billing attributed to that tenant alone
-	// (GET /telemetry?tenant=..., Dispatcher.TenantSnapshot).
-	TenantTelemetry = api.TenantTelemetry
 )
 
 // NewCoalescer builds a coalescer in front of a dispatcher. Servers
@@ -196,24 +146,12 @@ type (
 	// AdmissionConfig parameterizes an AdmissionController. The zero
 	// value is a disabled layer that admits everything untouched.
 	AdmissionConfig = admit.Config
-	// AdmissionDecision is one admission outcome; hand admitted
-	// decisions back to the controller's Done exactly once.
-	AdmissionDecision = admit.Decision
-	// AdmissionVerdict classifies an AdmissionDecision (accept,
-	// downgrade, or one of the shed classes).
-	AdmissionVerdict = admit.Verdict
 	// TenantRate is one tenant's token-bucket parameters.
 	TenantRate = admit.Rate
 )
 
-// Admission verdicts.
-const (
-	AdmitAccept       = admit.Accept
-	AdmitDowngrade    = admit.Downgrade
-	AdmitShedRate     = admit.ShedRate
-	AdmitShedCapacity = admit.ShedCapacity
-	AdmitShedDeadline = admit.ShedDeadline
-)
+// AdmitAccept is the verdict of an admitted AdmissionController decision.
+const AdmitAccept = admit.Accept
 
 // Per-dispatch flight recording (the observability layer).
 type (
@@ -229,23 +167,11 @@ type (
 	// TraceOptions parameterizes a TraceRecorder (ring size, sampling
 	// stride).
 	TraceOptions = trace.Options
-	// RecordedSpan is one dispatch's flight record.
-	RecordedSpan = trace.Span
-	// RecordedLeg is one executed backend leg of a RecordedSpan.
-	RecordedLeg = trace.Leg
-	// TraceFilter selects spans on a recorder's read side.
-	TraceFilter = trace.Filter
 	// ServerMetrics is the HTTP middleware's counter registry: request
 	// counts by route/status, tier hits, and a fixed-bucket handler
 	// latency histogram with p50/p95/p99 (GET /metrics).
 	ServerMetrics = server.Metrics
 )
-
-// TraceHeader is the HTTP header carrying a request's trace id across
-// process hops (X-Toltiers-Trace): minted by the Instrument middleware,
-// echoed on responses, propagated by the client SDK's retry wrappers
-// and the shard transport.
-const TraceHeader = trace.Header
 
 // NewTraceRecorder builds a per-dispatch flight recorder. The zero
 // TraceOptions value is a 1024-slot ring sampling 1 in 16 dispatches.
@@ -272,8 +198,6 @@ type (
 	DriftMonitor = drift.Monitor
 	// DriftConfig parameterizes a DriftMonitor.
 	DriftConfig = drift.Config
-	// DriftEvent is one confirmed distribution shift.
-	DriftEvent = drift.Event
 )
 
 // Objectives.
@@ -386,23 +310,10 @@ func Audit(m *Matrix, rows []int, table RuleTable) AuditReport { return tiers.Au
 // Tolerance/Objective request annotation.
 func NewHTTPHandler(reg *Registry, reqs []*Request) http.Handler { return server.New(reg, reqs) }
 
-// NewHTTPHandlerWithRuleGen is NewHTTPHandler plus the rule-generation
-// endpoints (POST /rules/generate, GET /rules/status): the node can
-// regenerate its routing tables in place with the sharded generator
-// sweeping the given profiled matrix.
-func NewHTTPHandlerWithRuleGen(reg *Registry, reqs []*Request, m *Matrix) http.Handler {
-	return server.NewWithRuleGen(reg, reqs, m)
-}
-
 // ServerConfig parameterizes a serving node built with NewHTTPServer:
 // training matrix, backend overrides, dispatch options, and the drift
 // monitor's self-healing loop.
 type ServerConfig = server.Config
-
-// RuleGenRequest parameterizes a rule-generation job (POST
-// /rules/generate, and ServerConfig.Reprofile for drift-triggered
-// regenerations).
-type RuleGenRequest = api.RuleGenRequest
 
 // HTTPServer is a serving node with lifecycle control: Close stops its
 // drift loop (the handler stays usable).
@@ -427,14 +338,9 @@ type (
 	// built with cmd/ttworker join it over HTTP, bootstrap from its
 	// snapshot endpoint, and serve its routed dispatch traffic.
 	FleetOptions = fleet.Options
-	// FleetPool is the front tier's fleet state: registry, router
-	// accounting, rolling table pushes (Server.Fleet exposes it).
-	FleetPool = fleet.Pool
 	// FleetAgent is the worker-side membership loop: register,
 	// heartbeat, resync on version-fence mismatch.
 	FleetAgent = fleet.Agent
-	// FleetStatus is GET /fleet's wire shape.
-	FleetStatus = api.FleetStatus
 	// WorkerOptions parameterizes a serving node assembled from a
 	// shipped fleet snapshot.
 	WorkerOptions = server.WorkerOptions
@@ -462,8 +368,8 @@ func PullFleetSnapshot(ctx context.Context, client *http.Client, frontURL string
 // NewAdmissionController builds the admission-and-overload layer.
 // NewHTTPServer constructs one automatically from
 // ServerConfig.Admission; build one directly to gate an embedded
-// Dispatcher (Admit before Do, Done after — see cmd/ttload's
-// -overload scenario).
+// Dispatcher (Admit before Do, Done after — see
+// BenchmarkCoalescedDispatch).
 func NewAdmissionController(cfg AdmissionConfig) *AdmissionController { return admit.New(cfg) }
 
 // NewDispatcher builds the online tier-execution runtime over the
@@ -471,10 +377,6 @@ func NewAdmissionController(cfg AdmissionConfig) *AdmissionController { return a
 func NewDispatcher(backends []Backend, opts DispatchOptions) *Dispatcher {
 	return dispatch.New(backends, opts)
 }
-
-// NewServiceBackends wraps every version of a live service as dispatch
-// backends, graded through the service evaluator.
-func NewServiceBackends(svc *Service) []Backend { return dispatch.NewServiceBackends(svc) }
 
 // NewReplayBackends serves a profile matrix's version columns as
 // deterministic dispatch backends: the whole runtime — limiters,
@@ -492,42 +394,14 @@ func DispatchTierKey(obj Objective, tolerance float64) string {
 	return dispatch.TierKey(string(obj), tolerance)
 }
 
-// NewChaosBackend wraps a backend with a deterministic perturbation
-// schedule: latency inflations, accuracy degradations and error bursts
-// keyed to the backend's own invocation counter, so scripted fault
-// scenarios replay bit-identically.
-func NewChaosBackend(inner Backend, perts ...Perturbation) *ChaosBackend {
-	return dispatch.Chaos(inner, perts...)
-}
-
 // NewDriftMonitor builds a drift monitor over the named backends. Hang
 // it on DispatchOptions.Observer so every dispatched outcome feeds the
 // per-tier detectors, and call its Check method periodically to run the
 // per-backend quantile tests and collect confirmed shift events.
 // baselineP95Ns supplies the profiled per-backend latency p95 reference
-// (see DriftBackendBaselines; nil disables the quantile tests).
+// (nil disables the quantile tests).
 func NewDriftMonitor(cfg DriftConfig, backendNames []string, baselineP95Ns []float64) *DriftMonitor {
 	return drift.NewMonitor(cfg, backendNames, baselineP95Ns)
-}
-
-// DriftBackendBaselines derives the per-version latency p95 baselines
-// (ns) a drift monitor holds live backends to from a profile matrix.
-// Use DriftBackendBaselinesAt when the dispatcher hedges at a
-// different quantile — baseline and live estimate must use the same
-// one.
-func DriftBackendBaselines(m *Matrix) []float64 { return drift.BackendBaselines(m) }
-
-// DriftBackendBaselinesAt is DriftBackendBaselines at an arbitrary
-// latency quantile (match it to DispatchOptions.HedgeQuantile).
-func DriftBackendBaselinesAt(m *Matrix, quantile float64) []float64 {
-	return drift.BackendBaselinesAt(m, quantile)
-}
-
-// ProfileBackends measures every backend against every request and
-// returns a fresh profile matrix — the live counterpart of Profile, and
-// the re-profiling half of the drift monitor's self-healing loop.
-func ProfileBackends(ctx context.Context, domain Domain, backends []Backend, reqs []*Request) (*Matrix, error) {
-	return dispatch.ProfileBackends(ctx, domain, backends, reqs)
 }
 
 // Crash-safe state persistence (the restart-recovery layer).
@@ -539,27 +413,16 @@ func ProfileBackends(ctx context.Context, domain Domain, backends []Backend, req
 // snapshot, verifies it against its own corpus with CompatibleWith, and
 // boots straight onto the healed tables instead of re-profiling (see
 // ttserver -state-dir).
-type (
-	// StateSnapshot is a node's persistable runtime state.
-	StateSnapshot = state.Snapshot
-	// HealRecord is one completed self-healing attempt in the snapshot's
-	// (and GET /drift's) heal history.
-	HealRecord = drift.HealRecord
-)
+type StateSnapshot = state.Snapshot
 
 // ServerStatePath is the snapshot file a node with the given state
 // directory reads on boot and writes on promotion and shutdown.
 func ServerStatePath(dir string) string { return server.StatePath(dir) }
 
 // LoadStateSnapshot reads and integrity-checks a snapshot written by a
-// serving node (or SaveStateSnapshot). Callers must still verify
+// serving node. Callers must still verify
 // CompatibleWith against their deployment before serving from it.
 func LoadStateSnapshot(path string) (*StateSnapshot, error) { return state.Load(path) }
-
-// SaveStateSnapshot writes a snapshot to path atomically (temp file,
-// fsync, rename): a reader or a crash sees the previous complete
-// snapshot or the new one, never a torn write.
-func SaveStateSnapshot(path string, s *StateSnapshot) error { return state.Save(path, s) }
 
 // NewClient returns the Go SDK for a Tolerance Tiers endpoint.
 func NewClient(base string, httpClient *http.Client) *client.Client {
@@ -574,17 +437,3 @@ func Split(n int, trainFrac float64, seed uint64) (train, test []int) {
 // SaveRuleTable writes a generated rule table to path as JSON, for
 // deployment to serving nodes.
 func SaveRuleTable(path string, t RuleTable) error { return rulegen.SaveTableFile(path, t) }
-
-// LoadRuleTable reads a rule table saved by SaveRuleTable, validating
-// its policies against a service with nVersions versions (0 skips the
-// check).
-func LoadRuleTable(path string, nVersions int) (RuleTable, error) {
-	return rulegen.LoadTableFile(path, nVersions)
-}
-
-// SaveProfile writes a profile matrix to path so expensive corpus
-// profiling can be reused across runs.
-func SaveProfile(path string, m *Matrix) error { return m.SaveFile(path) }
-
-// LoadProfile reads a matrix saved by SaveProfile.
-func LoadProfile(path string) (*Matrix, error) { return profile.LoadFile(path) }
