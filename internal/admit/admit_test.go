@@ -357,10 +357,10 @@ func TestStatusCounters(t *testing.T) {
 		DefaultRate: Rate{PerSec: 1, Burst: 1},
 		Tenants:     map[string]Rate{"gold": {}},
 	})
-	hold := c.Admit(t0, "gold", 0.10, 0, math.NaN()) // admitted, holds the slot
-	c.Admit(t0, "gold", 0.10, 0, math.NaN())         // capacity shed (slot held)
-	c.Admit(t0, "", 0.10, 0, math.NaN())             // rate shed? no: bucket has 1 token -> capacity shed
-	c.Admit(t0, "", 0.10, 0, math.NaN())             // rate shed (bucket drained)
+	hold := c.Admit(t0, "gold", 0.10, 0, math.NaN())             // admitted, holds the slot
+	c.Admit(t0, "gold", 0.10, 0, math.NaN())                     // capacity shed (slot held)
+	c.Admit(t0, "", 0.10, 0, math.NaN())                         // rate shed? no: bucket has 1 token -> capacity shed
+	c.Admit(t0, "", 0.10, 0, math.NaN())                         // rate shed (bucket drained)
 	c.Admit(t0, "", 0.10, time.Nanosecond, float64(time.Second)) // deadline shed
 	c.Done(hold)
 

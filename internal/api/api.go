@@ -332,8 +332,8 @@ type DriftConfig struct {
 	Enabled bool `json:"enabled"`
 	// AutoReprofile arms the self-healing loop: a confirmed shift
 	// re-profiles the live backends and regenerates the rule tables
-	// through the async rule-generation job, swapping the serving
-	// registry atomically on success.
+	// through the async rule-generation job; the healed tables always
+	// earn their promotion through a canary trial (the Canary* fields).
 	AutoReprofile bool `json:"auto_reprofile"`
 	// Window is the number of dispatches folded into one detector
 	// observation per tier (default 64).
@@ -393,9 +393,6 @@ type DriftConfig struct {
 	// passes when its p95 stays within (1+CanaryLatSlack) of the
 	// incumbent's (default 0.25).
 	CanaryLatSlack float64 `json:"canary_lat_slack,omitempty"`
-	// CanaryDisabled reverts to the pre-canary blind promotion: a heal
-	// swaps the registry immediately, no trial.
-	CanaryDisabled bool `json:"canary_disabled,omitempty"`
 	// MaxHealRetries suspends self-healing after this many consecutive
 	// non-promoted heals (default 8); a promotion resets the count.
 	MaxHealRetries int `json:"max_heal_retries,omitempty"`

@@ -75,10 +75,10 @@ type FleetWorker struct {
 	// Requests counts dispatches the router completed on this worker;
 	// Failures its transport/5xx errors; FailedOver the requests that
 	// erred here and were transparently retried on a sibling.
-	Requests  int64 `json:"requests"`
-	Failures  int64 `json:"failures"`
+	Requests   int64 `json:"requests"`
+	Failures   int64 `json:"failures"`
 	FailedOver int64 `json:"failed_over"`
-	InFlight  int64 `json:"in_flight"`
+	InFlight   int64 `json:"in_flight"`
 	// MeanLatencyMS / P95LatencyMS are router-observed round-trip
 	// latencies to this worker (proxy overhead included).
 	MeanLatencyMS    float64 `json:"mean_latency_ms"`
@@ -102,16 +102,16 @@ type FleetRollout struct {
 // desired replica count derived from router queue depth and per-tier
 // p95 vs the deadlines traffic actually requested.
 type FleetAutoscale struct {
-	Live     int    `json:"live"`
-	Desired  int    `json:"desired"`
-	InFlight int64  `json:"in_flight"`
+	Live     int   `json:"live"`
+	Desired  int   `json:"desired"`
+	InFlight int64 `json:"in_flight"`
 	// WorstTier names the tier whose observed p95 is closest to (or
 	// furthest past) its requested deadline; 0 ratio = no deadline
 	// traffic observed.
-	WorstTier         string  `json:"worst_tier,omitempty"`
-	WorstP95MS        float64 `json:"worst_p95_ms,omitempty"`
-	WorstDeadlineMS   float64 `json:"worst_deadline_ms,omitempty"`
-	Reason            string  `json:"reason"`
+	WorstTier       string  `json:"worst_tier,omitempty"`
+	WorstP95MS      float64 `json:"worst_p95_ms,omitempty"`
+	WorstDeadlineMS float64 `json:"worst_deadline_ms,omitempty"`
+	Reason          string  `json:"reason"`
 }
 
 // FleetStatus is GET /fleet: the fenced table version, the live

@@ -24,6 +24,7 @@ import (
 // cache. A refresh racing in-flight stores may read a mix of window
 // generations; the estimate is statistical, and every slot read is a
 // torn-free atomic.
+// A request-path specialization stats.Ring cannot replace: BENCH.json BenchmarkDispatch/parallel (0 allocs, no lock) pins it.
 type latencyTracker struct {
 	// base is the construction-time quantile; quantile carries the
 	// currently active one as float bits so the drift controller can

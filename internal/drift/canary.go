@@ -32,9 +32,10 @@ type canaryArm struct {
 	errN     int64
 	errMean  float64 // Welford over graded errors (failures graded 1)
 	errM2    float64
-	lat      [canaryLatRing]float64
-	latN     int64
+	lat      stats.Ring // latency reservoir, ns
 }
+
+func newCanaryArm() canaryArm { return canaryArm{lat: stats.NewRing(canaryLatRing)} }
 
 func (a *canaryArm) observeErr(e float64) {
 	a.errN++
@@ -48,8 +49,7 @@ func (a *canaryArm) observeOutcome(o *dispatch.Outcome) {
 	if !math.IsNaN(o.Err) {
 		a.observeErr(o.Err)
 	}
-	a.lat[a.latN%canaryLatRing] = float64(o.Latency)
-	a.latN++
+	a.lat.Add(float64(o.Latency))
 }
 
 // observeFailure folds a failed dispatch as a maximal-error
@@ -66,23 +66,6 @@ func (a *canaryArm) errVar() float64 {
 		return 0
 	}
 	return a.errM2 / float64(a.errN-1)
-}
-
-// p95 is the arm's reservoir latency p95 in ns (NaN without samples).
-// Verdict-time only — allocation here is off the dispatch path.
-func (a *canaryArm) p95() float64 {
-	fill := a.latN
-	if fill > canaryLatRing {
-		fill = canaryLatRing
-	}
-	if fill == 0 {
-		return math.NaN()
-	}
-	q, err := stats.Quantile(a.lat[:fill], 0.95)
-	if err != nil {
-		return math.NaN()
-	}
-	return q
 }
 
 // canaryTierTrial is one tier's pair of arms.
@@ -104,7 +87,7 @@ type canaryTrial struct {
 func (t *canaryTrial) tier(name string) *canaryTierTrial {
 	tt := t.tiers[name]
 	if tt == nil {
-		tt = &canaryTierTrial{}
+		tt = &canaryTierTrial{canary: newCanaryArm(), incumbent: newCanaryArm()}
 		t.tiers[name] = tt
 	}
 	return tt
@@ -124,18 +107,11 @@ func (t *canaryTrial) observeIncumbentFailure(tier string) {
 
 // StartCanaryTrial opens a fresh canary-vs-incumbent comparison. The
 // server calls it the moment a heal's candidate registry starts serving
-// its traffic slice; the trial ends with FinishHeal (either verdict) or
-// CancelCanary.
+// its traffic slice; the trial ends with FinishHeal, whatever the
+// verdict.
 func (m *Monitor) StartCanaryTrial(now time.Time) {
 	m.trial.Store(&canaryTrial{started: now, tiers: make(map[string]*canaryTierTrial)})
 }
-
-// CanaryActive reports a live trial.
-func (m *Monitor) CanaryActive() bool { return m.trial.Load() != nil }
-
-// CancelCanary tears the live trial down without a verdict (shutdown,
-// or an operator applying a table manually mid-trial).
-func (m *Monitor) CancelCanary() { m.trial.Store(nil) }
 
 // ObserveCanaryOutcome implements dispatch.CanaryObserver: outcomes of
 // canary-marked tickets feed the trial's canary arm and deliberately
@@ -205,9 +181,7 @@ func (m *Monitor) CanaryVerdict(now time.Time) CanaryDecision {
 	if t == nil {
 		return CanaryDecision{Action: CanaryPending, Reason: "no live trial"}
 	}
-	m.mu.RLock()
-	cfg := m.cfg
-	m.mu.RUnlock()
+	cfg := m.Config()
 
 	t.mu.Lock()
 	names := make([]string, 0, len(t.tiers))
@@ -225,8 +199,8 @@ func (m *Monitor) CanaryVerdict(now time.Time) CanaryDecision {
 			IncumbentN:     tt.incumbent.n,
 			CanaryErr:      tt.canary.errMean,
 			IncumbentErr:   tt.incumbent.errMean,
-			CanaryP95Ns:    tt.canary.p95(),
-			IncumbentP95Ns: tt.incumbent.p95(),
+			CanaryP95Ns:    tt.canary.lat.Quantile(0.95),
+			IncumbentP95Ns: tt.incumbent.lat.Quantile(0.95),
 		}
 		v.Ready = tt.canary.n >= int64(cfg.CanaryMinSamples) && tt.incumbent.n >= int64(cfg.CanaryMinSamples)
 		if !v.Ready {
@@ -243,7 +217,7 @@ func (m *Monitor) CanaryVerdict(now time.Time) CanaryDecision {
 			tt.incumbent.errVar()/float64(maxI64(tt.incumbent.errN, 1)))
 		errPass := v.CanaryErr <= v.IncumbentErr+cfg.CanaryErrSigma*se+1e-12
 		latPass := true
-		if !math.IsNaN(v.CanaryP95Ns) && !math.IsNaN(v.IncumbentP95Ns) && v.IncumbentP95Ns > 0 {
+		if v.IncumbentP95Ns > 0 { // 0 = an arm with no latency samples (all failures)
 			latPass = v.CanaryP95Ns <= v.IncumbentP95Ns*(1+cfg.CanaryLatSlack)
 		}
 		v.Pass = errPass && latPass

@@ -28,6 +28,15 @@ func feedArms(m *Monitor, tier string, n int, canaryErr, incumbentErr float64, c
 	}
 }
 
+// healRec is the record a heal's owner hands FinishHeal: triggered at
+// start by trigger, ended at `at` with verdict.
+func healRec(start, at time.Time, trigger, verdict, errMsg string) HealRecord {
+	return HealRecord{
+		At: at, Trigger: trigger, Verdict: verdict, Promoted: verdict == HealPromoted,
+		Duration: at.Sub(start), Err: errMsg,
+	}
+}
+
 func TestCanaryVerdictPromotesOnWin(t *testing.T) {
 	m := NewMonitor(canaryConfig(), []string{"b0"}, nil)
 	start := time.Unix(1000, 0)
@@ -39,8 +48,8 @@ func TestCanaryVerdictPromotesOnWin(t *testing.T) {
 	}
 
 	m.StartCanaryTrial(start)
-	if !m.CanaryActive() {
-		t.Fatal("trial not active after start")
+	if st := m.Status(nil); st.State != "canary" {
+		t.Fatalf("trial not active after start: state %q", st.State)
 	}
 
 	// Under-sampled: pending.
@@ -128,19 +137,28 @@ func TestCanaryVerdictExpiry(t *testing.T) {
 
 func TestCanaryStatusAndCancel(t *testing.T) {
 	m := NewMonitor(canaryConfig(), []string{"b0"}, nil)
-	m.BeginHeal(time.Unix(1000, 0), "test")
-	m.StartCanaryTrial(time.Unix(1000, 0))
+	alarmErr(m)
+	start := time.Unix(1000, 0)
+	if _, trigger := m.Check(start, nil); !trigger {
+		t.Fatal("alarmed monitor did not trigger")
+	}
+	// The trigger claimed the in-flight slot; no trial yet.
+	if st := m.Status(nil); st.State != "triggered" {
+		t.Fatalf("state with a heal in flight and no trial: %q", st.State)
+	}
+	m.StartCanaryTrial(start)
 	if st := m.Status(nil); st.State != "canary" {
 		t.Fatalf("state during trial: %q", st.State)
 	}
-	m.CancelCanary()
-	if m.CanaryActive() {
-		t.Fatal("trial survived cancel")
+	// A heal cancelled mid-trial (shutdown) ends like any other: the
+	// trial is torn down with it and the slot is free.
+	m.FinishHeal(healRec(start, start.Add(time.Second), "test", HealFailed, "test teardown"))
+	if d := m.CanaryVerdict(start.Add(2 * time.Second)); d.Reason != "no live trial" {
+		t.Fatalf("trial survived the heal's end: %+v", d)
 	}
-	if st := m.Status(nil); st.State != "triggered" {
-		t.Fatalf("state after cancel with heal in flight: %q", st.State)
+	if st := m.Status(nil); st.State != "watching" {
+		t.Fatalf("state after the heal ended: %q", st.State)
 	}
-	m.FinishHeal(time.Unix(1001, 0), HealFailed, "test teardown")
 }
 
 // alarmErr warms a monitor up on clean traffic and then collapses the
@@ -162,8 +180,7 @@ func TestHealBackoffAndRetryBudget(t *testing.T) {
 	if _, trigger := m.Check(now, nil); !trigger {
 		t.Fatal("alarmed monitor did not trigger")
 	}
-	m.BeginHeal(now, "err shift")
-	m.FinishHeal(now.Add(time.Second), HealRejected, "canary lost")
+	m.FinishHeal(healRec(now, now.Add(time.Second), "err shift", HealRejected, "canary lost"))
 
 	// Inside the backoff window (first failure: 1x HealBackoff): even
 	// well past the cooldown, no trigger.
@@ -178,8 +195,7 @@ func TestHealBackoffAndRetryBudget(t *testing.T) {
 
 	// Second consecutive non-promotion exhausts MaxHealRetries: healing
 	// suspends no matter how much time passes.
-	m.BeginHeal(after, "err shift")
-	m.FinishHeal(after.Add(time.Second), HealFailed, "rules job failed")
+	m.FinishHeal(healRec(after, after.Add(time.Second), "err shift", HealFailed, "rules job failed"))
 	if _, trigger := m.Check(after.Add(24*time.Hour), nil); trigger {
 		t.Fatal("trigger fired past the retry budget")
 	}
@@ -192,8 +208,10 @@ func TestHealBackoffAndRetryBudget(t *testing.T) {
 	}
 
 	// A promotion clears the failure streak and backoff entirely.
-	m.BeginHeal(after, "err shift")
-	m.FinishHeal(after.Add(time.Second), HealPromoted, "")
+	if _, trigger := m.Check(after.Add(48*time.Hour+time.Second), nil); trigger {
+		t.Fatal("trigger fired with the re-armed heal still in flight")
+	}
+	m.FinishHeal(healRec(after, after.Add(time.Second), "err shift", HealPromoted, ""))
 	alarmErr(m)
 	if _, trigger := m.Check(after.Add(72*time.Hour), nil); !trigger {
 		t.Fatal("trigger suppressed after a promotion")
@@ -203,10 +221,11 @@ func TestHealBackoffAndRetryBudget(t *testing.T) {
 func TestHealRecordsAndSeeding(t *testing.T) {
 	m := NewMonitor(canaryConfig(), []string{"b0"}, nil)
 	start := time.Unix(1000, 0)
-	m.BeginHeal(start, "tier response-time/0.05 error shift")
 	m.StartCanaryTrial(start)
-	m.FinishHeal(start.Add(3*time.Second), HealPromoted, "")
-	if m.CanaryActive() {
+	promoted := healRec(start, start.Add(3*time.Second), "tier response-time/0.05 error shift", HealPromoted, "")
+	promoted.JobID = 7
+	m.FinishHeal(promoted)
+	if st := m.Status(nil); st.State == "canary" {
 		t.Fatal("FinishHeal left the trial live")
 	}
 
@@ -215,7 +234,7 @@ func TestHealRecordsAndSeeding(t *testing.T) {
 		t.Fatalf("heal history: %+v", heals)
 	}
 	rec := heals[0]
-	if rec.Verdict != HealPromoted || !rec.Promoted || rec.Err != "" ||
+	if rec.Verdict != HealPromoted || !rec.Promoted || rec.Err != "" || rec.JobID != 7 ||
 		rec.Trigger != "tier response-time/0.05 error shift" || rec.Duration != 3*time.Second {
 		t.Fatalf("promoted record: %+v", rec)
 	}
@@ -223,8 +242,7 @@ func TestHealRecordsAndSeeding(t *testing.T) {
 		t.Fatalf("reprofiles after promotion: %d", m.Reprofiles())
 	}
 
-	m.BeginHeal(start.Add(time.Minute), "latency shift")
-	m.FinishHeal(start.Add(2*time.Minute), HealRejected, "tier x: canary lost")
+	m.FinishHeal(healRec(start.Add(time.Minute), start.Add(2*time.Minute), "latency shift", HealRejected, "tier x: canary lost"))
 	heals = m.Heals()
 	if len(heals) != 2 || heals[1].Verdict != HealRejected || heals[1].Promoted || heals[1].Err == "" {
 		t.Fatalf("rejected record: %+v", heals)

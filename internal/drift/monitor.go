@@ -60,8 +60,6 @@ type Config struct {
 	// combined standard errors of the incumbent's and its p95 latency
 	// within (1+CanaryLatSlack) of the incumbent's.
 	CanaryErrSigma, CanaryLatSlack float64
-	// CanaryDisabled reverts to blind promotion (no trial).
-	CanaryDisabled bool
 	// MaxHealRetries suspends self-healing after this many consecutive
 	// non-promoted heals; a promotion resets the count.
 	MaxHealRetries int
@@ -168,7 +166,6 @@ func FromWire(w api.DriftConfig) Config {
 		CanaryMaxDuration: time.Duration(w.CanaryMaxMS * float64(time.Millisecond)),
 		CanaryErrSigma:    w.CanaryErrSigma,
 		CanaryLatSlack:    w.CanaryLatSlack,
-		CanaryDisabled:    w.CanaryDisabled,
 		MaxHealRetries:    w.MaxHealRetries,
 		HealBackoff:       time.Duration(w.HealBackoffMS * float64(time.Millisecond)),
 		HedgeBoost:        w.HedgeBoostQuantile,
@@ -198,7 +195,6 @@ func (c Config) Wire() api.DriftConfig {
 		CanaryMaxMS:        float64(c.CanaryMaxDuration) / float64(time.Millisecond),
 		CanaryErrSigma:     c.CanaryErrSigma,
 		CanaryLatSlack:     c.CanaryLatSlack,
-		CanaryDisabled:     c.CanaryDisabled,
 		MaxHealRetries:     c.MaxHealRetries,
 		HealBackoffMS:      float64(c.HealBackoff) / float64(time.Millisecond),
 		HedgeBoostQuantile: c.HedgeBoost,
@@ -309,23 +305,21 @@ type Monitor struct {
 	evMu        sync.Mutex
 	events      []Event
 	lastTrigger time.Time
-	// Heal lifecycle (all under evMu): the bounded heal history, the
-	// consecutive-failure count driving the retry backoff, and the
-	// in-flight heal's start time and trigger description.
+	// Heal gate (all under evMu): the one in-flight slot — Check claims
+	// it when it returns trigger, FinishHeal frees it — the bounded heal
+	// history, and the consecutive-failure count driving the retry
+	// backoff.
+	inFlight     bool
 	heals        []HealRecord
 	healFailures int
 	nextHealAt   time.Time
-	healStart    time.Time
-	healTrigger  string
 
 	// trial is the live canary comparison, nil when no heal is trialing
 	// a candidate table. A single atomic pointer load keeps the
 	// steady-state observe path allocation-free.
 	trial atomic.Pointer[canaryTrial]
 
-	inFlight   atomic.Bool // a reprofile is running; suppress triggers
 	reprofiles atomic.Int64
-	lastJobID  atomic.Int64
 }
 
 // maxEvents bounds the event history (oldest dropped first);
@@ -446,6 +440,18 @@ func (m *Monitor) tier(name string) *tierState {
 		m.tiers[name] = ts
 	}
 	return ts
+}
+
+// tierStates snapshots the registered tiers, so callers walk them
+// without holding the monitor's lock.
+func (m *Monitor) tierStates() []*tierState {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	tiers := make([]*tierState, 0, len(m.tiers))
+	for _, ts := range m.tiers {
+		tiers = append(tiers, ts)
+	}
+	return tiers
 }
 
 // ObserveOutcome implements dispatch.Observer: it folds one finished
@@ -592,22 +598,18 @@ func (ts *tierState) slotStat(i int) (value, threshold float64) {
 // method has exactly this contract) and collects newly confirmed
 // events. The returned trigger reports that the self-healing loop
 // should fire now: some detector is alarmed, AutoReprofile is armed,
-// no reprofile is in flight, and the cooldown since the last trigger
-// has passed (the trigger time is stamped when true is returned).
+// no heal is in flight, and the cooldown since the last trigger and the
+// retry backoff have passed. Returning true stamps the trigger time and
+// claims the in-flight slot: the caller owns a heal and must end it
+// with FinishHeal.
 func (m *Monitor) Check(now time.Time, p95 func(backend int) float64) (events []Event, trigger bool) {
 	if !m.enabled.Load() {
 		return nil, false
 	}
-	m.mu.RLock()
-	cfg := m.cfg
-	tiers := make([]*tierState, 0, len(m.tiers))
-	for _, ts := range m.tiers {
-		tiers = append(tiers, ts)
-	}
-	m.mu.RUnlock()
+	cfg := m.Config()
 
 	active := false
-	for _, ts := range tiers {
+	for _, ts := range m.tierStates() {
 		ts.mu.Lock()
 		for i := 0; i < numSlots; i++ {
 			if !ts.alarmed[i] {
@@ -654,11 +656,12 @@ func (m *Monitor) Check(now time.Time, p95 func(backend int) float64) (events []
 	if n := len(m.events); n > maxEvents {
 		m.events = append(m.events[:0], m.events[n-maxEvents:]...)
 	}
-	if active && cfg.AutoReprofile && !m.inFlight.Load() &&
+	if active && cfg.AutoReprofile && !m.inFlight &&
 		(m.lastTrigger.IsZero() || now.Sub(m.lastTrigger) >= cfg.Cooldown) &&
 		(m.nextHealAt.IsZero() || !now.Before(m.nextHealAt)) &&
 		m.healFailures < cfg.MaxHealRetries {
 		m.lastTrigger = now
+		m.inFlight = true
 		trigger = true
 	}
 	m.evMu.Unlock()
@@ -691,45 +694,29 @@ const (
 	HealFailed   = "failed"
 )
 
-// BeginHeal marks a self-healing loop in flight, suppressing further
-// triggers until the heal finishes, and stamps the heal's start time and
-// trigger description so the eventual HealRecord can say what fired and
-// how long the loop took. Claim it before starting the heal's
-// asynchronous work: the matching FinishHeal may run on another
-// goroutine the moment that work exists.
-func (m *Monitor) BeginHeal(now time.Time, trigger string) {
-	m.evMu.Lock()
-	m.healStart = now
-	m.healTrigger = trigger
-	m.evMu.Unlock()
-	m.inFlight.Store(true)
-}
-
-// FinishHeal ends the in-flight self-healing loop with its verdict and
-// appends the HealRecord. A promotion bumps the reprofile count, resets
-// the detectors (healed traffic re-baselines instead of re-alarming on
-// the old statistics) and clears the consecutive-failure count; a
-// rejection or failure advances the exponential retry backoff — the
-// n-th consecutive non-promotion blocks the next trigger for
-// HealBackoff * 2^(n-1), capped at 16x, and MaxHealRetries consecutive
-// non-promotions suspend self-healing entirely until an operator
-// re-arms it via SetConfig. Any live canary trial is torn down.
-func (m *Monitor) FinishHeal(now time.Time, verdict, errMsg string) {
-	promoted := verdict == HealPromoted
-	if promoted {
+// FinishHeal publishes the record of a finished heal — built by the
+// heal's owner, which persists the same value first when it promoted —
+// and frees the in-flight slot. A promotion bumps the reprofile count,
+// resets the detectors (healed traffic re-baselines instead of
+// re-alarming on the old statistics) and clears the consecutive-failure
+// count; a rejection or failure advances the exponential retry backoff
+// — the n-th consecutive non-promotion blocks the next trigger for
+// HealBackoff * 2^(n-1) past rec.At, capped at 16x, and MaxHealRetries
+// consecutive non-promotions suspend self-healing entirely until an
+// operator re-arms it via SetConfig. Any live canary trial is torn down.
+func (m *Monitor) FinishHeal(rec HealRecord) {
+	if rec.Promoted {
 		m.reprofiles.Add(1)
 		m.ResetDetectors()
 	}
 	m.trial.Store(nil)
-	m.mu.RLock()
-	cfg := m.cfg
-	m.mu.RUnlock()
+	cfg := m.Config()
 	m.evMu.Lock()
-	m.heals = append(m.heals, m.pendingHealLocked(now, verdict, errMsg))
+	m.heals = append(m.heals, rec)
 	if n := len(m.heals); n > maxHeals {
 		m.heals = append(m.heals[:0], m.heals[n-maxHeals:]...)
 	}
-	if promoted {
+	if rec.Promoted {
 		m.healFailures = 0
 		m.nextHealAt = time.Time{}
 	} else {
@@ -738,32 +725,10 @@ func (m *Monitor) FinishHeal(now time.Time, verdict, errMsg string) {
 		if shift > 4 {
 			shift = 4
 		}
-		m.nextHealAt = now.Add(cfg.HealBackoff << shift)
+		m.nextHealAt = rec.At.Add(cfg.HealBackoff << shift)
 	}
-	m.healStart, m.healTrigger = time.Time{}, ""
+	m.inFlight = false
 	m.evMu.Unlock()
-	m.inFlight.Store(false)
-}
-
-// PendingHeal returns the record FinishHeal(now, verdict, errMsg) would
-// append for the in-flight heal, without finishing it — what a
-// promotion persists before it publishes (the snapshot must already
-// hold the heal when GET /drift first reports it).
-func (m *Monitor) PendingHeal(now time.Time, verdict, errMsg string) HealRecord {
-	m.evMu.Lock()
-	defer m.evMu.Unlock()
-	return m.pendingHealLocked(now, verdict, errMsg)
-}
-
-func (m *Monitor) pendingHealLocked(now time.Time, verdict, errMsg string) HealRecord {
-	rec := HealRecord{
-		At: now, Trigger: m.healTrigger, JobID: int(m.lastJobID.Load()),
-		Verdict: verdict, Promoted: verdict == HealPromoted, Err: errMsg,
-	}
-	if !m.healStart.IsZero() {
-		rec.Duration = now.Sub(m.healStart)
-	}
-	return rec
 }
 
 // Heals returns a copy of the heal history (newest last).
@@ -783,14 +748,6 @@ func (m *Monitor) SeedHeals(heals []HealRecord, reprofiles int64) {
 	}
 	m.evMu.Unlock()
 	m.reprofiles.Store(reprofiles)
-}
-
-// NoteReprofileJob records the rule-generation job serving the current
-// (or most recent) heal. It deliberately does not touch the in-flight
-// flag: the job may already have finished — and called FinishHeal — by
-// the time its id is known.
-func (m *Monitor) NoteReprofileJob(jobID int) {
-	m.lastJobID.Store(int64(jobID))
 }
 
 // Reprofiles counts completed, applied self-healing loops.
@@ -836,33 +793,11 @@ func (m *Monitor) Events() []Event {
 // Status renders the wire view of the monitor. p95 supplies live
 // per-backend latency estimates for display (nil omits them).
 func (m *Monitor) Status(p95 func(backend int) float64) api.DriftStatus {
-	m.mu.RLock()
-	cfg := m.cfg
-	tiers := make([]*tierState, 0, len(m.tiers))
-	for _, ts := range m.tiers {
-		tiers = append(tiers, ts)
-	}
-	// Copy the baselines under the lock: SetBaselines rewrites the
-	// slice when a heal applies, possibly concurrently with a status
-	// poll.
-	baseline := append([]float64(nil), m.baseline...)
-	m.mu.RUnlock()
-
-	st := api.DriftStatus{Config: cfg.Wire(), Reprofiles: m.reprofiles.Add(0)}
-	if id := m.lastJobID.Add(0); id != 0 {
-		st.LastJobID = int(id)
-	}
-	switch {
-	case !m.enabled.Load():
-		st.State = "disabled"
-	case m.trial.Load() != nil:
-		st.State = "canary"
-	case m.inFlight.Load():
-		st.State = "triggered"
-	default:
-		st.State = "watching"
-	}
-	for _, ts := range tiers {
+	// A copy: SetBaselines rewrites the slice when a heal applies,
+	// possibly concurrently with a status poll.
+	baseline := m.Baselines()
+	st := api.DriftStatus{Config: m.Config().Wire(), Reprofiles: m.reprofiles.Add(0)}
+	for _, ts := range m.tierStates() {
 		ts.mu.Lock()
 		ti := api.DriftTierStatus{
 			Tier:              ts.tier,
@@ -906,6 +841,18 @@ func (m *Monitor) Status(p95 func(backend int) float64) api.DriftStatus {
 		st.Backends = append(st.Backends, bi)
 	}
 	m.evMu.Lock()
+	// Read with the history: a status that shows a heal's record also
+	// shows the slot it freed.
+	switch {
+	case !m.enabled.Load():
+		st.State = "disabled"
+	case m.trial.Load() != nil:
+		st.State = "canary"
+	case m.inFlight:
+		st.State = "triggered"
+	default:
+		st.State = "watching"
+	}
 	for _, e := range m.events {
 		st.Events = append(st.Events, api.DriftEvent{
 			UnixMS: e.At.UnixMilli(), Stream: e.Stream, Detector: e.Detector,
@@ -936,14 +883,8 @@ func (m *Monitor) Baselines() []float64 {
 // TierBaselines returns each observed tier's frozen warmup latency
 // baseline (ns), omitting tiers that have not formed one yet.
 func (m *Monitor) TierBaselines() map[string]float64 {
-	m.mu.RLock()
-	tiers := make([]*tierState, 0, len(m.tiers))
-	for _, ts := range m.tiers {
-		tiers = append(tiers, ts)
-	}
-	m.mu.RUnlock()
-	out := make(map[string]float64, len(tiers))
-	for _, ts := range tiers {
+	out := make(map[string]float64)
+	for _, ts := range m.tierStates() {
 		ts.mu.Lock()
 		if ts.latBase > 0 {
 			out[ts.tier] = ts.latBase
@@ -986,14 +927,8 @@ func (m *Monitor) AlarmedBackends() []int {
 
 // AlarmedTiers returns the tier keys with an active detector alarm.
 func (m *Monitor) AlarmedTiers() []string {
-	m.mu.RLock()
-	tiers := make([]*tierState, 0, len(m.tiers))
-	for _, ts := range m.tiers {
-		tiers = append(tiers, ts)
-	}
-	m.mu.RUnlock()
 	var out []string
-	for _, ts := range tiers {
+	for _, ts := range m.tierStates() {
 		ts.mu.Lock()
 		for i := 0; i < numSlots; i++ {
 			if ts.alarmed[i] {

@@ -147,17 +147,18 @@ func TestMonitorReprofileLifecycle(t *testing.T) {
 	if !trigger {
 		t.Fatal("no trigger")
 	}
-	m.BeginHeal(time.Unix(1, 0), "")
-	m.NoteReprofileJob(7)
-	// In-flight reprofile suppresses further triggers even past cooldown.
+	// The trigger claimed the in-flight slot: it suppresses further
+	// triggers even past cooldown.
 	if _, trigger := m.Check(time.Unix(1e6, 0), nil); trigger {
 		t.Fatal("trigger while a reprofile is in flight")
 	}
 	st := m.Status(nil)
-	if st.State != "triggered" || st.LastJobID != 7 {
-		t.Fatalf("status %q job %d during reprofile", st.State, st.LastJobID)
+	if st.State != "triggered" {
+		t.Fatalf("status %q during reprofile", st.State)
 	}
-	m.FinishHeal(time.Unix(2, 0), HealPromoted, "")
+	rec := healRec(time.Unix(1, 0), time.Unix(2, 0), "", HealPromoted, "")
+	rec.JobID = 7
+	m.FinishHeal(rec)
 	if got := m.Reprofiles(); got != 1 {
 		t.Fatalf("reprofiles %d after applied heal", got)
 	}
@@ -168,7 +169,7 @@ func TestMonitorReprofileLifecycle(t *testing.T) {
 		t.Fatalf("healed traffic re-alarmed: %v", events)
 	}
 	st = m.Status(nil)
-	if st.State != "watching" || st.Reprofiles != 1 {
+	if st.State != "watching" || st.Reprofiles != 1 || len(st.Heals) != 1 || st.Heals[0].JobID != 7 {
 		t.Fatalf("status %+v after heal", st)
 	}
 	if len(st.Events) == 0 {

@@ -26,15 +26,12 @@ import (
 )
 
 // Options parameterizes the front tier's fleet pool. The zero value is
-// usable: 3s leases, 3 failover attempts, autoscale targeting 8
-// in-flight dispatches per worker between 1 and 16 replicas.
+// usable: 3s leases, autoscale targeting 8 in-flight dispatches per
+// worker between 1 and 16 replicas.
 type Options struct {
 	// Lease is the liveness lease granted on register/heartbeat; a
 	// worker that misses it leaves rotation (0 = 3s).
 	Lease time.Duration
-	// FailoverAttempts bounds how many workers one dispatch may try
-	// before the front tier falls back to serving locally (0 = 3).
-	FailoverAttempts int
 	// TargetInFlight is the autoscale hint's per-worker in-flight
 	// budget (0 = 8).
 	TargetInFlight int
@@ -67,8 +64,7 @@ type member struct {
 
 	counters memberCounters
 	lat      stats.Stream
-	ring     [latencyRingSize]float64
-	ringN    int
+	ring     stats.Ring
 }
 
 // memberCounters live under Pool.mu too, but are split out so the
@@ -85,8 +81,7 @@ type memberCounters struct {
 // plus the largest deadline that tier's traffic asked for — the two
 // inputs of the p95-vs-deadline autoscale factor.
 type tierObs struct {
-	ring       [latencyRingSize]float64
-	ringN      int
+	ring       stats.Ring
 	deadlineMS float64
 }
 
@@ -186,7 +181,7 @@ func (p *Pool) Register(name, base string, ver int64) api.FleetRegisterResponse 
 	defer p.mu.Unlock()
 	m := p.members[name]
 	if m == nil {
-		m = &member{name: name}
+		m = &member{name: name, ring: stats.NewRing(latencyRingSize)}
 		p.members[name] = m
 		p.logf("fleet: worker %s joined at %s (table v%d)", name, base, ver)
 	}
@@ -307,38 +302,19 @@ func (p *Pool) observe(m *member, tier string, deadlineMS, wallMS float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	m.lat.Add(wallMS)
-	m.ring[m.ringN%latencyRingSize] = wallMS
-	m.ringN++
+	m.ring.Add(wallMS)
 	if tier == "" {
 		return
 	}
 	to := p.tiers[tier]
 	if to == nil {
-		to = &tierObs{}
+		to = &tierObs{ring: stats.NewRing(latencyRingSize)}
 		p.tiers[tier] = to
 	}
-	to.ring[to.ringN%latencyRingSize] = wallMS
-	to.ringN++
+	to.ring.Add(wallMS)
 	if deadlineMS > to.deadlineMS {
 		to.deadlineMS = deadlineMS
 	}
-}
-
-// ringQuantile computes q over a latency ring's populated window.
-func ringQuantile(ring *[latencyRingSize]float64, n int, q float64) float64 {
-	if n == 0 {
-		return 0
-	}
-	if n > latencyRingSize {
-		n = latencyRingSize
-	}
-	window := make([]float64, n)
-	copy(window, ring[:n])
-	v, err := stats.Quantile(window, q)
-	if err != nil {
-		return 0
-	}
-	return v
 }
 
 // Status assembles GET /fleet: live workers, the fence, the latest
@@ -372,7 +348,7 @@ func (p *Pool) Status() api.FleetStatus {
 			FailedOver:       m.counters.failedOver,
 			InFlight:         m.counters.inflight,
 			MeanLatencyMS:    m.lat.Mean,
-			P95LatencyMS:     ringQuantile(&m.ring, m.ringN, 0.95),
+			P95LatencyMS:     m.ring.Quantile(0.95),
 			LeaseRemainingMS: m.expires.Sub(now).Milliseconds(),
 		})
 	}
@@ -412,10 +388,10 @@ func (p *Pool) autoscaleLocked(live int, inflight int64) api.FleetAutoscale {
 	fromLatency := 0
 	worstRatio := 0.0
 	for tier, to := range p.tiers {
-		if to.deadlineMS <= 0 || to.ringN < 16 {
+		if to.deadlineMS <= 0 || to.ring.Len() < 16 {
 			continue
 		}
-		p95 := ringQuantile(&to.ring, to.ringN, 0.95)
+		p95 := to.ring.Quantile(0.95)
 		if ratio := p95 / to.deadlineMS; ratio > worstRatio {
 			worstRatio = ratio
 			as.WorstTier = tier

@@ -66,6 +66,10 @@ func tierKey(hdr http.Header) string {
 	return obj + "/" + tol
 }
 
+// failoverAttempts bounds how many workers one dispatch may try before
+// the front tier falls back to serving locally.
+const failoverAttempts = 3
+
 // Proxy routes one dispatch (or batch) to the fleet. It returns true
 // when it wrote a response — success from some worker, possibly after
 // transparent failover. It returns false without touching w when no
@@ -87,13 +91,7 @@ func (p *Pool) Proxy(ctx context.Context, w http.ResponseWriter, hdr http.Header
 		p.mu.Unlock()
 		return false
 	}
-	attempts := p.opts.FailoverAttempts
-	if attempts <= 0 {
-		attempts = 3
-	}
-	if attempts > len(cands) {
-		attempts = len(cands)
-	}
+	attempts := min(failoverAttempts, len(cands))
 	tier := tierKey(hdr)
 	deadlineMS := probeDeadline(body)
 

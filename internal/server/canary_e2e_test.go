@@ -123,7 +123,7 @@ func TestEndToEndCanaryRollback(t *testing.T) {
 	defer srv.Close()
 	// The seam: every drift-healed table is rewritten to serve vBad
 	// unescalated at every tolerance.
-	srv.healTableHook = func(tables []rulegen.RuleTable) []rulegen.RuleTable {
+	srv.heal.tableHook = func(tables []rulegen.RuleTable) []rulegen.RuleTable {
 		for ti := range tables {
 			for ri := range tables[ti].Rules {
 				tables[ti].Rules[ri].Candidate.Policy = ensemble.Policy{

@@ -224,7 +224,7 @@ func TestPromotionBetweenResolveAndFlush(t *testing.T) {
 
 	var promote sync.Once
 	srv.coal = coalesce.New(srv.disp, coalesce.Options{Gate: func(n int, tk dispatch.Ticket) (coalesce.Grant, error) {
-		promote.Do(func() { srv.installPromoted(next) })
+		promote.Do(func() { srv.promote(next, &ruleJob{}) })
 		g, err := srv.admitWindow(n, tk)
 		if err == nil && g.Ticket.Policy != tk.Policy {
 			t.Errorf("admission rewrote the ticket's policy %v to %v", tk.Policy, g.Ticket.Policy)

@@ -299,7 +299,7 @@ func TestFleetRollingUpdateNeverServesMixedVersions(t *testing.T) {
 	}
 
 	time.Sleep(50 * time.Millisecond) // let the load establish on v0
-	front.installPromoted(newRegistryFrom(front.registry(), nil))
+	front.promote(newRegistryFrom(front.registry(), nil), &ruleJob{})
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {

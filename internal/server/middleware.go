@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -125,50 +126,11 @@ func (m *Metrics) writePrometheus(b *bytes.Buffer) {
 	for i, ub := range latencyBucketsMS {
 		cum += m.buckets[i]
 		p.count("toltiers_handler_latency_ms_bucket", cum,
-			"le", strconvFloat(ub))
+			"le", strconv.FormatFloat(ub, 'f', -1, 64))
 	}
 	p.count("toltiers_handler_latency_ms_bucket", m.latencyCount, "le", "+Inf")
 	p.sample("toltiers_handler_latency_ms_sum", float64(m.latencySum)/1e6)
 	p.count("toltiers_handler_latency_ms_count", m.latencyCount)
-}
-
-func strconvFloat(f float64) string {
-	s := make([]byte, 0, 8)
-	return string(appendFloatShort(s, f))
-}
-
-// appendFloatShort renders a bucket bound without trailing zeros
-// (0.25, 1, 2500) so le labels match conventional exposition style.
-func appendFloatShort(b []byte, f float64) []byte {
-	if f == float64(int64(f)) {
-		return appendInt(b, int64(f))
-	}
-	// Bounds are chosen with at most two decimals.
-	whole := int64(f)
-	frac := int64(f*100+0.5) - whole*100
-	b = appendInt(b, whole)
-	b = append(b, '.')
-	if frac%10 == 0 {
-		return appendInt(b, frac/10)
-	}
-	if frac < 10 {
-		b = append(b, '0')
-	}
-	return appendInt(b, frac)
-}
-
-func appendInt(b []byte, v int64) []byte {
-	if v == 0 {
-		return append(b, '0')
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return append(b, buf[i:]...)
 }
 
 // splitRequestKey splits a "METHOD path status" metrics key.

@@ -201,6 +201,15 @@ func TestInstrumentPrometheus(t *testing.T) {
 			t.Fatalf("exposition missing %q:\n%s", want, body)
 		}
 	}
+	// The fifteen finite bucket bounds render without trailing zeros.
+	for _, le := range strings.Fields("0.1 0.25 0.5 1 2.5 5 10 25 50 100 250 500 1000 2500 5000") {
+		if want := `toltiers_handler_latency_ms_bucket{le="` + le + `"} `; !strings.Contains(body, want) {
+			t.Fatalf("exposition missing %q:\n%s", want, body)
+		}
+	}
+	if got := strings.Count(body, "toltiers_handler_latency_ms_bucket{"); got != len(latencyBucketsMS)+1 {
+		t.Fatalf("%d bucket lines, want %d", got, len(latencyBucketsMS)+1)
+	}
 }
 
 func TestMetricsConcurrentSafety(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/toltiers/toltiers/internal/api"
-	"github.com/toltiers/toltiers/internal/drift"
 	"github.com/toltiers/toltiers/internal/profile"
 	"github.com/toltiers/toltiers/internal/rulegen"
 	"github.com/toltiers/toltiers/internal/rulegen/shard"
@@ -32,11 +31,12 @@ import (
 // the next batch boundary, nothing is applied, and /rules/status
 // reports "cancelling" until the workers drain, then "cancelled".
 //
-// The drift monitor's self-healing loop rides the same pipeline: a
-// confirmed shift re-profiles the live backends into a fresh matrix and
-// starts the identical job over it (drift: true in /rules/status), so
-// cancellation, status and the atomic swap behave the same whether a
-// human or the monitor asked.
+// The self-healing loop (heal.go) rides the same pipeline: a confirmed
+// shift re-profiles the live backends into a fresh matrix and starts
+// the identical job over it (drift: true in /rules/status), so
+// cancellation and status behave the same whether a human or the
+// monitor asked; a heal's tables go to its generated callback, to be
+// staged for a trial, instead of being applied.
 
 // ruleJob tracks one asynchronous generation sweep. Mutable fields are
 // guarded by Server.jobMu.
@@ -58,10 +58,16 @@ type ruleJob struct {
 	// matrix is the profiled corpus this job sweeps (the node's
 	// training matrix, or a drift re-profile).
 	matrix *profile.Matrix
-	// drift marks a job started by the drift monitor's self-healing
-	// loop.
-	drift bool
+	// generated, when set, receives the finished job's outcome in place
+	// of the manual job's "promote if Apply" (see startRuleJob).
+	generated generatedFunc
 }
+
+// generatedFunc is a rule job's completion callback: the generated
+// tables, or the error that ended the sweep (context.Canceled for
+// DELETE /rules/generate). It runs on the job's goroutine after the job
+// reports finished.
+type generatedFunc func(job *ruleJob, tables []rulegen.RuleTable, err error)
 
 // errJobRunning distinguishes the one-at-a-time conflict from request
 // validation errors.
@@ -120,8 +126,10 @@ func ruleGenParams(req api.RuleGenRequest) (genParams, error) {
 }
 
 // startRuleJob validates the request and launches the asynchronous
-// sweep over m. It returns errJobRunning while another job runs.
-func (s *Server) startRuleJob(req api.RuleGenRequest, m *profile.Matrix, fromDrift bool) (*ruleJob, error) {
+// sweep over m; a nil generated is the manual job, which promotes its
+// tables when req.Apply is set. It returns errJobRunning while another
+// job runs.
+func (s *Server) startRuleJob(req api.RuleGenRequest, m *profile.Matrix, generated generatedFunc) (*ruleJob, error) {
 	gp, err := ruleGenParams(req)
 	if err != nil {
 		return nil, err
@@ -142,10 +150,10 @@ func (s *Server) startRuleJob(req api.RuleGenRequest, m *profile.Matrix, fromDri
 		cancel:     cancel,
 		// Requested partition shape, shown while running; overwritten
 		// with the resolved values when the sweep finishes.
-		shards:  req.Shards,
-		workers: req.Workers,
-		matrix:  m,
-		drift:   fromDrift,
+		shards:    req.Shards,
+		workers:   req.Workers,
+		matrix:    m,
+		generated: generated,
 	}
 	s.job = job
 	s.jobMu.Unlock()
@@ -167,7 +175,7 @@ func (s *Server) handleRulesGenerate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	job, err := s.startRuleJob(req, m, false)
+	job, err := s.startRuleJob(req, m, nil)
 	if err != nil {
 		if errors.Is(err, errJobRunning) {
 			httpError(w, http.StatusConflict, "%v", err)
@@ -182,11 +190,10 @@ func (s *Server) handleRulesGenerate(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(api.RuleGenAccepted{JobID: job.id, StatusURL: "/rules/status"})
 }
 
-// runRuleJob executes the sharded sweep and, on success with Apply set,
-// promotes the generated tables (see promote) — or, for a drift heal
-// with the canary armed, stages them for a trial. A cancelled context
-// (DELETE /rules/generate) stops the sweep at the next batch boundary
-// and marks the job cancelled instead of failed.
+// runRuleJob executes the sharded sweep and hands the outcome on: to
+// job.generated when set, else — on success with Apply set — to promote.
+// A cancelled context (DELETE /rules/generate) stops the sweep at the
+// next batch boundary and marks the job cancelled instead of failed.
 func (s *Server) runRuleJob(ctx context.Context, job *ruleJob, gcfg rulegen.Config, step, maxTol float64) {
 	opts := shard.Options{
 		Shards:    job.req.Shards,
@@ -208,7 +215,6 @@ func (s *Server) runRuleJob(ctx context.Context, job *ruleJob, gcfg rulegen.Conf
 	cancelRequested := job.cancelled
 	s.jobMu.Unlock()
 
-	var staged bool
 	var tables []rulegen.RuleTable
 	if err == nil && !cancelRequested {
 		grid := rulegen.ToleranceGrid(maxTol, step)
@@ -216,21 +222,11 @@ func (s *Server) runRuleJob(ctx context.Context, job *ruleJob, gcfg rulegen.Conf
 		for _, obj := range job.objectives {
 			tables = append(tables, gen.Generate(grid, obj))
 		}
-		if job.drift && s.healTableHook != nil {
-			tables = s.healTableHook(tables)
-		}
-		if job.req.Apply {
-			if job.drift && s.canaryArmed() {
-				// A drift heal stages instead of swapping: the candidate
-				// registry serves its canary slice until the trial's
-				// verdict promotes it (job.applied flips then) or rolls
-				// it back; see canary.go.
-				staged = true
-			} else {
-				// Promoted before the job reports "done", so a client that
-				// polls the status and then resolves sees the new tables.
-				s.promote(newRegistryFrom(s.registry(), tables), job, time.Now())
-			}
+		if job.generated == nil && job.req.Apply {
+			// Promoted before the job reports "done", so a client that
+			// polls the status and then resolves sees the new tables.
+			s.promote(newRegistryFrom(s.registry(), tables), job)
+			s.saveState(nil)
 		}
 	}
 
@@ -260,24 +256,14 @@ func (s *Server) runRuleJob(ctx context.Context, job *ruleJob, gcfg rulegen.Conf
 		job.shards, job.workers = rep.Shards, rep.Workers
 		job.trials = rep.TrialCounts
 	}
-	finalErr, finalCancelled := job.err, job.cancelled
+	outcome := job.err
+	if job.cancelled {
+		outcome = context.Canceled
+	}
 	s.jobMu.Unlock()
 
-	if job.drift {
-		switch {
-		case staged:
-			// The heal stays in flight: the candidate now serves its
-			// canary slice, and the drift loop polls the trial's verdict.
-			s.beginCanary(job, tables, time.Now())
-		case finalErr != nil:
-			s.setDriftErr("reprofile rules job: " + finalErr.Error())
-			s.restoreHedgeBoost()
-			s.mon.FinishHeal(time.Now(), drift.HealFailed, "rules job: "+finalErr.Error())
-		case finalCancelled:
-			s.setDriftErr("reprofile rules job cancelled")
-			s.restoreHedgeBoost()
-			s.mon.FinishHeal(time.Now(), drift.HealFailed, "rules job cancelled")
-		}
+	if job.generated != nil {
+		job.generated(job, tables, outcome)
 	}
 }
 
@@ -339,24 +325,24 @@ func (s *Server) handleRulesStatus(w http.ResponseWriter, _ *http.Request) {
 			st.Objectives = append(st.Objectives, string(o))
 		}
 		st.Applied = job.applied
-		st.Drift = job.drift
+		st.Drift = job.generated != nil
+		end := job.finished
+		if job.running {
+			end = time.Now()
+		}
+		st.ElapsedMS = float64(end.Sub(job.started)) / float64(time.Millisecond)
 		switch {
 		case job.running && job.cancelled:
 			st.State = "cancelling"
-			st.ElapsedMS = float64(time.Since(job.started)) / float64(time.Millisecond)
 		case job.running:
 			st.State = "running"
-			st.ElapsedMS = float64(time.Since(job.started)) / float64(time.Millisecond)
 		case job.cancelled:
 			st.State = "cancelled"
-			st.ElapsedMS = float64(job.finished.Sub(job.started)) / float64(time.Millisecond)
 		case job.err != nil:
 			st.State = "failed"
 			st.Error = job.err.Error()
-			st.ElapsedMS = float64(job.finished.Sub(job.started)) / float64(time.Millisecond)
 		default:
 			st.State = "done"
-			st.ElapsedMS = float64(job.finished.Sub(job.started)) / float64(time.Millisecond)
 			st.MeanTrials = job.trials.Mean
 			st.MaxTrials = job.trials.Max
 		}

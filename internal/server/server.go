@@ -16,15 +16,17 @@
 // render (dispatch.go) — differing only in body and response shape.
 // Responses are JSON (internal/api). GET /tiers lists the offered tiers
 // and GET /healthz reports readiness.
+//
+// Beside it rides the control plane: rule regeneration (rules.go), the
+// self-healing loop (heal.go states its lifecycle once), state
+// snapshots (state.go) and the worker fleet (fleet.go).
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/toltiers/toltiers/internal/admit"
@@ -34,7 +36,6 @@ import (
 	"github.com/toltiers/toltiers/internal/drift"
 	"github.com/toltiers/toltiers/internal/fleet"
 	"github.com/toltiers/toltiers/internal/profile"
-	"github.com/toltiers/toltiers/internal/rulegen"
 	"github.com/toltiers/toltiers/internal/service"
 	"github.com/toltiers/toltiers/internal/state"
 	"github.com/toltiers/toltiers/internal/tiers"
@@ -57,7 +58,9 @@ type Config struct {
 	// overwritten with the node's drift monitor.
 	Dispatch dispatch.Options
 	// Drift configures the drift monitor (zero = constructed but
-	// disabled; POST /drift/config can enable it at runtime).
+	// disabled; POST /drift/config can enable it at runtime). With
+	// AutoReprofile set, a confirmed shift starts a heal; heal.go
+	// states the lifecycle.
 	Drift drift.Config
 	// Admission configures the admission-and-overload layer (zero =
 	// constructed but disabled; POST /admission/config can enable it at
@@ -80,10 +83,10 @@ type Config struct {
 	// disables the loop entirely — Check is then never called).
 	DriftInterval time.Duration
 	// Reprofile carries the rule-generation parameters of
-	// drift-triggered jobs (Apply is forced on; zero values use the
-	// generator defaults). It is validated at construction —
-	// NewWithConfig panics on an invalid request rather than letting
-	// every future heal fail at trigger time.
+	// drift-triggered jobs (Apply is ignored: a heal stages its tables
+	// for a trial; zero values use the generator defaults). It is
+	// validated at construction — NewWithConfig panics on an invalid
+	// request rather than letting every future heal fail at trigger time.
 	Reprofile api.RuleGenRequest
 	// StateDir, when non-empty, makes the node persist a state snapshot
 	// (matrix, rule tables, drift baselines, heal history) atomically on
@@ -105,11 +108,9 @@ type Config struct {
 	Fleet *fleet.Options
 }
 
-// defaultDriftInterval is the drift loop cadence when Config leaves it
-// zero.
-const defaultDriftInterval = 2 * time.Second
-
-// Server serves one registry over a request corpus.
+// Server serves one registry over a request corpus. Everything about a
+// heal in flight — loop, candidate, last error — lives behind heal
+// (see heal.go).
 type Server struct {
 	// regMu guards the serving registry and its fleet version fence:
 	// every promotion swaps both together, so a resolve observes one
@@ -154,41 +155,16 @@ type Server struct {
 	job    *ruleJob
 	jobSeq int
 
-	// mon watches live telemetry for distribution shifts; the drift
-	// loop ticks it and runs the self-healing re-profile (see drift.go).
-	// The loop goroutine starts lazily on the first enable (construction
-	// or POST /drift/config) so handler-only servers never spawn one;
-	// loopMu guards the started/closed transitions, and driftCtx bounds
-	// the loop's profiling work so Close never waits on a stalled
-	// backend.
+	// mon watches live telemetry for distribution shifts (it is the
+	// dispatcher's Observer); heal ticks it and owns the self-healing
+	// loop it gates.
 	mon           *drift.Monitor
 	hedgeQuantile float64 // quantile both the trackers and drift baselines use
-	reprofileReq  api.RuleGenRequest
-	driftStop     chan struct{}
-	driftDone     chan struct{}
-	driftCtx      context.Context
-	driftCancel   context.CancelFunc
-	loopMu        sync.Mutex
-	loopStarted   bool
-	loopClosed    bool
-	driftErrMu    sync.Mutex
-	lastDriftErr  string
-	driftInterval time.Duration
-
-	// canary is the staged heal serving its deterministic traffic slice
-	// (nil = no trial; see canary.go); canarySeq strides anonymous
-	// traffic into the slice.
-	canary    atomic.Pointer[canaryState]
-	canarySeq atomic.Uint64
+	heal          *healer
 
 	// stateDir is Config.StateDir: where promotions and Close persist
 	// the node's state snapshot ("" = persistence off; see state.go).
 	stateDir string
-
-	// healTableHook, when set (tests only), rewrites a drift job's
-	// generated tables before they stage — the seam that lets the
-	// rollback end-to-end test serve a deliberately bad candidate.
-	healTableHook func([]rulegen.RuleTable) []rulegen.RuleTable
 }
 
 // New builds the HTTP handler. The /rules endpoints answer 503 without
@@ -235,14 +211,7 @@ func NewWithConfig(reg *tiers.Registry, reqs []*service.Request, cfg Config) *Se
 		s.pool = fleet.NewPool(*cfg.Fleet)
 		s.pool.SetVersion(s.tableVer)
 	}
-	s.reprofileReq = cfg.Reprofile
-	s.reprofileReq.Apply = true
-	if _, err := ruleGenParams(s.reprofileReq); err != nil {
-		// A broken self-heal request would otherwise only surface when a
-		// heal is finally needed — and then fail on every retry. This is
-		// a programming error; fail loudly at construction.
-		panic(fmt.Sprintf("server: invalid Config.Reprofile: %v", err))
-	}
+	s.heal = newHealer(s, cfg)
 
 	dopts := cfg.Dispatch
 	dopts.Observer = s.mon
@@ -288,61 +257,20 @@ func NewWithConfig(reg *tiers.Registry, reqs []*service.Request, cfg Config) *Se
 	}
 	s.mux = mux
 
-	s.driftInterval = cfg.DriftInterval
-	if s.driftInterval == 0 {
-		s.driftInterval = defaultDriftInterval
-	}
-	s.driftStop = make(chan struct{})
-	s.driftDone = make(chan struct{})
-	s.driftCtx, s.driftCancel = context.WithCancel(context.Background())
 	if cfg.Drift.Enabled {
-		s.ensureDriftLoop()
+		s.heal.ensureLoop()
 	}
 	return s
 }
 
-// ensureDriftLoop starts the drift-check goroutine once, on the first
-// enable. A negative configured interval disables the loop entirely
-// (Check is then never called); a closed server never starts one.
-func (s *Server) ensureDriftLoop() {
-	if s.driftInterval < 0 {
-		return
-	}
-	s.loopMu.Lock()
-	defer s.loopMu.Unlock()
-	if s.loopStarted || s.loopClosed {
-		return
-	}
-	s.loopStarted = true
-	go s.driftLoop()
-}
-
-// Close stops the drift loop, cancelling any re-profile it is running
-// (an in-flight rule-generation job keeps running; cancel it via
-// DELETE /rules/generate if needed), tears down any live canary trial
-// (the incumbent was never displaced, so nothing needs rolling back),
-// and — with Config.StateDir set — writes a final state snapshot. The
-// HTTP handler stays usable.
+// Close stops the self-healing loop — cancelling a re-profile it is
+// running and ending any heal in flight as failed (heal.go says what
+// that means in each phase; an in-flight rule-generation job keeps
+// running, cancel it via DELETE /rules/generate if needed) — and, with
+// Config.StateDir set, writes a final state snapshot. The HTTP handler
+// stays usable, and closing again only rewrites the snapshot.
 func (s *Server) Close() {
-	s.loopMu.Lock()
-	started := s.loopStarted
-	closing := !s.loopClosed
-	if closing {
-		s.loopClosed = true
-		close(s.driftStop)
-		s.driftCancel()
-	}
-	s.loopMu.Unlock()
-	if started {
-		<-s.driftDone
-	}
-	if !closing {
-		return
-	}
-	if cs := s.canary.Swap(nil); cs != nil {
-		s.restoreHedgeBoost()
-		s.mon.FinishHeal(time.Now(), drift.HealFailed, "shutdown during canary trial")
-	}
+	s.heal.close()
 	if s.pool != nil {
 		s.pool.Close()
 	}
@@ -368,7 +296,7 @@ func (s *Server) Coalescer() *coalesce.Coalescer { return s.coal }
 func (s *Server) Recorder() *trace.Recorder { return s.rec }
 
 // trainingMatrix returns the matrix backing rule generation (nil
-// disables the endpoints); a successful drift re-profile swaps it.
+// disables the endpoints); a promoted heal swaps in its re-profile.
 func (s *Server) trainingMatrix() *profile.Matrix {
 	s.jobMu.Lock()
 	defer s.jobMu.Unlock()
@@ -409,21 +337,23 @@ func (s *Server) TableVersion() int64 {
 // made this node a front tier).
 func (s *Server) Fleet() *fleet.Pool { return s.pool }
 
-// installPromoted makes reg the serving registry under a new version
-// fence. With a fleet pool attached, the fence comes from the pool's
-// Promote — which starts the rolling push to workers before the front
-// tier itself swaps, so a worker joining mid-promotion already sees the
-// new version and resyncs — otherwise the version increments locally
-// (the single-node case keeps the dispatch header meaningful). Every
-// promotion (see promote) funnels through here.
-func (s *Server) installPromoted(reg *tiers.Registry) {
+// promote is the node's one promotion sequence — a manual apply and a
+// canary win both run it: make reg the serving registry under a new
+// version fence and mark job applied. With a fleet pool attached, the
+// fence comes from the pool's Promote — which starts the rolling push
+// to workers before the front tier itself swaps, so a worker joining
+// mid-promotion already sees the new version and resyncs — otherwise
+// the version increments locally (the single-node case keeps the
+// dispatch header meaningful). The caller persists: saveState for a
+// manual apply, the heal's finish for a canary win.
+func (s *Server) promote(reg *tiers.Registry, job *ruleJob) {
 	var ver int64
 	if s.pool != nil {
 		v, err := s.pool.Promote(tablesOf(reg))
 		if err != nil {
 			// An unencodable table set cannot ship to workers; serve it
 			// locally under a locally-bumped fence and surface the error.
-			s.setDriftErr("fleet promote: " + err.Error())
+			s.heal.setErr("fleet promote: " + err.Error())
 		} else {
 			ver = v
 		}
@@ -435,6 +365,9 @@ func (s *Server) installPromoted(reg *tiers.Registry) {
 	s.reg = reg
 	s.tableVer = ver
 	s.regMu.Unlock()
+	s.jobMu.Lock()
+	job.applied = true
+	s.jobMu.Unlock()
 }
 
 // ServeHTTP implements http.Handler.

@@ -10,8 +10,8 @@ import (
 
 // Crash-safe persistence: with Config.StateDir set, the node writes a
 // versioned state snapshot — training matrix, active rule tables, drift
-// baselines, heal history — atomically on every promotion (see promote:
-// before the promotion is published) and on Close. A restarted node
+// baselines, heal history — atomically on every promotion (a heal's
+// before it is published; see heal.go) and on Close. A restarted node
 // hands the loaded snapshot back through Config.Restore (ttserver
 // -state-dir does both), resuming from its healed state with zero
 // re-profiling. The snapshot is a cache: any load failure falls back to
@@ -67,7 +67,7 @@ func (s *Server) saveState(promoted *drift.HealRecord) {
 		return
 	}
 	if err := state.Save(StatePath(s.stateDir), snap); err != nil {
-		s.setDriftErr("state snapshot: " + err.Error())
+		s.heal.setErr("state snapshot: " + err.Error())
 	}
 }
 

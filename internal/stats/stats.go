@@ -109,6 +109,33 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
 
+// Ring is a fixed-capacity sliding window of samples for off-path
+// latency quantiles (fleet routing, canary arms): Add overwrites the
+// oldest sample once full and never allocates. Not safe for concurrent
+// use; build one with NewRing.
+type Ring struct {
+	buf []float64
+	n   int // samples ever added
+}
+
+// NewRing returns a ring holding the most recent size samples.
+func NewRing(size int) Ring { return Ring{buf: make([]float64, size)} }
+
+// Add records one sample, displacing the oldest when the ring is full.
+func (r *Ring) Add(x float64) {
+	r.buf[r.n%len(r.buf)] = x
+	r.n++
+}
+
+// Len is the number of samples currently held.
+func (r *Ring) Len() int { return min(r.n, len(r.buf)) }
+
+// Quantile is the q-quantile of the held samples (0 when empty).
+func (r *Ring) Quantile(q float64) float64 {
+	v, _ := Quantile(r.buf[:r.Len()], q) // the only error is the empty window
+	return v
+}
+
 // ZScores standardizes xs: (x - mean) / stddev. When the standard
 // deviation is zero (all observations equal) every z-score is zero,
 // matching scipy.stats.zscore's behaviour of returning non-informative
