@@ -40,10 +40,10 @@ func ParseRetryAfter(value string, now time.Time) time.Duration {
 // when present (the admission layer sends both), the standard
 // Retry-After — seconds or HTTP-date — otherwise. 0 means no hint.
 func RetryAfterHint(h http.Header, now time.Time) time.Duration {
-	if ms := h.Get("X-Toltiers-Retry-After-MS"); ms != "" {
+	if ms := h.Get(HeaderRetryAfterMS); ms != "" {
 		if v, err := strconv.ParseFloat(ms, 64); err == nil && v > 0 {
 			return time.Duration(v * float64(time.Millisecond))
 		}
 	}
-	return ParseRetryAfter(h.Get("Retry-After"), now)
+	return ParseRetryAfter(h.Get(HeaderRetryAfter), now)
 }

@@ -51,13 +51,13 @@ func (c *Client) WithTenant(id string) *Client {
 // the dispatch to the caller's id — the retry wrappers mint one per
 // logical call, making every attempt of a retried request one trace.
 func (c *Client) annotate(req *http.Request, tolerance float64, objective rulegen.Objective) {
-	req.Header.Set("Tolerance", strconv.FormatFloat(tolerance, 'f', -1, 64))
-	req.Header.Set("Objective", string(objective))
+	req.Header.Set(api.HeaderTolerance, strconv.FormatFloat(tolerance, 'f', -1, 64))
+	req.Header.Set(api.HeaderObjective, string(objective))
 	if c.tenant != "" {
-		req.Header.Set("Tenant", c.tenant)
+		req.Header.Set(api.HeaderTenant, c.tenant)
 	}
 	if id := trace.IDFromContext(req.Context()); id != 0 {
-		req.Header.Set(trace.Header, trace.FormatID(id))
+		req.Header.Set(api.HeaderTrace, trace.FormatID(id))
 	}
 }
 

@@ -3,12 +3,13 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"time"
+
+	"github.com/toltiers/toltiers/internal/api"
 )
 
 // maxProxyResponse bounds how much of a worker response the front tier
@@ -25,41 +26,14 @@ type proxyResult struct {
 	body   []byte
 }
 
-// deadlineProbe pulls the deadline out of a dispatch or batch body just
-// far enough for tier accounting; both wire shapes carry deadline_ms at
-// the top level (batch deadlines ride per-request, so the batch probe
-// uses the first request's).
-type deadlineProbe struct {
-	DeadlineMS float64 `json:"deadline_ms"`
-	Requests   []struct {
-		DeadlineMS float64 `json:"deadline_ms"`
-	} `json:"requests"`
-}
-
-func probeDeadline(body []byte) float64 {
-	var p deadlineProbe
-	if err := json.Unmarshal(body, &p); err != nil {
-		return 0
-	}
-	if p.DeadlineMS > 0 {
-		return p.DeadlineMS
-	}
-	for _, r := range p.Requests {
-		if r.DeadlineMS > 0 {
-			return r.DeadlineMS
-		}
-	}
-	return 0
-}
-
 // tierKey labels the request's tier for autoscale accounting, from the
 // same annotation headers §IV-A dispatch resolves.
 func tierKey(hdr http.Header) string {
-	tol := hdr.Get("Tolerance")
+	tol := hdr.Get(api.HeaderTolerance)
 	if tol == "" {
 		return ""
 	}
-	obj := hdr.Get("Objective")
+	obj := hdr.Get(api.HeaderObjective)
 	if obj == "" {
 		obj = "response-time"
 	}
@@ -84,7 +58,7 @@ const failoverAttempts = 3
 // 4xx/429 are relayed as-is — they are the worker's answer, not a
 // worker failure.
 func (p *Pool) Proxy(ctx context.Context, w http.ResponseWriter, hdr http.Header, path string, body []byte) bool {
-	cands := p.candidates(hdr.Get("Tenant"))
+	cands := p.candidates(hdr.Get(api.HeaderTenant))
 	if len(cands) == 0 {
 		p.mu.Lock()
 		p.fallback++
@@ -93,7 +67,7 @@ func (p *Pool) Proxy(ctx context.Context, w http.ResponseWriter, hdr http.Header
 	}
 	attempts := min(failoverAttempts, len(cands))
 	tier := tierKey(hdr)
-	deadlineMS := probeDeadline(body)
+	deadlineMS := api.ProbeDeadline(body) // both wire shapes carry it at the top level
 
 	for tried := 0; tried < attempts && len(cands) > 0; tried++ {
 		m := cands[0]
@@ -180,7 +154,7 @@ func (p *Pool) tryWorker(ctx context.Context, m *member, path string, hdr http.H
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	for _, k := range []string{"Tolerance", "Objective", "Tenant"} {
+	for _, k := range []string{api.HeaderTolerance, api.HeaderObjective, api.HeaderTenant} {
 		if v := hdr.Get(k); v != "" {
 			req.Header.Set(k, v)
 		}
@@ -205,11 +179,11 @@ func (p *Pool) tryWorker(ctx context.Context, m *member, path string, hdr http.H
 func relay(w http.ResponseWriter, worker string, res *proxyResult) {
 	out := w.Header()
 	for k, vv := range res.header {
-		if k == "Content-Type" || k == "Retry-After" || strings.HasPrefix(k, "X-Toltiers-") {
+		if k == api.HeaderContentType || k == api.HeaderRetryAfter || strings.HasPrefix(k, api.HeaderPrefix) {
 			out[k] = append([]string(nil), vv...)
 		}
 	}
-	out.Set("X-Toltiers-Worker", worker)
+	out.Set(api.HeaderWorker, worker)
 	w.WriteHeader(res.status)
 	_, _ = w.Write(res.body)
 }

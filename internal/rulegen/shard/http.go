@@ -120,7 +120,7 @@ func (t *HTTPTransport) post(ctx context.Context, body []byte) (BatchResponse, t
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	if id := trace.IDFromContext(ctx); id != 0 {
-		hreq.Header.Set(trace.Header, trace.FormatID(id))
+		hreq.Header.Set(api.HeaderTrace, trace.FormatID(id))
 	}
 	client := t.Client
 	if client == nil {
@@ -135,7 +135,7 @@ func (t *HTTPTransport) post(ctx context.Context, body []byte) (BatchResponse, t
 		msg, _ := io.ReadAll(io.LimitReader(hresp.Body, 4096))
 		drainBody(hresp.Body)
 		transient := api.TransientStatus(hresp.StatusCode)
-		retryAfter := api.ParseRetryAfter(hresp.Header.Get("Retry-After"), time.Now())
+		retryAfter := api.ParseRetryAfter(hresp.Header.Get(api.HeaderRetryAfter), time.Now())
 		return BatchResponse{}, retryAfter, transient,
 			fmt.Errorf("shard: worker %s: status %d: %s", t.Base, hresp.StatusCode, bytes.TrimSpace(msg))
 	}

@@ -13,6 +13,7 @@ import (
 	"github.com/toltiers/toltiers/internal/coalesce"
 	"github.com/toltiers/toltiers/internal/dispatch"
 	"github.com/toltiers/toltiers/internal/rulegen"
+	"github.com/toltiers/toltiers/internal/tiers"
 )
 
 // Admission endpoints and the admit stage of the tier-execution path.
@@ -25,7 +26,7 @@ import (
 // travels in the Tenant header ("" = the default tenant). Sheds answer
 // 429 (token bucket) or 503 (capacity, unmeetable deadline) with a
 // Retry-After header in whole seconds (rounded up) and the precise hint
-// in X-Toltiers-Retry-After-MS; a brownout downgrade re-resolves the
+// in X-Toltiers-Retry-After-Ms; a brownout downgrade re-resolves the
 // window at the cheaper brownout tier and marks the responses
 // Downgraded.
 
@@ -70,6 +71,17 @@ func (e *shedError) Error() string {
 	return "admission: " + e.dec.Verdict.String() + " (retry after " + e.dec.RetryAfter.String() + ")"
 }
 
+// tierOf recovers the objective and tolerance a tier key names: from
+// reg's index when reg rendered the key — every ticket of the serving
+// table, i.e. every window but a canary's or one caught mid-promotion —
+// and by parsing it otherwise.
+func tierOf(reg *tiers.Registry, key string) (rulegen.Objective, float64, bool) {
+	if t, ok := reg.TierByKey(key); ok {
+		return t.Objective, t.Tolerance, true
+	}
+	return splitTierKey(key)
+}
+
 // splitTierKey inverts dispatch.TierKey ("objective/tolerance"):
 // objectives never contain '/', so the last slash is the separator.
 // TierKey renders the tolerance with %g, which round-trips exactly.
@@ -110,10 +122,11 @@ func splitTierKey(tier string) (rulegen.Objective, float64, bool) {
 // brownout transitions drop nothing: in-flight windows hold their slot
 // and complete under the policy they were admitted with.
 func (s *Server) admitWindow(n int, t dispatch.Ticket) (coalesce.Grant, error) {
-	obj, tol, ok := splitTierKey(t.Tier)
+	reg := s.registry()
+	obj, tol, ok := tierOf(reg, t.Tier)
 	if !ok {
-		// Unreachable from the handlers, which build the key with
-		// TierKey; fail the window rather than dispatch unadmitted.
+		// Unreachable from the handlers, whose keys a registry rendered;
+		// fail the window rather than dispatch unadmitted.
 		return coalesce.Grant{}, fmt.Errorf("admission: malformed tier key %q", t.Tier)
 	}
 	dec := s.adm.AdmitBatch(time.Now(), t.Tenant, tol, t.Budget, s.disp.Floor(t.Policy.Primary), n)
@@ -124,13 +137,11 @@ func (s *Server) admitWindow(n int, t dispatch.Ticket) (coalesce.Grant, error) {
 	if dec.Verdict == admit.Downgrade {
 		// When the grid offers nothing cheaper than the tier already
 		// resolved, the window serves unchanged.
-		if rule, err := s.registry().Resolve(dec.Tolerance, obj); err == nil && rule.Tolerance > tol {
-			t.Tier = dispatch.TierKey(string(obj), rule.Tolerance)
-			t.Policy = rule.Candidate.Policy
-			t.Downgraded = true
-			t.Canary = false
-			g.Ticket = t
-			g.Served = resolved{tolerance: rule.Tolerance, obj: obj, ticket: t}
+		if tier, err := reg.ResolveTier(dec.Tolerance, obj); err == nil && tier.Tolerance > tol {
+			rt := resolvedTier(tier, obj, t.Tenant, t.Budget, false)
+			rt.ticket.Downgraded = true
+			g.Ticket = rt.ticket
+			g.Served = rt
 		}
 	}
 	return g, nil
@@ -144,8 +155,8 @@ func (e *shedError) write(w http.ResponseWriter) {
 	if secs < 1 {
 		secs = 1
 	}
-	w.Header().Set("Retry-After", strconv.FormatInt(int64(secs), 10))
-	w.Header().Set("X-Toltiers-Retry-After-MS",
+	w.Header().Set(api.HeaderRetryAfter, strconv.FormatInt(int64(secs), 10))
+	w.Header().Set(api.HeaderRetryAfterMS,
 		strconv.FormatFloat(float64(e.dec.RetryAfter)/float64(time.Millisecond), 'f', 3, 64))
 	httpError(w, e.dec.Verdict.StatusCode(), "%v", e)
 }

@@ -3,10 +3,11 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"github.com/toltiers/toltiers/internal/dispatch"
 	"github.com/toltiers/toltiers/internal/rulegen"
 	"github.com/toltiers/toltiers/internal/service"
+	"github.com/toltiers/toltiers/internal/tiers"
 	"github.com/toltiers/toltiers/internal/trace"
 )
 
@@ -24,7 +26,8 @@ import (
 // the endpoint, decides how it executes. So the node has one staged
 // path and three thin adapters over it:
 //
-//	parse    annotation headers + JSON body                  (parseCall)
+//	parse    body into pooled scratch, annotation headers,
+//	         then the adapter's api.Decode* of its body shape  (parseCall)
 //	resolve  rule, canary bit and version fence from a single
 //	         read, and from them the request's one ticket    (resolve)
 //	admit    a window of n requests holding that ticket      (admitWindow)
@@ -44,22 +47,119 @@ import (
 //	  -> api.DispatchResult
 //	POST /dispatch/batch  body: {"request_ids": [1234, 1235], "deadline_ms": 40}
 //	  -> api.DispatchBatchResult
-//	GET /telemetry[?tenant=acme] -> api.TelemetrySnapshot / api.TenantTelemetry
+//
+// What the path executed reads back from GET /telemetry (server.go).
 
 // resolved is a tier as it travels the staged path: the ticket the
-// dispatcher executes, plus the two rule fields a response renders that
-// the ticket only carries folded into its tier key.
+// dispatcher executes, plus the rule fields a response renders that the
+// ticket only carries folded into its tier key.
 type resolved struct {
 	tolerance float64 // of the rule, i.e. the tier served
 	obj       rulegen.Objective
+	policy    string // ticket.Policy as the registry rendered it at install
 	ticket    dispatch.Ticket
 }
 
-// parseCall is the parse stage: the §IV-A annotation headers (a missing
-// Objective defaults to response-time), then the JSON body into the
-// endpoint's request shape. Errors are already written to w.
-func parseCall(w http.ResponseWriter, r *http.Request, body any) (float64, rulegen.Objective, bool) {
-	tolHeader := r.Header.Get("Tolerance")
+// resolvedTier builds the staged-path view of a registry tier.
+func resolvedTier(t *tiers.Tier, obj rulegen.Objective, tenant string, budget time.Duration, canary bool) resolved {
+	return resolved{
+		tolerance: t.Tolerance,
+		obj:       obj,
+		policy:    t.Policy,
+		ticket: dispatch.Ticket{
+			Tier:   t.Key,
+			Tenant: tenant,
+			Policy: t.Candidate.Policy,
+			Budget: budget,
+			Canary: canary,
+		},
+	}
+}
+
+// maxBatchItems bounds one POST /dispatch/batch body; larger workloads
+// split into multiple batches (the amortization has long flattened out
+// by this size).
+const maxBatchItems = 4096
+
+// maxCallBody caps the body of a tier-execution call: room for
+// maxBatchItems ids of 20 digits with their separators, plus the rest of
+// the object. A longer body answers 413.
+const maxCallBody = 1<<10 + 24*maxBatchItems
+
+// maxPooledBuf is the largest scratch buffer kept for reuse; one grown
+// past it by a rare huge batch is dropped, so the pool cannot pin the
+// peak.
+const maxPooledBuf = 64 << 10
+
+// scratch is the working memory of one tier-execution call, recycled
+// across calls: buf holds the request body and then the rendered
+// response, the slices the batch adapter's window.
+type scratch struct {
+	buf     []byte
+	ids     []int
+	reqs    []*service.Request
+	outs    []dispatch.Outcome
+	errs    []error
+	items   []api.DispatchBatchItem
+	classes []int
+}
+
+var scratches = sync.Pool{New: func() any { return &scratch{buf: make([]byte, 0, 1024)} }}
+
+func (sc *scratch) release() {
+	if cap(sc.buf) > maxPooledBuf {
+		sc.buf = nil
+	}
+	scratches.Put(sc)
+}
+
+// readBody reads the whole request body into sc.buf. A body over
+// maxCallBody is answered 413, a failed read 400. (The loop is
+// bytes.Buffer.ReadFrom spelled out: through that call the buffer and
+// the capped reader escape, two allocations per request.)
+func (sc *scratch) readBody(w http.ResponseWriter, r *http.Request) bool {
+	body := http.MaxBytesReader(w, r.Body, maxCallBody)
+	b := sc.buf[:0]
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == nil {
+			continue
+		}
+		sc.buf = b
+		if err == io.EOF {
+			return true
+		}
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			httpError(w, http.StatusRequestEntityTooLarge, "body exceeds the %d-byte limit", tooLarge.Limit)
+		} else {
+			badBody(w, err)
+		}
+		return false
+	}
+}
+
+// parseCall is the parse stage: the request body into sc.buf, then the
+// §IV-A annotation headers (a missing Objective defaults to
+// response-time). A front tier offers the call to its worker fleet in
+// between (path non-empty; /compute is never offered): the fleet is the
+// capacity, the local path the fallback when no worker can serve. !ok
+// means the response is written — an error, or a worker's answer. The
+// adapter decodes sc.buf into its own request shape.
+func (s *Server) parseCall(w http.ResponseWriter, r *http.Request, sc *scratch, path string) (float64, rulegen.Objective, bool) {
+	if !sc.readBody(w, r) {
+		return 0, "", false
+	}
+	// The transport may still be writing a body when a failed round trip
+	// returns, so it gets a copy to keep rather than the pooled bytes.
+	if path != "" && s.pool != nil && s.pool.Proxy(r.Context(), w, r.Header, path, bytes.Clone(sc.buf)) {
+		return 0, "", false
+	}
+	tolHeader := r.Header.Get(api.HeaderTolerance)
 	if tolHeader == "" {
 		httpError(w, http.StatusBadRequest, "missing Tolerance header")
 		return 0, "", false
@@ -69,7 +169,7 @@ func parseCall(w http.ResponseWriter, r *http.Request, body any) (float64, ruleg
 		httpError(w, http.StatusBadRequest, "invalid Tolerance header %q", tolHeader)
 		return 0, "", false
 	}
-	objHeader := r.Header.Get("Objective")
+	objHeader := r.Header.Get(api.HeaderObjective)
 	if objHeader == "" {
 		objHeader = string(rulegen.MinimizeLatency)
 	}
@@ -78,11 +178,12 @@ func parseCall(w http.ResponseWriter, r *http.Request, body any) (float64, ruleg
 		httpError(w, http.StatusBadRequest, "invalid Objective header %q", objHeader)
 		return 0, "", false
 	}
-	if err := json.NewDecoder(r.Body).Decode(body); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
-		return 0, "", false
-	}
 	return tol, obj, true
+}
+
+// badBody answers a body the endpoint's decoder refused.
+func badBody(w http.ResponseWriter, err error) {
+	httpError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
 }
 
 // parseBudget converts a request's deadline_ms into a Duration budget.
@@ -116,23 +217,13 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request, tol float64, ob
 	if !ok {
 		return resolved{}, 0, false
 	}
-	tenant := r.Header.Get("Tenant")
-	rule, isCanary, tableVer, err := s.resolveRule(tol, obj, tenant)
+	tenant := r.Header.Get(api.HeaderTenant)
+	tier, isCanary, tableVer, err := s.resolveRule(tol, obj, tenant)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, "%v", err)
 		return resolved{}, 0, false
 	}
-	return resolved{
-		tolerance: rule.Tolerance,
-		obj:       obj,
-		ticket: dispatch.Ticket{
-			Tier:   dispatch.TierKey(string(obj), rule.Tolerance),
-			Tenant: tenant,
-			Policy: rule.Candidate.Policy,
-			Budget: budget,
-			Canary: isCanary,
-		},
-	}, tableVer, true
+	return resolvedTier(tier, obj, tenant, budget, isCanary), tableVer, true
 }
 
 // lookup finds a corpus request by ID; a miss is already answered 404.
@@ -142,6 +233,23 @@ func (s *Server) lookup(w http.ResponseWriter, id int) (*service.Request, bool) 
 		httpError(w, http.StatusNotFound, "request_id %d not in corpus", id)
 	}
 	return req, found
+}
+
+// traceContext is the request's context carrying its trace id. The id
+// travels in the X-Toltiers-Trace request header — the client's, or the
+// one Instrument minted — so only the calls that dispatch pay for a
+// context, and nobody for a cloned request.
+func traceContext(r *http.Request) context.Context {
+	if id := traceID(r); id != 0 {
+		return trace.ContextWithID(r.Context(), id)
+	}
+	return r.Context()
+}
+
+// traceID is the request's trace id, 0 when it carries none.
+func traceID(r *http.Request) uint64 {
+	id, _ := trace.ParseID(r.Header.Get(api.HeaderTrace))
+	return id
 }
 
 // dispatchOne admits and executes a window of one. On a coalescing node
@@ -183,21 +291,23 @@ func (s *Server) renderFailure(w http.ResponseWriter, r *http.Request, t dispatc
 		return
 	}
 	if s.rec != nil {
-		s.rec.RecordShed(trace.IDFromContext(r.Context()), t.Tier, t.Tenant, shedAdmitCode(sh.dec.Verdict))
+		s.rec.RecordShed(traceID(r), t.Tier, t.Tenant, shedAdmitCode(sh.dec.Verdict))
 	}
 	sh.write(w)
 }
 
-// dispatchResult is the render stage: one dispatched outcome under the
-// tier that served it (policy is rt.ticket.Policy rendered once per
-// response). /compute answers with the embedded ComputeResult alone.
-func dispatchResult(req *service.Request, out *dispatch.Outcome, rt *resolved, policy string) api.DispatchResult {
+// dispatchResult is the render stage's wire struct: one dispatched
+// outcome under the tier that served it. A vision answer's Class is the
+// caller's to attach, so that the int it points at can live on the
+// caller's stack or in its scratch. /compute answers with the embedded
+// ComputeResult alone.
+func dispatchResult(req *service.Request, out *dispatch.Outcome, rt *resolved) api.DispatchResult {
 	res := api.DispatchResult{
 		ComputeResult: api.ComputeResult{
 			Confidence: out.Result.Confidence,
 			Tier:       rt.tolerance,
 			Objective:  string(rt.obj),
-			Policy:     policy,
+			Policy:     rt.policy,
 			LatencyMS:  float64(out.Latency) / float64(time.Millisecond),
 			CostUSD:    out.InvCost,
 			Escalated:  out.Escalated,
@@ -211,30 +321,76 @@ func dispatchResult(req *service.Request, out *dispatch.Outcome, rt *resolved, p
 	}
 	if req.Utterance != nil {
 		res.Transcript = out.Result.Transcript
-	} else {
-		c := out.Result.Class
-		res.Class = &c
 	}
 	return res
 }
 
 // single runs one corpus request down the staged path for the two
-// single-request adapters. On !ok the response is already written.
-func (s *Server) single(w http.ResponseWriter, r *http.Request, tol float64, obj rulegen.Objective, id int, deadlineMS float64) (res api.DispatchResult, tableVer int64, ok bool) {
+// single-request adapters and answers it: the whole DispatchResult, or
+// for /compute the embedded ComputeResult alone, each with its
+// accounting headers.
+func (s *Server) single(w http.ResponseWriter, r *http.Request, sc *scratch, tol float64, obj rulegen.Objective, id int, deadlineMS float64, computeOnly bool) {
 	rt, tableVer, ok := s.resolve(w, r, tol, obj, deadlineMS)
 	if !ok {
-		return res, 0, false
+		return
 	}
 	req, ok := s.lookup(w, id)
 	if !ok {
-		return res, 0, false
+		return
 	}
-	out, rt, err := s.dispatchOne(r.Context(), req, rt)
+	out, rt, err := s.dispatchOne(traceContext(r), req, rt)
 	if err != nil {
 		s.renderFailure(w, r, rt.ticket, err)
-		return res, 0, false
+		return
 	}
-	return dispatchResult(req, &out, &rt, rt.ticket.Policy.String()), tableVer, true
+	res, class := dispatchResult(req, &out, &rt), out.Result.Class
+	if req.Utterance == nil {
+		res.Class = &class // both stay on this stack
+	}
+	if computeOnly {
+		sc.buf, err = api.AppendComputeResult(sc.buf[:0], &res.ComputeResult)
+	} else {
+		sc.buf, err = api.AppendDispatchResult(sc.buf[:0], &res)
+	}
+	if err != nil {
+		// Nothing is written yet, so an answer that cannot be rendered
+		// (a backend reporting a non-finite number) is a clean 500
+		// rather than a 200 with an empty body.
+		httpError(w, http.StatusInternalServerError, "encode result: %v", err)
+		return
+	}
+	// The header strings come from rt and out, not from res: a string
+	// of res handed on would take res, and with it class, to the heap.
+	var num [2][24]byte // on the stack, where FormatFloat's scratch is not
+	latency := string(strconv.AppendFloat(num[0][:0], res.LatencyMS, 'f', 3, 64))
+	if computeOnly {
+		writeJSON(w, sc.buf,
+			api.HeaderPolicy, rt.policy,
+			api.HeaderLatencyMS, latency,
+			api.HeaderCostUSD, string(strconv.AppendFloat(num[1][:0], res.CostUSD, 'f', 6, 64)))
+	} else {
+		writeJSON(w, sc.buf,
+			api.HeaderPolicy, rt.policy,
+			api.HeaderBackend, out.Backend,
+			api.HeaderLatencyMS, latency,
+			api.HeaderTableVersion, strconv.FormatInt(tableVer, 10))
+	}
+}
+
+// writeJSON sends a rendered body with its accounting headers, given as
+// name/value pairs under the canonical names of internal/api. The values
+// share one backing array and index the map directly: one allocation,
+// no canonicalisation pass.
+func writeJSON(w http.ResponseWriter, body []byte, kv ...string) {
+	h := w.Header()
+	vals := make([]string, 1+len(kv)/2)
+	vals[0] = api.ContentTypeJSON
+	h[api.HeaderContentType] = vals[0:1:1]
+	for i := 1; i < len(vals); i++ {
+		vals[i] = kv[2*i-1]
+		h[kv[2*i-2]] = vals[i : i+1 : i+1]
+	}
+	_, _ = w.Write(body)
 }
 
 // handleCompute is the paper's §IV-A endpoint: the staged path with no
@@ -243,88 +399,49 @@ func (s *Server) single(w http.ResponseWriter, r *http.Request, tol float64, obj
 // the coalescer like /dispatch — the two endpoints build the same ticket
 // for the same annotation, so their requests share windows.
 func (s *Server) handleCompute(w http.ResponseWriter, r *http.Request) {
+	sc := scratches.Get().(*scratch)
+	defer sc.release()
+	tol, obj, ok := s.parseCall(w, r, sc, "")
+	if !ok {
+		return
+	}
 	var body api.ComputeRequest
-	tol, obj, ok := parseCall(w, r, &body)
-	if !ok {
+	if err := api.DecodeCompute(sc.buf, &body); err != nil {
+		badBody(w, err)
 		return
 	}
-	res, _, ok := s.single(w, r, tol, obj, body.RequestID, 0)
-	if !ok {
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Toltiers-Policy", res.Policy)
-	w.Header().Set("X-Toltiers-Latency-MS", strconv.FormatFloat(res.LatencyMS, 'f', 3, 64))
-	w.Header().Set("X-Toltiers-Cost-USD", strconv.FormatFloat(res.CostUSD, 'f', 6, 64))
-	_ = json.NewEncoder(w).Encode(res.ComputeResult)
+	s.single(w, r, sc, tol, obj, body.RequestID, 0, true)
 }
 
 func (s *Server) handleDispatch(w http.ResponseWriter, r *http.Request) {
-	// Front tier: route to the worker fleet before local admission —
-	// the fleet is the capacity; the local path is the fallback when no
-	// worker can serve.
-	if s.pool != nil && s.proxyDispatch(w, r, "/dispatch") {
+	sc := scratches.Get().(*scratch)
+	defer sc.release()
+	tol, obj, ok := s.parseCall(w, r, sc, "/dispatch")
+	if !ok {
 		return
 	}
 	var body api.DispatchRequest
-	tol, obj, ok := parseCall(w, r, &body)
-	if !ok {
+	if err := api.DecodeDispatch(sc.buf, &body); err != nil {
+		badBody(w, err)
 		return
 	}
-	res, tableVer, ok := s.single(w, r, tol, obj, body.RequestID, body.DeadlineMS)
-	if !ok {
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Toltiers-Policy", res.Policy)
-	w.Header().Set("X-Toltiers-Backend", res.Backend)
-	w.Header().Set("X-Toltiers-Latency-MS", strconv.FormatFloat(res.LatencyMS, 'f', 3, 64))
-	w.Header().Set("X-Toltiers-Table-Version", strconv.FormatInt(tableVer, 10))
-	_ = json.NewEncoder(w).Encode(res)
+	s.single(w, r, sc, tol, obj, body.RequestID, body.DeadlineMS, false)
 }
-
-// handleTelemetry serves the global snapshot (with its per-tenant
-// rollup), or a single tenant's partition when ?tenant= names one.
-func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if tenant := r.URL.Query().Get("tenant"); tenant != "" {
-		_ = json.NewEncoder(w).Encode(s.disp.TenantSnapshot(tenant))
-		return
-	}
-	_ = json.NewEncoder(w).Encode(s.disp.Snapshot())
-}
-
-// maxBatchItems bounds one POST /dispatch/batch body; larger workloads
-// split into multiple batches (the amortization has long flattened out
-// by this size).
-const maxBatchItems = 4096
-
-// batchEncoder pools the JSON encoding machinery of the batch endpoint:
-// a batch response is the one payload the server emits at high fan-out
-// (thousands of items per body), so its buffer and scratch slices are
-// recycled instead of reallocated per request.
-type batchEncoder struct {
-	buf   bytes.Buffer
-	enc   *json.Encoder
-	reqs  []*service.Request
-	outs  []dispatch.Outcome
-	errs  []error
-	items []api.DispatchBatchItem
-}
-
-var batchEncoders = sync.Pool{New: func() any {
-	e := &batchEncoder{}
-	e.enc = json.NewEncoder(&e.buf)
-	return e
-}}
 
 func (s *Server) handleDispatchBatch(w http.ResponseWriter, r *http.Request) {
-	if s.pool != nil && s.proxyDispatch(w, r, "/dispatch/batch") {
+	sc := scratches.Get().(*scratch)
+	defer sc.release()
+	tol, obj, ok := s.parseCall(w, r, sc, "/dispatch/batch")
+	if !ok {
 		return
 	}
-	var body api.DispatchBatchRequest
-	tol, obj, ok := parseCall(w, r, &body)
-	if !ok {
+	body := api.DispatchBatchRequest{RequestIDs: sc.ids[:0]}
+	err := api.DecodeDispatchBatch(sc.buf, &body)
+	if body.RequestIDs != nil {
+		sc.ids = body.RequestIDs[:0]
+	}
+	if err != nil {
+		badBody(w, err)
 		return
 	}
 	if len(body.RequestIDs) == 0 {
@@ -340,22 +457,20 @@ func (s *Server) handleDispatchBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	e := batchEncoders.Get().(*batchEncoder)
-	defer batchEncoders.Put(e)
-	e.reqs = e.reqs[:0]
+	sc.reqs = sc.reqs[:0]
 	for _, id := range body.RequestIDs {
 		req, ok := s.lookup(w, id)
 		if !ok {
 			return
 		}
-		e.reqs = append(e.reqs, req)
+		sc.reqs = append(sc.reqs, req)
 	}
 
 	// The batch is a pre-formed window: admitted as one unit, dispatched
 	// as one DoBatch.
-	g, err := s.admitWindow(len(e.reqs), rt.ticket)
+	g, err := s.admitWindow(len(sc.reqs), rt.ticket)
 	if err == nil {
-		e.outs, e.errs, err = s.disp.DoBatch(r.Context(), e.reqs, g.Ticket, e.outs, e.errs)
+		sc.outs, sc.errs, err = s.disp.DoBatch(traceContext(r), sc.reqs, g.Ticket, sc.outs, sc.errs)
 		g.Release()
 	}
 	if err != nil {
@@ -366,27 +481,29 @@ func (s *Server) handleDispatchBatch(w http.ResponseWriter, r *http.Request) {
 		rt = d
 	}
 
-	policy := rt.ticket.Policy.String()
-	resp := api.DispatchBatchResult{Items: e.items[:0]}
-	for i := range e.outs {
+	resp := api.DispatchBatchResult{Items: sc.items[:0]}
+	sc.classes = slices.Grow(sc.classes[:0], len(sc.outs))[:len(sc.outs)]
+	for i := range sc.outs {
 		var item api.DispatchBatchItem
-		if e.errs[i] != nil {
-			item.Error = e.errs[i].Error()
+		if sc.errs[i] != nil {
+			item.Error = sc.errs[i].Error()
 			resp.Failed++
 		} else {
-			item.DispatchResult = dispatchResult(e.reqs[i], &e.outs[i], &rt, policy)
+			item.DispatchResult = dispatchResult(sc.reqs[i], &sc.outs[i], &rt)
+			if sc.reqs[i].Utterance == nil {
+				sc.classes[i] = sc.outs[i].Result.Class
+				item.Class = &sc.classes[i]
+			}
 		}
 		resp.Items = append(resp.Items, item)
 	}
-	e.items = resp.Items[:0]
+	sc.items = resp.Items[:0]
 
-	e.buf.Reset()
-	if err := e.enc.Encode(resp); err != nil {
+	if sc.buf, err = api.AppendDispatchBatchResult(sc.buf[:0], &resp); err != nil {
 		httpError(w, http.StatusInternalServerError, "encode batch: %v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Toltiers-Policy", policy)
-	w.Header().Set("X-Toltiers-Table-Version", strconv.FormatInt(tableVer, 10))
-	_, _ = w.Write(e.buf.Bytes())
+	writeJSON(w, sc.buf,
+		api.HeaderPolicy, rt.policy,
+		api.HeaderTableVersion, strconv.FormatInt(tableVer, 10))
 }

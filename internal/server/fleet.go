@@ -18,32 +18,14 @@ import (
 )
 
 // Fleet glue: the front tier's control-plane handlers (register,
-// heartbeat, status, snapshot shipping), the dispatch proxy shim that
-// routes traffic into the worker pool with local fallback, the
-// worker-side fenced table-push handler, and the assembly of a serving
-// node from a shipped snapshot (cmd/ttworker's core).
+// heartbeat, status, snapshot shipping), the worker-side fenced
+// table-push handler, and the assembly of a serving node from a shipped
+// snapshot (cmd/ttworker's core). Dispatch traffic reaches the pool from
+// the parse stage (parseCall in dispatch.go).
 
-// maxProxyBody bounds a dispatch body buffered for proxying — far above
-// the largest legal batch, a backstop against unbounded reads.
-const maxProxyBody = 64 << 20
-
-// proxyDispatch buffers the request body and offers the dispatch to the
-// worker fleet. True means a worker's response was relayed (possibly
-// after transparent failover). False means the caller must serve
-// locally; the body has been restored so the local path reads the
-// request exactly as it arrived.
-func (s *Server) proxyDispatch(w http.ResponseWriter, r *http.Request, path string) bool {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBody))
-	if err != nil {
-		r.Body = io.NopCloser(bytes.NewReader(body))
-		return false
-	}
-	if s.pool.Proxy(r.Context(), w, r.Header, path, body) {
-		return true
-	}
-	r.Body = io.NopCloser(bytes.NewReader(body))
-	return false
-}
+// maxTableBody bounds a fenced table push — far above any real table
+// set, a backstop against unbounded reads.
+const maxTableBody = 64 << 20
 
 func (s *Server) handleFleetRegister(w http.ResponseWriter, r *http.Request) {
 	var req api.FleetRegisterRequest
@@ -103,7 +85,7 @@ func (s *Server) handleFleetSnapshot(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Toltiers-Table-Version", strconv.FormatInt(snap.TableVersion, 10))
+	w.Header().Set(api.HeaderTableVersion, strconv.FormatInt(snap.TableVersion, 10))
 	_, _ = w.Write(buf.Bytes())
 }
 
@@ -115,7 +97,7 @@ func (s *Server) handleFleetSnapshot(w http.ResponseWriter, _ *http.Request) {
 // the version they started with and no request observes a half-swap).
 func (s *Server) handleFleetTable(w http.ResponseWriter, r *http.Request) {
 	var upd api.FleetTableUpdate
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxProxyBody)).Decode(&upd); err != nil {
+	if err := json.NewDecoder(io.LimitReader(r.Body, maxTableBody)).Decode(&upd); err != nil {
 		httpError(w, http.StatusBadRequest, "invalid table update: %v", err)
 		return
 	}

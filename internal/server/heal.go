@@ -313,15 +313,15 @@ func (h *healer) inSlice(c *candidate, tenant string) bool {
 // back to the incumbent rather than failing traffic over a trial. The
 // third return is the fleet version fence the rule resolved under (0 for
 // canary-resolved requests: trial tables carry no fence until promoted).
-func (s *Server) resolveRule(tol float64, obj rulegen.Objective, tenant string) (rulegen.Rule, bool, int64, error) {
+func (s *Server) resolveRule(tol float64, obj rulegen.Objective, tenant string) (*tiers.Tier, bool, int64, error) {
 	if c := s.heal.cand.Load(); c != nil && s.heal.inSlice(c, tenant) {
-		if rule, err := c.reg.Resolve(tol, obj); err == nil {
-			return rule, true, 0, nil
+		if tier, err := c.reg.ResolveTier(tol, obj); err == nil {
+			return tier, true, 0, nil
 		}
 	}
 	reg, ver := s.registryAndVersion()
-	rule, err := reg.Resolve(tol, obj)
-	return rule, false, ver, err
+	tier, err := reg.ResolveTier(tol, obj)
+	return tier, false, ver, err
 }
 
 // boostHedging raises the hedging quantile of every backend implicated
@@ -340,10 +340,10 @@ func (h *healer) boostHedging() {
 		s.disp.SetHedgeQuantile(i, cfg.HedgeBoost)
 	}
 	reg := s.registry()
-	for _, tier := range s.mon.AlarmedTiers() {
-		if obj, tol, ok := splitTierKey(tier); ok {
-			if rule, err := reg.Resolve(tol, obj); err == nil {
-				s.disp.SetHedgeQuantile(rule.Candidate.Policy.Primary, cfg.HedgeBoost)
+	for _, key := range s.mon.AlarmedTiers() {
+		if obj, tol, ok := tierOf(reg, key); ok {
+			if tier, err := reg.ResolveTier(tol, obj); err == nil {
+				s.disp.SetHedgeQuantile(tier.Candidate.Policy.Primary, cfg.HedgeBoost)
 			}
 		}
 	}

@@ -11,11 +11,20 @@ import (
 	"testing"
 	"time"
 
+	"github.com/toltiers/toltiers/internal/api"
 	"github.com/toltiers/toltiers/internal/trace"
 )
 
+// routed mounts h under pattern on a fresh mux: requests are counted by
+// the pattern the wrapped handler's mux matched.
+func routed(pattern string, h http.HandlerFunc) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc(pattern, h)
+	return mux
+}
+
 func TestInstrumentCountsRequests(t *testing.T) {
-	inner := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+	inner := routed("GET /compute", func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusTeapot)
 	})
 	m := NewMetrics()
@@ -41,7 +50,7 @@ func TestInstrumentCountsRequests(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	inner := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {})
+	inner := routed("GET /x", func(w http.ResponseWriter, _ *http.Request) {})
 	m := NewMetrics()
 	ts := httptest.NewServer(Instrument(inner, m, nil))
 	defer ts.Close()
@@ -84,7 +93,7 @@ func TestInstrumentLogging(t *testing.T) {
 		}
 	}
 	// The log line's trace id must be the one echoed on the response.
-	echoed := resp.Header.Get(trace.Header)
+	echoed := resp.Header.Get(api.HeaderTrace)
 	if _, ok := trace.ParseID(echoed); !ok {
 		t.Fatalf("response trace header %q not a trace id", echoed)
 	}
@@ -96,40 +105,55 @@ func TestInstrumentLogging(t *testing.T) {
 // TestInstrumentTraceHeader pins the id contract: a parseable incoming
 // X-Toltiers-Trace is reused (retries of one logical request correlate),
 // garbage is replaced with a fresh mint, and the id reaches the wrapped
-// handler's context.
+// handler in the request header, from which the tier-execution path
+// builds its dispatch context.
 func TestInstrumentTraceHeader(t *testing.T) {
 	var gotCtx uint64
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		gotCtx = trace.IDFromContext(r.Context())
+		gotCtx = trace.IDFromContext(traceContext(r))
 	})
 	ts := httptest.NewServer(Instrument(inner, NewMetrics(), nil))
 	defer ts.Close()
 
 	id := trace.NextID()
 	req, _ := http.NewRequest("GET", ts.URL+"/tiers", nil)
-	req.Header.Set(trace.Header, trace.FormatID(id))
+	req.Header.Set(api.HeaderTrace, trace.FormatID(id))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if got := resp.Header.Get(trace.Header); got != trace.FormatID(id) {
+	if got := resp.Header.Get(api.HeaderTrace); got != trace.FormatID(id) {
 		t.Fatalf("echoed %q, want %q", got, trace.FormatID(id))
 	}
 	if gotCtx != id {
 		t.Fatalf("context id %x, want %x", gotCtx, id)
 	}
 
+	// Garbage — the all-zero id included, which has the wire form's shape
+	// but names no trace — is replaced, for the handler as on the echo.
+	for _, garbage := range []string{"not-a-trace-id", "0000000000000000"} {
+		req, _ = http.NewRequest("GET", ts.URL+"/tiers", nil)
+		req.Header.Set(api.HeaderTrace, garbage)
+		resp, err = http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		minted, ok := trace.ParseID(resp.Header.Get(api.HeaderTrace))
+		if !ok || minted == id || gotCtx != minted {
+			t.Fatalf("%q not replaced with a fresh id: echoed %q, handler saw %x", garbage, resp.Header.Get(api.HeaderTrace), gotCtx)
+		}
+	}
+	// A short or upper-case spelling keeps its id and is echoed canonically.
 	req, _ = http.NewRequest("GET", ts.URL+"/tiers", nil)
-	req.Header.Set(trace.Header, "not-a-trace-id")
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
+	req.Header.Set(api.HeaderTrace, "ABC")
+	if resp, err = http.DefaultClient.Do(req); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	minted, ok := trace.ParseID(resp.Header.Get(trace.Header))
-	if !ok || minted == id {
-		t.Fatalf("garbage header not replaced with fresh id: %q", resp.Header.Get(trace.Header))
+	if got := resp.Header.Get(api.HeaderTrace); got != trace.FormatID(0xabc) || gotCtx != 0xabc {
+		t.Fatalf("short id echoed %q, handler saw %x", got, gotCtx)
 	}
 }
 
@@ -139,9 +163,9 @@ func TestInstrumentTraceHeader(t *testing.T) {
 func TestMetricsHistogramQuantiles(t *testing.T) {
 	m := NewMetrics()
 	for i := 0; i < 100; i++ {
-		m.observe("GET /x 200", 2*time.Millisecond)
+		m.observe("GET /x", 200, 2*time.Millisecond)
 	}
-	m.observe("GET /x 200", 200*time.Millisecond)
+	m.observe("GET /x", 200, 200*time.Millisecond)
 	snap := m.Snapshot()
 	if snap.P50HandlerLatencyMS != 2.5 {
 		t.Fatalf("p50 = %v, want 2.5", snap.P50HandlerLatencyMS)
@@ -154,7 +178,7 @@ func TestMetricsHistogramQuantiles(t *testing.T) {
 	}
 	// Push the tail until p99 crosses into the 250ms bucket.
 	for i := 0; i < 10; i++ {
-		m.observe("GET /x 200", 200*time.Millisecond)
+		m.observe("GET /x", 200, 200*time.Millisecond)
 	}
 	if p := m.Snapshot().P99HandlerLatencyMS; p != 250 {
 		t.Fatalf("p99 = %v, want 250", p)
@@ -164,13 +188,11 @@ func TestMetricsHistogramQuantiles(t *testing.T) {
 // TestInstrumentPrometheus checks the middleware prepends its handler
 // families to whatever the wrapped handler writes for the exposition.
 func TestInstrumentPrometheus(t *testing.T) {
-	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/metrics/prometheus" {
-			w.Header().Set("Content-Type", "text/plain")
-			w.WriteHeader(http.StatusOK)
-			_, _ = w.Write([]byte("inner_metric 1\n"))
-			return
-		}
+	inner := routed("GET /tiers", func(http.ResponseWriter, *http.Request) {})
+	inner.HandleFunc("GET /metrics/prometheus", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain")
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write([]byte("inner_metric 1\n"))
 	})
 	m := NewMetrics()
 	ts := httptest.NewServer(Instrument(inner, m, nil))
@@ -220,7 +242,7 @@ func TestMetricsConcurrentSafety(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				m.observe("GET /x 200", 0)
+				m.observe("GET /x", 200, 0)
 				_ = m.Snapshot()
 			}
 		}()
@@ -332,15 +354,12 @@ func (b *syncBuffer) String() string {
 	return b.sb.String()
 }
 
-func TestSortedKeysAndItoa(t *testing.T) {
+func TestSortedKeys(t *testing.T) {
 	m := NewMetrics()
-	m.observe("b", 0)
-	m.observe("a", 0)
+	m.observe("GET /b", 200, 0)
+	m.observe("GET /a", 404, 0)
 	keys := m.Snapshot().SortedKeys()
-	if len(keys) != 2 || keys[0] != "a" || keys[1] != "b" {
+	if len(keys) != 2 || keys[0] != "GET /a 404" || keys[1] != "GET /b 200" {
 		t.Fatalf("keys = %v", keys)
-	}
-	if itoa(404) != "404" || itoa(0) != "0" {
-		t.Fatal("itoa wrong")
 	}
 }

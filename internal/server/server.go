@@ -400,6 +400,21 @@ func (s *Server) handleTiers(w http.ResponseWriter, _ *http.Request) {
 	_ = json.NewEncoder(w).Encode(infos)
 }
 
+// handleTelemetry serves what the tier-execution path has executed:
+//
+//	GET /telemetry[?tenant=acme] -> api.TelemetrySnapshot / api.TenantTelemetry
+//
+// the global snapshot (with its per-tenant rollup), or a single tenant's
+// partition when ?tenant= names one.
+func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	if tenant := r.URL.Query().Get("tenant"); tenant != "" {
+		_ = json.NewEncoder(w).Encode(s.disp.TenantSnapshot(tenant))
+		return
+	}
+	_ = json.NewEncoder(w).Encode(s.disp.Snapshot())
+}
+
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(api.HealthStatus{

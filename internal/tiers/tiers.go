@@ -7,9 +7,11 @@ package tiers
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
+	"github.com/toltiers/toltiers/internal/dispatch"
 	"github.com/toltiers/toltiers/internal/ensemble"
 	"github.com/toltiers/toltiers/internal/profile"
 	"github.com/toltiers/toltiers/internal/rulegen"
@@ -20,13 +22,48 @@ import (
 type Registry struct {
 	svc    *service.Service
 	tables map[rulegen.Objective]rulegen.RuleTable
+	// tiers holds each table's rules in table order, with the strings a
+	// serving node renders from them; byKey indexes them by tier key.
+	tiers map[rulegen.Objective][]Tier
+	byKey map[string]*Tier
+}
+
+// Tier is one rule of an installed table together with the two strings
+// every ticket, response and telemetry row of the tier carries. They are
+// rendered here, once per installed table, not per request.
+type Tier struct {
+	rulegen.Rule
+	// Key is dispatch.TierKey of the rule's objective and tolerance.
+	Key string
+	// Policy is Rule.Candidate.Policy.String().
+	Policy string
 }
 
 // NewRegistry builds a registry over svc from one or more rule tables.
 func NewRegistry(svc *service.Service, tables ...rulegen.RuleTable) *Registry {
-	r := &Registry{svc: svc, tables: make(map[rulegen.Objective]rulegen.RuleTable)}
+	r := &Registry{
+		svc:    svc,
+		tables: make(map[rulegen.Objective]rulegen.RuleTable),
+		tiers:  make(map[rulegen.Objective][]Tier),
+		byKey:  make(map[string]*Tier),
+	}
 	for _, t := range tables {
 		r.tables[t.Objective] = t
+		ts := make([]Tier, len(t.Rules))
+		for i, rule := range t.Rules {
+			rule.Objective = t.Objective
+			ts[i] = Tier{
+				Rule:   rule,
+				Key:    dispatch.TierKey(string(t.Objective), rule.Tolerance),
+				Policy: rule.Candidate.Policy.String(),
+			}
+		}
+		r.tiers[t.Objective] = ts
+	}
+	for _, ts := range r.tiers {
+		for i := range ts {
+			r.byKey[ts[i].Key] = &ts[i]
+		}
 	}
 	return r
 }
@@ -52,18 +89,35 @@ func (r *Registry) Objectives() []rulegen.Objective {
 // Resolve returns the routing rule serving the given annotation: the
 // strictest generated tier whose tolerance does not exceed tol.
 func (r *Registry) Resolve(tol float64, obj rulegen.Objective) (rulegen.Rule, error) {
-	table, ok := r.tables[obj]
+	t, err := r.ResolveTier(tol, obj)
+	if err != nil {
+		return rulegen.Rule{}, err
+	}
+	return t.Rule, nil
+}
+
+// ResolveTier is Resolve returning the registry's own Tier, rendered
+// strings included. The Tier is shared and must not be modified.
+func (r *Registry) ResolveTier(tol float64, obj rulegen.Objective) (*Tier, error) {
+	ts, ok := r.tiers[obj]
 	if !ok {
-		return rulegen.Rule{}, fmt.Errorf("tiers: objective %q not offered", obj)
+		return nil, fmt.Errorf("tiers: objective %q not offered", obj)
 	}
 	if tol < 0 {
-		return rulegen.Rule{}, fmt.Errorf("tiers: negative tolerance %v", tol)
+		return nil, fmt.Errorf("tiers: negative tolerance %v", tol)
 	}
-	rule, ok := table.Lookup(tol)
-	if !ok {
-		return rulegen.Rule{}, fmt.Errorf("tiers: tolerance %v below the smallest offered tier", tol)
+	// As RuleTable.Lookup: the last rule whose tolerance does not exceed tol.
+	idx := sort.Search(len(ts), func(i int) bool { return ts[i].Tolerance > tol })
+	if idx == 0 {
+		return nil, fmt.Errorf("tiers: tolerance %v below the smallest offered tier", tol)
 	}
-	return rule, nil
+	return &ts[idx-1], nil
+}
+
+// TierByKey returns the tier whose Key is key, if this registry offers it.
+func (r *Registry) TierByKey(key string) (*Tier, bool) {
+	t, ok := r.byKey[key]
+	return t, ok
 }
 
 // Handle executes one annotated request through its resolved tier.

@@ -34,12 +34,6 @@ import (
 	"time"
 )
 
-// Header is the HTTP header carrying a request's trace id across
-// process hops: minted by the server middleware, echoed on responses,
-// and propagated by the client SDK and shard transport so retries of
-// one logical request correlate to one id.
-const Header = "X-Toltiers-Trace"
-
 // Kind classifies why a span was captured (the tail-exemplar reason,
 // or KindSampled for the head sampler's deterministic keep).
 const (
@@ -632,13 +626,31 @@ const (
 	batchKey
 )
 
+// idContext carries a trace id unboxed: one allocation per request where
+// context.WithValue makes two, and IDFromContext reads it back without a
+// key walk when nothing wraps it (the serving path's case).
+type idContext struct {
+	context.Context
+	id uint64
+}
+
+func (c *idContext) Value(key any) any {
+	if key == idKey {
+		return c.id
+	}
+	return c.Context.Value(key)
+}
+
 // ContextWithID returns a context carrying a trace id.
 func ContextWithID(ctx context.Context, id uint64) context.Context {
-	return context.WithValue(ctx, idKey, id)
+	return &idContext{Context: ctx, id: id}
 }
 
 // IDFromContext extracts the trace id (0 = none).
 func IDFromContext(ctx context.Context) uint64 {
+	if c, ok := ctx.(*idContext); ok {
+		return c.id
+	}
 	if v, ok := ctx.Value(idKey).(uint64); ok {
 		return v
 	}

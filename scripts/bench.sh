@@ -16,7 +16,10 @@ BENCHES='BenchmarkPolicySimulate$|BenchmarkEvaluatorTrial$|BenchmarkEvaluatorSet
 
 cd "$(dirname "$0")/.."
 
-RAW="$(go test -run='^$' -bench="$BENCHES" -benchmem -count="$COUNT" .)"
+# The handler's own cost (POST /dispatch bare and instrumented, a 64-item
+# batch) lives beside the handler, in internal/server.
+RAW="$(go test -run='^$' -bench="$BENCHES" -benchmem -count="$COUNT" .
+go test -run='^$' -bench='BenchmarkHandleDispatch$' -benchmem -count="$COUNT" ./internal/server)"
 
 echo "$RAW" | awk -v count="$COUNT" '
 /^Benchmark/ {

@@ -20,7 +20,10 @@
 # stay within TRACE_OVERHEAD_PCT of serial (same sweep, so host speed
 # cancels out), and canary-split dispatch (BenchmarkCanaryDispatch/split)
 # must stay within CANARY_OVERHEAD_PCT of the untracked path
-# (BenchmarkCanaryDispatch/off). Benchmarks present
+# (BenchmarkCanaryDispatch/off). The HTTP handler's allocation budget
+# (BenchmarkHandleDispatch/*, allocs/op) is pinned against the baseline
+# as a count — allocs/op repeats exactly on any host, so this is a pin,
+# not a ns gate, and its ns/op is recorded only. Benchmarks present
 # in the fresh run but absent from the baseline are reported as new and
 # do not fail the gate. When fresh-out.json is given, the fresh run's
 # JSON is kept there (CI uploads it as the new baseline artifact instead
@@ -121,6 +124,33 @@ if [[ -n "$off_ns" && -n "$split_ns" ]]; then
     fi
 else
     echo "  MISS  canary-overhead gate: off/split pair absent from fresh run"
+    status=1
+fi
+
+# Handler alloc pins: allocs/op is a count, the same on every host, so
+# BenchmarkHandleDispatch/* may not exceed the committed baseline (its
+# ns/op is recorded, never gated). internal/server's
+# TestDispatchHandlerAllocs holds the same numbers in `go test`.
+allocs_of() {
+    sed -n 's/^[[:space:]]*"\(BenchmarkHandleDispatch[^"]*\)": {.*"allocs_per_op": \([0-9.]*\).*/\1 \2/p' "$1"
+}
+pinned=0
+while read -r name base_allocs; do
+    pinned=$((pinned + 1))
+    fresh_allocs="$(allocs_of "$FRESH" | awk -v n="$name" '$1 == n {print $2}')"
+    if [[ -z "$fresh_allocs" ]]; then
+        printf '  MISS  %-40s gone from the fresh run (baseline pins its allocs/op)\n' "$name"
+        status=1
+        continue
+    fi
+    verdict="$(awk -v b="$base_allocs" -v f="$fresh_allocs" 'BEGIN { print (f > b) ? "FAIL" : "ok" }')"
+    printf '  %-5s %-40s %12.1f -> %12.1f allocs/op (pin)\n' "$verdict" "$name" "$base_allocs" "$fresh_allocs"
+    if [[ "$verdict" == "FAIL" ]]; then
+        status=1
+    fi
+done < <(allocs_of "$BASELINE")
+if [[ "$pinned" -eq 0 ]]; then
+    echo "  MISS  handler alloc pins: no BenchmarkHandleDispatch entry in $BASELINE"
     status=1
 fi
 
