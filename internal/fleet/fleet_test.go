@@ -82,9 +82,9 @@ func TestTenantAffinityAndAnonymousRoundRobin(t *testing.T) {
 		p.Register(n, "http://"+n, 0)
 	}
 	// A named tenant lands on the same worker every time.
-	first := p.candidates("tenant-a")[0].name
+	first := p.candidates("tenant-a", nil)[0].name
 	for i := 0; i < 10; i++ {
-		if got := p.candidates("tenant-a")[0].name; got != first {
+		if got := p.candidates("tenant-a", nil)[0].name; got != first {
 			t.Fatalf("tenant-a moved from %s to %s with stable membership", first, got)
 		}
 	}
@@ -94,7 +94,7 @@ func TestTenantAffinityAndAnonymousRoundRobin(t *testing.T) {
 			continue
 		}
 		p.Deregister(n)
-		if got := p.candidates("tenant-a")[0].name; got != first {
+		if got := p.candidates("tenant-a", nil)[0].name; got != first {
 			t.Fatalf("removing unrelated %s moved tenant-a from %s to %s", n, first, got)
 		}
 		p.Register(n, "http://"+n, 0)
@@ -102,7 +102,7 @@ func TestTenantAffinityAndAnonymousRoundRobin(t *testing.T) {
 	// Anonymous traffic rotates across all three.
 	seen := map[string]bool{}
 	for i := 0; i < 6; i++ {
-		seen[p.candidates("")[0].name] = true
+		seen[p.candidates("", nil)[0].name] = true
 	}
 	if len(seen) != 3 {
 		t.Fatalf("anonymous round-robin hit %d workers, want 3", len(seen))
@@ -137,7 +137,7 @@ func TestProxyFailsOverToSibling(t *testing.T) {
 	p.Register("good", good.URL, 0)
 	tenant := ""
 	for _, cand := range []string{"t1", "t2", "t3", "t4", "t5", "t6"} {
-		if p.candidates(cand)[0].name == "bad" {
+		if p.candidates(cand, nil)[0].name == "bad" {
 			tenant = cand
 			break
 		}
@@ -199,28 +199,59 @@ func TestProxyFallsBackWhenAllWorkersFail(t *testing.T) {
 }
 
 func TestProxyRelaysWorkerRejectionsWithoutFailover(t *testing.T) {
-	var shedHits, okHits atomic.Int64
-	shed := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		shedHits.Add(1)
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "shed", http.StatusTooManyRequests)
-	}))
-	t.Cleanup(shed.Close)
-	ok := workerStub(t, http.StatusOK, `{}`, &okHits)
+	for _, tc := range []struct {
+		name     string
+		status   int
+		retryMS  string // X-Toltiers-Retry-After-Ms, what shedError.write adds to a shed
+		failover bool
+	}{
+		{"429 rate shed", http.StatusTooManyRequests, "12.500", false},
+		{"503 admission shed", http.StatusServiceUnavailable, "250.000", false},
+		{"bare 503", http.StatusServiceUnavailable, "", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var okHits atomic.Int64
+			shed := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Retry-After", "1")
+				if tc.retryMS != "" {
+					w.Header().Set("X-Toltiers-Retry-After-Ms", tc.retryMS)
+				}
+				http.Error(w, "shed", tc.status)
+			}))
+			t.Cleanup(shed.Close)
+			ok := workerStub(t, http.StatusOK, `{}`, &okHits)
 
-	p := NewPool(Options{})
-	p.Register("a-shed", shed.URL, 0)
-	p.Register("b-ok", ok.URL, 0)
-	// Anonymous round-robin starts at the name-sorted head: a-shed.
-	rec := httptest.NewRecorder()
-	if !p.Proxy(context.Background(), rec, http.Header{}, "/dispatch", []byte(`{}`)) {
-		t.Fatal("Proxy should relay the shed response")
-	}
-	if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") != "1" {
-		t.Fatalf("got %d Retry-After=%q, want the 429 relayed verbatim", rec.Code, rec.Header().Get("Retry-After"))
-	}
-	if okHits.Load() != 0 {
-		t.Fatal("a 429 is the worker's answer; it must not fail over")
+			p := NewPool(Options{})
+			defer p.Close()
+			p.Register("a-shed", shed.URL, 0)
+			p.Register("b-ok", ok.URL, 0)
+			// Anonymous round-robin starts at the name-sorted head: a-shed.
+			rec := httptest.NewRecorder()
+			if !p.Proxy(context.Background(), rec, http.Header{}, "/dispatch", []byte(`{}`)) {
+				t.Fatal("Proxy should have relayed an answer")
+			}
+			requests, failures, failedOver := workerStatus(t, p, "a-shed")
+			if tc.failover {
+				// A 5xx without the shed's retry hint is a broken worker.
+				if rec.Code != http.StatusOK || rec.Header().Get("X-Toltiers-Worker") != "b-ok" || okHits.Load() != 1 {
+					t.Fatalf("got %d from %q, want the sibling's 200", rec.Code, rec.Header().Get("X-Toltiers-Worker"))
+				}
+				if requests != 0 || failures != 1 || failedOver != 1 {
+					t.Fatalf("a-shed requests=%d failures=%d failed_over=%d, want 0/1/1", requests, failures, failedOver)
+				}
+				return
+			}
+			if rec.Code != tc.status || rec.Header().Get("Retry-After") != "1" ||
+				rec.Header().Get("X-Toltiers-Retry-After-Ms") != tc.retryMS || rec.Header().Get("X-Toltiers-Worker") != "a-shed" {
+				t.Fatalf("got %d with headers %v, want the %d relayed verbatim", rec.Code, rec.Header(), tc.status)
+			}
+			if okHits.Load() != 0 {
+				t.Fatal("a shed is the worker's answer; it must not fail over")
+			}
+			if requests != 1 || failures != 0 || failedOver != 0 {
+				t.Fatalf("a-shed requests=%d failures=%d failed_over=%d, want 1/0/0", requests, failures, failedOver)
+			}
+		})
 	}
 }
 
@@ -326,9 +357,9 @@ func TestAutoscaleHint(t *testing.T) {
 
 	// Queue pressure: 13 in-flight at 4 per worker wants ceil(13/4)=4.
 	p.mu.Lock()
-	p.members["w1"].counters.inflight = 13
+	p.members["w1"].inflight.Store(13)
 	as := p.autoscaleLocked(2, 13)
-	p.members["w1"].counters.inflight = 0
+	p.members["w1"].inflight.Store(0)
 	p.mu.Unlock()
 	if as.Desired != 4 {
 		t.Fatalf("queue-depth autoscale desired=%d, want 4", as.Desired)
@@ -336,9 +367,9 @@ func TestAutoscaleHint(t *testing.T) {
 
 	// Latency pressure: a tier whose p95 is 3x its deadline wants
 	// ceil(live*3)=6.
-	m := p.candidates("")[0]
+	m := p.candidates("", nil)[0]
 	for i := 0; i < 32; i++ {
-		p.observe(m, "response-time/0.05", 50, 150)
+		p.observe(m, tierKey{obj: "response-time", tol: "0.05"}, 50, 150)
 	}
 	as = p.Status().Autoscale
 	if as.Desired != 6 || as.WorstTier != "response-time/0.05" {

@@ -14,11 +14,14 @@
 package fleet
 
 import (
-	"hash/fnv"
 	"math"
+	"net"
 	"net/http"
+	"net/url"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/toltiers/toltiers/internal/api"
@@ -38,9 +41,6 @@ type Options struct {
 	// MinReplicas / MaxReplicas clamp the autoscale hint (0 = 1 / 16).
 	MinReplicas int
 	MaxReplicas int
-	// Client is the HTTP client for proxying and table pushes (nil =
-	// a dedicated client with sane timeouts).
-	Client *http.Client
 	// Now overrides the clock (tests pin lease expiry with it).
 	Now func() time.Time
 	// Logf, when set, receives control-plane events (joins, expiries,
@@ -52,30 +52,51 @@ type Options struct {
 // per-tier p95 estimates.
 const latencyRingSize = 256
 
-// member is one registered worker: lease bookkeeping and the router's
-// health/latency accounting. All fields are guarded by Pool.mu except
-// the counters, which the proxy path updates without holding the lock
-// across network I/O.
+// member is one registered worker at one base URL (a worker that moves
+// re-registers as a new member). The dispatch path reaches members
+// through the routing snapshot, without Pool.mu: what it reads is fixed
+// at registration or atomic, and the free list of keep-alive connections
+// has its own lock. Pool.mu guards only the latency accounting.
 type member struct {
 	name    string
+	nameHdr []string // {name}, shared by every relayed X-Toltiers-Worker
 	base    string
-	version int64
-	expires time.Time
+	addr    string // host:port the proxy dials
+	reqHead string // "POST <base path>", opening every proxied request
+	reqHost string // from " HTTP/1.1" through the Host and Content-Type lines
 
-	counters memberCounters
-	lat      stats.Stream
-	ring     stats.Ring
+	version atomic.Int64
+	expires atomic.Int64 // lease end, UnixNano
+
+	requests, failures, failedOver, inflight atomic.Int64
+
+	connMu sync.Mutex
+	idle   []*workerConn
+	gone   bool // left the pool: returning connections are closed
+
+	lat  stats.Stream
+	ring stats.Ring
 }
 
-// memberCounters live under Pool.mu too, but are split out so the
-// proxy path's bookkeeping reads as what it is: increments taken in
-// short critical sections around (never across) network calls.
-type memberCounters struct {
-	requests   int64
-	failures   int64
-	failedOver int64
-	inflight   int64
+func newMember(name, base string) *member {
+	m := &member{name: name, nameHdr: []string{name}, base: base, ring: stats.NewRing(latencyRingSize)}
+	if u, err := url.Parse(base); err == nil && u.Host != "" {
+		m.addr = u.Host
+		if u.Port() == "" {
+			m.addr = net.JoinHostPort(u.Hostname(), "80")
+		}
+		m.reqHead = "POST " + strings.TrimRight(u.EscapedPath(), "/")
+		m.reqHost = " HTTP/1.1\r\nHost: " + u.Host + "\r\nContent-Type: " + api.ContentTypeJSON + "\r\n"
+	} // else addr stays empty: every dial fails, and the dispatch fails over
+	return m
 }
+
+func (m *member) live(now time.Time) bool { return now.UnixNano() <= m.expires.Load() }
+
+// tierKey labels a request's tier for autoscale accounting, from the
+// same annotation headers §IV-A dispatch resolves; the zero key is a
+// request without a Tolerance.
+type tierKey struct{ obj, tol string }
 
 // tierObs accumulates router-observed wall latency per requested tier,
 // plus the largest deadline that tier's traffic asked for — the two
@@ -90,38 +111,31 @@ type tierObs struct {
 // rolling-push machinery.
 type Pool struct {
 	opts   Options
-	client *http.Client
+	client *http.Client // table pushes only; dispatches ride workerConns
 
-	mu       sync.Mutex
-	members  map[string]*member
-	version  int64
-	rr       uint64
-	proxied  int64
-	fallback int64
-	tiers    map[string]*tierObs
-	rollout  *rollout
+	// routes is the name-sorted member list the dispatch path reads:
+	// copy-on-write, republished under mu whenever the set changes.
+	routes            atomic.Pointer[[]*member]
+	rr                atomic.Uint64
+	proxied, fallback atomic.Int64
+
+	mu      sync.Mutex
+	members map[string]*member
+	version int64
+	tiers   map[tierKey]*tierObs
+	rollout *rollout
 }
 
 // NewPool builds the front tier's fleet pool.
 func NewPool(opts Options) *Pool {
-	client := opts.Client
-	if client == nil {
-		// The default transport keeps only 2 idle connections per host —
-		// a router fanning dozens of concurrent proxies into a handful of
-		// workers would open (and handshake) a fresh TCP connection for
-		// nearly every dispatch. Keep enough warm connections for the
-		// whole proxy concurrency.
-		tr := http.DefaultTransport.(*http.Transport).Clone()
-		tr.MaxIdleConns = 512
-		tr.MaxIdleConnsPerHost = 256
-		client = &http.Client{Timeout: 30 * time.Second, Transport: tr}
-	}
-	return &Pool{
+	p := &Pool{
 		opts:    opts,
-		client:  client,
+		client:  &http.Client{Timeout: 30 * time.Second},
 		members: make(map[string]*member),
-		tiers:   make(map[string]*tierObs),
+		tiers:   make(map[tierKey]*tierObs),
 	}
+	p.publishLocked()
+	return p
 }
 
 func (p *Pool) now() time.Time {
@@ -144,12 +158,16 @@ func (p *Pool) logf(format string, args ...any) {
 	}
 }
 
-// Close cancels any rolling push in flight.
+// Close cancels any rolling push in flight and closes the idle worker
+// connections.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.rollout != nil && !p.rollout.done {
 		p.rollout.cancel()
+	}
+	for _, m := range p.members {
+		m.retire()
 	}
 }
 
@@ -179,15 +197,20 @@ func (p *Pool) Register(name, base string, ver int64) api.FleetRegisterResponse 
 	lease := p.lease()
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.pruneLocked(now)
 	m := p.members[name]
+	if m != nil && m.base != base {
+		p.dropLocked(m) // moved: its connections lead to the old address
+		m = nil
+	}
 	if m == nil {
-		m = &member{name: name, ring: stats.NewRing(latencyRingSize)}
+		m = newMember(name, base)
 		p.members[name] = m
+		defer p.publishLocked() // with the lease below in place, still under mu
 		p.logf("fleet: worker %s joined at %s (table v%d)", name, base, ver)
 	}
-	m.base = base
-	m.version = ver
-	m.expires = now.Add(lease)
+	m.version.Store(ver)
+	m.expires.Store(now.Add(lease).UnixNano())
 	return api.FleetRegisterResponse{
 		LeaseMS:      lease.Milliseconds(),
 		TableVersion: p.version,
@@ -203,16 +226,13 @@ func (p *Pool) Heartbeat(name string, ver int64) api.FleetHeartbeatResponse {
 	lease := p.lease()
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.pruneLocked(now)
 	m := p.members[name]
-	if m == nil || now.After(m.expires) {
-		if m != nil {
-			delete(p.members, name)
-			p.logf("fleet: worker %s lease lapsed before renewal", name)
-		}
+	if m == nil {
 		return api.FleetHeartbeatResponse{Known: false, TableVersion: p.version}
 	}
-	m.expires = now.Add(lease)
-	m.version = ver
+	m.expires.Store(now.Add(lease).UnixNano())
+	m.version.Store(ver)
 	return api.FleetHeartbeatResponse{
 		Known:        true,
 		LeaseMS:      lease.Milliseconds(),
@@ -224,19 +244,44 @@ func (p *Pool) Heartbeat(name string, ver int64) api.FleetHeartbeatResponse {
 func (p *Pool) Deregister(name string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, ok := p.members[name]; ok {
-		delete(p.members, name)
+	if m := p.members[name]; m != nil {
+		p.dropLocked(m)
+		p.publishLocked()
 		p.logf("fleet: worker %s deregistered", name)
 	}
 }
 
-// pruneLocked drops expired leases. Callers hold p.mu.
+// dropLocked takes m out of the registry and closes its idle
+// connections. Callers hold p.mu and publish the new routes.
+func (p *Pool) dropLocked(m *member) {
+	delete(p.members, m.name)
+	m.retire()
+}
+
+// publishLocked republishes the routing snapshot. Callers hold p.mu.
+func (p *Pool) publishLocked() {
+	routes := make([]*member, 0, len(p.members))
+	for _, m := range p.members {
+		routes = append(routes, m)
+	}
+	sort.Slice(routes, func(i, j int) bool { return routes[i].name < routes[j].name })
+	p.routes.Store(&routes)
+}
+
+// pruneLocked drops expired leases. Every control-plane call runs it;
+// the dispatch path does not wait for it, it skips an expired member on
+// sight. Callers hold p.mu.
 func (p *Pool) pruneLocked(now time.Time) {
+	pruned := false
 	for name, m := range p.members {
-		if now.After(m.expires) {
-			delete(p.members, name)
+		if !m.live(now) {
+			p.dropLocked(m)
+			pruned = true
 			p.logf("fleet: worker %s lease expired; removed from rotation", name)
 		}
+	}
+	if pruned {
+		p.publishLocked()
 	}
 }
 
@@ -253,57 +298,68 @@ func (p *Pool) HasLive() bool {
 // routing: each tenant ranks the workers in its own stable
 // pseudo-random order, so a tenant sticks to one worker while tenants
 // collectively spread across the fleet, and a membership change only
-// moves the tenants that ranked the changed worker first.
+// moves the tenants that ranked the changed worker first. The score is
+// FNV-1a over tenant, a zero byte, worker.
 func rendezvous(tenant, worker string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(tenant))
-	_, _ = h.Write([]byte{0})
-	_, _ = h.Write([]byte(worker))
-	return h.Sum64()
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(tenant); i++ {
+		h = (h ^ uint64(tenant[i])) * prime
+	}
+	h *= prime // the zero byte
+	for i := 0; i < len(worker); i++ {
+		h = (h ^ uint64(worker[i])) * prime
+	}
+	return h
 }
 
-// candidates returns the live workers in routing-preference order for
-// one dispatch: rendezvous order for a named tenant, round-robin over
-// the name-sorted list for anonymous traffic.
-func (p *Pool) candidates(tenant string) []*member {
-	now := p.now()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.pruneLocked(now)
-	if len(p.members) == 0 {
-		return nil
-	}
-	out := make([]*member, 0, len(p.members))
-	for _, m := range p.members {
-		out = append(out, m)
-	}
-	if tenant != "" {
-		sort.Slice(out, func(i, j int) bool {
-			si, sj := rendezvous(tenant, out[i].name), rendezvous(tenant, out[j].name)
-			if si != sj {
-				return si > sj
+// candidates fills buf, the caller's empty scratch, with the live
+// workers one dispatch may try, at most failoverAttempts of them, in
+// routing-preference order: the highest rendezvous scores for a named
+// tenant, the next stretch of the round-robin over the name-sorted list
+// for anonymous traffic. It reads the routing snapshot and takes no lock.
+func (p *Pool) candidates(tenant string, buf []*member) []*member {
+	routes, now := *p.routes.Load(), p.now()
+	if tenant == "" && len(routes) > 0 {
+		start := int((p.rr.Add(1) - 1) % uint64(len(routes)))
+		for i := 0; i < len(routes) && len(buf) < failoverAttempts; i++ {
+			if m := routes[(start+i)%len(routes)]; m.live(now) {
+				buf = append(buf, m)
 			}
-			return out[i].name < out[j].name
-		})
-		return out
+		}
+		return buf
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	start := int(p.rr % uint64(len(out)))
-	p.rr++
-	rotated := make([]*member, 0, len(out))
-	rotated = append(rotated, out[start:]...)
-	rotated = append(rotated, out[:start]...)
-	return rotated
+	var scores [failoverAttempts]uint64
+	for _, m := range routes {
+		if !m.live(now) {
+			continue
+		}
+		// Insert by descending score; ties keep the snapshot's name order.
+		at, sc := len(buf), rendezvous(tenant, m.name)
+		for at > 0 && scores[at-1] < sc {
+			at--
+		}
+		if at == failoverAttempts {
+			continue
+		}
+		if len(buf) < failoverAttempts {
+			buf = append(buf, nil)
+		}
+		copy(buf[at+1:], buf[at:])
+		copy(scores[at+1:], scores[at:])
+		buf[at], scores[at] = m, sc
+	}
+	return buf
 }
 
 // observe folds one completed proxy round trip into the member's and
 // the tier's accounting.
-func (p *Pool) observe(m *member, tier string, deadlineMS, wallMS float64) {
+func (p *Pool) observe(m *member, tier tierKey, deadlineMS, wallMS float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	m.lat.Add(wallMS)
 	m.ring.Add(wallMS)
-	if tier == "" {
+	if tier == (tierKey{}) {
 		return
 	}
 	to := p.tiers[tier]
@@ -327,29 +383,25 @@ func (p *Pool) Status() api.FleetStatus {
 	st := api.FleetStatus{
 		TableVersion:  p.version,
 		LeaseMS:       p.lease().Milliseconds(),
-		Proxied:       p.proxied,
-		LocalFallback: p.fallback,
+		Proxied:       p.proxied.Load(),
+		LocalFallback: p.fallback.Load(),
 	}
-	names := make([]string, 0, len(p.members))
-	for name := range p.members {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	routes := *p.routes.Load()
 	var inflight int64
-	for _, name := range names {
-		m := p.members[name]
-		inflight += m.counters.inflight
+	for _, m := range routes {
+		n := m.inflight.Load()
+		inflight += n
 		st.Workers = append(st.Workers, api.FleetWorker{
 			Name:             m.name,
 			BaseURL:          m.base,
-			TableVersion:     m.version,
-			Requests:         m.counters.requests,
-			Failures:         m.counters.failures,
-			FailedOver:       m.counters.failedOver,
-			InFlight:         m.counters.inflight,
+			TableVersion:     m.version.Load(),
+			Requests:         m.requests.Load(),
+			Failures:         m.failures.Load(),
+			FailedOver:       m.failedOver.Load(),
+			InFlight:         n,
 			MeanLatencyMS:    m.lat.Mean,
 			P95LatencyMS:     m.ring.Quantile(0.95),
-			LeaseRemainingMS: m.expires.Sub(now).Milliseconds(),
+			LeaseRemainingMS: time.Duration(m.expires.Load() - now.UnixNano()).Milliseconds(),
 		})
 	}
 	if ro := p.rollout; ro != nil {
@@ -361,7 +413,7 @@ func (p *Pool) Status() api.FleetStatus {
 			Error:   ro.err,
 		}
 	}
-	st.Autoscale = p.autoscaleLocked(len(names), inflight)
+	st.Autoscale = p.autoscaleLocked(len(routes), inflight)
 	return st
 }
 
@@ -394,7 +446,7 @@ func (p *Pool) autoscaleLocked(live int, inflight int64) api.FleetAutoscale {
 		p95 := to.ring.Quantile(0.95)
 		if ratio := p95 / to.deadlineMS; ratio > worstRatio {
 			worstRatio = ratio
-			as.WorstTier = tier
+			as.WorstTier = tier.obj + "/" + tier.tol
 			as.WorstP95MS = p95
 			as.WorstDeadlineMS = to.deadlineMS
 		}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"time"
 
@@ -86,12 +85,12 @@ func (p *Pool) Promote(tables []rulegen.RuleTable) (int64, error) {
 	ro := &rollout{version: ver, cancel: cancel}
 	p.rollout = ro
 	p.pruneLocked(now)
-	targets := make([]string, 0, len(p.members))
-	for name := range p.members {
-		targets = append(targets, name)
-	}
-	sort.Strings(targets)
+	routes := *p.routes.Load()
 	p.mu.Unlock()
+	targets := make([]string, len(routes))
+	for i, m := range routes {
+		targets[i] = m.name
+	}
 
 	p.logf("fleet: promoting table v%d; rolling push to %d worker(s)", ver, len(targets))
 	go p.runRollout(ctx, ro, targets, api.FleetTableUpdate{Version: ver, Tables: blobs})
@@ -119,15 +118,11 @@ func (p *Pool) runRollout(ctx context.Context, ro *rollout, targets []string, up
 		}
 		p.mu.Lock()
 		m := p.members[name]
-		var base string
-		if m != nil {
-			base = m.base
-		}
 		p.mu.Unlock()
 		if m == nil {
 			continue // lease lapsed mid-rollout; it will resync on re-register
 		}
-		err := p.pushTable(ctx, base, upd)
+		err := p.pushTable(ctx, m.base, upd)
 		p.mu.Lock()
 		if err != nil {
 			if ctx.Err() != nil {
@@ -138,17 +133,16 @@ func (p *Pool) runRollout(ctx context.Context, ro *rollout, targets []string, up
 			// Evict rather than leave a stale-table worker in rotation:
 			// its next heartbeat returns Known=false, it re-registers,
 			// and Resync brings it to the fenced version.
-			if cur := p.members[name]; cur == m {
-				delete(p.members, name)
+			if p.members[name] == m {
+				p.dropLocked(m)
+				p.publishLocked()
 			}
 			ro.evicted = append(ro.evicted, name)
 			p.mu.Unlock()
 			p.logf("fleet: push v%d to %s failed (%v); evicted for resync", upd.Version, name, err)
 			continue
 		}
-		if cur := p.members[name]; cur == m {
-			cur.version = upd.Version
-		}
+		m.version.Store(upd.Version)
 		ro.pushed = append(ro.pushed, name)
 		p.mu.Unlock()
 		p.logf("fleet: worker %s acked table v%d", name, upd.Version)

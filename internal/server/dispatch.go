@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -154,9 +153,9 @@ func (s *Server) parseCall(w http.ResponseWriter, r *http.Request, sc *scratch, 
 	if !sc.readBody(w, r) {
 		return 0, "", false
 	}
-	// The transport may still be writing a body when a failed round trip
-	// returns, so it gets a copy to keep rather than the pooled bytes.
-	if path != "" && s.pool != nil && s.pool.Proxy(r.Context(), w, r.Header, path, bytes.Clone(sc.buf)) {
+	// Proxy is done with the body when it returns, so the pooled bytes
+	// serve the local fallback unchanged.
+	if path != "" && s.pool != nil && s.pool.Proxy(r.Context(), w, r.Header, path, sc.buf) {
 		return 0, "", false
 	}
 	tolHeader := r.Header.Get(api.HeaderTolerance)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/toltiers/toltiers/internal/admit"
 	"github.com/toltiers/toltiers/internal/api"
 	"github.com/toltiers/toltiers/internal/client"
 	"github.com/toltiers/toltiers/internal/dataset"
@@ -20,6 +22,7 @@ import (
 	"github.com/toltiers/toltiers/internal/profile"
 	"github.com/toltiers/toltiers/internal/rulegen"
 	"github.com/toltiers/toltiers/internal/tiers"
+	"github.com/toltiers/toltiers/internal/trace"
 	"github.com/toltiers/toltiers/internal/vision"
 )
 
@@ -30,7 +33,7 @@ import (
 
 // fleetFront builds a front-tier server with the fleet armed and the
 // usual small corpus/generator config the other server tests use.
-func fleetFront(t *testing.T, lease time.Duration) (*Server, *httptest.Server, *dataset.VisionCorpus) {
+func fleetFront(t testing.TB, lease time.Duration) (*Server, *httptest.Server, *dataset.VisionCorpus) {
 	t.Helper()
 	c := dataset.NewVisionCorpus(dataset.VisionCorpusConfig{N: 240, Device: vision.GPU})
 	m := profile.Build(c.Service, c.Requests)
@@ -57,13 +60,13 @@ func fleetFront(t *testing.T, lease time.Duration) (*Server, *httptest.Server, *
 // startFleetWorker bootstraps a worker the way cmd/ttworker does — pull
 // the snapshot over HTTP, assemble the node, register with the front
 // tier — and returns it serving on its own httptest listener.
-func startFleetWorker(t *testing.T, front *httptest.Server, name string) (*Server, *httptest.Server) {
+func startFleetWorker(t testing.TB, front *httptest.Server, name string, opts WorkerOptions) (*Server, *httptest.Server) {
 	t.Helper()
 	snap, err := fleet.PullSnapshot(context.Background(), front.Client(), front.URL)
 	if err != nil {
 		t.Fatalf("pull snapshot: %v", err)
 	}
-	w, err := NewWorkerFromSnapshot(snap, WorkerOptions{})
+	w, err := NewWorkerFromSnapshot(snap, opts)
 	if err != nil {
 		t.Fatalf("assemble worker: %v", err)
 	}
@@ -74,7 +77,7 @@ func startFleetWorker(t *testing.T, front *httptest.Server, name string) (*Serve
 	return w, ws
 }
 
-func registerWorker(t *testing.T, front *httptest.Server, name, base string, ver int64) api.FleetRegisterResponse {
+func registerWorker(t testing.TB, front *httptest.Server, name, base string, ver int64) api.FleetRegisterResponse {
 	t.Helper()
 	body, _ := json.Marshal(api.FleetRegisterRequest{Name: name, BaseURL: base, TableVersion: ver})
 	resp, err := front.Client().Post(front.URL+"/fleet/register", "application/json", bytes.NewReader(body))
@@ -153,7 +156,7 @@ func TestFleetFailoverLosesNoRequests(t *testing.T) {
 	_, fts, c := fleetFront(t, 30*time.Second)
 	var workers []*httptest.Server
 	for i := 0; i < 3; i++ {
-		_, ws := startFleetWorker(t, fts, fmt.Sprintf("w%d", i))
+		_, ws := startFleetWorker(t, fts, fmt.Sprintf("w%d", i), WorkerOptions{})
 		workers = append(workers, ws)
 	}
 	cl := client.New(fts.URL, nil)
@@ -259,8 +262,8 @@ func TestFleetLeaseExpiryRemovesHungWorker(t *testing.T) {
 // converge with both workers pushed and none evicted.
 func TestFleetRollingUpdateNeverServesMixedVersions(t *testing.T) {
 	front, fts, c := fleetFront(t, 30*time.Second)
-	w1, _ := startFleetWorker(t, fts, "a")
-	w2, _ := startFleetWorker(t, fts, "b")
+	w1, _ := startFleetWorker(t, fts, "a", WorkerOptions{})
+	w2, _ := startFleetWorker(t, fts, "b", WorkerOptions{})
 	ids := make([]int, 4)
 	for i := range ids {
 		ids[i] = c.Requests[i].ID
@@ -393,5 +396,131 @@ func TestFleetSnapshotBootstrapAndFencedTablePush(t *testing.T) {
 	}
 	if err := w.InstallSnapshot(snap); err == nil {
 		t.Fatal("stale snapshot (v0 behind the v2 fence) was accepted on resync")
+	}
+}
+
+// postDispatch sends one POST /dispatch and returns the response with
+// its body drained and closed; nil after recording the error on t.
+func postDispatch(t *testing.T, hc *http.Client, base string, id int) *http.Response {
+	req, err := http.NewRequest(http.MethodPost, base+"/dispatch", bytes.NewReader([]byte(`{"request_id": `+strconv.Itoa(id)+`}`)))
+	if err != nil {
+		t.Error(err)
+		return nil
+	}
+	req.Header.Set("Tolerance", "0.05")
+	resp, err := hc.Do(req)
+	if err != nil {
+		t.Errorf("dispatch: %v", err)
+		return nil
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp
+}
+
+// TestFleetRelaysWorkerShedsWithoutFailover overloads two workers that
+// admit one request at a time. A worker's 503 shed is its answer: the
+// front tier relays it, retry hints and all, under the worker's name,
+// and neither replays it on the sibling nor books a worker failure —
+// retrying sheds across a fleet that is all overloaded only adds load.
+func TestFleetRelaysWorkerShedsWithoutFailover(t *testing.T) {
+	_, fts, c := fleetFront(t, 30*time.Second)
+	for _, name := range []string{"a", "b"} {
+		// Replay invocations that take wall time, so dispatches overlap.
+		w, _ := startFleetWorker(t, fts, name, WorkerOptions{SleepScale: 0.2})
+		w.Admission().SetConfig(admit.Config{Enabled: true, MaxInFlight: 1})
+	}
+
+	const goroutines, perG = 8, 25
+	var served, shed atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				resp := postDispatch(t, fts.Client(), fts.URL, c.Requests[(g*perG+i)%len(c.Requests)].ID)
+				if resp == nil {
+					return
+				}
+				worker := resp.Header.Get(api.HeaderWorker)
+				switch {
+				case worker == "":
+					t.Errorf("status %d without %s: answered by the front tier, not relayed", resp.StatusCode, api.HeaderWorker)
+				case resp.StatusCode == http.StatusOK:
+					served.Add(1)
+				case resp.StatusCode == http.StatusServiceUnavailable:
+					shed.Add(1)
+					if resp.Header.Get(api.HeaderRetryAfter) == "" || resp.Header.Get(api.HeaderRetryAfterMS) == "" {
+						t.Errorf("503 from %s lost its retry hints: %v", worker, resp.Header)
+					}
+				default:
+					t.Errorf("status %d from %s", resp.StatusCode, worker)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if served.Load() == 0 || shed.Load() == 0 {
+		t.Fatalf("served=%d shed=%d: the load must produce both", served.Load(), shed.Load())
+	}
+
+	st, err := client.New(fts.URL, nil).Fleet(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var requests int64
+	for _, w := range st.Workers {
+		requests += w.Requests
+		if w.Failures != 0 || w.FailedOver != 0 {
+			t.Errorf("worker %s failures=%d failed_over=%d, want 0/0: a shed is not a failure", w.Name, w.Failures, w.FailedOver)
+		}
+	}
+	if requests != goroutines*perG || st.LocalFallback != 0 {
+		t.Errorf("worker requests=%d local_fallback=%d, want %d/0", requests, st.LocalFallback, goroutines*perG)
+	}
+}
+
+// TestFleetTraceIDCrossesTheHop: the id the front tier's Instrument
+// minted, and answers with, is the id the serving worker's flight
+// recorder files the dispatch under.
+func TestFleetTraceIDCrossesTheHop(t *testing.T) {
+	front, fts, c := fleetFront(t, 30*time.Second)
+	w, ws := startFleetWorker(t, fts, "w0", WorkerOptions{})
+	its := httptest.NewServer(Instrument(front, NewMetrics(), nil))
+	t.Cleanup(its.Close)
+
+	// The worker head-samples on a fixed stride, so two strides of
+	// dispatches leave at least two spans in its ring.
+	minted := map[string]bool{}
+	for i := 0; i < 2*w.Recorder().SampleEvery(); i++ {
+		resp := postDispatch(t, its.Client(), its.URL, c.Requests[i].ID)
+		if resp == nil {
+			t.FailNow()
+		}
+		id := resp.Header.Get(api.HeaderTrace)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get(api.HeaderWorker) != "w0" || id == "" {
+			t.Fatalf("status %d from worker %q with trace id %q", resp.StatusCode, resp.Header.Get(api.HeaderWorker), id)
+		}
+		minted[id] = true
+	}
+	found := 0
+	for id := range minted {
+		resp, err := ws.Client().Get(ws.URL + "/trace/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			found++
+		}
+	}
+	if found == 0 {
+		t.Fatalf("none of the front tier's %d trace ids is known to the worker's GET /trace/{id}", len(minted))
+	}
+	for _, sp := range w.Recorder().Recent(trace.Filter{}, w.Recorder().Size()) {
+		if !minted[trace.FormatID(sp.ID)] {
+			t.Errorf("worker span %s is filed under an id the front tier never issued", trace.FormatID(sp.ID))
+		}
 	}
 }

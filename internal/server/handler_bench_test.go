@@ -1,11 +1,15 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/toltiers/toltiers/internal/admit"
 	"github.com/toltiers/toltiers/internal/api"
@@ -139,5 +143,107 @@ func TestDispatchHandlerAllocs(t *testing.T) {
 		} else {
 			t.Logf("%s: %v allocs per call", tc.name, got)
 		}
+	}
+}
+
+// fleetProxyCall is a POST /dispatch against a front tier whose handler
+// offers it to the fleet. The lease outlasts any run: nothing heartbeats.
+func fleetProxyCall(t testing.TB) (*handlerCall, *httptest.Server) {
+	srv, fts, c := fleetFront(t, time.Hour)
+	return newHandlerCall(t, srv, "/dispatch", `{"request_id": `+strconv.Itoa(c.Requests[7].ID)+`, "deadline_ms": 40}`), fts
+}
+
+// doProxied is do, checked to have crossed the hop.
+func (c *handlerCall) doProxied(t testing.TB) {
+	c.do(t)
+	if got := c.w.hdr.Get(api.HeaderWorker); got != "w0" {
+		t.Fatalf("X-Toltiers-Worker = %q: the front tier served the call itself", got)
+	}
+}
+
+// BenchmarkFleetProxy is the fleet hop in one process: the front tier's
+// handler into a memory writer, Pool.Proxy over a real socket, and one
+// snapshot-booted worker behind net/http answering it. scripts/bench.sh
+// records it and scripts/bench_check.sh pins its allocs/op, which count
+// both nodes.
+func BenchmarkFleetProxy(b *testing.B) {
+	call, fts := fleetProxyCall(b)
+	startFleetWorker(b, fts, "w0", WorkerOptions{})
+	call.doProxied(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		call.doProxied(b)
+	}
+}
+
+// cannedWorker is a worker that allocates nothing per request: it reads
+// each request off the socket and answers with the same bytes, so what
+// AllocsPerRun sees of a proxied call is the front tier's alone.
+func cannedWorker(t testing.TB, response string) (base string) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	serve := func(c net.Conn) {
+		defer c.Close()
+		br, lengthKey := bufio.NewReader(c), []byte("Content-Length: ")
+		for {
+			length := 0
+			for {
+				line, err := br.ReadSlice('\n')
+				if err != nil {
+					return
+				}
+				if len(line) == 2 {
+					break
+				}
+				if bytes.HasPrefix(line, lengthKey) {
+					for _, d := range line[len(lengthKey) : len(line)-2] {
+						length = 10*length + int(d-'0')
+					}
+				}
+			}
+			if _, err := br.Discard(length); err != nil {
+				return
+			}
+			if _, err := c.Write([]byte(response)); err != nil {
+				return
+			}
+		}
+	}
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return // the listener closed with the test
+			}
+			go serve(c)
+		}
+	}()
+	return "http://" + ln.Addr().String()
+}
+
+// TestFleetProxyAllocs pins what the front tier itself allocates per
+// proxied call: the parsed response (http.ReadResponse: reader, status
+// line, header map and values, body reader) and the context hook that
+// aborts the round trip. The request render, the response body, the
+// routing and the counters allocate nothing.
+func TestFleetProxyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	const body = `{"confidence":0.9,"tier":0.05,"objective":"response-time","policy":"single:0","latency_ms":12.5,"cost_usd":0.001,"backend":"b0"}`
+	call, fts := fleetProxyCall(t)
+	registerWorker(t, fts, "w0", cannedWorker(t, "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"+
+		"X-Toltiers-Policy: single:0\r\nX-Toltiers-Backend: b0\r\nX-Toltiers-Latency-Ms: 12.500\r\n"+
+		"X-Toltiers-Table-Version: 0\r\nContent-Length: "+strconv.Itoa(len(body))+"\r\n\r\n"+body), 0)
+	call.doProxied(t)
+	const pinned = 19
+	if got := testing.AllocsPerRun(200, func() { call.doProxied(t) }); got > pinned {
+		t.Errorf("%v allocs per proxied call, pinned at %v", got, pinned)
+	} else {
+		t.Logf("%v allocs per proxied call", got)
 	}
 }

@@ -17,9 +17,10 @@ BENCHES='BenchmarkPolicySimulate$|BenchmarkEvaluatorTrial$|BenchmarkEvaluatorSet
 cd "$(dirname "$0")/.."
 
 # The handler's own cost (POST /dispatch bare and instrumented, a 64-item
-# batch) lives beside the handler, in internal/server.
+# batch) and the fleet hop (front tier handler, Pool.Proxy, one worker
+# over a real socket) live beside the handler, in internal/server.
 RAW="$(go test -run='^$' -bench="$BENCHES" -benchmem -count="$COUNT" .
-go test -run='^$' -bench='BenchmarkHandleDispatch$' -benchmem -count="$COUNT" ./internal/server)"
+go test -run='^$' -bench='BenchmarkHandleDispatch$|BenchmarkFleetProxy$' -benchmem -count="$COUNT" ./internal/server)"
 
 echo "$RAW" | awk -v count="$COUNT" '
 /^Benchmark/ {

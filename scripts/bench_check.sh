@@ -21,9 +21,10 @@
 # cancels out), and canary-split dispatch (BenchmarkCanaryDispatch/split)
 # must stay within CANARY_OVERHEAD_PCT of the untracked path
 # (BenchmarkCanaryDispatch/off). The HTTP handler's allocation budget
-# (BenchmarkHandleDispatch/*, allocs/op) is pinned against the baseline
-# as a count — allocs/op repeats exactly on any host, so this is a pin,
-# not a ns gate, and its ns/op is recorded only. Benchmarks present
+# (BenchmarkHandleDispatch/*, allocs/op) and the fleet hop's
+# (BenchmarkFleetProxy, front tier plus one worker) are pinned against
+# the baseline as counts — allocs/op repeats exactly on any host, so this
+# is a pin, not a ns gate, and their ns/op is recorded only. Benchmarks present
 # in the fresh run but absent from the baseline are reported as new and
 # do not fail the gate. When fresh-out.json is given, the fresh run's
 # JSON is kept there (CI uploads it as the new baseline artifact instead
@@ -128,11 +129,12 @@ else
 fi
 
 # Handler alloc pins: allocs/op is a count, the same on every host, so
-# BenchmarkHandleDispatch/* may not exceed the committed baseline (its
-# ns/op is recorded, never gated). internal/server's
-# TestDispatchHandlerAllocs holds the same numbers in `go test`.
+# BenchmarkHandleDispatch/* and BenchmarkFleetProxy may not exceed the
+# committed baseline (their ns/op is recorded, never gated).
+# internal/server's TestDispatchHandlerAllocs and TestFleetProxyAllocs
+# hold the handler's and the front tier's share in `go test`.
 allocs_of() {
-    sed -n 's/^[[:space:]]*"\(BenchmarkHandleDispatch[^"]*\)": {.*"allocs_per_op": \([0-9.]*\).*/\1 \2/p' "$1"
+    sed -n 's/^[[:space:]]*"\(Benchmark\(HandleDispatch\|FleetProxy\)[^"]*\)": {.*"allocs_per_op": \([0-9.]*\).*/\1 \3/p' "$1"
 }
 pinned=0
 while read -r name base_allocs; do
@@ -150,7 +152,7 @@ while read -r name base_allocs; do
     fi
 done < <(allocs_of "$BASELINE")
 if [[ "$pinned" -eq 0 ]]; then
-    echo "  MISS  handler alloc pins: no BenchmarkHandleDispatch entry in $BASELINE"
+    echo "  MISS  handler alloc pins: no BenchmarkHandleDispatch or BenchmarkFleetProxy entry in $BASELINE"
     status=1
 fi
 
