@@ -41,6 +41,8 @@ type ledger struct {
 	tenants map[string]*series
 	// admission is GET /admission after an -overload run.
 	admission *api.AdmissionStatus
+	// coalescer is the booted -coalesce node's counters after the run.
+	coalescer *coalesce.Stats
 }
 
 func newLedger() *ledger {
@@ -119,10 +121,10 @@ func (l *ledger) rejected(tier, tenant string, n int, err error) {
 // means a request vanished, which a failover-correct front tier must
 // never allow. Per Tenant header sent, the same identity holds, the
 // tenant's telemetry partition (parts) agrees with the generator's
-// tally, and the partitions sum to the global snapshot. coal, the
+// tally, and the partitions sum to the global snapshot. l.coalescer, the
 // coalescer's counters when this process booted a coalescing node, must
 // show no waiter lost, double-delivered or stranded.
-func (l *ledger) verify(global *api.TelemetrySnapshot, parts map[string]*api.TenantTelemetry, coal *coalesce.Stats, faultsInjected bool) error {
+func (l *ledger) verify(global *api.TelemetrySnapshot, parts map[string]*api.TenantTelemetry, faultsInjected bool) error {
 	for _, rows := range []map[string]*series{l.tiers, l.tenants} {
 		for k, s := range rows {
 			if got := len(s.wallMS) + s.failures + s.shed; s.sent != got {
@@ -164,7 +166,7 @@ func (l *ledger) verify(global *api.TelemetrySnapshot, parts map[string]*api.Ten
 		return fmt.Errorf("global telemetry saw %d requests, tenant partitions sum to %d",
 			global.Requests, partitionTotal)
 	}
-	if coal != nil {
+	if coal := l.coalescer; coal != nil {
 		if coal.Left != 0 {
 			return fmt.Errorf("coalescer abandoned %d waiters under a background context", coal.Left)
 		}

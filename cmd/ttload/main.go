@@ -91,7 +91,7 @@ func (o *options) register(fs *flag.FlagSet) {
 
 	fs.BoolVar(&o.coalesce, "coalesce", false, "the booted node gathers concurrent per-request dispatches of one tier into batch windows")
 	fs.DurationVar(&o.coalesceWindow, "coalesce-window", 0, "coalescing time trigger (0 = 200µs; clamped to 100µs–500µs)")
-	fs.IntVar(&o.coalesceMax, "coalesce-max", 0, "coalescing size trigger (0 = 64)")
+	fs.IntVar(&o.coalesceMax, "coalesce-max", 0, "the batch worth waiting for: window size trigger and the in-flight caller count below which requests dispatch at once (0 = 64)")
 	fs.IntVar(&o.tenants, "tenants", 0, "spread arrivals round-robin across this many named tenants (tenant-0..) of the booted node: each gets its own telemetry partition and report row")
 	fs.BoolVar(&o.assert, "assert", false, "after the run, verify the accounting reconciles and exit 1 on mismatch: per tier, sent = graded + failed + shed with nothing failed unless -chaos injected it; per Tenant header sent, the node's telemetry partition agrees; on a booted -coalesce node, no waiter lost")
 }
@@ -370,10 +370,9 @@ func run(o options, node *server.Server) (*ledger, error) {
 	}
 	// The one read that has no endpoint: a booted node's coalescer
 	// counters, for the ledger's no-waiter-lost line.
-	var coal *coalesce.Stats
 	if node != nil && node.Coalescer() != nil {
 		cs := node.Coalescer().Stats()
-		coal = &cs
+		l.coalescer = &cs
 		log.Printf("coalescer: %d bypassed, %d coalesced into %d windows (%d size-triggered), %d shed, %d left",
 			cs.Bypassed, cs.Coalesced, cs.Windows, cs.SizeFlushes, cs.Shed, cs.Left)
 	}
@@ -399,7 +398,7 @@ func run(o options, node *server.Server) (*ledger, error) {
 		}
 	}
 	if o.assert {
-		if err := l.verify(global, parts, coal, o.chaos != ""); err != nil {
+		if err := l.verify(global, parts, o.chaos != ""); err != nil {
 			return l, fmt.Errorf("assert: %w", err)
 		}
 		log.Printf("assert: accounting reconciles (per tier and per Tenant header, sent = graded + failed + shed; telemetry partitions agree)")

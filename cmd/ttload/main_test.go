@@ -64,10 +64,16 @@ func TestScenarios(t *testing.T) {
 		name, args string
 		check      func(t *testing.T, l *ledger)
 	}{
-		{"coalesce-tenants", "-coalesce -coalesce-max 8 -tenants 3 -rps 8000 -concurrency 64 -sleep-scale 0.01", func(t *testing.T, l *ledger) {
+		// Real-time backends hold dozens of dispatches in flight at once, a
+		// crowd against -coalesce-max 8, so the ledger being reconciled saw
+		// windows and not only bypasses.
+		{"coalesce-tenants", "-coalesce -coalesce-max 8 -tenants 3 -rps 8000 -concurrency 64 -sleep-scale 1", func(t *testing.T, l *ledger) {
 			sent, graded, _, _ := totals(l)
 			if len(l.tenants) != 3 || graded != sent {
 				t.Fatalf("%d tenant rows, %d of %d graded; want 3 named tenants and every arrival answered", len(l.tenants), graded, sent)
+			}
+			if cs := l.coalescer; cs == nil || cs.Windows == 0 || cs.Coalesced < int64(sent)/2 {
+				t.Fatalf("coalescer counters %+v of %d sent; want most arrivals to ride a window", cs, sent)
 			}
 		}},
 		// Offered load far above what 32 slots of real-time backends
@@ -122,7 +128,6 @@ func TestVerifyRejects(t *testing.T) {
 		l      *ledger
 		global *api.TelemetrySnapshot
 		parts  map[string]*api.TenantTelemetry
-		coal   *coalesce.Stats
 	}
 	// Three arrivals of one tenant: two answered, one shed.
 	build := func() fixture {
@@ -131,12 +136,12 @@ func TestVerifyRejects(t *testing.T) {
 		l.graded("response-time/0.05", "acme", 0, &api.DispatchResult{})
 		l.graded("response-time/0.05", "acme", 0, &api.DispatchResult{})
 		l.rejected("response-time/0.05", "acme", 1, &client.APIError{StatusCode: 429})
+		l.coalescer = &coalesce.Stats{Bypassed: 1, Coalesced: 2, Shed: 1}
 		return fixture{l, &api.TelemetrySnapshot{Requests: 2},
-			map[string]*api.TenantTelemetry{"acme": {Requests: 2}},
-			&coalesce.Stats{Bypassed: 1, Coalesced: 2, Shed: 1}}
+			map[string]*api.TenantTelemetry{"acme": {Requests: 2}}}
 	}
-	if f := build(); f.l.verify(f.global, f.parts, f.coal, false) != nil {
-		t.Fatalf("balanced ledger rejected: %v", f.l.verify(f.global, f.parts, f.coal, false))
+	if f := build(); f.l.verify(f.global, f.parts, false) != nil {
+		t.Fatalf("balanced ledger rejected: %v", f.l.verify(f.global, f.parts, false))
 	}
 	for name, breakIt := range map[string]func(fixture){
 		"arrival never answered": func(f fixture) { f.l.sent("cost/0.1", "", 1) },
@@ -146,12 +151,12 @@ func TestVerifyRejects(t *testing.T) {
 		},
 		"partition disagrees":      func(f fixture) { f.parts["acme"].Requests = 3 },
 		"anonymous traffic leaked": func(f fixture) { f.global.Requests = 5 },
-		"waiter stranded":          func(f fixture) { f.coal.Left = 1 },
-		"window double-delivered":  func(f fixture) { f.coal.Coalesced = 3 },
+		"waiter stranded":          func(f fixture) { f.l.coalescer.Left = 1 },
+		"window double-delivered":  func(f fixture) { f.l.coalescer.Coalesced = 3 },
 	} {
 		f := build()
 		breakIt(f)
-		if err := f.l.verify(f.global, f.parts, f.coal, false); err == nil {
+		if err := f.l.verify(f.global, f.parts, false); err == nil {
 			t.Errorf("%s: verify accepted the ledger", name)
 		}
 	}

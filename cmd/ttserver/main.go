@@ -47,9 +47,9 @@ func main() {
 		brownoutOn    = flag.Bool("brownout", false, "arm the brownout controller: sustained shedding downgrades tolerant traffic to the -brownout-tier policy until the overload clears")
 		brownoutTier  = flag.Float64("brownout-tier", 0, "tolerance tier brownout downgrades to (0 = 0.10)")
 
-		coalesceOn     = flag.Bool("coalesce", false, "coalesce concurrent single requests (POST /dispatch, POST /compute) of the same tier into batch windows (zero added latency when idle, at most one window under load)")
+		coalesceOn     = flag.Bool("coalesce", false, "coalesce concurrent single requests (POST /dispatch, POST /compute) of the same tier into batch windows (a request waits only while at least -coalesce-max callers are in flight; below that it dispatches at once)")
 		coalesceWindow = flag.Duration("coalesce-window", 0, "coalescing time trigger (0 = 200µs; clamped to 100µs–500µs)")
-		coalesceMax    = flag.Int("coalesce-max", 0, "coalescing size trigger: flush a window at this many requests (0 = 64)")
+		coalesceMax    = flag.Int("coalesce-max", 0, "the batch worth waiting for: a window flushes at this many requests, and requests park only while at least this many callers are in flight (0 = 64)")
 
 		fleetOn    = flag.Bool("fleet", false, "serve as a multi-node front tier: ttworker nodes register over HTTP (POST /fleet/register), bootstrap from GET /fleet/snapshot, and dispatch traffic routes across them with tenant-affine consistent routing and transparent failover (GET /fleet reports the fleet)")
 		fleetLease = flag.Duration("fleet-lease", 0, "worker liveness lease; a worker missing heartbeats this long leaves rotation (0 = 3s)")

@@ -58,10 +58,9 @@ func TestCoalescedEnqueueAllocs(t *testing.T) {
 	m := visionMatrix(t)
 	d := dispatch.New(dispatch.NewReplayBackends(m), dispatch.Options{DisableHedging: true})
 	c := New(d, Options{MaxBatch: 1})
-	// Pin a phantom concurrent caller so every Do takes the window path;
-	// MaxBatch=1 then size-triggers an inline flush, exercising the full
+	// MaxBatch=1 makes every caller its own crowd, so every Do takes the
+	// window path and size-triggers an inline flush, exercising the full
 	// open → park → flush → fan-out cycle deterministically per call.
-	c.pending.Add(1)
 	reqs := dispatch.ReplayRequests(m)
 	tk := dispatch.Ticket{Tier: "alloc/window", Policy: ensemble.Policy{Kind: ensemble.Single, Primary: 0}}
 	ctx := context.Background()

@@ -7,13 +7,18 @@
 // per leg, one telemetry commit, one admission — instead of the full
 // serial path per request.
 //
-// A window flushes on whichever trigger fires first: it fills to
-// Options.MaxBatch (the arriving goroutine that filled it flushes
-// inline), or its timer expires after Options.Window (100–500 µs). An
-// idle server never waits at all: a request that arrives while no other
-// request is pending anywhere in the coalescer bypasses the window
-// machinery and dispatches directly, so coalescing adds zero latency at
-// low load and at most one window of queueing delay at high load.
+// Nobody waits for a batch that cannot fill (the crowd rule): a window
+// is opened only while at least Options.MaxBatch callers are inside the
+// coalescer, any ticket, parked or dispatching. Below that crowd an
+// arrival dispatches directly, so under MaxBatch concurrent callers the
+// coalescer is a pass-through: no park, no timer, zero added latency.
+//
+// An open window flushes on whichever trigger fires first: it fills to
+// Options.MaxBatch, or an arrival of its ticket finds the crowd gone
+// (the drain: a thinning crowd's leftovers leave with the next arrival,
+// not on the timer) — either way the arriving goroutine flushes inline,
+// itself included — or its timer expires after Options.Window (100–500
+// µs nominal), the backstop for a ticket nobody else sends.
 //
 // Admission composes through the Gate seam: the gate runs once per
 // flush with the window's size n (AdmitBatch draws the window's n
@@ -64,10 +69,12 @@ type Gate func(n int, t dispatch.Ticket) (Grant, error)
 // Options parameterizes a Coalescer. The zero value is a sane runtime:
 // 64-request windows, 200 µs time trigger, no gate.
 type Options struct {
-	// MaxBatch is the size trigger: a window holding this many requests
-	// flushes immediately (default 64, clamped to [1, 4096]). MaxBatch 1
-	// degenerates to per-request flushes through the batch path — useful
-	// for tests, pointless in production.
+	// MaxBatch is the batch worth waiting for, read twice: as the size
+	// trigger (a window holding this many requests flushes immediately)
+	// and as the crowd threshold (requests park only while this many
+	// callers are inside Do; fewer dispatch solo). Default 64, clamped to
+	// [1, 4096]. MaxBatch 1 degenerates to per-request flushes through
+	// the batch path — useful for tests, pointless in production.
 	MaxBatch int
 	// Window is the time trigger: the longest a queued request waits for
 	// company before its window flushes (default 200 µs, clamped to
@@ -89,12 +96,13 @@ const (
 // Stats counts a coalescer's traffic shape since construction.
 type Stats struct {
 	// Bypassed counts requests dispatched solo through the zero-wait
-	// bypass (no second request was pending).
+	// bypass (fewer than MaxBatch callers were inside Do).
 	Bypassed int64
 	// Coalesced counts requests that went through a window.
 	Coalesced int64
 	// Windows counts flushed windows; SizeFlushes counts the subset
-	// flushed by the size trigger (the rest timed out or emptied).
+	// flushed by the size trigger (the rest timed out, emptied, or were
+	// drained by an arrival after the crowd left).
 	Windows     int64
 	SizeFlushes int64
 	// Shed counts requests rejected by the gate, bypass and window alike.
@@ -157,7 +165,8 @@ type Coalescer struct {
 	opts Options
 
 	// pending gauges Do calls currently in flight (entered, not yet
-	// delivered); 1 means "I am alone" — the zero-wait bypass condition.
+	// delivered), parked and dispatching alike; at or above MaxBatch it
+	// is "a crowd" — the only condition under which a request parks.
 	pending atomic.Int64
 
 	mu      sync.Mutex
@@ -232,7 +241,7 @@ func (c *Coalescer) gate(n int, t dispatch.Ticket) (Grant, error) {
 
 // Do dispatches one request through the coalescer: it joins (or opens)
 // the window of its ticket and blocks until the window's flush delivers
-// its outcome, or dispatches directly when no other request is pending.
+// its outcome, or dispatches directly when there is no crowd to wait for.
 // The returned served value is the flush grant's Served (nil when the
 // request never reached a gate — a pre-flush context cancellation).
 //
@@ -246,15 +255,16 @@ func (c *Coalescer) Do(ctx context.Context, req *service.Request, t dispatch.Tic
 	defer c.pending.Add(-1)
 
 	c.mu.Lock()
+	crowd := c.pending.Load() >= int64(c.opts.MaxBatch)
 	win := c.windows[t]
 	if win == nil {
-		if c.pending.Load() == 1 {
-			// Zero-wait bypass: nobody else is pending, so a window could
-			// only ever flush with this one request — skip the queueing
-			// delay and the handoff entirely. The gauge is a heuristic
-			// read outside any lock: a racing arrival at worst opens its
-			// own window (flushing after one time trigger), never an
-			// incorrect delivery.
+		if !crowd {
+			// Zero-wait bypass: too few callers are present to fill a
+			// window, so one opened now would only end on its timer —
+			// skip the queueing delay and the handoff entirely. The gauge
+			// is a heuristic (it moves outside the mutex): a stale read at
+			// worst parks one request for one time trigger or dispatches
+			// it solo, never an incorrect delivery.
 			c.mu.Unlock()
 			c.bypassed.Add(1)
 			return c.dispatchSolo(ctx, req, t)
@@ -268,19 +278,22 @@ func (c *Coalescer) Do(ctx context.Context, req *service.Request, t dispatch.Tic
 		w.tid = trace.IDFromContext(ctx)
 	}
 	win.waiters = append(win.waiters, w)
-	var full *window
-	if len(win.waiters) >= c.opts.MaxBatch {
+	var ready *window
+	if n := len(win.waiters); n >= c.opts.MaxBatch || !crowd {
 		c.detachLocked(win)
-		c.sizeFlushes.Add(1)
-		full = win
+		if n >= c.opts.MaxBatch {
+			c.sizeFlushes.Add(1)
+		}
+		ready = win
 	}
 	c.mu.Unlock()
 
-	if full != nil {
-		// Size trigger: the goroutine that filled the window flushes it
-		// inline (it is already awake) and then receives its own result
-		// below like any other waiter.
-		c.flush(full)
+	if ready != nil {
+		// Size trigger, or the drain (the crowd that opened this window
+		// has gone, so it cannot fill): the arriving goroutine flushes
+		// the window inline (it is already awake) and then receives its
+		// own result below like any other waiter.
+		c.flush(ready)
 	}
 
 	select {
@@ -391,8 +404,8 @@ func (c *Coalescer) timerFlush(win *window) {
 
 // flush gates and dispatches one detached window, fanning per-item
 // outcomes (or the gate's rejection) back to every waiter. It runs on
-// the filling goroutine (size trigger) or the timer goroutine (time
-// trigger); the coalescer mutex is never held across it.
+// the arriving goroutine (size trigger, drain) or the timer goroutine
+// (time trigger); the coalescer mutex is never held across it.
 func (c *Coalescer) flush(win *window) {
 	ws := win.waiters
 	n := len(ws)

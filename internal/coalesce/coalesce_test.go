@@ -39,6 +39,31 @@ func singleTicket(tier string) dispatch.Ticket {
 	return dispatch.Ticket{Tier: tier, Policy: ensemble.Policy{Kind: ensemble.Single, Primary: 0}}
 }
 
+// fakeCrowd puts MaxBatch phantom callers on the pending gauge (white
+// box), so every real arrival sees a crowd and queues instead of taking
+// the bypass; the returned func sends the phantoms home.
+func fakeCrowd(c *Coalescer) (leave func()) {
+	n := int64(c.opts.MaxBatch)
+	c.pending.Add(n)
+	return func() { c.pending.Add(-n) }
+}
+
+// awaitQueued blocks until the open window of tk holds n waiters and
+// returns it. Its callers disarm the time trigger, so the window stays
+// as found until the test itself acts on it.
+func awaitQueued(c *Coalescer, tk dispatch.Ticket, n int) *window {
+	for {
+		c.mu.Lock()
+		win := c.windows[tk]
+		queued := win != nil && len(win.waiters) == n
+		c.mu.Unlock()
+		if queued {
+			return win
+		}
+		time.Sleep(10 * time.Microsecond)
+	}
+}
+
 // sameOutcome is bitwise outcome equality (Outcome itself is not
 // comparable: Result carries the ASR transcript slice).
 func sameOutcome(a, b dispatch.Outcome) bool {
@@ -116,10 +141,9 @@ func TestGateShedsWindow(t *testing.T) {
 		gateN = n
 		return Grant{Served: "shed-meta"}, errShed
 	}})
-	// MaxBatch 1 with a faked-out bypass forces the full window cycle,
-	// so the rejection exercises the flush fan-out, not the solo path.
-	c.pending.Add(1)
-	defer c.pending.Add(-1)
+	// MaxBatch 1 makes every caller its own crowd: the full window cycle
+	// runs, so the rejection exercises the flush fan-out, not the solo
+	// path.
 	out, served, err := c.Do(context.Background(), reqs[0], singleTicket("shed/0"))
 	if !errors.Is(err, errShed) {
 		t.Fatalf("err = %v, want the gate's rejection", err)
@@ -151,8 +175,6 @@ func TestGateRewritesTicket(t *testing.T) {
 		tk.Downgraded = true
 		return Grant{Ticket: tk, Served: 42, Release: func() { released++ }}, nil
 	}})
-	c.pending.Add(1)
-	defer c.pending.Add(-1)
 	_, served, err := c.Do(context.Background(), reqs[0], singleTicket("requested/0.01"))
 	if err != nil {
 		t.Fatal(err)
@@ -181,9 +203,7 @@ func TestCancelWhileQueued(t *testing.T) {
 	// flush before a test on a loaded box could observe it queued.
 	c.opts.Window = time.Hour
 	tk := singleTicket("cancel/queued")
-	// Fake a second pending request so Do queues instead of bypassing.
-	c.pending.Add(1)
-	defer c.pending.Add(-1)
+	defer fakeCrowd(c)() // so Do queues instead of bypassing
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -192,17 +212,7 @@ func TestCancelWhileQueued(t *testing.T) {
 		done <- err
 	}()
 
-	// Wait for the waiter to join its window.
-	for {
-		c.mu.Lock()
-		win := c.windows[tk]
-		if win != nil && len(win.waiters) == 1 {
-			c.mu.Unlock()
-			break
-		}
-		c.mu.Unlock()
-		time.Sleep(10 * time.Microsecond)
-	}
+	awaitQueued(c, tk, 1)
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -230,8 +240,7 @@ func TestCancelAfterClaim(t *testing.T) {
 	c, d, reqs := newRuntime(t, Options{MaxBatch: 64})
 	c.opts.Window = time.Hour // white box: only the test's own claim may flush
 	tk := singleTicket("cancel/claimed")
-	c.pending.Add(1)
-	defer c.pending.Add(-1)
+	defer fakeCrowd(c)()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	type res struct {
@@ -244,20 +253,12 @@ func TestCancelAfterClaim(t *testing.T) {
 		done <- res{out, err}
 	}()
 
-	var win *window
-	for {
-		c.mu.Lock()
-		if w := c.windows[tk]; w != nil && len(w.waiters) == 1 {
-			// Claim the window exactly as a trigger would, before the
-			// cancellation below can observe it queued.
-			c.detachLocked(w)
-			win = w
-			c.mu.Unlock()
-			break
-		}
-		c.mu.Unlock()
-		time.Sleep(10 * time.Microsecond)
-	}
+	// Claim the window exactly as a trigger would, before the
+	// cancellation below can observe it queued.
+	win := awaitQueued(c, tk, 1)
+	c.mu.Lock()
+	c.detachLocked(win)
+	c.mu.Unlock()
 	cancel()
 	c.flush(win)
 	r := <-done
@@ -280,16 +281,15 @@ func TestCancelAfterClaim(t *testing.T) {
 	}
 }
 
-// TestSizeTriggerFlushesInline pins the size trigger: a window that
-// fills to MaxBatch flushes without waiting for its timer, as one
-// batch.
+// TestSizeTriggerFlushesInline pins the size trigger: with a crowd
+// present, MaxBatch arrivals of one ticket make exactly one window,
+// which flushes without waiting for its timer, as one batch.
 func TestSizeTriggerFlushesInline(t *testing.T) {
 	const batch = 4
 	c, d, reqs := newRuntime(t, Options{MaxBatch: batch})
 	c.opts.Window = time.Hour // white box: only the size trigger may flush
 	tk := singleTicket("size/0")
-	c.pending.Add(1) // defeat the bypass so every request queues
-	defer c.pending.Add(-1)
+	defer fakeCrowd(c)() // so every request queues
 
 	var wg sync.WaitGroup
 	errs := make([]error, batch)
@@ -312,5 +312,120 @@ func TestSizeTriggerFlushesInline(t *testing.T) {
 	}
 	if snap := d.Snapshot(); snap.Requests != batch {
 		t.Fatalf("dispatcher saw %d requests", snap.Requests)
+	}
+}
+
+// heldBackend answers as the backend it wraps, after reporting on
+// entered and blocking until release closes: the test decides how long
+// dispatches overlap.
+type heldBackend struct {
+	dispatch.Backend
+	entered chan<- struct{}
+	release <-chan struct{}
+}
+
+func (b heldBackend) Invoke(ctx context.Context, req *service.Request) (dispatch.Response, error) {
+	b.entered <- struct{}{}
+	<-b.release
+	return b.Backend.Invoke(ctx, req)
+}
+
+// TestSubCrowdNeverWaits pins the crowd rule's low-load half (the
+// two-senders-idle-a-core case): fewer than MaxBatch callers, all inside
+// the backend at the same instant, each dispatched solo. Nobody parked —
+// with an hour-long time trigger a single parked caller would never
+// reach the backend and the test would hang — and no window, hence no
+// timer, was ever created.
+func TestSubCrowdNeverWaits(t *testing.T) {
+	const maxBatch = 8
+	const n = maxBatch - 1
+	m := visionMatrix(t)
+	entered, release := make(chan struct{}), make(chan struct{})
+	backends := dispatch.NewReplayBackends(m)
+	for i, b := range backends {
+		backends[i] = heldBackend{b, entered, release}
+	}
+	d := dispatch.New(backends, dispatch.Options{DisableHedging: true})
+	c := New(d, Options{MaxBatch: maxBatch})
+	c.opts.Window = time.Hour // white box: a parked caller stays parked
+	made := 0
+	c.windowPool.New = func() any { made++; return &window{c: c} }
+	reqs := dispatch.ReplayRequests(m)
+	tk := singleTicket("subcrowd/0")
+
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, _, errs[i] = c.Do(context.Background(), reqs[i], tk)
+		}(i)
+	}
+	for i := 0; i < n; i++ {
+		<-entered // once n have reported, all are inside the backend together
+	}
+	if got := c.pending.Load(); got != n {
+		t.Fatalf("pending gauge %d with %d callers dispatching", got, n)
+	}
+	close(release)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("caller %d: %v", i, err)
+		}
+	}
+	if st := c.Stats(); st.Bypassed != n || st.Windows != 0 || st.Coalesced != 0 {
+		t.Fatalf("stats = %+v, want %d bypassed and no window", st, n)
+	}
+	if made != 0 {
+		t.Fatalf("%d windows were built (and their timers armed) below the crowd", made)
+	}
+}
+
+// TestArrivalDrainsLeftovers pins the drain: k < MaxBatch-1 waiters
+// parked while a crowd was present are released, as one batch of k+1, by
+// the next arrival of their ticket once the crowd has gone. The time
+// trigger is an hour away, so only that arrival can release them, and it
+// is not a size flush.
+func TestArrivalDrainsLeftovers(t *testing.T) {
+	const maxBatch, k = 4, 2
+	var gateN []int
+	c, d, reqs := newRuntime(t, Options{MaxBatch: maxBatch, Gate: func(n int, tk dispatch.Ticket) (Grant, error) {
+		gateN = append(gateN, n)
+		return Grant{Ticket: tk}, nil
+	}})
+	c.opts.Window = time.Hour // white box: only an arrival may flush
+	tk := singleTicket("drain/0")
+	leave := fakeCrowd(c)
+
+	var wg sync.WaitGroup
+	errs := make([]error, k+1)
+	for i := 0; i < k; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, _, errs[i] = c.Do(context.Background(), reqs[i], tk)
+		}(i)
+	}
+	awaitQueued(c, tk, k)
+	leave()
+
+	_, _, errs[k] = c.Do(context.Background(), reqs[k], tk)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("caller %d: %v", i, err)
+		}
+	}
+	if len(gateN) != 1 || gateN[0] != k+1 {
+		t.Fatalf("gate saw flushes of %v, want one of %d", gateN, k+1)
+	}
+	st := c.Stats()
+	if st.Windows != 1 || st.Coalesced != k+1 || st.SizeFlushes != 0 || st.Bypassed != 0 {
+		t.Fatalf("stats = %+v, want one drained window of %d and no size flush", st, k+1)
+	}
+	if snap := d.Snapshot(); snap.Requests != k+1 {
+		t.Fatalf("dispatcher saw %d requests, want %d", snap.Requests, k+1)
 	}
 }

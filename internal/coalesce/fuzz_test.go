@@ -15,26 +15,35 @@ import (
 // adversarial schedule decoded from raw bytes: each byte spawns one
 // concurrent Do whose tier, cancellation, and arrival order the fuzzer
 // controls, while the first byte picks the batch cap and a shedding
-// cadence for the gate. The invariants are the ones that make the
-// coalescer safe to put in front of a server: no panic, every caller
-// returns exactly once (no stranded waiter, no double delivery), no
-// window object leaks after quiescence, and the stats ledger balances.
+// cadence for the gate. The crowd byte sets the caller count relative
+// to that cap — how many callers may be inside Do at once, from one to
+// twice MaxBatch — and its top bit fakes a crowd that is present for the
+// first half of the arrivals and gone for the rest, so the corpus holds
+// the pass-through regime, the parked regime and the transition. The
+// invariants are the ones that make the coalescer safe to put in front
+// of a server: no panic, every caller returns exactly once (no stranded
+// waiter, no double delivery), no window object leaks after quiescence,
+// the stats ledger balances, and below the crowd no window ever opens.
 func FuzzCoalesceWindow(f *testing.F) {
 	m := visionMatrix(f)
 	reqs := dispatch.ReplayRequests(m)
 
-	f.Add([]byte{0x00})
-	f.Add([]byte{0x17, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07})
-	f.Add([]byte{0x51, 0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d, 0x0e, 0x0f})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
-	f.Add([]byte{0x31, 0x00, 0x08, 0x00, 0x08, 0x00, 0x08, 0x00, 0x08})
+	f.Add([]byte{0x00}, uint8(0))
+	f.Add([]byte{0x17, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07}, uint8(0x0f))                         // MaxBatch 8, all 8 callers at once
+	f.Add([]byte{0x51, 0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d, 0x0e, 0x0f}, uint8(0x00))                   // MaxBatch 2, one at a time
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, uint8(0x86)) // MaxBatch 8, 7 wide, crowd faked then gone
+	f.Add([]byte{0x31, 0x00, 0x08, 0x00, 0x08, 0x00, 0x08, 0x00, 0x08}, uint8(0x03))                   // MaxBatch 2, 4 wide
+	f.Add([]byte{0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00}, uint8(0x82))       // MaxBatch 4, 3 wide: windows only while the phantoms stay
+	f.Add([]byte{0x02, 0x00, 0x03, 0x00, 0x03, 0x00, 0x03, 0x00, 0x03, 0x00, 0x03}, uint8(0x02))       // MaxBatch 3, 3 wide: exactly at the threshold
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, crowd uint8) {
 		if len(data) == 0 || len(data) > 64 {
 			t.Skip()
 		}
 		maxBatch := 1 + int(data[0]&7)
 		shedEvery := int64(data[0] >> 4)
+		width := 1 + int(crowd&0x7f)%(2*maxBatch)
+		phantoms := crowd&0x80 != 0
 
 		d := dispatch.New(dispatch.NewReplayBackends(m), dispatch.Options{DisableHedging: true})
 		errShed := errors.New("fuzz shed")
@@ -56,12 +65,23 @@ func FuzzCoalesceWindow(f *testing.F) {
 			{Tier: "fz/c", Policy: ensemble.Policy{Kind: ensemble.Failover, Primary: 0, Secondary: m.NumVersions() - 1, Threshold: 0.5}},
 		}
 
+		leave := func() {}
+		if phantoms {
+			leave = fakeCrowd(c)
+		}
+		inside := make(chan struct{}, width) // semaphore: callers allowed inside Do at once
+
 		var ok, shed, ctxErr, returned atomic.Int64
 		var wg sync.WaitGroup
 		for i, b := range data {
+			if i == len(data)/2 {
+				leave()
+			}
 			wg.Add(1)
 			go func(i int, b byte) {
 				defer wg.Done()
+				inside <- struct{}{}
+				defer func() { <-inside }()
 				ctx := context.Background()
 				if b&0x08 != 0 {
 					cctx, cancel := context.WithCancel(ctx)
@@ -110,6 +130,9 @@ func FuzzCoalesceWindow(f *testing.F) {
 		}
 		if st.Left > ctxErr.Load() {
 			t.Fatalf("stats Left %d exceeds %d context cancellations", st.Left, ctxErr.Load())
+		}
+		if !phantoms && width < maxBatch && st.Windows+st.Coalesced+st.Left != 0 {
+			t.Fatalf("stats %+v: a window opened with at most %d callers inside against MaxBatch %d", st, width, maxBatch)
 		}
 	})
 }

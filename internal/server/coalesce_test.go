@@ -22,6 +22,7 @@ import (
 	"github.com/toltiers/toltiers/internal/ensemble"
 	"github.com/toltiers/toltiers/internal/profile"
 	"github.com/toltiers/toltiers/internal/rulegen"
+	"github.com/toltiers/toltiers/internal/service"
 	"github.com/toltiers/toltiers/internal/tiers"
 	"github.com/toltiers/toltiers/internal/vision"
 )
@@ -66,6 +67,18 @@ func TestSplitTierKey(t *testing.T) {
 	}
 }
 
+// slowBackend answers as the backend it wraps, after holding the
+// invocation for d of wall time so that concurrent dispatches overlap.
+type slowBackend struct {
+	dispatch.Backend
+	d time.Duration
+}
+
+func (b slowBackend) Invoke(ctx context.Context, req *service.Request) (dispatch.Response, error) {
+	time.Sleep(b.d)
+	return b.Backend.Invoke(ctx, req)
+}
+
 // dispatchEcho is the deterministic slice of a dispatch response
 // (latency and cost renderings ride the simulated clock).
 type dispatchEcho struct {
@@ -82,9 +95,20 @@ type dispatchEcho struct {
 // escalation), and the coalesced node's per-tenant telemetry is
 // reachable both through GET /telemetry?tenant= and the snapshot's
 // rollup.
+//
+// The coalescing node's backends occupy a millisecond of wall time and
+// MaxBatch sits at half the worker count, so the workers are a crowd and
+// the answers compared below really came out of windows.
 func TestCoalescedDispatchParity(t *testing.T) {
 	reg, m, corpus := coalesceFixture(t)
-	srv, ts := coalesceServer(t, reg, m, corpus, coalesce.Options{MaxBatch: 8}, admit.Config{})
+	backends := dispatch.NewServiceBackends(reg.Service())
+	for i, b := range backends {
+		backends[i] = slowBackend{b, time.Millisecond}
+	}
+	srv := NewWithConfig(reg, corpus.Requests, Config{Matrix: m, Backends: backends, Coalesce: &coalesce.Options{MaxBatch: 4}})
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
 	serialSrv := New(reg, corpus.Requests)
 	serialTS := httptest.NewServer(serialSrv)
 	t.Cleanup(serialSrv.Close)
@@ -140,6 +164,9 @@ func TestCoalescedDispatchParity(t *testing.T) {
 	st := srv.Coalescer().Stats()
 	if st.Bypassed+st.Coalesced != n || st.Shed != 0 || st.Left != 0 {
 		t.Fatalf("coalescer stats %+v, want %d delivered", st, n)
+	}
+	if st.Windows == 0 || st.Coalesced < n/4 {
+		t.Fatalf("coalescer stats %+v: too few of %d dispatches rode a window for this to be a parity test", st, n)
 	}
 
 	tn, err := cl.TelemetryForTenant(ctx, "acme")
@@ -223,7 +250,9 @@ func TestPromotionBetweenResolveAndFlush(t *testing.T) {
 	next := tiers.NewRegistry(corpus.Service, table)
 
 	var promote sync.Once
-	srv.coal = coalesce.New(srv.disp, coalesce.Options{Gate: func(n int, tk dispatch.Ticket) (coalesce.Grant, error) {
+	// MaxBatch 1 makes each lone dispatch its own window, so the promotion
+	// lands between a resolve and a window's flush, not a solo dispatch.
+	srv.coal = coalesce.New(srv.disp, coalesce.Options{MaxBatch: 1, Gate: func(n int, tk dispatch.Ticket) (coalesce.Grant, error) {
 		promote.Do(func() { srv.promote(next, &ruleJob{}) })
 		g, err := srv.admitWindow(n, tk)
 		if err == nil && g.Ticket.Policy != tk.Policy {
@@ -247,6 +276,9 @@ func TestPromotionBetweenResolveAndFlush(t *testing.T) {
 			t.Fatalf("dispatch %d under table v%s rendered policy %q (header) / %q (body), want %q",
 				i, want.version, hdr.Get("X-Toltiers-Policy"), res.Policy, want.policy)
 		}
+	}
+	if st := srv.coal.Stats(); st.Windows != 2 || st.Coalesced != 2 {
+		t.Fatalf("coalescer stats %+v, want both dispatches flushed as windows", st)
 	}
 }
 

@@ -260,7 +260,9 @@ func TestTraceIDTravelsInRequestHeader(t *testing.T) {
 	}
 
 	// A coalesced window: concurrent singles of one ticket, each with its
-	// own id, come back as per-item spans of a shared window.
+	// own id, come back as per-item spans of a shared window. Backends
+	// hold a dispatch for milliseconds, so all but the first MaxBatch-1 of
+	// the n arrive into a crowd.
 	const n = 32
 	ids := make([]uint64, n)
 	var wg sync.WaitGroup
@@ -285,7 +287,7 @@ func TestTraceIDTravelsInRequestHeader(t *testing.T) {
 			windowed++
 		}
 	}
-	if windowed == 0 {
-		t.Fatalf("none of %d concurrent dispatches was flushed by a coalesce window", n)
+	if st := srv.Coalescer().Stats(); windowed == 0 || st.Windows == 0 || st.Coalesced < n/2 {
+		t.Fatalf("%d of %d concurrent dispatches carry a window id; coalescer stats %+v", windowed, n, st)
 	}
 }

@@ -16,6 +16,11 @@ BENCHES='BenchmarkPolicySimulate$|BenchmarkEvaluatorTrial$|BenchmarkEvaluatorSet
 
 cd "$(dirname "$0")/.."
 
+# BenchmarkCoalescedDispatch brings four arms, serial and coalesced at
+# 128 callers (a crowd) and at 8 (none); bench_check.sh gates their ratios.
+# The two -c8 rows are recorded for that same-sweep ratio and for the
+# gate's "vanished from the sweep" check only: their baseline ns/op is
+# never compared (a contended microsecond, too host-bound to gate).
 # The handler's own cost (POST /dispatch bare and instrumented, a 64-item
 # batch) and the fleet hop (front tier handler, Pool.Proxy, one worker
 # over a real socket) live beside the handler, in internal/server.

@@ -20,7 +20,12 @@
 # stay within TRACE_OVERHEAD_PCT of serial (same sweep, so host speed
 # cancels out), and canary-split dispatch (BenchmarkCanaryDispatch/split)
 # must stay within CANARY_OVERHEAD_PCT of the untracked path
-# (BenchmarkCanaryDispatch/off). The HTTP handler's allocation budget
+# (BenchmarkCanaryDispatch/off). The coalescer is gated the same way, as
+# two same-sweep ratios of BenchmarkCoalescedDispatch: with a crowd
+# (128 callers against MaxBatch 64) coalesced must cost at most 0.75x
+# serial — batching keeps paying — and below the crowd (8 callers) at
+# most 1.5x serial — the coalescer is a pass-through, not a timer wait;
+# the -c8 pair is gated by that ratio only. The HTTP handler's allocation budget
 # (BenchmarkHandleDispatch/*, allocs/op) and the fleet hop's
 # (BenchmarkFleetProxy, front tier plus one worker) are pinned against
 # the baseline as counts — allocs/op repeats exactly on any host, so this
@@ -66,6 +71,9 @@ while read -r name fresh_ns; do
     case "$name" in
         BenchmarkDispatch*|BenchmarkCoalescedDispatch*|BenchmarkCanaryDispatch*|BenchmarkRuleGenerator|BenchmarkEvaluatorTrial|BenchmarkDriftObserve|BenchmarkAdmit|BenchmarkTraceObserve) ;;
         *) continue ;;
+    esac
+    case "$name" in
+        BenchmarkCoalescedDispatch/*-c8) continue ;; # ratio-gated only, below
     esac
     base_ns="$(awk -v n="$name" '$1 == n {print $2}' /tmp/bench_base.$$)"
     if [[ -z "$base_ns" ]]; then
@@ -127,6 +135,41 @@ else
     echo "  MISS  canary-overhead gate: off/split pair absent from fresh run"
     status=1
 fi
+
+# Coalescer gates, same-sweep like the two above. ratio_gate fails when
+# the coalesced arm's ns/op exceeds cap_pct percent of its serial twin's.
+ratio_gate() {
+    local label="$1" callers="$2" cap_pct="$3" what="$4"
+    local serial coalesced verdict ratio
+    serial="$(awk -v n="BenchmarkCoalescedDispatch/serial-$callers" '$1 == n {print $2}' /tmp/bench_fresh.$$)"
+    coalesced="$(awk -v n="BenchmarkCoalescedDispatch/coalesced-$callers" '$1 == n {print $2}' /tmp/bench_fresh.$$)"
+    if [[ -z "$serial" || -z "$coalesced" ]]; then
+        echo "  MISS  $label gate: serial-$callers/coalesced-$callers pair absent from fresh run"
+        status=1
+        return
+    fi
+    verdict="$(awk -v s="$serial" -v c="$coalesced" -v p="$cap_pct" \
+        'BEGIN { print (c > s * p / 100) ? "FAIL" : "ok" }')"
+    ratio="$(awk -v s="$serial" -v c="$coalesced" 'BEGIN { printf "%.2f", c / s }')"
+    printf '  %-5s %-40s %12.1f vs %12.1f ns/op (%sx serial, cap %sx: %s)\n' \
+        "$verdict" "$label(coalesced-$callers/serial-$callers)" "$serial" "$coalesced" "$ratio" \
+        "$(awk -v p="$cap_pct" 'BEGIN { printf "%.2f", p / 100 }')" "$what"
+    if [[ "$verdict" == "FAIL" ]]; then
+        status=1
+    fi
+}
+# With a crowd (128 callers, MaxBatch 64) windows fill and one flush
+# amortizes admission and the per-leg lease over 64 requests: measured
+# 0.47-0.61x serial, so 0.75x holds "coalesced is worth having" with
+# room for noise. Below the crowd (8 callers) no window can fill and the
+# coalescer must be a pass-through: measured 1.20x (about half the
+# coalescer's own gauge, mutex and counters on a contended microsecond,
+# half the gate seam's AdmitBatch and Release closure), single runs of
+# either arm scattering 5-7 %. The cap is the pin against ever parking a
+# sub-crowd request on the timer again, which reads 100x and more, so
+# 1.5x holds it on a quiet box and a shared CI runner alike.
+ratio_gate coalesce-crowd c128 75 "batching pays"
+ratio_gate coalesce-subcrowd c8 150 "pass-through"
 
 # Handler alloc pins: allocs/op is a count, the same on every host, so
 # BenchmarkHandleDispatch/* and BenchmarkFleetProxy may not exceed the
