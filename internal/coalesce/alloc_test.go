@@ -6,19 +6,14 @@ import (
 
 	"github.com/toltiers/toltiers/internal/dispatch"
 	"github.com/toltiers/toltiers/internal/ensemble"
+	"github.com/toltiers/toltiers/internal/trace"
 )
 
-// Allocation budgets for the two coalescer paths. The bypass path must
-// match the dispatcher's own steady-state budget exactly — a solo
-// caller pays nothing for the coalescer being present. The enqueue
-// path (open window, park waiter, flush through DoBatch, fan out) is
-// allowed a small documented constant: the window and waiter structs
-// are pooled, so the remaining allocations are the per-flush batch
-// slices inside DoBatch.
-const (
-	bypassAllocBudget  = 2 // identical to the dispatcher's replay Do budget
-	enqueueAllocBudget = 8
-)
+// Allocation pins for the two coalescer paths. Both allocate nothing in
+// steady state — the window, waiter and flush scratch are pooled, and a
+// window builds its traced flush context once — so each pin is "< 1
+// per call on average": any per-call allocation fails it, while a GC
+// emptying a sync.Pool mid-run is absorbed.
 
 func TestCoalescedBypassAllocs(t *testing.T) {
 	if raceEnabled {
@@ -43,8 +38,8 @@ func TestCoalescedBypassAllocs(t *testing.T) {
 		}
 		i++
 	})
-	if avg > bypassAllocBudget {
-		t.Fatalf("bypass path allocates %.1f per Do, budget %d — the coalescer is taxing solo callers", avg, bypassAllocBudget)
+	if avg >= 1 {
+		t.Fatalf("bypass path allocates %.2f per Do, want < 1 — the coalescer is taxing solo callers", avg)
 	}
 	if st := c.Stats(); st.Coalesced != 0 || st.Windows != 0 {
 		t.Fatalf("stats %+v: sequential callers opened windows", st)
@@ -52,11 +47,23 @@ func TestCoalescedBypassAllocs(t *testing.T) {
 }
 
 func TestCoalescedEnqueueAllocs(t *testing.T) {
+	enqueueAllocs(t, nil)
+}
+
+// TestCoalescedEnqueueAllocsTraced is the recorder-on twin: a traced
+// flush hands DoBatch the window's batch attribution through a context
+// the pooled window keeps.
+func TestCoalescedEnqueueAllocsTraced(t *testing.T) {
+	enqueueAllocs(t, trace.New(trace.Options{}))
+}
+
+func enqueueAllocs(t *testing.T, rec *trace.Recorder) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc pins run without -race")
 	}
 	m := visionMatrix(t)
-	d := dispatch.New(dispatch.NewReplayBackends(m), dispatch.Options{DisableHedging: true})
+	d := dispatch.New(dispatch.NewReplayBackends(m), dispatch.Options{DisableHedging: true, Recorder: rec})
 	c := New(d, Options{MaxBatch: 1})
 	// MaxBatch=1 makes every caller its own crowd, so every Do takes the
 	// window path and size-triggers an inline flush, exercising the full
@@ -77,8 +84,8 @@ func TestCoalescedEnqueueAllocs(t *testing.T) {
 		}
 		i++
 	})
-	if avg > enqueueAllocBudget {
-		t.Fatalf("enqueue path allocates %.1f per Do, budget %d", avg, enqueueAllocBudget)
+	if avg >= 1 {
+		t.Fatalf("enqueue path (recorder %v) allocates %.2f per Do, want < 1", rec != nil, avg)
 	}
 	if st := c.Stats(); st.Bypassed != 0 || st.SizeFlushes != st.Windows {
 		t.Fatalf("stats %+v: expected every window to size-flush", st)

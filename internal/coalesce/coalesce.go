@@ -156,6 +156,10 @@ type window struct {
 	// through the flush context (window id, per-item park times and
 	// caller trace ids), rebuilt per flush from the same scratch.
 	meta trace.BatchMeta
+	// bctx carries &meta, built by the first traced flush and kept for
+	// the window's pooled life: a window is recycled only after its
+	// DoBatch returns, so no two flushes ever share meta.
+	bctx context.Context
 }
 
 // Coalescer gathers concurrent single dispatches of the same ticket
@@ -451,7 +455,10 @@ func (c *Coalescer) flush(win *window) {
 			win.meta.Park = append(win.meta.Park, park)
 			win.meta.IDs = append(win.meta.IDs, w.tid)
 		}
-		bctx = trace.ContextWithBatch(bctx, &win.meta)
+		if win.bctx == nil {
+			win.bctx = trace.ContextWithBatch(context.Background(), &win.meta)
+		}
+		bctx = win.bctx
 	}
 	var berr error
 	win.outs, win.errs, berr = c.d.DoBatch(bctx, win.reqs, g.Ticket, win.outs, win.errs)

@@ -40,7 +40,7 @@ func (d *Dispatcher) DoBatch(ctx context.Context, reqs []*service.Request, t Tic
 	}
 	c := d.calls.Get().(*dispatchCall)
 	c.txn.reset(t.Tier, t.Tenant)
-	release, err := d.leaseBatch(ctx, p)
+	lo, hi, err := d.leaseBatch(ctx, p)
 	if err != nil {
 		// A batch that dies on the limiter lease counts every item as a
 		// failed request, exactly as the same items issued through Do
@@ -90,7 +90,7 @@ func (d *Dispatcher) DoBatch(ctx context.Context, reqs []*service.Request, t Tic
 	d.tel.commit(&c.txn)
 	c.leased = false
 	d.calls.Put(c)
-	release()
+	d.releaseBatch(lo, hi)
 	return outs, errs, nil
 }
 
@@ -99,9 +99,10 @@ func (d *Dispatcher) DoBatch(ctx context.Context, reqs []*service.Request, t Tic
 // batches, so two batches can never deadlock holding each other's
 // leg). The whole batch then runs inside the lease: with a concurrency
 // cap configured, a batch occupies one in-flight unit per leg, not one
-// per item.
-func (d *Dispatcher) leaseBatch(ctx context.Context, p ensemble.Policy) (release func(), err error) {
-	lo, hi := p.Primary, -1
+// per item. It returns the legs it leased (hi < 0 for a single leg),
+// which releaseBatch hands back.
+func (d *Dispatcher) leaseBatch(ctx context.Context, p ensemble.Policy) (lo, hi int, err error) {
+	lo, hi = p.Primary, -1
 	if p.Kind != ensemble.Single {
 		hi = p.Secondary
 		if hi < lo {
@@ -109,20 +110,23 @@ func (d *Dispatcher) leaseBatch(ctx context.Context, p ensemble.Policy) (release
 		}
 	}
 	if err := d.sems[lo].acquire(ctx); err != nil {
-		return nil, err
+		return lo, hi, err
 	}
 	if hi >= 0 {
 		if err := d.sems[hi].acquire(ctx); err != nil {
 			d.sems[lo].release()
-			return nil, err
+			return lo, hi, err
 		}
 	}
-	return func() {
-		d.sems[lo].release()
-		if hi >= 0 {
-			d.sems[hi].release()
-		}
-	}, nil
+	return lo, hi, nil
+}
+
+// releaseBatch returns the limiter slots leaseBatch took.
+func (d *Dispatcher) releaseBatch(lo, hi int) {
+	d.sems[lo].release()
+	if hi >= 0 {
+		d.sems[hi].release()
+	}
 }
 
 // beginBatchSpan resets the call's span for one batch item and applies

@@ -30,8 +30,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/toltiers/toltiers/internal/api"
@@ -112,7 +114,8 @@ type CanaryObserver interface {
 // Ticket carries one request's resolved tier through the dispatcher.
 type Ticket struct {
 	// Tier keys telemetry, canonically "objective/tolerance"
-	// (TierKey builds it from a resolved rule).
+	// (TierKey builds it from a resolved rule; its result is interned,
+	// so building it per request is free).
 	Tier string
 	// Tenant identifies the requesting principal for admission control
 	// and QoS accounting ("" = the anonymous default tenant). A named
@@ -142,9 +145,57 @@ type Ticket struct {
 	Canary bool
 }
 
-// TierKey renders the canonical telemetry key of a tier.
+// TierKey renders the canonical telemetry key of a tier: byte-identical
+// to fmt.Sprintf("%s/%g", objective, tolerance). The result is interned,
+// so after the first call for a given pair TierKey is one atomic load
+// and one map lookup, allocation-free. The table holds at most
+// tierKeyCap pairs; past that, new pairs render without being cached.
 func TierKey(objective string, tolerance float64) string {
-	return fmt.Sprintf("%s/%g", objective, tolerance)
+	id := tierKeyID{objective, math.Float64bits(tolerance)}
+	if k, ok := (*tierKeys.Load())[id]; ok {
+		return k
+	}
+	return internTierKey(id, objective, tolerance)
+}
+
+// tierKeyCap bounds the interned table: the tiers a node serves number
+// in the dozens, and callers rendering arbitrary tolerances must not
+// grow memory.
+const tierKeyCap = 1024
+
+// tierKeyID keys the table by the tolerance's bits, so NaN, -0 and +0
+// each find their own entry (a float64 key would never match NaN).
+type tierKeyID struct {
+	objective string
+	tolerance uint64
+}
+
+var (
+	// tierKeys is an immutable map, replaced copy-on-write under
+	// tierKeysMu; readers take no lock.
+	tierKeys   atomic.Pointer[map[tierKeyID]string]
+	tierKeysMu sync.Mutex
+)
+
+func init() { tierKeys.Store(&map[tierKeyID]string{}) }
+
+// internTierKey renders a missed key and publishes it, unless the table
+// is full.
+func internTierKey(id tierKeyID, objective string, tolerance float64) string {
+	k := fmt.Sprintf("%s/%g", objective, tolerance)
+	tierKeysMu.Lock()
+	defer tierKeysMu.Unlock()
+	old := *tierKeys.Load()
+	if prev, ok := old[id]; ok {
+		return prev
+	}
+	if len(old) >= tierKeyCap {
+		return k
+	}
+	next := maps.Clone(old)
+	next[id] = k
+	tierKeys.Store(&next)
+	return k
 }
 
 // Outcome is the result of dispatching one request.

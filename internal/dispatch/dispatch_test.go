@@ -3,6 +3,7 @@ package dispatch
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -479,12 +480,100 @@ func TestDispatchRejectsBadPolicy(t *testing.T) {
 	}
 }
 
-// TestTierKey pins the telemetry key format the server and clients use.
+// TestTierKey pins the telemetry key format the server and clients use:
+// byte-identical to %s/%g, on the miss that interns a key and on the
+// hit that reads it back.
 func TestTierKey(t *testing.T) {
 	if got := TierKey("response-time", 0.05); got != "response-time/0.05" {
 		t.Fatalf("key = %q", got)
 	}
 	if got := TierKey("cost", 0); got != "cost/0" {
 		t.Fatalf("key = %q", got)
+	}
+	for _, c := range []struct {
+		objective string
+		tolerance float64
+	}{
+		{"cost", 0},
+		{"cost", math.Copysign(0, -1)},
+		{"cost", math.NaN()},
+		{"cost", math.Inf(1)},
+		{"cost", math.Inf(-1)},
+		{"cost", 5e-324},
+		{"cost", 0.1 + 0.2},
+		{"cost", 1e21},
+		{"response-time", 0.05},
+		{"a/b%d ü—東", 0.3},
+		{"", 1},
+	} {
+		want := fmt.Sprintf("%s/%g", c.objective, c.tolerance)
+		for pass := 0; pass < 2; pass++ {
+			if got := TierKey(c.objective, c.tolerance); got != want {
+				t.Fatalf("TierKey(%q, %v) pass %d = %q, want %q", c.objective, c.tolerance, pass, got, want)
+			}
+		}
+	}
+}
+
+// FuzzTierKey checks the interned key against fmt on every input, on
+// the first call and again on the (cached or over-cap) second.
+func FuzzTierKey(f *testing.F) {
+	f.Add("response-time", 0.05)
+	f.Add("cost", math.Copysign(0, -1))
+	f.Add("a/b%d ü", math.NaN())
+	f.Add("cost", math.Inf(-1))
+	f.Fuzz(func(t *testing.T, objective string, tolerance float64) {
+		want := fmt.Sprintf("%s/%g", objective, tolerance)
+		for pass := 0; pass < 2; pass++ {
+			if got := TierKey(objective, tolerance); got != want {
+				t.Fatalf("TierKey(%q, %v) pass %d = %q, want %q", objective, tolerance, pass, got, want)
+			}
+		}
+	})
+}
+
+// TestTierKeyConcurrent renders overlapping key sets from 16 goroutines
+// at once; under -race this checks the copy-on-write publication.
+func TestTierKeyConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	errs := make(chan string, 16)
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for j := 0; j < 200; j++ {
+				k := (g*13 + j) % 240
+				obj, tol := "concurrent", float64(k)/1000
+				if want := fmt.Sprintf("%s/%g", obj, tol); TierKey(obj, tol) != want {
+					errs <- want
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for want := range errs {
+		t.Errorf("concurrent TierKey diverged from %q", want)
+	}
+}
+
+// TestTierKeyBound renders more distinct keys than the table holds:
+// every result stays correct and the table stops growing at the bound.
+func TestTierKeyBound(t *testing.T) {
+	saved := tierKeys.Load()
+	tierKeys.Store(&map[tierKeyID]string{})
+	t.Cleanup(func() { tierKeys.Store(saved) })
+	for i := 0; i < tierKeyCap+100; i++ {
+		tol := float64(i) / 7
+		want := fmt.Sprintf("%s/%g", "bound", tol)
+		for pass := 0; pass < 2; pass++ {
+			if got := TierKey("bound", tol); got != want {
+				t.Fatalf("key %d pass %d = %q, want %q", i, pass, got, want)
+			}
+		}
+	}
+	if n := len(*tierKeys.Load()); n != tierKeyCap {
+		t.Fatalf("table holds %d keys, bound %d", n, tierKeyCap)
 	}
 }

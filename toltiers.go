@@ -389,7 +389,8 @@ func NewReplayBackends(m *Matrix) []Backend { return dispatch.NewReplayBackends(
 func ReplayRequests(m *Matrix) []*Request { return dispatch.ReplayRequests(m) }
 
 // DispatchTierKey renders the canonical telemetry key of a tier,
-// "objective/tolerance".
+// "objective/tolerance" (fmt's %s/%g). The result is interned, so
+// building a Ticket's tier with it per request is allocation-free.
 func DispatchTierKey(obj Objective, tolerance float64) string {
 	return dispatch.TierKey(string(obj), tolerance)
 }
