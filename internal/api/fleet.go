@@ -98,33 +98,16 @@ type FleetRollout struct {
 	Error   string   `json:"error,omitempty"`
 }
 
-// FleetAutoscale is the operator hint emitted in the fleet status:
-// desired replica count derived from router queue depth and per-tier
-// p95 vs the deadlines traffic actually requested.
-type FleetAutoscale struct {
-	Live     int   `json:"live"`
-	Desired  int   `json:"desired"`
-	InFlight int64 `json:"in_flight"`
-	// WorstTier names the tier whose observed p95 is closest to (or
-	// furthest past) its requested deadline; 0 ratio = no deadline
-	// traffic observed.
-	WorstTier       string  `json:"worst_tier,omitempty"`
-	WorstP95MS      float64 `json:"worst_p95_ms,omitempty"`
-	WorstDeadlineMS float64 `json:"worst_deadline_ms,omitempty"`
-	Reason          string  `json:"reason"`
-}
-
 // FleetStatus is GET /fleet: the fenced table version, the live
-// workers, the latest rollout, and the autoscale hint. Proxied and
+// workers, and the latest rollout. Proxied and
 // LocalFallback count front-tier dispatches routed to workers vs
 // served locally because no worker was live (or every candidate
 // failed).
 type FleetStatus struct {
-	TableVersion  int64          `json:"table_version"`
-	LeaseMS       int64          `json:"lease_ms"`
-	Workers       []FleetWorker  `json:"workers"`
-	Rollout       *FleetRollout  `json:"rollout,omitempty"`
-	Autoscale     FleetAutoscale `json:"autoscale"`
-	Proxied       int64          `json:"proxied"`
-	LocalFallback int64          `json:"local_fallback"`
+	TableVersion  int64         `json:"table_version"`
+	LeaseMS       int64         `json:"lease_ms"`
+	Workers       []FleetWorker `json:"workers"`
+	Rollout       *FleetRollout `json:"rollout,omitempty"`
+	Proxied       int64         `json:"proxied"`
+	LocalFallback int64         `json:"local_fallback"`
 }

@@ -73,22 +73,6 @@ func DecodeDispatchBatch(body []byte, into *DispatchBatchRequest) error {
 	return decodeJSON(body, into)
 }
 
-// ProbeDeadline reads deadline_ms out of a /dispatch or /dispatch/batch
-// body without building the request (the fleet front's tier accounting
-// wants the deadline of a body it only forwards). A body no endpoint
-// would accept probes as 0.
-func ProbeDeadline(body []byte) float64 {
-	var c call
-	if scanCall(body, fieldID|fieldIDs|fieldDeadline, &c, false) {
-		return c.deadline
-	}
-	var d DispatchRequest
-	if decodeJSON(body, &d) != nil {
-		return 0
-	}
-	return d.DeadlineMS
-}
-
 // decodeJSON is the encoding/json half. It decodes into a copy so that
 // into does not escape through the any: a caller's request struct stays
 // on its stack when the scanner answers.

@@ -19,7 +19,7 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// checkDecode holds the three decoders and the probe to encoding/json on
+// checkDecode holds the three decoders to encoding/json on
 // one body: same error text, same struct, whichever half answered — and,
 // when the scanner accepted, that its own values are the ones
 // encoding/json produces.
@@ -63,14 +63,6 @@ func checkDecode(t *testing.T, body []byte) {
 				t.Fatalf("scanner accepted batch %q as %+v; encoding/json %+v, %v", body, c, wantB, wantErr)
 			}
 		}
-	}
-
-	want := 0.0
-	if wantErr = decodeJSON(body, &wantD); wantErr == nil {
-		want = wantD.DeadlineMS
-	}
-	if got := ProbeDeadline(body); !sameFloat(got, want) {
-		t.Fatalf("ProbeDeadline(%q) = %v, want %v", body, got, want)
 	}
 }
 
@@ -261,9 +253,6 @@ func TestWireCodecAllocs(t *testing.T) {
 		b.RequestIDs = ids[:0]
 		if DecodeDispatch(single, &d) != nil || DecodeDispatchBatch(batch, &b) != nil || len(b.RequestIDs) != 8 || d.RequestID != 1234 {
 			t.Fatal("decode failed")
-		}
-		if ProbeDeadline(single) != 40.5 || ProbeDeadline(batch) != 40 {
-			t.Fatal("probe failed")
 		}
 		if _, err := AppendDispatchResult(buf, &res); err != nil {
 			t.Fatal(err)

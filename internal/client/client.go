@@ -213,8 +213,8 @@ func (c *Client) SetDriftConfig(ctx context.Context, cfg api.DriftConfig) (*api.
 }
 
 // Fleet fetches the front tier's fleet status: the fenced table
-// version, the live workers with their health/latency accounting, the
-// latest rolling table push, and the autoscale hint (GET /fleet).
+// version, the live workers with their health/latency accounting, and
+// the latest rolling table push (GET /fleet).
 // Single-node servers and workers answer 404.
 func (c *Client) Fleet(ctx context.Context) (*api.FleetStatus, error) {
 	return get[api.FleetStatus](ctx, c, "fleet", "/fleet")

@@ -345,44 +345,6 @@ func TestPromoteRollsTablesSequentiallyAndEvictsFailures(t *testing.T) {
 	}
 }
 
-func TestAutoscaleHint(t *testing.T) {
-	p := NewPool(Options{TargetInFlight: 4, MinReplicas: 1, MaxReplicas: 10})
-	p.Register("w1", "http://w1", 0)
-	p.Register("w2", "http://w2", 0)
-
-	// Steady state: desired == live.
-	if as := p.Status().Autoscale; as.Desired != 2 || as.Reason != "steady" {
-		t.Fatalf("steady autoscale = %+v", as)
-	}
-
-	// Queue pressure: 13 in-flight at 4 per worker wants ceil(13/4)=4.
-	p.mu.Lock()
-	p.members["w1"].inflight.Store(13)
-	as := p.autoscaleLocked(2, 13)
-	p.members["w1"].inflight.Store(0)
-	p.mu.Unlock()
-	if as.Desired != 4 {
-		t.Fatalf("queue-depth autoscale desired=%d, want 4", as.Desired)
-	}
-
-	// Latency pressure: a tier whose p95 is 3x its deadline wants
-	// ceil(live*3)=6.
-	m := p.candidates("", nil)[0]
-	for i := 0; i < 32; i++ {
-		p.observe(m, tierKey{obj: "response-time", tol: "0.05"}, 50, 150)
-	}
-	as = p.Status().Autoscale
-	if as.Desired != 6 || as.WorstTier != "response-time/0.05" {
-		t.Fatalf("latency autoscale = %+v, want desired 6 from response-time/0.05", as)
-	}
-
-	// The hint clamps at MaxReplicas.
-	p.opts.MaxReplicas = 5
-	if as := p.Status().Autoscale; as.Desired != 5 {
-		t.Fatalf("clamped autoscale desired=%d, want 5", as.Desired)
-	}
-}
-
 func TestAgentRegistersHeartbeatsAndResyncs(t *testing.T) {
 	p := NewPool(Options{Lease: time.Second})
 	p.SetVersion(2)

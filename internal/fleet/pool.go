@@ -14,7 +14,6 @@
 package fleet
 
 import (
-	"math"
 	"net"
 	"net/http"
 	"net/url"
@@ -29,18 +28,11 @@ import (
 )
 
 // Options parameterizes the front tier's fleet pool. The zero value is
-// usable: 3s leases, autoscale targeting 8 in-flight dispatches per
-// worker between 1 and 16 replicas.
+// usable: 3s leases.
 type Options struct {
 	// Lease is the liveness lease granted on register/heartbeat; a
 	// worker that misses it leaves rotation (0 = 3s).
 	Lease time.Duration
-	// TargetInFlight is the autoscale hint's per-worker in-flight
-	// budget (0 = 8).
-	TargetInFlight int
-	// MinReplicas / MaxReplicas clamp the autoscale hint (0 = 1 / 16).
-	MinReplicas int
-	MaxReplicas int
 	// Now overrides the clock (tests pin lease expiry with it).
 	Now func() time.Time
 	// Logf, when set, receives control-plane events (joins, expiries,
@@ -48,15 +40,15 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// latencyRingSize bounds the sliding window behind per-member and
-// per-tier p95 estimates.
+// latencyRingSize bounds the sliding window behind a member's p95
+// round-trip estimate.
 const latencyRingSize = 256
 
 // member is one registered worker at one base URL (a worker that moves
 // re-registers as a new member). The dispatch path reaches members
 // through the routing snapshot, without Pool.mu: what it reads is fixed
 // at registration or atomic, and the free list of keep-alive connections
-// has its own lock. Pool.mu guards only the latency accounting.
+// and the round-trip stats have the member's own lock.
 type member struct {
 	name    string
 	nameHdr []string // {name}, shared by every relayed X-Toltiers-Worker
@@ -73,7 +65,7 @@ type member struct {
 	connMu sync.Mutex
 	idle   []*workerConn
 	gone   bool // left the pool: returning connections are closed
-
+	// Served round trips, in ms; putConn records them.
 	lat  stats.Stream
 	ring stats.Ring
 }
@@ -93,19 +85,6 @@ func newMember(name, base string) *member {
 
 func (m *member) live(now time.Time) bool { return now.UnixNano() <= m.expires.Load() }
 
-// tierKey labels a request's tier for autoscale accounting, from the
-// same annotation headers §IV-A dispatch resolves; the zero key is a
-// request without a Tolerance.
-type tierKey struct{ obj, tol string }
-
-// tierObs accumulates router-observed wall latency per requested tier,
-// plus the largest deadline that tier's traffic asked for — the two
-// inputs of the p95-vs-deadline autoscale factor.
-type tierObs struct {
-	ring       stats.Ring
-	deadlineMS float64
-}
-
 // Pool is the front tier's fleet state: the worker registry, the
 // routing/failover accounting, the rule-table version fence, and the
 // rolling-push machinery.
@@ -122,7 +101,6 @@ type Pool struct {
 	mu      sync.Mutex
 	members map[string]*member
 	version int64
-	tiers   map[tierKey]*tierObs
 	rollout *rollout
 }
 
@@ -132,7 +110,6 @@ func NewPool(opts Options) *Pool {
 		opts:    opts,
 		client:  &http.Client{Timeout: 30 * time.Second},
 		members: make(map[string]*member),
-		tiers:   make(map[tierKey]*tierObs),
 	}
 	p.publishLocked()
 	return p
@@ -352,29 +329,8 @@ func (p *Pool) candidates(tenant string, buf []*member) []*member {
 	return buf
 }
 
-// observe folds one completed proxy round trip into the member's and
-// the tier's accounting.
-func (p *Pool) observe(m *member, tier tierKey, deadlineMS, wallMS float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	m.lat.Add(wallMS)
-	m.ring.Add(wallMS)
-	if tier == (tierKey{}) {
-		return
-	}
-	to := p.tiers[tier]
-	if to == nil {
-		to = &tierObs{ring: stats.NewRing(latencyRingSize)}
-		p.tiers[tier] = to
-	}
-	to.ring.Add(wallMS)
-	if deadlineMS > to.deadlineMS {
-		to.deadlineMS = deadlineMS
-	}
-}
-
-// Status assembles GET /fleet: live workers, the fence, the latest
-// rollout, and the autoscale hint.
+// Status assembles GET /fleet: live workers, the fence, and the latest
+// rollout.
 func (p *Pool) Status() api.FleetStatus {
 	now := p.now()
 	p.mu.Lock()
@@ -386,11 +342,10 @@ func (p *Pool) Status() api.FleetStatus {
 		Proxied:       p.proxied.Load(),
 		LocalFallback: p.fallback.Load(),
 	}
-	routes := *p.routes.Load()
-	var inflight int64
-	for _, m := range routes {
-		n := m.inflight.Load()
-		inflight += n
+	for _, m := range *p.routes.Load() {
+		m.connMu.Lock()
+		mean, p95 := m.lat.Mean, m.ring.Quantile(0.95)
+		m.connMu.Unlock()
 		st.Workers = append(st.Workers, api.FleetWorker{
 			Name:             m.name,
 			BaseURL:          m.base,
@@ -398,9 +353,9 @@ func (p *Pool) Status() api.FleetStatus {
 			Requests:         m.requests.Load(),
 			Failures:         m.failures.Load(),
 			FailedOver:       m.failedOver.Load(),
-			InFlight:         n,
-			MeanLatencyMS:    m.lat.Mean,
-			P95LatencyMS:     m.ring.Quantile(0.95),
+			InFlight:         m.inflight.Load(),
+			MeanLatencyMS:    mean,
+			P95LatencyMS:     p95,
 			LeaseRemainingMS: time.Duration(m.expires.Load() - now.UnixNano()).Milliseconds(),
 		})
 	}
@@ -413,69 +368,5 @@ func (p *Pool) Status() api.FleetStatus {
 			Error:   ro.err,
 		}
 	}
-	st.Autoscale = p.autoscaleLocked(len(routes), inflight)
 	return st
-}
-
-// autoscaleLocked derives the desired-replica hint: enough workers to
-// keep per-worker in-flight under TargetInFlight AND to pull the worst
-// tier's observed p95 back under the deadline its traffic requested.
-// Callers hold p.mu.
-func (p *Pool) autoscaleLocked(live int, inflight int64) api.FleetAutoscale {
-	target := p.opts.TargetInFlight
-	if target <= 0 {
-		target = 8
-	}
-	minR := p.opts.MinReplicas
-	if minR <= 0 {
-		minR = 1
-	}
-	maxR := p.opts.MaxReplicas
-	if maxR <= 0 {
-		maxR = 16
-	}
-	as := api.FleetAutoscale{Live: live, InFlight: inflight}
-
-	fromQueue := int(math.Ceil(float64(inflight) / float64(target)))
-	fromLatency := 0
-	worstRatio := 0.0
-	for tier, to := range p.tiers {
-		if to.deadlineMS <= 0 || to.ring.Len() < 16 {
-			continue
-		}
-		p95 := to.ring.Quantile(0.95)
-		if ratio := p95 / to.deadlineMS; ratio > worstRatio {
-			worstRatio = ratio
-			as.WorstTier = tier.obj + "/" + tier.tol
-			as.WorstP95MS = p95
-			as.WorstDeadlineMS = to.deadlineMS
-		}
-	}
-	if worstRatio > 1 && live > 0 {
-		fromLatency = int(math.Ceil(float64(live) * worstRatio))
-	}
-
-	desired := live
-	reason := "steady"
-	if fromQueue > desired {
-		desired = fromQueue
-		reason = "queue depth over per-worker target"
-	}
-	if fromLatency > desired {
-		desired = fromLatency
-		reason = "tier p95 over requested deadline"
-	}
-	if desired < minR {
-		desired = minR
-		if live < minR {
-			reason = "below minimum replicas"
-		}
-	}
-	if desired > maxR {
-		desired = maxR
-		reason += " (clamped to max replicas)"
-	}
-	as.Desired = desired
-	as.Reason = reason
-	return as
 }

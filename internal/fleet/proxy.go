@@ -5,9 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
+	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -18,7 +18,8 @@ import (
 const (
 	// maxProxyResponse bounds how much of a worker response the front
 	// tier buffers before relaying it. Dispatch and batch replies are
-	// small; this is a safety valve, not a working limit.
+	// small; this is a safety valve, not a working limit. A longer answer
+	// is a worker failure.
 	maxProxyResponse = 32 << 20
 	// failoverAttempts bounds how many workers one dispatch may try
 	// before the front tier falls back to serving locally.
@@ -30,6 +31,10 @@ const (
 	maxIdleBuf   = 64 << 10 // an idle connection keeps no larger buffer
 	dialTimeout  = 5 * time.Second
 	roundTripCap = 30 * time.Second
+	// abortPoll is how long a round trip waits on the socket before it
+	// asks whether its caller is still there. A worker that answers
+	// sooner never wakes the timer.
+	abortPoll = 20 * time.Millisecond
 )
 
 // forwarded are the request headers a worker gets: the §IV-A annotation
@@ -48,10 +53,11 @@ var errStale = errors.New("fleet: idle worker connection was closed")
 // the worker's answer until then.
 type workerConn struct {
 	net.Conn
-	br     *bufio.Reader
-	abort  func() // fails the I/O in flight; what a dead caller context runs
-	buf    []byte // the rendered request, then the response body
-	resp   *http.Response
+	br     *bufio.Reader   // reads through c.Read
+	ctx    context.Context // the call in flight's; what the deadline polls
+	start  time.Time       // when the call in flight began
+	buf    []byte          // the rendered request, then the response body
+	resp   response
 	reused bool
 	keep   bool // false once the connection cannot carry another call
 }
@@ -62,9 +68,55 @@ func (m *member) dial(ctx context.Context) (*workerConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &workerConn{Conn: nc, br: bufio.NewReader(nc)}
-	c.abort = func() { _ = nc.SetDeadline(time.Unix(1, 0)) }
+	c := &workerConn{Conn: nc}
+	c.br = bufio.NewReader(c)
 	return c, nil
+}
+
+// Read is the socket under c.br. The deadline is never more than
+// abortPoll away; each time it passes, poll decides whether to wait on.
+func (c *workerConn) Read(p []byte) (int, error) {
+	for {
+		n, err := c.Conn.Read(p)
+		if n > 0 || err == nil {
+			return n, err
+		}
+		if err = c.poll(err); err != nil {
+			return 0, err
+		}
+	}
+}
+
+// writeAll writes b whole, under the same deadline polling as Read.
+func (c *workerConn) writeAll(b []byte) error {
+	for {
+		n, err := c.Conn.Write(b)
+		if err == nil {
+			return nil
+		}
+		b = b[n:]
+		if err = c.poll(err); err != nil {
+			return err
+		}
+	}
+}
+
+// poll handles an I/O error: nil when it was the abortPoll deadline and
+// the call may wait another abortPoll (the deadline is re-armed), the
+// context's error when the caller is gone, and err itself otherwise —
+// a deadline past roundTripCap included.
+func (c *workerConn) poll(err error) error {
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		return err
+	}
+	if cerr := c.ctx.Err(); cerr != nil {
+		return cerr
+	}
+	if now := time.Now(); now.Sub(c.start) < roundTripCap {
+		_ = c.SetDeadline(now.Add(abortPoll))
+		return nil
+	}
+	return err
 }
 
 // idleConn takes the most recently used connection off the free list.
@@ -78,13 +130,25 @@ func (m *member) idleConn() (c *workerConn) {
 	return c
 }
 
-// putConn ends a call's hold on c: back on the free list, or closed.
-func (m *member) putConn(c *workerConn) {
+// putConn ends a call's hold on c: back on the free list, or closed. A
+// served call's round trip goes into the member's latency stats.
+func (m *member) putConn(c *workerConn, served bool) {
+	var rtt float64
+	if served {
+		rtt = float64(time.Since(c.start)) / float64(time.Millisecond)
+	}
 	if cap(c.buf) > maxIdleBuf {
 		c.buf = nil
 	}
-	c.resp, c.reused = nil, true
+	if cap(c.resp.arena) > maxIdleBuf || cap(c.resp.hdrs) > maxIdleBuf/32 {
+		c.resp = response{}
+	}
+	c.reused = true
 	m.connMu.Lock()
+	if served {
+		m.lat.Add(rtt)
+		m.ring.Add(rtt)
+	}
 	keep := c.keep && !m.gone && len(m.idle) < maxIdleConns
 	if keep {
 		m.idle = append(m.idle, c)
@@ -108,8 +172,8 @@ func (m *member) retire() {
 
 // roundTrip sends one dispatch to m and returns the connection holding
 // its fully read answer; the caller relays it and calls putConn. An
-// error is a worker failure: no connection, a broken or timed-out
-// exchange, or a 5xx that is not an admission shed.
+// error is a worker failure: no connection, a broken, malformed or
+// timed-out exchange, or a 5xx that is not an admission shed.
 func (m *member) roundTrip(ctx context.Context, path string, hdr http.Header, body []byte) (*workerConn, error) {
 	m.inflight.Add(1)
 	defer m.inflight.Add(-1)
@@ -131,25 +195,22 @@ func (m *member) roundTrip(ctx context.Context, path string, hdr http.Header, bo
 	}
 	// A 503 with the exact retry hint is what an admission shed looks
 	// like: the worker's answer, as a 429 is. Any other 5xx is a fault.
-	if st := c.resp.StatusCode; st >= 500 && (st != http.StatusServiceUnavailable || c.resp.Header[api.HeaderRetryAfterMS] == nil) {
-		m.putConn(c)
+	if st := c.resp.status; st >= 500 && (st != http.StatusServiceUnavailable || !c.resp.shed) {
+		m.putConn(c, false)
 		return nil, fmt.Errorf("worker returned %d", st)
 	}
 	return c, nil
 }
 
-// exchange writes the request with one Write and reads the whole
-// response into c.resp and c.buf. The exchange is capped at roundTripCap
-// and dies with ctx.
+// exchange writes the request and reads the whole response into c.resp
+// and c.buf. It is capped at roundTripCap and dies with ctx within
+// abortPoll: one SetDeadline per call, and a poll only when the worker
+// is slower than that.
 func (c *workerConn) exchange(ctx context.Context, m *member, path string, hdr http.Header, body []byte) error {
-	_ = c.SetDeadline(time.Now().Add(roundTripCap)) // a failure shows on the Write
-	stop := context.AfterFunc(ctx, c.abort)
+	c.ctx, c.start = ctx, time.Now()
+	_ = c.SetDeadline(c.start.Add(abortPoll)) // a failure shows on the write
 	err := c.do(m, path, hdr, body)
-	if !stop() {
-		// abort ran or is running, and its deadline may land on the
-		// connection's next call: this was its last.
-		c.keep = false
-	}
+	c.ctx = nil
 	return err
 }
 
@@ -165,41 +226,22 @@ func (c *workerConn) do(m *member, path string, hdr http.Header, body []byte) er
 	b = strconv.AppendInt(append(b, "Content-Length: "...), int64(len(body)), 10)
 	b = append(append(b, "\r\n\r\n"...), body...)
 	c.buf = b
-	_, err := c.Write(b)
+	err := c.writeAll(b)
 	if err == nil {
 		_, err = c.br.Peek(1)
 	}
 	if err != nil {
-		var ne net.Error
-		if c.reused && !(errors.As(err, &ne) && ne.Timeout()) {
+		// Neither a deadline nor a dead caller is a stale connection.
+		if c.reused && c.ctx.Err() == nil && !errors.Is(err, os.ErrDeadlineExceeded) {
 			return errStale
 		}
 		return err
 	}
-	resp, err := http.ReadResponse(c.br, nil)
+	c.buf, err = c.resp.read(c.br, b[:0])
 	if err != nil {
-		return err
+		return fmt.Errorf("reading worker response: %w", err)
 	}
-	b = b[:0]
-	for {
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-		n, err := resp.Body.Read(b[len(b):min(cap(b), maxProxyResponse)])
-		b = b[:len(b)+n]
-		if err == io.EOF {
-			c.keep = !resp.Close
-			break
-		}
-		if len(b) == maxProxyResponse {
-			c.keep = false // the rest of the body is still on the wire
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("reading worker response: %w", err)
-		}
-	}
-	c.buf, c.resp = b, resp
+	c.keep = !c.resp.close
 	return nil
 }
 
@@ -211,31 +253,23 @@ func (c *workerConn) do(m *member, path string, hdr http.Header, body []byte) er
 // serving locally from the same body: Proxy keeps no reference to it.
 //
 // Failover is correct, not just fast: each attempt reads the worker's
-// entire response before relaying a byte, a transport error or bare 5xx
-// moves to the next candidate (same-table-version siblings first, so a
-// mid-rollout failover does not time-travel across versions), and 4xx,
-// 429 and a 503 admission shed are relayed as-is — they are the worker's
-// answer, not a worker failure, and replaying a shed on the siblings
-// would amplify the very overload it reports.
+// entire response before relaying a byte, a transport error, malformed
+// answer or bare 5xx moves to the next candidate (same-table-version
+// siblings first, so a mid-rollout failover does not time-travel across
+// versions), and 4xx, 429 and a 503 admission shed are relayed as-is —
+// they are the worker's answer, not a worker failure, and replaying a
+// shed on the siblings would amplify the very overload it reports.
 //
-// A proxied dispatch takes Pool.mu once, in observe.
+// A proxied dispatch takes no pool-wide lock: the routing snapshot is an
+// atomic pointer, the counters are atomics, and the free list and the
+// latency stats sit under the member's own connMu.
 func (p *Pool) Proxy(ctx context.Context, w http.ResponseWriter, hdr http.Header, path string, body []byte) bool {
 	var buf [failoverAttempts]*member
 	cands := p.candidates(hdr.Get(api.HeaderTenant), buf[:0])
-	var tier tierKey
-	if tol := hdr.Get(api.HeaderTolerance); tol != "" {
-		tier = tierKey{obj: hdr.Get(api.HeaderObjective), tol: tol}
-		if tier.obj == "" {
-			tier.obj = "response-time"
-		}
-	}
-	deadlineMS := api.ProbeDeadline(body) // both wire shapes carry it at the top level
-
 	for i, m := range cands {
 		if ctx.Err() != nil {
 			break
 		}
-		start := time.Now()
 		c, err := m.roundTrip(ctx, path, hdr, body)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -261,21 +295,15 @@ func (p *Pool) Proxy(ctx context.Context, w http.ResponseWriter, hdr http.Header
 			}
 			continue
 		}
-		p.observe(m, tier, deadlineMS, float64(time.Since(start))/float64(time.Millisecond))
 		m.requests.Add(1)
 		p.proxied.Add(1)
-		// The dispatch wire headers, and which worker served it. The
-		// value slices are the parsed response's own; nobody else holds it.
+		// The dispatch wire headers, and which worker served it.
 		out := w.Header()
-		for k, vv := range c.resp.Header {
-			if k == api.HeaderContentType || k == api.HeaderRetryAfter || strings.HasPrefix(k, api.HeaderPrefix) {
-				out[k] = vv
-			}
-		}
+		c.resp.relay(out)
 		out[api.HeaderWorker] = m.nameHdr
-		w.WriteHeader(c.resp.StatusCode)
+		w.WriteHeader(c.resp.status)
 		_, _ = w.Write(c.buf)
-		m.putConn(c)
+		m.putConn(c, true)
 		return true
 	}
 	p.fallback.Add(1)

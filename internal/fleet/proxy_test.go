@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -59,6 +60,12 @@ func workerStatus(t *testing.T, p *Pool, name string) (requests, failures, faile
 	}
 	t.Fatalf("worker %s not in the fleet status", name)
 	return
+}
+
+func memberOf(p *Pool, name string) *member {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.members[name]
 }
 
 func TestRendezvousIsFNV1a(t *testing.T) {
@@ -127,68 +134,170 @@ func TestProxyFailsOverWhenWorkerDiesMidResponse(t *testing.T) {
 	if _, failures, failedOver := workerStatus(t, p, "a-dying"); failures != 1 || failedOver != 1 {
 		t.Fatalf("a-dying failures=%d failed_over=%d, want 1/1", failures, failedOver)
 	}
-	p.mu.Lock()
-	m := p.members["a-dying"]
-	p.mu.Unlock()
-	if c := m.idleConn(); c != nil {
+	if c := memberOf(p, "a-dying").idleConn(); c != nil {
 		t.Fatal("the connection that died mid-response went back on the free list")
 	}
 }
 
-func TestProxyAbortsWithCallerContext(t *testing.T) {
-	arrived, hungUp := make(chan struct{}), make(chan struct{})
-	hang := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+// stallingWorker answers one dispatch with partial, the start of an
+// answer, then holds the connection open until the front tier closes it.
+// arrived is closed once partial is on the wire, hungUp once the front
+// tier has closed the connection.
+func stallingWorker(t *testing.T, partial string) (ts *httptest.Server, arrived, hungUp chan struct{}) {
+	arrived, hungUp = make(chan struct{}), make(chan struct{})
+	ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		_, _ = io.Copy(io.Discard, r.Body)
+		c, bw, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer c.Close()
+		_, _ = bw.WriteString(partial)
+		_ = bw.Flush()
 		close(arrived)
-		<-r.Context().Done() // the front tier closing the connection
+		_, _ = io.Copy(io.Discard, c)
 		close(hungUp)
 	}))
-	t.Cleanup(hang.Close)
-	p := NewPool(Options{})
-	defer p.Close()
-	p.Register("hung", hang.URL, 0)
+	t.Cleanup(ts.Close)
+	return ts, arrived, hungUp
+}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cancelled := make(chan time.Time, 1)
-	go func() {
-		<-arrived
-		cancelled <- time.Now()
-		cancel()
-	}()
-	rec := httptest.NewRecorder()
-	if p.Proxy(ctx, rec, http.Header{}, "/dispatch", []byte(`{}`)) {
-		t.Fatal("Proxy answered for a worker that never did")
+func TestProxyAbortsWithCallerContext(t *testing.T) {
+	for _, tc := range []struct{ name, partial string }{
+		{"before the first byte", ""},
+		{"after the status line", "HTTP/1.1 200 OK\r\n"},
+		{"mid-headers", "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nX-Toltiers-Pol"},
+		{"mid-chunked body", "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nTransfer-Encoding: chunked\r\n\r\n10\r\n{\"ok\":"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hang, arrived, hungUp := stallingWorker(t, tc.partial)
+			p := NewPool(Options{})
+			defer p.Close()
+			p.Register("hung", hang.URL, 0)
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			cancelled := make(chan time.Time, 1)
+			go func() {
+				<-arrived
+				cancelled <- time.Now()
+				cancel()
+			}()
+			rec := httptest.NewRecorder()
+			if p.Proxy(ctx, rec, http.Header{}, "/dispatch", []byte(`{}`)) {
+				t.Fatal("Proxy answered for a worker that never did")
+			}
+			if took := time.Since(<-cancelled); took > 100*time.Millisecond {
+				t.Fatalf("Proxy returned %v after the cancel, want under 100ms", took)
+			}
+			select {
+			case <-hungUp:
+			case <-time.After(2 * time.Second):
+				t.Fatal("the aborted connection was left open")
+			}
+			if _, failures, _ := workerStatus(t, p, "hung"); failures != 0 {
+				t.Fatalf("failures = %d: a caller giving up is not a worker failure", failures)
+			}
+			if st := p.Status(); st.LocalFallback != 1 {
+				t.Fatalf("local_fallback = %d, want 1", st.LocalFallback)
+			}
+		})
 	}
-	if took := time.Since(<-cancelled); took > 100*time.Millisecond {
-		t.Fatalf("Proxy returned %v after the cancel, want under 100ms", took)
+}
+
+// TestProxyFailsOverOnAnswersItCannotRelay: an answer the proxy cannot
+// read whole is a worker failure, found out without waiting on the rest.
+func TestProxyFailsOverOnAnswersItCannotRelay(t *testing.T) {
+	for _, tc := range []struct{ name, partial string }{
+		{"header line over the reader's buffer", "HTTP/1.1 200 OK\r\nX-Toltiers-Policy: " + strings.Repeat("x", 8<<10) + "\r\nContent-Length: 2\r\n\r\n{}"},
+		{"Content-Length over the relay limit", "HTTP/1.1 200 OK\r\nContent-Length: 33554433\r\n\r\n{\"ok\":"},
+		{"chunk over the relay limit", "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2000001\r\n{\"ok\":"},
+		{"no framing", "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n{\"ok\":"},
+		{"malformed status line", "HTTP/1.1 20 OK\r\nContent-Length: 2\r\n\r\n{}"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad, _, hungUp := stallingWorker(t, tc.partial)
+			ok := workerStub(t, http.StatusOK, `{"ok":true}`, nil)
+			p := NewPool(Options{})
+			defer p.Close()
+			p.Register("a-bad", bad.URL, 0)
+			p.Register("b-ok", ok.URL, 0)
+
+			start := time.Now()
+			rec := proxyOnce(t, p) // anonymous round-robin starts at a-bad
+			if took := time.Since(start); took > time.Second {
+				t.Fatalf("the failover took %v: the proxy waited on the bad answer", took)
+			}
+			if rec.Code != http.StatusOK || rec.Body.String() != `{"ok":true}` || rec.Header().Get("X-Toltiers-Worker") != "b-ok" {
+				t.Fatalf("relayed %d %q from %q, want the sibling's whole answer", rec.Code, rec.Body.String(), rec.Header().Get("X-Toltiers-Worker"))
+			}
+			if requests, failures, failedOver := workerStatus(t, p, "a-bad"); requests != 0 || failures != 1 || failedOver != 1 {
+				t.Fatalf("a-bad requests=%d failures=%d failed_over=%d, want 0/1/1", requests, failures, failedOver)
+			}
+			select {
+			case <-hungUp:
+			case <-time.After(2 * time.Second):
+				t.Fatal("the failed connection was left open")
+			}
+		})
 	}
-	select {
-	case <-hungUp:
-	case <-time.After(2 * time.Second):
-		t.Fatal("the aborted connection was left open")
-	}
-	if _, failures, _ := workerStatus(t, p, "hung"); failures != 0 {
-		t.Fatalf("failures = %d: a caller giving up is not a worker failure", failures)
-	}
-	if st := p.Status(); st.LocalFallback != 1 {
-		t.Fatalf("local_fallback = %d, want 1", st.LocalFallback)
+}
+
+// TestProxyDoesNotPoolAClosingAnswer: an answer that ends its connection
+// is read by its framing, relayed, and its connection closed.
+func TestProxyDoesNotPoolAClosingAnswer(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		h    http.HandlerFunc
+	}{
+		{"Connection: close", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Connection", "close")
+			okHandler(w, r)
+		}},
+		{"HTTP/1.0", func(w http.ResponseWriter, r *http.Request) {
+			_, _ = io.Copy(io.Discard, r.Body)
+			c, bw, err := w.(http.Hijacker).Hijack()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			_, _ = bw.WriteString("HTTP/1.0 200 OK\r\nContent-Type: application/json\r\nContent-Length: 11\r\n\r\n{\"ok\":true}")
+			_ = bw.Flush()
+			_, _ = io.Copy(io.Discard, c) // open until the front tier closes it
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts, conns := countingWorker(t, tc.h)
+			p := NewPool(Options{})
+			defer p.Close()
+			p.Register("w", ts.URL, 0)
+			for i := 0; i < 2; i++ {
+				if rec := proxyOnce(t, p); rec.Code != http.StatusOK || rec.Body.String() != `{"ok":true}` {
+					t.Fatalf("relayed %d %q", rec.Code, rec.Body.String())
+				}
+				if memberOf(p, "w").idleConn() != nil {
+					t.Fatal("the connection went back on the free list")
+				}
+			}
+			if got := conns.Load(); got != 2 {
+				t.Fatalf("2 dispatches opened %d connections, want 2", got)
+			}
+			if requests, failures, _ := workerStatus(t, p, "w"); requests != 2 || failures != 0 {
+				t.Fatalf("requests=%d failures=%d, want 2/0", requests, failures)
+			}
+		})
 	}
 }
 
 func TestProxyRelaysChunkedBatchReplyByteForByte(t *testing.T) {
-	// A 64-item /dispatch/batch reply: over net/http's 2 KB buffer, so it
-	// leaves the worker chunked, here in as many chunks as items.
-	var want bytes.Buffer
-	want.WriteString(`{"items":[`)
-	for i := 0; i < 64; i++ {
-		fmt.Fprintf(&want, `{"confidence":0.9%02d,"tier":0.05,"policy":"single:0","backend":"b%d","class":%d},`, i, i%4, i)
-	}
-	want.WriteString(`{}],"failed":0}`)
+	// Chunked, here in as many chunks as items.
+	want := batchReply()
 	ts, conns := countingWorker(t, func(w http.ResponseWriter, r *http.Request) {
 		_, _ = io.Copy(io.Discard, r.Body)
 		w.Header().Set("Content-Type", "application/json")
-		for _, piece := range bytes.SplitAfter(want.Bytes(), []byte("},")) {
+		for _, piece := range bytes.SplitAfter(want, []byte("},")) {
 			_, _ = w.Write(piece)
 			w.(http.Flusher).Flush()
 		}
@@ -201,12 +310,12 @@ func TestProxyRelaysChunkedBatchReplyByteForByte(t *testing.T) {
 		if !p.Proxy(context.Background(), rec, http.Header{}, "/dispatch/batch", []byte(`{"request_ids":[1]}`)) {
 			t.Fatal("Proxy fell back to the local serve")
 		}
-		if !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
-			t.Fatalf("relayed %d bytes, want the worker's %d byte for byte:\n%s", rec.Body.Len(), want.Len(), rec.Body.Bytes())
+		if !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Fatalf("relayed %d bytes, want the worker's %d byte for byte:\n%s", rec.Body.Len(), len(want), rec.Body.Bytes())
 		}
 	}
-	if want.Len() <= 2048 || conns.Load() != 1 {
-		t.Fatalf("reply of %d bytes over %d connections, want over 2 KB on one", want.Len(), conns.Load())
+	if len(want) <= 2048 || conns.Load() != 1 {
+		t.Fatalf("reply of %d bytes over %d connections, want over 2 KB on one", len(want), conns.Load())
 	}
 }
 

@@ -332,11 +332,11 @@ func NewHTTPServer(reg *Registry, reqs []*Request, cfg ServerConfig) HTTPServer 
 
 // Multi-node serving fleet (the front tier / ttworker split).
 type (
-	// FleetOptions parameterizes a front tier's worker pool: liveness
-	// lease, failover attempts, and the autoscale hint's targets. Hang
-	// one on ServerConfig.Fleet to make the node a front tier — workers
-	// built with cmd/ttworker join it over HTTP, bootstrap from its
-	// snapshot endpoint, and serve its routed dispatch traffic.
+	// FleetOptions parameterizes a front tier's worker pool: the
+	// liveness lease, the clock and the event log. Hang one on
+	// ServerConfig.Fleet to make the node a front tier — workers built
+	// with cmd/ttworker join it over HTTP, bootstrap from its snapshot
+	// endpoint, and serve its routed dispatch traffic.
 	FleetOptions = fleet.Options
 	// FleetAgent is the worker-side membership loop: register,
 	// heartbeat, resync on version-fence mismatch.
