@@ -457,8 +457,9 @@ func BenchmarkDispatch(b *testing.B) {
 	b.Run("serial-traced", func(b *testing.B) {
 		// The recorder-on twin of /serial: same tier, same requests,
 		// fresh dispatcher with the flight recorder attached at its
-		// defaults. scripts/bench_check.sh gates this within 10% of
-		// /serial and at zero allocs/op — the recording contract.
+		// defaults. scripts/bench_check.sh gates this within 35% of
+		// /serial in the same sweep; zero allocs/op is the recording
+		// contract.
 		b.ReportAllocs()
 		td := toltiers.NewDispatcher(toltiers.NewReplayBackends(matrix),
 			toltiers.DispatchOptions{Recorder: toltiers.NewTraceRecorder(toltiers.TraceOptions{})})
@@ -638,8 +639,8 @@ func BenchmarkCoalescedDispatch(b *testing.B) {
 // closes every 64th call run the full detector arithmetic and are
 // included in the mean), or attaching drift detection would cost the
 // runtime its zero-allocation steady state; the alloc-regression test
-// in internal/drift pins the same property, and scripts/bench_check.sh
-// gates the ns/op.
+// in internal/drift pins the same property, and scripts/bench.sh records
+// the ns/op.
 func BenchmarkDriftObserve(b *testing.B) {
 	mon := toltiers.NewDriftMonitor(toltiers.DriftConfig{Enabled: true, Window: 64},
 		[]string{"replay:v0"}, nil)
@@ -660,9 +661,8 @@ func BenchmarkDriftObserve(b *testing.B) {
 // trial live (every ticket takes the regular observer path), /split
 // with a live canary trial and tickets alternating between the canary
 // and incumbent arms — the exact traffic shape of a stride-2 canary
-// slice during a heal. The split path must stay within
-// CANARY_OVERHEAD_PCT (10%) of /off in the same sweep;
-// scripts/bench_check.sh gates the pair.
+// slice during a heal. The split path must stay within 20% of /off in
+// the same sweep; scripts/bench_check.sh gates the pair.
 func BenchmarkCanaryDispatch(b *testing.B) {
 	corpus := toltiers.NewVisionCorpus(400)
 	matrix := toltiers.Profile(corpus.Service, corpus.Requests)
@@ -714,8 +714,8 @@ func BenchmarkCanaryDispatch(b *testing.B) {
 // (on kept spans) the ring commit. This is the overhead recording adds
 // to every dispatch once a recorder hangs on DispatchOptions.Recorder;
 // it must stay allocation-free (the alloc-regression test in
-// internal/trace pins the same property) and scripts/bench_check.sh
-// gates the ns/op.
+// internal/trace pins the same property) and scripts/bench.sh records
+// the ns/op.
 func BenchmarkTraceObserve(b *testing.B) {
 	rec := trace.New(trace.Options{})
 	ctx := context.Background()
@@ -776,7 +776,7 @@ func BenchmarkRegistryHandle(b *testing.B) {
 // every request pays before reaching the dispatcher once a server arms
 // ServerConfig.Admission. It must stay allocation-free and well under a
 // microsecond (the alloc-regression test in internal/admit pins the
-// zero-allocation property; scripts/bench_check.sh gates the ns/op), or
+// zero-allocation property; scripts/bench.sh records the ns/op), or
 // the QoS layer would eat the contention-free fast path it guards.
 func BenchmarkAdmit(b *testing.B) {
 	ctrl := toltiers.NewAdmissionController(toltiers.AdmissionConfig{

@@ -304,36 +304,41 @@ func (e *Evaluator) fillEscalate(p Policy, out, pe, pl, pv, pi []float64) {
 // Trial sums the fused outcome lanes over one bootstrap subset of local
 // row indices (nil = all rows). This is the entire per-trial work of
 // the Fig.-7 bootstrap: six adds per row out of a single cache line.
+//
+// The six sums are locals, built into a TrialSums once on return: the
+// compiler keeps a struct of more than four fields in memory, so a += on
+// a field would be a load and a store per lane per row.
 func (e *Evaluator) Trial(subset []int) TrialSums {
 	out := e.out
-	var t TrialSums
+	var errSum, latSum, invSum, iaasSum, escalSum, baseSum float64
+	n := len(subset)
 	if subset == nil {
+		n = e.rows
 		for r := 0; r < e.rows; r++ {
 			f := out[r*fusedStride : r*fusedStride+laneBase+1]
-			t.ErrSum += f[laneErr]
-			t.LatNsSum += f[laneLat]
-			t.InvSum += f[laneInv]
-			t.IaaSSum += f[laneIaaS]
-			t.EscalSum += f[laneEscal]
-			t.BaseErrSum += f[laneBase]
+			errSum += f[laneErr]
+			latSum += f[laneLat]
+			invSum += f[laneInv]
+			iaasSum += f[laneIaaS]
+			escalSum += f[laneEscal]
+			baseSum += f[laneBase]
 		}
-		t.N = e.rows
-		return t
+	} else {
+		// Note: rows must be accumulated one at a time, in subset order —
+		// float64 addition is not associative, and bit-exact agreement with
+		// the row-oriented Evaluate path is part of this kernel's contract.
+		for _, r := range subset {
+			f := out[r*fusedStride : r*fusedStride+laneBase+1]
+			errSum += f[laneErr]
+			latSum += f[laneLat]
+			invSum += f[laneInv]
+			iaasSum += f[laneIaaS]
+			escalSum += f[laneEscal]
+			baseSum += f[laneBase]
+		}
 	}
-	// Note: rows must be accumulated one at a time, in subset order —
-	// float64 addition is not associative, and bit-exact agreement with
-	// the row-oriented Evaluate path is part of this kernel's contract.
-	for _, r := range subset {
-		f := out[r*fusedStride : r*fusedStride+laneBase+1]
-		t.ErrSum += f[laneErr]
-		t.LatNsSum += f[laneLat]
-		t.InvSum += f[laneInv]
-		t.IaaSSum += f[laneIaaS]
-		t.EscalSum += f[laneEscal]
-		t.BaseErrSum += f[laneBase]
-	}
-	t.N = len(subset)
-	return t
+	return TrialSums{N: n, ErrSum: errSum, LatNsSum: latSum, InvSum: invSum,
+		IaaSSum: iaasSum, EscalSum: escalSum, BaseErrSum: baseSum}
 }
 
 // Aggregate runs Trial and converts the sums into the legacy Evaluate

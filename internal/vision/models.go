@@ -280,23 +280,25 @@ func (w *World) observe(m ModelSpec, img *Image) ([]float64, *[]float64) {
 
 	proto := w.protos[img.Label]
 	tok := w.getObs()
-	obs := *tok
+	obs := (*tok)[:w.dim]
 	for d := range obs {
 		obs[d] = proto[d] + img.Difficulty*(m.SharedAtten*img.shared[d]+m.ResidualNoise*rng.Norm())
 	}
 	return obs, tok
 }
 
-// getObs hands out a pooled dim-length observation vector; callers that
-// are done classifying return the same token with putObs. Every element
-// is overwritten before use, so recycling cannot leak state between
-// inferences. The token is the pooled object itself, so a steady-state
-// get/put cycle allocates nothing.
+// getObs hands out a pooled dim+classes-length scratch vector: the first
+// dim floats are the observation, the last classes Infer's per-class
+// squared distances. Callers that are done classifying return the same
+// token with putObs. Every element is overwritten before use, so
+// recycling cannot leak state between inferences. The token is the
+// pooled object itself, so a steady-state get/put cycle allocates
+// nothing.
 func (w *World) getObs() *[]float64 {
 	if v := w.obsPool.Get(); v != nil {
 		return v.(*[]float64)
 	}
-	s := make([]float64, w.dim)
+	s := make([]float64, w.dim+w.classes)
 	return &s
 }
 
@@ -309,6 +311,7 @@ func (w *World) putObs(tok *[]float64) {
 func (w *World) Infer(m ModelSpec, img *Image) Prediction {
 	obs, tok := w.observe(m, img)
 	defer w.putObs(tok)
+	dist := (*tok)[w.dim:]
 
 	best, second := -1, -1
 	bestD, secondD := math.Inf(1), math.Inf(1)
@@ -319,6 +322,7 @@ func (w *World) Infer(m ModelSpec, img *Image) Prediction {
 			diff := obs[d] - p[d]
 			sum += diff * diff
 		}
+		dist[c] = sum
 		switch {
 		case sum < bestD:
 			second, secondD = best, bestD
@@ -336,13 +340,7 @@ func (w *World) Infer(m ModelSpec, img *Image) Prediction {
 	// prototype, which grows with input difficulty and catches
 	// confidently-wrong predictions far from the training manifold.
 	lse := 0.0
-	for c := 0; c < w.classes; c++ {
-		p := w.protos[c]
-		sum := 0.0
-		for d := range obs {
-			diff := obs[d] - p[d]
-			sum += diff * diff
-		}
+	for _, sum := range dist {
 		lse += math.Exp(-(sum - bestD) / (2 * m.Temperature))
 	}
 	softmax := 1 / lse

@@ -112,17 +112,30 @@ func (r *RNG) Intn(n int) int {
 // state, so the two are distinct deterministic streams; code whose
 // historical draws must not change keeps Intn. It panics if n <= 0 or
 // n >= 2^31.
+//
+// The pair loop runs Uint64's xoshiro256** step inline on the state held
+// in locals (Uint64 does not inline into the loop, so through r.s every
+// pair would load and store the state); the stream is exactly Uint64's.
 func (r *RNG) FillIntn(dst []int, n int) {
 	if n <= 0 || n >= 1<<31 {
 		panic("xrand: FillIntn bound out of range")
 	}
 	un := uint64(n)
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
 	i := 0
 	for ; i+1 < len(dst); i += 2 {
-		u := r.Uint64()
+		u := rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
 		dst[i] = int((u >> 32) * un >> 32)
 		dst[i+1] = int((u & 0xffffffff) * un >> 32)
 	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 	if i < len(dst) {
 		dst[i] = int((r.Uint64() >> 32) * un >> 32)
 	}

@@ -210,6 +210,47 @@ func TestZipfSampleInRangeQuick(t *testing.T) {
 	}
 }
 
+// fillIntnReference is FillIntn's draw rule written as a loop over
+// Uint64 pairs: the reference the inlined generator step must reproduce.
+func fillIntnReference(r *RNG, dst []int, n int) {
+	un := uint64(n)
+	i := 0
+	for ; i+1 < len(dst); i += 2 {
+		u := r.Uint64()
+		dst[i] = int((u >> 32) * un >> 32)
+		dst[i+1] = int((u & 0xffffffff) * un >> 32)
+	}
+	if i < len(dst) {
+		dst[i] = int((r.Uint64() >> 32) * un >> 32)
+	}
+}
+
+// FillIntn must draw exactly the reference's values and leave the
+// generator in exactly the reference's state, for even and odd lengths
+// and bounds up to the largest allowed. The second call of each case
+// starts from the state the first one left behind.
+func TestFillIntnMatchesUint64Pairs(t *testing.T) {
+	for _, length := range []int{0, 1, 2, 199, 200, 201} {
+		for _, n := range []int{1, 7, 2000, 1<<31 - 1} {
+			seed := uint64(length)*0x9e3779b97f4a7c15 + uint64(n)
+			got, want := New(seed), New(seed)
+			dg, dw := make([]int, length), make([]int, length)
+			for call := 0; call < 2; call++ {
+				got.FillIntn(dg, n)
+				fillIntnReference(want, dw, n)
+				for i := range dw {
+					if dg[i] != dw[i] {
+						t.Fatalf("len %d n %d call %d: dst[%d] = %d, want %d", length, n, call, i, dg[i], dw[i])
+					}
+				}
+				if *got != *want {
+					t.Fatalf("len %d n %d call %d: state %+v, want %+v", length, n, call, *got, *want)
+				}
+			}
+		}
+	}
+}
+
 func TestShufflePreservesElements(t *testing.T) {
 	r := New(13)
 	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
