@@ -26,7 +26,6 @@ import (
 	"github.com/toltiers/toltiers/internal/experiments"
 	"github.com/toltiers/toltiers/internal/profile"
 	"github.com/toltiers/toltiers/internal/rulegen"
-	"github.com/toltiers/toltiers/internal/rulegen/shard"
 	"github.com/toltiers/toltiers/internal/speech"
 	"github.com/toltiers/toltiers/internal/trace"
 	"github.com/toltiers/toltiers/internal/vision"
@@ -330,33 +329,6 @@ func BenchmarkRuleGenerator(b *testing.B) {
 		if len(g.Candidates()) == 0 {
 			b.Fatal("no candidates")
 		}
-	}
-}
-
-// BenchmarkShardedRuleGenerator measures the sharded Fig.-7 sweep
-// (internal/rulegen/shard) at 1, 2, and 4 shards over the same workload
-// as BenchmarkRuleGenerator; output is bit-identical across the row, so
-// the deltas are pure orchestration cost/benefit.
-func BenchmarkShardedRuleGenerator(b *testing.B) {
-	c := dataset.NewVisionCorpus(dataset.VisionCorpusConfig{N: 400, Device: vision.GPU})
-	m := profile.Build(c.Service, c.Requests)
-	cfg := rulegen.DefaultConfig()
-	cfg.MinTrials = 5
-	cfg.MaxTrials = 20
-	cfg.ThresholdPoints = 4
-	cfg.IncludePickBest = false
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				g, _, err := shard.Generate(context.Background(), m, nil, cfg, shard.Options{Shards: shards})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(g.Candidates()) == 0 {
-					b.Fatal("no candidates")
-				}
-			}
-		})
 	}
 }
 

@@ -26,8 +26,6 @@ func main() {
 		maxTol     = flag.Float64("max", 0.10, "largest tolerance")
 		trainFrac  = flag.Float64("train", 1.0, "training fraction (rest audited as held-out)")
 		outPath    = flag.String("o", "", "also save the rule table as JSON to this file")
-		shards     = flag.Int("shards", 0, "candidate-grid shards for the sharded generator (0 = auto)")
-		workers    = flag.Int("workers", 0, "concurrent shard workers (0 = one per shard)")
 	)
 	flag.Parse()
 
@@ -60,14 +58,9 @@ func main() {
 	gcfg := toltiers.DefaultGeneratorConfig()
 	gcfg.Confidence = *confidence
 	start := time.Now()
-	// The sharded sweep is bit-identical to the monolithic generator
-	// (proven by internal/rulegen/shard's equivalence tests), so it is
-	// the only path; -shards/-workers just shape the partition.
-	gen, err := toltiers.ShardedGenerate(matrix, train, gcfg, *shards, *workers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	// The bootstrap sweep runs on every CPU; its output does not depend
+	// on how many there are.
+	gen := toltiers.NewRuleGenerator(matrix, train, gcfg)
 	fmt.Fprintf(os.Stderr, "bootstrapped %d candidates in %.1fs\n", len(gen.Candidates()), time.Since(start).Seconds())
 
 	table := gen.Generate(toltiers.ToleranceGrid(*maxTol, *step), obj)

@@ -145,10 +145,7 @@ func profileCorpus(service string, n int, step float64) (*toltiers.Matrix, *tolt
 	log.Printf("profiling %d requests of %s ...", len(reqs), svc.Domain)
 	m := toltiers.Profile(svc, reqs)
 	log.Printf("generating rule tables (step %g) ...", step)
-	gen, err := toltiers.ShardedGenerate(m, nil, toltiers.DefaultGeneratorConfig(), 0, 0)
-	if err != nil {
-		return nil, nil, err
-	}
+	gen := toltiers.NewRuleGenerator(m, nil, toltiers.DefaultGeneratorConfig())
 	grid := toltiers.ToleranceGrid(0.10, step)
 	return m, toltiers.NewRegistry(svc,
 		gen.Generate(grid, toltiers.MinimizeLatency),

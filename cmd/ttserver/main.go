@@ -33,8 +33,6 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address")
 		confidence = flag.Float64("confidence", 0.999, "rule-generator bootstrap confidence")
 		step       = flag.Float64("step", 0.005, "tolerance grid step")
-		shards     = flag.Int("shards", 0, "candidate-grid shards for the sharded generator (0 = auto)")
-		workers    = flag.Int("workers", 0, "concurrent shard workers (0 = one per shard)")
 		driftOn    = flag.Bool("drift", false, "watch live telemetry for distribution shifts and self-heal: a confirmed shift re-profiles the backends, canary-trials the regenerated rule tables on a traffic slice, and promotes them only on a win")
 		driftTick  = flag.Duration("drift-interval", 0, "drift check cadence (0 = 2s)")
 		stateDir   = flag.String("state-dir", "", "directory for crash-safe state snapshots: healed rule tables, drift baselines and heal history persist atomically on promotion and shutdown, and a compatible snapshot restores on boot instead of re-profiling")
@@ -108,11 +106,8 @@ func main() {
 
 		gcfg := toltiers.DefaultGeneratorConfig()
 		gcfg.Confidence = *confidence
-		log.Printf("generating routing rules (confidence %.3f, shards %d) ...", *confidence, *shards)
-		gen, gerr := toltiers.ShardedGenerate(matrix, nil, gcfg, *shards, *workers)
-		if gerr != nil {
-			log.Fatal(gerr)
-		}
+		log.Printf("generating routing rules (confidence %.3f) ...", *confidence)
+		gen := toltiers.NewRuleGenerator(matrix, nil, gcfg)
 		grid := toltiers.ToleranceGrid(0.10, *step)
 		reg = toltiers.NewRegistry(svc,
 			gen.Generate(grid, toltiers.MinimizeLatency),

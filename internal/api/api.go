@@ -173,16 +173,11 @@ type TelemetrySnapshot struct {
 }
 
 // RuleGenRequest is the JSON body of POST /rules/generate: start a
-// sharded regeneration of the serving node's rule tables. Zero values
-// select the server's defaults; one job runs at a time.
+// regeneration of the serving node's rule tables. Zero values select
+// the server's defaults; one job runs at a time.
 type RuleGenRequest struct {
 	// Objectives to generate tables for (default: both).
 	Objectives []string `json:"objectives,omitempty"`
-	// Shards / Workers / BatchSize tune the sharded sweep (defaults:
-	// GOMAXPROCS shards, one worker per shard, 32-candidate batches).
-	Shards    int `json:"shards,omitempty"`
-	Workers   int `json:"workers,omitempty"`
-	BatchSize int `json:"batch_size,omitempty"`
 	// Confidence overrides the bootstrap confidence (default 0.999).
 	Confidence float64 `json:"confidence,omitempty"`
 	// MinTrials / MaxTrials / ThresholdPoints override the bootstrap
@@ -193,7 +188,7 @@ type RuleGenRequest struct {
 	MaxTrials       int `json:"max_trials,omitempty"`
 	ThresholdPoints int `json:"threshold_points,omitempty"`
 	// Step and MaxTolerance define the tolerance grid (defaults 0.01
-	// and 0.10).
+	// and 0.10; MaxTolerance at most 1, at most 10 001 grid points).
 	Step         float64 `json:"step,omitempty"`
 	MaxTolerance float64 `json:"max_tolerance,omitempty"`
 	// Apply atomically swaps the serving registry to the generated
@@ -215,8 +210,6 @@ type RuleGenStatus struct {
 	// Done / Total count bootstrapped candidate policies.
 	Done       int      `json:"done"`
 	Total      int      `json:"total"`
-	Shards     int      `json:"shards,omitempty"`
-	Workers    int      `json:"workers,omitempty"`
 	Objectives []string `json:"objectives,omitempty"`
 	ElapsedMS  float64  `json:"elapsed_ms,omitempty"`
 	// Applied reports whether the serving registry was swapped.

@@ -10,10 +10,10 @@ import (
 	"github.com/toltiers/toltiers/internal/trace"
 )
 
-// Backoff is the one retry policy of the repo's two HTTP callers — the
-// client SDK's *WithRetry calls and the shard transport — which map
-// their own fields and defaults onto it. Every call it drives must be
-// idempotent: a retried attempt may repeat work the server already did.
+// Backoff is the retry policy of the client SDK's *WithRetry calls,
+// which map their own fields and defaults onto it. Every call it drives
+// must be idempotent: a retried attempt may repeat work the server
+// already did.
 type Backoff struct {
 	// Attempts bounds total tries, including the first (< 1 = 1).
 	Attempts int

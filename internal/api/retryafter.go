@@ -14,9 +14,8 @@ import (
 // remaining until the date. Absent, malformed, zero, and
 // already-elapsed values all return 0 — callers treat 0 as "no hint".
 //
-// Both the shard transport and the client SDK route their backoff hints
-// through here, so the two retry loops can never again disagree on
-// which forms they honor.
+// The client SDK routes its backoff hints through here (via
+// RetryAfterHint).
 func ParseRetryAfter(value string, now time.Time) time.Duration {
 	if value == "" {
 		return 0

@@ -183,9 +183,9 @@ func (c *Client) Tiers(ctx context.Context) ([]api.TierInfo, error) {
 	return *out, nil
 }
 
-// GenerateRules asks the node to regenerate its routing tables with the
-// sharded generator (POST /rules/generate). The job runs asynchronously;
-// poll RulesStatus for completion.
+// GenerateRules asks the node to regenerate its routing tables (POST
+// /rules/generate). The job runs asynchronously; poll RulesStatus for
+// completion.
 func (c *Client) GenerateRules(ctx context.Context, genReq api.RuleGenRequest) (*api.RuleGenAccepted, error) {
 	return roundTrip[api.RuleGenAccepted](ctx, c, "generate rules", http.MethodPost, "/rules/generate", genReq, nil, http.StatusAccepted)
 }
@@ -319,8 +319,7 @@ func decodeError(resp *http.Response) error {
 // retryAfterHint parses the server's backoff hint: the
 // millisecond-precision X-Toltiers-Retry-After-MS when present, the
 // standard Retry-After — integer seconds or the RFC 9110 HTTP-date
-// form — otherwise (api.RetryAfterHint is the shared parser the shard
-// transport also uses).
+// form — otherwise (api.RetryAfterHint).
 func retryAfterHint(h http.Header) time.Duration {
 	return api.RetryAfterHint(h, time.Now())
 }

@@ -12,9 +12,8 @@ import (
 )
 
 // TestNextHonorsRetryAfterOverCap pins the hint-vs-cap ordering in the
-// SDK retry policy (the same bug the shard transport had): a server
-// Retry-After larger than MaxBackoff must be honored, not silently
-// clamped back to the cap.
+// SDK retry policy: a server Retry-After larger than MaxBackoff must be
+// honored, not silently clamped back to the cap.
 func TestNextHonorsRetryAfterOverCap(t *testing.T) {
 	p := RetryPolicy{BaseBackoff: 10 * time.Millisecond, MaxBackoff: time.Second,
 		Rand: func() float64 { return 0 }}

@@ -33,13 +33,12 @@ func TestReplayConvergence(t *testing.T) {
 	gen := rulegen.New(m, nil, cfg)
 	table := gen.Generate([]float64{0, 0.02, 0.05, 0.10}, rulegen.MinimizeLatency)
 
-	// The plan's canonical policy order recovers each rule's global
-	// candidate index, whose seed regenerates the exact bootstrap
-	// streams the generator saw.
-	plan := rulegen.NewPlan(m, nil, cfg)
-	indexOf := make(map[ensemble.Policy]int, len(plan.Policies))
-	for i, p := range plan.Policies {
-		indexOf[p] = i
+	// The candidates' canonical order recovers each rule's candidate
+	// index, whose seed regenerates the exact bootstrap streams the
+	// generator saw.
+	indexOf := make(map[ensemble.Policy]int, len(gen.Candidates()))
+	for i, c := range gen.Candidates() {
+		indexOf[c.Policy] = i
 	}
 
 	d := New(NewReplayBackends(m), Options{DisableHedging: true})
@@ -89,10 +88,10 @@ func TestReplayConvergence(t *testing.T) {
 		// any fair sample of the matrix can land.
 		idx, ok := indexOf[pol]
 		if !ok {
-			t.Fatalf("tier %s: policy %v not in plan", tier, pol)
+			t.Fatalf("tier %s: policy %v not among the candidates", tier, pol)
 		}
 		ev := ensemble.NewEvaluator(m, nil)
-		ev.SetBaseline(plan.Best)
+		ev.SetBaseline(gen.Best())
 		cs := rulegen.BootstrapCandidate(ev, pol, idx, cfg)
 		if cand := cs.Candidate(pol); cand != rule.Candidate {
 			t.Fatalf("tier %s: regenerated candidate diverges from the table's", tier)

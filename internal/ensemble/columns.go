@@ -1,10 +1,6 @@
 package ensemble
 
-import (
-	"math"
-
-	"github.com/toltiers/toltiers/internal/profile"
-)
+import "github.com/toltiers/toltiers/internal/profile"
 
 // ColumnSet holds the per-version metric columns of a profile matrix
 // gathered over a fixed training-row subset, indexed [version][local
@@ -15,11 +11,10 @@ import (
 //
 // A ColumnSet is immutable after GatherColumns returns and therefore
 // safe for concurrent use by evaluators on different goroutines — the
-// shard workers of the distributed rule generator all read the same set.
+// bootstrap workers of the rule generator all read the same set.
 type ColumnSet struct {
 	rows     int
 	versions int
-	checksum uint64
 	// err/latNs/conf/inv/iaas are the gathered metric columns. They are
 	// package-private so nothing can mutate a shared set; Evaluator reads
 	// them directly.
@@ -65,7 +60,6 @@ func GatherColumns(m *profile.Matrix, rows []int) *ColumnSet {
 			c.iaas[v][r] = m.IaaSCost[k]
 		}
 	}
-	c.checksum = ColumnChecksum(m, rows)
 	return c
 }
 
@@ -74,48 +68,3 @@ func (c *ColumnSet) NumRows() int { return c.rows }
 
 // NumVersions returns the number of service versions covered.
 func (c *ColumnSet) NumVersions() int { return c.versions }
-
-// Checksum returns the content hash of the gathered columns (see
-// ColumnChecksum).
-func (c *ColumnSet) Checksum() uint64 { return c.checksum }
-
-// ColumnChecksum hashes the metric content a gather over (m, rows)
-// would produce: FNV-1a over the float64 bit patterns of all five
-// metrics, versions outer, rows inner. Two (matrix, rows) pairs with
-// equal shape but different measurements — or the same rows in a
-// different order — hash differently, which is how a distributed sweep
-// detects a worker deployed over the wrong corpus instead of merging
-// plausible-but-wrong numbers.
-func ColumnChecksum(m *profile.Matrix, rows []int) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v float64) {
-		h ^= math.Float64bits(v)
-		h *= prime64
-	}
-	nv := m.NumVersions()
-	var n int
-	if rows == nil {
-		n = m.NumRequests()
-	} else {
-		n = len(rows)
-	}
-	for v := 0; v < nv; v++ {
-		for r := 0; r < n; r++ {
-			i := r
-			if rows != nil {
-				i = rows[r]
-			}
-			k := m.Index(i, v)
-			mix(m.Err[k])
-			mix(m.LatencyNs[k])
-			mix(m.Confidence[k])
-			mix(m.InvCost[k])
-			mix(m.IaaSCost[k])
-		}
-	}
-	return h
-}

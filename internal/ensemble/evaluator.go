@@ -24,8 +24,8 @@ type Evaluator struct {
 	// training rows, indexed [version][local row]. Gathering once up
 	// front makes every SetPolicy fill a walk over dense slices; the set
 	// is read-only and may be shared with other evaluators
-	// (NewEvaluatorFromColumns), so workers of a sharded sweep don't
-	// re-gather identical columns.
+	// (NewEvaluatorFromColumns), so the rule generator's bootstrap
+	// workers don't re-gather identical columns.
 	cols *ColumnSet
 
 	// Escalation mask cache for the current (primary, threshold) pair,

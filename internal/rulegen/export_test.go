@@ -18,9 +18,8 @@ import (
 // properties can assert that both kernels generate identical candidates
 // and rule tables.
 func NewLegacyKernel(m *profile.Matrix, rows []int, cfg Config) *Generator {
-	p := NewPlan(m, rows, cfg)
-	g := fromPlan(p)
-	g.candidates = make([]Candidate, len(p.Policies))
+	g, policies := plan(m, rows, cfg)
+	g.candidates = make([]Candidate, len(policies))
 	test := stats.ConfidenceTest{
 		Level:     g.cfg.Confidence,
 		MinTrials: g.cfg.MinTrials,
@@ -31,8 +30,8 @@ func NewLegacyKernel(m *profile.Matrix, rows []int, cfg Config) *Generator {
 		sampleSize = len(g.rows)
 	}
 	workers := runtime.GOMAXPROCS(0)
-	if workers > len(p.Policies) {
-		workers = len(p.Policies)
+	if workers > len(policies) {
+		workers = len(policies)
 	}
 	if workers < 1 {
 		workers = 1
@@ -43,10 +42,10 @@ func NewLegacyKernel(m *profile.Matrix, rows []int, cfg Config) *Generator {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			g.bootstrapWorkerLegacy(p.Policies, test, sampleSize, next)
+			g.bootstrapWorkerLegacy(policies, test, sampleSize, next)
 		}()
 	}
-	for ci := range p.Policies {
+	for ci := range policies {
 		next <- ci
 	}
 	close(next)

@@ -1,7 +1,6 @@
-package shard
+package rulegen_test
 
 import (
-	"context"
 	"encoding/binary"
 	"hash"
 	"hash/fnv"
@@ -42,7 +41,7 @@ func (g goldenHash) candidate(c rulegen.Candidate) {
 
 // TestSetUpGolden pins the whole set-up path bit for bit: every column
 // profile.Build measures on a seeded 400-request GPU vision corpus, every
-// field of every candidate Generate bootstraps from it at DefaultConfig,
+// field of every candidate rulegen.New bootstraps from it at DefaultConfig,
 // and both rule tables on the grid ttserver ships. The profile pass and
 // the bootstrap kernel are tuned for speed under the contract that no
 // float they produce changes, and a change to any of them changes a hash
@@ -51,10 +50,7 @@ func (g goldenHash) candidate(c rulegen.Candidate) {
 func TestSetUpGolden(t *testing.T) {
 	c := dataset.NewVisionCorpus(dataset.VisionCorpusConfig{N: 400, Seed: 7, Device: vision.GPU})
 	m := profile.Build(c.Service, c.Requests)
-	g, _, err := Generate(context.Background(), m, nil, rulegen.DefaultConfig(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := rulegen.New(m, nil, rulegen.DefaultConfig())
 
 	got := map[string]uint64{}
 	for name, col := range map[string][]float64{

@@ -9,10 +9,12 @@
 package rulegen
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/toltiers/toltiers/internal/ensemble"
@@ -111,26 +113,32 @@ type Generator struct {
 	candidates []Candidate
 }
 
-// Plan captures everything the Fig.-7 sweep needs before any bootstrap
-// runs: the validated config, the resolved training rows, the baseline
-// version, and the enumerated candidate policies in their canonical
-// order. A Plan is the unit a distributed generator partitions —
-// bootstrapping every policy of the plan (in any order, on any worker)
-// and assembling the results with FromCandidates yields exactly the
-// generator New builds in-process, because each candidate's bootstrap
-// RNG is seeded from its index in Policies alone.
-type Plan struct {
-	M        *profile.Matrix
-	Rows     []int
-	Cfg      Config
-	Best     int
-	Policies []ensemble.Policy
+// New builds the generator and immediately bootstraps every candidate
+// configuration (the paper's RoutingRuleGenerator.__init__).
+// rows selects the training subset of m (nil = all rows). It panics on
+// a confidence outside (0,1).
+func New(m *profile.Matrix, rows []int, cfg Config) *Generator {
+	g, _ := NewContext(context.Background(), m, rows, cfg, nil)
+	return g
 }
 
-// NewPlan validates cfg, resolves the training rows (nil = all rows of
-// m), selects the baseline version, and enumerates the candidate
-// policies. It panics on a confidence outside (0,1), like New.
-func NewPlan(m *profile.Matrix, rows []int, cfg Config) Plan {
+// NewContext is New under a context: the sweep stops at the next
+// candidate once ctx is done and returns ctx.Err(). progress, when
+// non-nil, is called as candidates finish with the number bootstrapped
+// so far and the total; calls are serialized, monotone, and end at the
+// total.
+func NewContext(ctx context.Context, m *profile.Matrix, rows []int, cfg Config, progress func(done, total int)) (*Generator, error) {
+	g, policies := plan(m, rows, cfg)
+	if err := g.bootstrapAll(ctx, policies, progress); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// plan validates cfg, resolves the training rows (nil = all rows of m),
+// selects the baseline version, and enumerates the candidate policies
+// of a generator that has not bootstrapped anything yet.
+func plan(m *profile.Matrix, rows []int, cfg Config) (*Generator, []ensemble.Policy) {
 	if cfg.Confidence <= 0 || cfg.Confidence >= 1 {
 		panic(fmt.Sprintf("rulegen: confidence %v outside (0,1)", cfg.Confidence))
 	}
@@ -143,42 +151,8 @@ func NewPlan(m *profile.Matrix, rows []int, cfg Config) Plan {
 			rows[i] = i
 		}
 	}
-	p := Plan{M: m, Rows: rows, Cfg: cfg, Best: m.BestVersion(rows)}
-	p.Policies = enumeratePolicies(m, rows, cfg)
-	return p
-}
-
-// New builds the generator and immediately bootstraps every candidate
-// configuration (the paper's RoutingRuleGenerator.__init__).
-// rows selects the training subset of m (nil = all rows).
-func New(m *profile.Matrix, rows []int, cfg Config) *Generator {
-	p := NewPlan(m, rows, cfg)
-	g := fromPlan(p)
-	g.bootstrapAll(p.Policies)
-	return g
-}
-
-func fromPlan(p Plan) *Generator {
-	return &Generator{m: p.M, rows: p.Rows, cfg: p.Cfg, best: p.Best}
-}
-
-// FromCandidates assembles a generator from externally bootstrapped
-// candidates — the merge step of the sharded generator. candidates must
-// hold, at index i, the bootstrap result of p.Policies[i]; any gap or
-// policy mismatch is an error.
-func FromCandidates(p Plan, candidates []Candidate) (*Generator, error) {
-	if len(candidates) != len(p.Policies) {
-		return nil, fmt.Errorf("rulegen: %d candidates for %d planned policies", len(candidates), len(p.Policies))
-	}
-	for i := range candidates {
-		if candidates[i].Policy != p.Policies[i] {
-			return nil, fmt.Errorf("rulegen: candidate %d holds policy %v, plan expects %v",
-				i, candidates[i].Policy, p.Policies[i])
-		}
-	}
-	g := fromPlan(p)
-	g.candidates = candidates
-	return g, nil
+	g := &Generator{m: m, rows: rows, cfg: cfg, best: m.BestVersion(rows)}
+	return g, enumeratePolicies(m, rows, cfg)
 }
 
 // Best returns the index of the most accurate version on the training
@@ -191,8 +165,10 @@ func (g *Generator) Candidates() []Candidate { return g.candidates }
 // enumeratePolicies builds the candidate policy set: every single
 // version, plus Failover and Concurrent pairs (fast primary -> more
 // accurate secondary) across the threshold grid. The order is canonical:
-// it defines each candidate's global index and therefore its bootstrap
-// seed, for the in-process and the sharded generator alike.
+// it defines each candidate's index and therefore its bootstrap seed.
+// bootstrapAll hands it out in contiguous chunks, so a worker runs
+// consecutive candidates back to back and the escalation-mask cache
+// described below hits within its chunk.
 func enumeratePolicies(m *profile.Matrix, rows []int, cfg Config) []ensemble.Policy {
 	nv := m.NumVersions()
 	var out []ensemble.Policy
@@ -232,6 +208,10 @@ func enumeratePolicies(m *profile.Matrix, rows []int, cfg Config) []ensemble.Pol
 	return out
 }
 
+// chunk is how many consecutive candidates a bootstrap worker claims at
+// a time (see enumeratePolicies for why consecutive matters).
+const chunk = 32
+
 // bootstrapAll runs the Fig.-7 bootstrap for every candidate, in
 // parallel. Each candidate draws from its own seeded stream, so the
 // result is independent of scheduling. The metric columns are gathered
@@ -239,18 +219,18 @@ func enumeratePolicies(m *profile.Matrix, rows []int, cfg Config) []ensemble.Pol
 // ensemble.Evaluator over the shared set, fusing the candidate's policy
 // into flat outcome columns so every bootstrap trial is a branch-free
 // sum (including the per-subset baseline error, which shares the same
-// gather loop instead of re-scanning the matrix).
-func (g *Generator) bootstrapAll(policies []ensemble.Policy) {
-	g.candidates = make([]Candidate, len(policies))
+// gather loop instead of re-scanning the matrix). Workers check ctx
+// before each candidate and report each finished chunk to progress.
+func (g *Generator) bootstrapAll(ctx context.Context, policies []ensemble.Policy, progress func(done, total int)) error {
+	n := len(policies)
+	g.candidates = make([]Candidate, n)
 	cols := ensemble.GatherColumns(g.m, g.rows)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(policies) {
-		workers = len(policies)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	next := make(chan int, workers)
+	workers := max(1, min(runtime.GOMAXPROCS(0), (n+chunk-1)/chunk))
+	// Workers send each finished chunk's size to this goroutine, which
+	// alone calls progress: calls are serialized without a lock held
+	// across them.
+	finished := make(chan int)
+	var next atomic.Int64 // first unclaimed candidate index
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -258,23 +238,38 @@ func (g *Generator) bootstrapAll(policies []ensemble.Policy) {
 			defer wg.Done()
 			ev := ensemble.NewEvaluatorFromColumns(cols)
 			ev.SetBaseline(g.best)
-			for ci := range next {
-				g.candidates[ci] = BootstrapCandidate(ev, policies[ci], ci, g.cfg).Candidate(policies[ci])
+			for {
+				lo := int(next.Add(chunk)) - chunk
+				if lo >= n {
+					return
+				}
+				hi := min(lo+chunk, n)
+				for ci := lo; ci < hi; ci++ {
+					if ctx.Err() != nil {
+						return
+					}
+					g.candidates[ci] = BootstrapCandidate(ev, policies[ci], ci, g.cfg).Candidate(policies[ci])
+				}
+				finished <- hi - lo
 			}
 		}()
 	}
-	for ci := range policies {
-		next <- ci
+	go func() {
+		wg.Wait()
+		close(finished)
+	}()
+	done := 0
+	for k := range finished {
+		done += k
+		if progress != nil {
+			progress(done, n)
+		}
 	}
-	close(next)
-	wg.Wait()
+	return ctx.Err()
 }
 
 // CandidateStats is the raw bootstrap output for one candidate: the
 // trial count plus one Welford stats.Stream per bootstrapped metric.
-// This is what a shard worker ships back to the coordinator — stream
-// fields (N, Mean, M2, Min, Max) survive a JSON round trip bit-exactly,
-// so a merged rule table is identical to a locally generated one.
 type CandidateStats struct {
 	Trials int
 	// Streams holds, in order: relative error degradation, response
@@ -283,19 +278,19 @@ type CandidateStats struct {
 }
 
 // CandidateSeed derives the bootstrap RNG seed of the candidate at the
-// given index of a plan's policy list. The seed depends on the global
-// index alone — not on worker, shard, or batch — which is what makes
-// any partition of the sweep reproduce the monolithic result.
+// given index of the canonical policy list. The seed depends on the
+// index alone — not on which worker runs it — which is what makes the
+// parallel sweep deterministic.
 func CandidateSeed(cfg Config, index int) uint64 {
 	return cfg.Seed + uint64(index)*0x9e3779b97f4a7c15
 }
 
 // BootstrapCandidate runs the Fig.-7 bootstrap for one candidate: pol at
-// global plan index, over an evaluator covering the plan's training rows
-// with the plan's baseline set (ev.SetBaseline). cfg must be a plan's
-// validated config. Bootstrap subsets index into the plan rows, which is
-// exactly the evaluator's local row space, so trial sums need no index
-// remapping at all.
+// the given index of the canonical policy list, over an evaluator
+// covering the training rows with the baseline set (ev.SetBaseline).
+// cfg must carry a SampleFraction in (0,1]. Bootstrap subsets index into
+// the training rows, which is exactly the evaluator's local row space,
+// so trial sums need no index remapping at all.
 func BootstrapCandidate(ev *ensemble.Evaluator, pol ensemble.Policy, index int, cfg Config) CandidateStats {
 	test := stats.ConfidenceTest{
 		Level:     cfg.Confidence,

@@ -1,268 +1,25 @@
-// Package shard distributes the Fig.-7 routing-rule sweep: it partitions
-// a rulegen.Plan's candidate-policy grid into deterministic shards,
-// streams candidate batches to workers, and merges the per-shard results
-// into exactly the generator the monolithic rulegen.New builds.
-//
-// The protocol has three invariants that make distribution safe:
-//
-//   - Deterministic partition. Shard s of S owns the contiguous global
-//     index range [s*N/S, (s+1)*N/S) of the plan's canonical policy
-//     order, split into batches of Options.BatchSize. The partition is a
-//     pure function of (N, Shards, BatchSize).
-//   - Index-seeded bootstrap. A candidate's bootstrap RNG is seeded from
-//     its global plan index alone (rulegen.CandidateSeed), so which
-//     shard, batch, worker, or machine runs it cannot change its trials.
-//   - Whole-candidate placement. Every candidate is bootstrapped
-//     entirely on one worker; what crosses the wire are its finished
-//     Welford streams (rulegen.CandidateStats), whose float64 fields
-//     survive JSON bit-exactly. The merge step only places results at
-//     their global index — no cross-shard floating-point combining on
-//     the rule-table path.
-//
-// Together these make the sharded generator's rule table bit-identical
-// to the monolithic one for any shard count, which the equivalence tests
-// in this package assert for shard counts 1 through 8.
-//
-// Workers run in-process (Worker, sharing one read-only
-// ensemble.ColumnSet so the per-worker column gather is paid once per
-// matrix) or remotely over HTTP (HTTPTransport / NewWorkerHandler)
-// behind the same Transport interface.
+// Package shard exists only because the benchmark harness still imports
+// it: Generate forwards to rulegen.NewContext, the repository's one
+// rule-generation sweep. The package is deleted once the harness calls
+// rulegen directly.
 package shard
 
 import (
 	"context"
-	"fmt"
-	"runtime"
-	"sync"
 
-	"github.com/toltiers/toltiers/internal/ensemble"
 	"github.com/toltiers/toltiers/internal/profile"
 	"github.com/toltiers/toltiers/internal/rulegen"
-	"github.com/toltiers/toltiers/internal/stats"
 )
 
-// Options parameterizes the sharded sweep. The zero value selects an
-// in-process worker pool sized to the machine.
-type Options struct {
-	// Shards is the number of deterministic grid partitions. Defaults to
-	// GOMAXPROCS; always capped at the candidate count.
-	Shards int
-	// Workers bounds how many batches are in flight at once. Defaults to
-	// Shards.
-	Workers int
-	// BatchSize is the number of candidates per streamed batch.
-	// Defaults to 32.
-	BatchSize int
-	// Transports routes batches: shard s is served by
-	// Transports[s%len(Transports)]. Nil runs one in-process Worker whose
-	// evaluators share a single gathered column set.
-	Transports []Transport
-	// Progress, when non-nil, is called after every merged batch with
-	// the number of bootstrapped candidates so far and the plan total.
-	// Calls are serialized.
-	Progress func(done, total int)
-}
+// Options is empty: the sweep has nothing to tune.
+type Options struct{}
 
-// Report summarizes a finished sharded sweep for operators (the
-// /rules/status endpoint serves it); it carries no rule-table data.
-type Report struct {
-	// Candidates is the number of bootstrapped candidate policies.
-	Candidates int
-	// Shards, Workers and Batches describe the executed partition and
-	// concurrency after defaulting and clamping.
-	Shards  int
-	Workers int
-	Batches int
-	// TrialCounts is the sweep-level distribution of per-candidate
-	// bootstrap trial counts: each shard accumulates its own Welford
-	// stream and the coordinator folds them with stats.Stream.Merge
-	// (summary only — merged means never feed the rule table).
-	TrialCounts stats.Stream
-}
+// Report is empty: the sweep has nothing to report beyond its generator.
+type Report struct{}
 
-func (o Options) withDefaults(candidates int) Options {
-	if o.Shards <= 0 {
-		o.Shards = runtime.GOMAXPROCS(0)
-	}
-	if o.Shards > candidates {
-		o.Shards = candidates
-	}
-	if o.Shards < 1 {
-		o.Shards = 1
-	}
-	if o.Workers <= 0 {
-		o.Workers = o.Shards
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = 32
-	}
-	return o
-}
-
-// plan partitions: shard s owns global candidate indices
-// [s*n/shards, (s+1)*n/shards).
-func shardRange(n, shards, s int) (lo, hi int) {
-	return s * n / shards, (s + 1) * n / shards
-}
-
-// batches frames one shard's range into streamed batch requests.
-func batches(p rulegen.Plan, spec Spec, job string, shard, lo, hi, batchSize int) []BatchRequest {
-	var out []BatchRequest
-	for seq, start := 0, lo; start < hi; seq, start = seq+1, start+batchSize {
-		end := start + batchSize
-		if end > hi {
-			end = hi
-		}
-		out = append(out, BatchRequest{
-			Job:      job,
-			Shard:    shard,
-			Seq:      seq,
-			Spec:     spec,
-			Start:    start,
-			Policies: p.Policies[start:end],
-		})
-	}
-	return out
-}
-
-// Generate runs the sharded sweep over the training rows of m (nil = all
-// rows) and returns a generator interchangeable with rulegen.New's — the
-// same candidates, trial counts, tie-breaks, and Generate tables.
-func Generate(ctx context.Context, m *profile.Matrix, rows []int, cfg rulegen.Config, opts Options) (*rulegen.Generator, Report, error) {
-	p := rulegen.NewPlan(m, rows, cfg)
-	total := len(p.Policies)
-	opts = opts.withDefaults(total)
-	transports := opts.Transports
-	if len(transports) == 0 {
-		// In-process default: one worker, one shared column gather.
-		transports = []Transport{NewWorkerFromColumns(ensemble.GatherColumns(p.M, p.Rows))}
-	}
-	spec := SpecOf(p)
-	job := fmt.Sprintf("rulegen-%x-%d", cfg.Seed, total)
-
-	var reqs []BatchRequest
-	for s := 0; s < opts.Shards; s++ {
-		lo, hi := shardRange(total, opts.Shards, s)
-		reqs = append(reqs, batches(p, spec, job, s, lo, hi, opts.BatchSize)...)
-	}
-
-	cands := make([]rulegen.Candidate, total)
-	filled := make([]bool, total)
-	shardTrials := make([]stats.Stream, opts.Shards)
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		mu       sync.Mutex // guards cands, filled, shardTrials, done, firstErr
-		done     int
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancel()
-	}
-
-	next := make(chan BatchRequest)
-	var wg sync.WaitGroup
-	workers := opts.Workers
-	if workers > len(reqs) {
-		workers = len(reqs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for req := range next {
-				t := transports[req.Shard%len(transports)]
-				resp, err := t.Run(ctx, req)
-				if err != nil {
-					fail(fmt.Errorf("shard %d batch %d: %w", req.Shard, req.Seq, err))
-					return
-				}
-				if err := merge(&mu, p, req, resp, cands, filled, shardTrials, &done, opts.Progress); err != nil {
-					fail(err)
-					return
-				}
-			}
-		}()
-	}
-feed:
-	for _, req := range reqs {
-		select {
-		case next <- req:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
-
-	if firstErr != nil {
-		return nil, Report{}, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, Report{}, err
-	}
-	for i, ok := range filled {
-		if !ok {
-			return nil, Report{}, fmt.Errorf("shard: candidate %d never bootstrapped", i)
-		}
-	}
-	g, err := rulegen.FromCandidates(p, cands)
-	if err != nil {
-		return nil, Report{}, err
-	}
-	rep := Report{Candidates: total, Shards: opts.Shards, Workers: workers, Batches: len(reqs)}
-	for i := range shardTrials {
-		rep.TrialCounts.Merge(shardTrials[i])
-	}
-	return g, rep, nil
-}
-
-// merge validates one batch response against the plan and places its
-// results at their global indices. Placement is the entire cross-shard
-// merge on the rule-table path: results arrive as finished per-candidate
-// streams and are summarized without any float recombination.
-func merge(mu *sync.Mutex, p rulegen.Plan, req BatchRequest, resp BatchResponse,
-	cands []rulegen.Candidate, filled []bool, shardTrials []stats.Stream,
-	done *int, progress func(done, total int)) error {
-	if resp.Job != req.Job || resp.Shard != req.Shard || resp.Seq != req.Seq {
-		return fmt.Errorf("shard: response framing (%s,%d,%d) does not match request (%s,%d,%d)",
-			resp.Job, resp.Shard, resp.Seq, req.Job, req.Shard, req.Seq)
-	}
-	if len(resp.Results) != len(req.Policies) {
-		return fmt.Errorf("shard %d batch %d: %d results for %d candidates",
-			req.Shard, req.Seq, len(resp.Results), len(req.Policies))
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for i, r := range resp.Results {
-		want := req.Start + i
-		if r.Index != want {
-			return fmt.Errorf("shard %d batch %d: result %d has index %d, want %d",
-				req.Shard, req.Seq, i, r.Index, want)
-		}
-		if r.Policy != p.Policies[want] {
-			return fmt.Errorf("shard %d batch %d: candidate %d echoed policy %v, plan has %v",
-				req.Shard, req.Seq, want, r.Policy, p.Policies[want])
-		}
-		if filled[want] {
-			return fmt.Errorf("shard %d batch %d: candidate %d bootstrapped twice", req.Shard, req.Seq, want)
-		}
-		cands[want] = r.Stats.Candidate(r.Policy)
-		filled[want] = true
-		shardTrials[req.Shard].Add(float64(r.Stats.Trials))
-	}
-	*done += len(resp.Results)
-	if progress != nil {
-		progress(*done, len(p.Policies))
-	}
-	return nil
+// Generate runs rulegen.NewContext over the training rows of m (nil =
+// all rows).
+func Generate(ctx context.Context, m *profile.Matrix, rows []int, cfg rulegen.Config, _ Options) (*rulegen.Generator, Report, error) {
+	g, err := rulegen.NewContext(ctx, m, rows, cfg, nil)
+	return g, Report{}, err
 }

@@ -90,10 +90,25 @@ func TestRuleGenRequestBootstrapOverrides(t *testing.T) {
 	if gp.gcfg.MinTrials != 3 || gp.gcfg.MaxTrials != 9 || gp.gcfg.ThresholdPoints != 2 {
 		t.Fatalf("overrides not applied: %+v", gp.gcfg)
 	}
-	if _, err := ruleGenParams(api.RuleGenRequest{MinTrials: 30, MaxTrials: 9}); err == nil {
-		t.Fatal("min > max accepted")
+	for name, req := range map[string]api.RuleGenRequest{
+		"min > max":                 {MinTrials: 30, MaxTrials: 9},
+		"negative bounds":           {MinTrials: -1},
+		"max_tolerance above 1":     {MaxTolerance: 1.5},
+		"grid of 10 002 points":     {MaxTolerance: 1, Step: 1.0 / 10_001},
+		"grid of 10^11 points":      {Step: 1e-12},
+		"default max, tiny step":    {Step: 0.1 / 20_000},
+		"tiny step, small max":      {MaxTolerance: 0.01, Step: 1e-7},
+		"huge max before tiny step": {MaxTolerance: 1e9, Step: 1e-12},
+	} {
+		if _, err := ruleGenParams(req); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
-	if _, err := ruleGenParams(api.RuleGenRequest{MinTrials: -1}); err == nil {
-		t.Fatal("negative bounds accepted")
+	// The largest grids still accepted: max_tolerance 1, and 10 001
+	// points.
+	for _, req := range []api.RuleGenRequest{{MaxTolerance: 1}, {MaxTolerance: 1, Step: 0.0001}, {Step: 0.1 / 10_000}} {
+		if _, err := ruleGenParams(req); err != nil {
+			t.Errorf("%+v rejected: %v", req, err)
+		}
 	}
 }

@@ -166,8 +166,8 @@ func TestHealEndings(t *testing.T) {
 			verdict: "failed", errHas: "rules: " + errJobRunning.Error(),
 		},
 		{
-			// An in-process sweep has no way to fail (only a remote shard
-			// transport does), so this row plays the trigger and the job's
+			// A sweep over an in-memory matrix fails only by
+			// cancellation, so this row plays the trigger and the job's
 			// goroutine by hand on a node without a loop.
 			name: "job fails", interval: -1, reprofile: f.reprofileReq(),
 			drive: func(e *healEnv) {
@@ -181,9 +181,9 @@ func TestHealEndings(t *testing.T) {
 				h.cur = &heal{trigger: h.describeTrigger(events), start: now, jobID: 41}
 				h.lastJobID = 41
 				h.mu.Unlock()
-				h.generated(&ruleJob{id: 41}, nil, errors.New("shard 0 batch 0: worker gone"))
+				h.generated(&ruleJob{id: 41}, nil, errors.New("sweep aborted"))
 			},
-			verdict: "failed", errHas: "rules job: shard 0 batch 0: worker gone", ranJob: true,
+			verdict: "failed", errHas: "rules job: sweep aborted", ranJob: true,
 		},
 		{
 			name: "job cancelled", interval: loop, reprofile: slow,

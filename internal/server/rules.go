@@ -11,14 +11,13 @@ import (
 	"github.com/toltiers/toltiers/internal/api"
 	"github.com/toltiers/toltiers/internal/profile"
 	"github.com/toltiers/toltiers/internal/rulegen"
-	"github.com/toltiers/toltiers/internal/rulegen/shard"
 	"github.com/toltiers/toltiers/internal/stats"
 	"github.com/toltiers/toltiers/internal/tiers"
 )
 
 // Rule-generation endpoints: a serving node regenerates its own routing
-// tables with the sharded generator instead of shipping the corpus to an
-// offline job.
+// tables with rulegen's bootstrap sweep instead of shipping the corpus
+// to an offline job.
 //
 //	POST   /rules/generate   body: api.RuleGenRequest  -> 202 api.RuleGenAccepted
 //	GET    /rules/status                               -> api.RuleGenStatus
@@ -27,8 +26,8 @@ import (
 // One job runs at a time (409 while busy); with "apply": true the
 // serving registry is swapped atomically on success, so in-flight
 // /compute requests keep their tables and later ones see the new rules.
-// DELETE cancels through the job's context: the sharded sweep stops at
-// the next batch boundary, nothing is applied, and /rules/status
+// DELETE cancels through the job's context: the sweep's workers stop
+// before their next candidate, nothing is applied, and /rules/status
 // reports "cancelling" until the workers drain, then "cancelled".
 //
 // The self-healing loop (heal.go) rides the same pipeline: a confirmed
@@ -44,8 +43,6 @@ type ruleJob struct {
 	id          int
 	req         api.RuleGenRequest
 	objectives  []rulegen.Objective
-	shards      int
-	workers     int
 	started     time.Time
 	finished    time.Time
 	done, total int
@@ -72,6 +69,15 @@ type generatedFunc func(job *ruleJob, tables []rulegen.RuleTable, err error)
 // errJobRunning distinguishes the one-at-a-time conflict from request
 // validation errors.
 var errJobRunning = errors.New("a rule-generation job is already running")
+
+// Bounds on a request's tolerance grid: a tolerance is a relative error
+// degradation, so nothing above 1 means anything, and the grid is
+// built point by point after the sweep, so its size must be bounded
+// before the job starts.
+const (
+	maxGridTolerance = 1.0
+	maxGridPoints    = 10_001
+)
 
 // genParams is a validated rule-generation request.
 type genParams struct {
@@ -122,6 +128,12 @@ func ruleGenParams(req api.RuleGenRequest) (genParams, error) {
 	if gp.maxTol <= 0 {
 		gp.maxTol = 0.10
 	}
+	if gp.maxTol > maxGridTolerance {
+		return gp, fmt.Errorf("max_tolerance %v above %v", gp.maxTol, maxGridTolerance)
+	}
+	if gp.maxTol/gp.step > maxGridPoints-1 {
+		return gp, fmt.Errorf("step %v over max_tolerance %v makes a grid of more than %d points", gp.step, gp.maxTol, maxGridPoints)
+	}
 	return gp, nil
 }
 
@@ -148,12 +160,8 @@ func (s *Server) startRuleJob(req api.RuleGenRequest, m *profile.Matrix, generat
 		started:    time.Now(),
 		running:    true,
 		cancel:     cancel,
-		// Requested partition shape, shown while running; overwritten
-		// with the resolved values when the sweep finishes.
-		shards:    req.Shards,
-		workers:   req.Workers,
-		matrix:    m,
-		generated: generated,
+		matrix:     m,
+		generated:  generated,
 	}
 	s.job = job
 	s.jobMu.Unlock()
@@ -190,24 +198,18 @@ func (s *Server) handleRulesGenerate(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(api.RuleGenAccepted{JobID: job.id, StatusURL: "/rules/status"})
 }
 
-// runRuleJob executes the sharded sweep and hands the outcome on: to
+// runRuleJob executes the sweep and hands the outcome on: to
 // job.generated when set, else — on success with Apply set — to promote.
-// A cancelled context (DELETE /rules/generate) stops the sweep at the
-// next batch boundary and marks the job cancelled instead of failed.
+// A cancelled context (DELETE /rules/generate) stops the sweep before
+// the next candidate and marks the job cancelled instead of failed.
 func (s *Server) runRuleJob(ctx context.Context, job *ruleJob, gcfg rulegen.Config, step, maxTol float64) {
-	opts := shard.Options{
-		Shards:    job.req.Shards,
-		Workers:   job.req.Workers,
-		BatchSize: job.req.BatchSize,
-		Progress: func(done, total int) {
-			s.jobMu.Lock()
-			job.done, job.total = done, total
-			s.jobMu.Unlock()
-		},
-	}
-	gen, rep, err := shard.Generate(ctx, job.matrix, nil, gcfg, opts)
+	gen, err := rulegen.NewContext(ctx, job.matrix, nil, gcfg, func(done, total int) {
+		s.jobMu.Lock()
+		job.done, job.total = done, total
+		s.jobMu.Unlock()
+	})
 
-	// A cancel that arrived after the sweep's last batch but before the
+	// A cancel that arrived after the sweep's last candidate but before the
 	// tables are built still wins: DELETE promised nothing would be
 	// applied. (Checked under jobMu; the swap below deliberately runs
 	// outside the lock so status polls never stall behind it.)
@@ -253,8 +255,9 @@ func (s *Server) runRuleJob(ctx context.Context, job *ruleJob, gcfg rulegen.Conf
 		// race: the job completed (and possibly applied), and reports
 		// "done".
 		job.cancelled = false
-		job.shards, job.workers = rep.Shards, rep.Workers
-		job.trials = rep.TrialCounts
+		for _, c := range gen.Candidates() {
+			job.trials.Add(float64(c.Trials))
+		}
 	}
 	outcome := job.err
 	if job.cancelled {
@@ -320,7 +323,6 @@ func (s *Server) handleRulesStatus(w http.ResponseWriter, _ *http.Request) {
 	if job := s.job; job != nil {
 		st.JobID = job.id
 		st.Done, st.Total = job.done, job.total
-		st.Shards, st.Workers = job.shards, job.workers
 		for _, o := range job.objectives {
 			st.Objectives = append(st.Objectives, string(o))
 		}

@@ -2,7 +2,10 @@ package server
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -60,14 +63,18 @@ func TestRulesGenerateAppliesTables(t *testing.T) {
 	_, ts, corpus := testRuleGenServer(t)
 	cl := client.New(ts.URL, ts.Client())
 
-	acc, err := cl.GenerateRules(context.Background(), api.RuleGenRequest{
-		Shards:  3,
-		Workers: 3,
-		Apply:   true,
-		Step:    0.05,
-	})
+	// Older clients still send shards, workers and batch_size: the body
+	// is accepted and the three fields are ignored.
+	resp, err := http.Post(ts.URL+"/rules/generate", "application/json",
+		strings.NewReader(`{"shards": 3, "workers": 3, "batch_size": 7, "apply": true, "step": 0.05}`))
 	if err != nil {
 		t.Fatal(err)
+	}
+	var acc api.RuleGenAccepted
+	err = json.NewDecoder(resp.Body).Decode(&acc)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("status %d, decode err %v; want 202", resp.StatusCode, err)
 	}
 	if acc.JobID == 0 || acc.StatusURL != "/rules/status" {
 		t.Fatalf("accepted = %+v", acc)
@@ -83,11 +90,8 @@ func TestRulesGenerateAppliesTables(t *testing.T) {
 	if st.Total == 0 || st.Done != st.Total {
 		t.Fatalf("progress %d/%d", st.Done, st.Total)
 	}
-	if st.Shards != 3 || st.Workers != 3 {
-		t.Fatalf("resolved partition = %d shards / %d workers, want 3/3", st.Shards, st.Workers)
-	}
-	if st.MeanTrials < 5 {
-		t.Fatalf("mean trials %v below MinTrials default", st.MeanTrials)
+	if st.MeanTrials < 12 || st.MaxTrials < st.MeanTrials || st.MaxTrials > 320 {
+		t.Fatalf("trials mean %v max %v outside the default [12, 320] bounds", st.MeanTrials, st.MaxTrials)
 	}
 	if len(st.Objectives) != 2 {
 		t.Fatalf("objectives = %v", st.Objectives)
@@ -146,6 +150,20 @@ func TestRulesGenerateValidation(t *testing.T) {
 	if _, err := cl.GenerateRules(ctx, api.RuleGenRequest{Confidence: 1.5}); err == nil {
 		t.Fatal("bad confidence accepted")
 	}
+	// A grid too large to build is refused before any sweep starts.
+	for _, body := range []string{`{"step": 1e-12}`, `{"max_tolerance": 2}`} {
+		resp, err := http.Post(ts.URL+"/rules/generate", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("body %s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if st, err := cl.RulesStatus(ctx); err != nil || st.State != "idle" {
+		t.Fatalf("status after refused requests = %+v, %v; want idle", st, err)
+	}
 }
 
 func TestRulesGenerateConflictWhileRunning(t *testing.T) {
@@ -193,13 +211,11 @@ func TestRulesCancelRunningJob(t *testing.T) {
 		t.Fatal("cancel with no running job accepted")
 	}
 
-	// Single worker, one candidate per batch: the sweep takes many
-	// batch boundaries, so a cancel issued right after acceptance lands
-	// long before completion.
+	// Every candidate runs the full 320 trials, so the sweep is long
+	// and a cancel issued right after acceptance lands mid-sweep.
 	if _, err := cl.GenerateRules(ctx, api.RuleGenRequest{
-		Shards:    1,
-		Workers:   1,
-		BatchSize: 1,
+		MinTrials: 320,
+		MaxTrials: 320,
 		Apply:     true,
 	}); err != nil {
 		t.Fatal(err)
@@ -227,6 +243,9 @@ func TestRulesCancelRunningJob(t *testing.T) {
 	}
 	if st.Applied {
 		t.Fatal("cancelled job applied tables")
+	}
+	if st.Done >= st.Total && st.Total > 0 {
+		t.Fatalf("cancel landed after the sweep (%d/%d candidates)", st.Done, st.Total)
 	}
 
 	// A cancelled job releases the one-at-a-time slot: a fresh sweep

@@ -57,7 +57,7 @@ func (s *Stream) Add(x float64) {
 // absorbed had been Added to s (Chan et al.'s parallel Welford
 // combination). Count, Min and Max merge exactly; Mean and M2 are
 // combined in floating point and may differ from sequential accumulation
-// in the last bits — Merge is therefore used for cross-shard summary
+// in the last bits — Merge is therefore used for striped summary
 // statistics, never on the bit-exact rule-generation path, where every
 // candidate's streams are accumulated whole on one worker.
 func (s *Stream) Merge(o Stream) {
@@ -257,13 +257,9 @@ func Bootstrap(rng *xrand.RNG, n, sampleSize int, test ConfidenceTest, simulate 
 // trial count, its Max the worst case, its Mean the across-trial mean.
 // Apart from the fixed-size buffers allocated before the first trial,
 // the loop performs no allocation.
-// Streams are what the sharded rule generator ships over the wire — a
-// shard worker bootstraps a candidate whole and the coordinator reads
-// the same extremes and means a local run would, bit for bit (Stream
-// fields round-trip exactly through JSON's shortest-form float64
-// encoding). The loop body mirrors bootstrapCore with the step
-// indirection removed — this is the Fig.-7 inner loop, run hundreds of
-// times per candidate.
+// The loop body mirrors bootstrapCore with the step indirection
+// removed — this is the Fig.-7 inner loop, run hundreds of times per
+// candidate.
 func BootstrapStreams(rng *xrand.RNG, n, sampleSize, nMetrics int, test ConfidenceTest, simulate func(subset []int, out []float64)) []Stream {
 	if sampleSize <= 0 || sampleSize > n {
 		sampleSize = n

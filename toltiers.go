@@ -42,7 +42,6 @@ import (
 	"github.com/toltiers/toltiers/internal/fleet"
 	"github.com/toltiers/toltiers/internal/profile"
 	"github.com/toltiers/toltiers/internal/rulegen"
-	"github.com/toltiers/toltiers/internal/rulegen/shard"
 	"github.com/toltiers/toltiers/internal/server"
 	"github.com/toltiers/toltiers/internal/service"
 	"github.com/toltiers/toltiers/internal/state"
@@ -277,20 +276,6 @@ func DefaultGeneratorConfig() GeneratorConfig { return rulegen.DefaultConfig() }
 // the training rows of m (nil = all rows).
 func NewRuleGenerator(m *Matrix, trainRows []int, cfg GeneratorConfig) *RuleGenerator {
 	return rulegen.New(m, trainRows, cfg)
-}
-
-// ShardedGenerate runs the rule generator's candidate sweep sharded:
-// the candidate grid is split into `shards` deterministic partitions
-// whose batches stream to `workers` concurrent executors sharing one
-// gathered column set (0 = auto for either). The result is proven
-// bit-identical to NewRuleGenerator's — same candidates, trial counts,
-// and tie-breaks — by the equivalence tests in internal/rulegen/shard.
-func ShardedGenerate(m *Matrix, trainRows []int, cfg GeneratorConfig, shards, workers int) (*RuleGenerator, error) {
-	g, _, err := shard.Generate(context.Background(), m, trainRows, cfg, shard.Options{
-		Shards:  shards,
-		Workers: workers,
-	})
-	return g, err
 }
 
 // ToleranceGrid returns tolerances 0..max in the given step (the paper

@@ -2,7 +2,6 @@ package toltiers_test
 
 import (
 	"fmt"
-	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -58,30 +57,6 @@ func TestPublicAPIPipeline(t *testing.T) {
 	}
 	if rule.Tolerance != 0.06 {
 		t.Fatalf("tier %v, want 0.06", rule.Tolerance)
-	}
-}
-
-// TestPublicShardedGenerate proves the public sharded entry point
-// produces the same rule table as the monolithic generator.
-func TestPublicShardedGenerate(t *testing.T) {
-	corpus := toltiers.NewVisionCorpus(300)
-	matrix := toltiers.Profile(corpus.Service, corpus.Requests)
-	gcfg := toltiers.DefaultGeneratorConfig()
-	gcfg.MinTrials = 5
-	gcfg.MaxTrials = 24
-	gcfg.ThresholdPoints = 4
-	gcfg.IncludePickBest = false
-	mono := toltiers.NewRuleGenerator(matrix, nil, gcfg)
-	sharded, err := toltiers.ShardedGenerate(matrix, nil, gcfg, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid := toltiers.ToleranceGrid(0.10, 0.02)
-	for _, obj := range []toltiers.Objective{toltiers.MinimizeLatency, toltiers.MinimizeCost} {
-		tm, ts := mono.Generate(grid, obj), sharded.Generate(grid, obj)
-		if !reflect.DeepEqual(tm, ts) {
-			t.Fatalf("%s: sharded table differs from monolithic", obj)
-		}
 	}
 }
 
