@@ -3,6 +3,7 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strconv"
 	"unicode/utf8"
 )
@@ -21,7 +22,11 @@ import (
 //   - Append*: one append-style renderer per result shape, byte for byte
 //     what json.NewEncoder(w).Encode writes (FuzzResultRender). There is
 //     no fallback on this side; the wire structs keep their tags for
-//     the SDK and every control-plane endpoint.
+//     the SDK and every control-plane endpoint. A batch pays per item
+//     only for what varies per item: the tier segment its items share
+//     is rendered once and copied (tierMemo), a float that is a short
+//     decimal is written without strconv's shortest-digit search, and
+//     a string is escaped by one table lookup per byte.
 
 // Fields a request body may carry.
 const (
@@ -277,7 +282,7 @@ func AppendComputeResult(dst []byte, r *ComputeResult) ([]byte, error) {
 		return dst, err
 	}
 	dst = append(dst, '{')
-	dst = appendComputeFields(dst, r)
+	dst = appendComputeFields(dst, r, nil)
 	return append(dst, '}', '\n'), nil
 }
 
@@ -287,7 +292,7 @@ func AppendDispatchResult(dst []byte, r *DispatchResult) ([]byte, error) {
 		return dst, err
 	}
 	dst = append(dst, '{')
-	dst = appendDispatchFields(dst, r)
+	dst = appendDispatchFields(dst, r, nil)
 	return append(dst, '}', '\n'), nil
 }
 
@@ -304,13 +309,15 @@ func AppendDispatchBatchResult(dst []byte, r *DispatchBatchResult) ([]byte, erro
 		dst = append(dst, "null"...)
 	} else {
 		dst = append(dst, '[')
+		var memo tierMemo
 		for i := range r.Items {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
 			it := &r.Items[i]
 			dst = append(dst, '{')
-			dst = appendDispatchFields(dst, &it.DispatchResult)
+			dst = appendDispatchFields(dst, &it.DispatchResult, &memo)
+			memo.prev = &it.ComputeResult
 			if it.Error != "" {
 				dst = appendString(append(dst, `,"error":`...), it.Error)
 			}
@@ -343,9 +350,21 @@ func firstNonFinite(fs ...float64) error {
 	return nil
 }
 
+// tierMemo is a batch's previous item and where in dst its tier
+// segment, `,"tier":…,"objective":…,"policy":…`, sits. One rule serves
+// a batch's window, so the segment is the same for every served item:
+// an item whose tier bits, objective and policy equal its predecessor's
+// copies the bytes. The batch loop, not the renderer, sets prev: a
+// renderer that stored r would send every single result to the heap.
+type tierMemo struct {
+	prev       *ComputeResult // nil at the first item
+	start, end int
+}
+
 // appendComputeFields appends r's fields, comma-separated and without
-// the braces, so the embedding structs continue the same object.
-func appendComputeFields(dst []byte, r *ComputeResult) []byte {
+// the braces, so the embedding structs continue the same object. memo
+// is nil for a single result.
+func appendComputeFields(dst []byte, r *ComputeResult, memo *tierMemo) []byte {
 	if len(r.Transcript) > 0 {
 		dst = append(dst, `"transcript":[`...)
 		for i, v := range r.Transcript {
@@ -361,16 +380,25 @@ func appendComputeFields(dst []byte, r *ComputeResult) []byte {
 		dst = append(dst, ',')
 	}
 	dst = appendFloat(append(dst, `"confidence":`...), r.Confidence)
-	dst = appendFloat(append(dst, `,"tier":`...), r.Tier)
-	dst = appendString(append(dst, `,"objective":`...), r.Objective)
-	dst = appendString(append(dst, `,"policy":`...), r.Policy)
+	if memo != nil && memo.prev != nil && math.Float64bits(memo.prev.Tier) == math.Float64bits(r.Tier) &&
+		memo.prev.Objective == r.Objective && memo.prev.Policy == r.Policy {
+		dst = append(dst, dst[memo.start:memo.end]...)
+	} else {
+		start := len(dst)
+		dst = appendFloat(append(dst, `,"tier":`...), r.Tier)
+		dst = appendString(append(dst, `,"objective":`...), r.Objective)
+		dst = appendString(append(dst, `,"policy":`...), r.Policy)
+		if memo != nil {
+			memo.start, memo.end = start, len(dst)
+		}
+	}
 	dst = appendFloat(append(dst, `,"latency_ms":`...), r.LatencyMS)
 	dst = appendFloat(append(dst, `,"cost_usd":`...), r.CostUSD)
 	return strconv.AppendBool(append(dst, `,"escalated":`...), r.Escalated)
 }
 
-func appendDispatchFields(dst []byte, r *DispatchResult) []byte {
-	dst = appendComputeFields(dst, &r.ComputeResult)
+func appendDispatchFields(dst []byte, r *DispatchResult, memo *tierMemo) []byte {
+	dst = appendComputeFields(dst, &r.ComputeResult, memo)
 	dst = appendString(append(dst, `,"backend":`...), r.Backend)
 	dst = strconv.AppendInt(append(dst, `,"started":`...), int64(r.Started), 10)
 	if r.Hedged {
@@ -385,13 +413,41 @@ func appendDispatchFields(dst []byte, r *DispatchResult) []byte {
 	return appendFloat(append(dst, `,"iaas_usd":`...), r.IaaSUSD)
 }
 
+// shortMax bounds appendFloat's short-decimal path: below it ulp(f) is
+// at most 2^-28 < 0.5e-8, and n = |f|·1e8 is at most 2^51, exact in a
+// float64.
+const shortMax = 1 << 51 / 1e8
+
 // appendFloat appends a finite float by encoding/json's rule: ES6
 // number-to-string, i.e. shortest 'f' form except 'e' below 1e-6 and
 // from 1e21, with a two-digit negative exponent's leading zero dropped.
+//
+// A float that is a decimal D = n/1e8 skips strconv's shortest-digit
+// search (Ryu). The check float64(n)/1e8 == |f| makes |f| the nearest
+// double to D (float64(n) is exact and the division correctly rounded),
+// so D lies in |f|'s rounding interval. That interval is ulp(f) wide,
+// under 0.5e-8, so no other multiple of 1e-8 lies in it; and every
+// decimal with no more significant digits than D, at D's magnitude, is
+// such a multiple. (One of lower magnitude in the interval would put
+// D's power of ten there too, and so make D that one-digit power.) D,
+// trailing zeros trimmed, is therefore the unique shortest decimal that
+// reads back as f: exactly what strconv writes. Integer nanoseconds in
+// milliseconds always take this path; confidences seldom do.
 func appendFloat(dst []byte, f float64) []byte {
-	abs := f
-	if abs < 0 {
-		abs = -abs
+	abs := math.Abs(f)
+	if abs >= 1e-6 && abs < shortMax {
+		if n := uint64(abs*1e8 + 0.5); float64(n)/1e8 == abs {
+			if f < 0 {
+				dst = append(dst, '-')
+			}
+			dst = strconv.AppendUint(dst, n/1e8, 10)
+			if frac := n % 1e8; frac != 0 {
+				dst = strconv.AppendUint(dst, 1e8+frac, 10) // a 1, then the eight fraction digits
+				dst[len(dst)-9] = '.'
+				dst = bytes.TrimRight(dst, "0") // stops at frac's last nonzero digit
+			}
+			return dst
+		}
 	}
 	format := byte('f')
 	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
@@ -409,6 +465,15 @@ func appendFloat(dst []byte, f float64) []byte {
 
 const hexDigits = "0123456789abcdef"
 
+// htmlSafe[b] reports whether the ASCII byte b is copied into a string
+// as it is, as encoding/json's htmlSafeSet does.
+var htmlSafe = func() (t [utf8.RuneSelf]bool) {
+	for b := ' '; b < utf8.RuneSelf; b++ {
+		t[b] = b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
+	}
+	return t
+}()
+
 // appendString appends s quoted by encoding/json's escaper with its
 // default HTML escaping: \" \\ \b \f \n \r \t short forms, \u00XX for
 // the other control bytes and for < > &, \ufffd for invalid UTF-8, and
@@ -418,7 +483,7 @@ func appendString(dst []byte, s string) []byte {
 	start := 0
 	for i := 0; i < len(s); {
 		if b := s[i]; b < utf8.RuneSelf {
-			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+			if htmlSafe[b] {
 				i++
 				continue
 			}

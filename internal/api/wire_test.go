@@ -3,6 +3,7 @@ package api
 import (
 	"encoding/json"
 	"math"
+	"math/rand/v2"
 	"reflect"
 	"slices"
 	"strings"
@@ -144,39 +145,44 @@ func FuzzDispatchWire(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) { checkDecode(t, body) })
 }
 
-// checkRender holds the three renderers to json.Marshal(v) + "\n" (what
-// Encoder.Encode writes) on one result, errors included, and appends
-// after existing bytes without touching them.
+// renderPrefix is what the renderers append after; they must leave it.
+const renderPrefix = "kept"
+
+// compareRender holds one rendering to json.Marshal(v) + "\n" (what
+// Encoder.Encode writes), errors included.
+func compareRender(t *testing.T, name string, got []byte, gotErr error, v any) {
+	t.Helper()
+	want, wantErr := json.Marshal(v)
+	if errText(gotErr) != errText(wantErr) {
+		t.Fatalf("%s error %v; json.Marshal %v", name, gotErr, wantErr)
+	}
+	if wantErr != nil {
+		want = nil
+	} else {
+		want = append(want, '\n')
+	}
+	if string(got) != renderPrefix+string(want) {
+		t.Fatalf("%s rendered\n%s\njson.Marshal\n%s", name, got[len(renderPrefix):], want)
+	}
+}
+
+// checkRender holds the three renderers to json.Marshal on one result,
+// appending after existing bytes without touching them.
 func checkRender(t *testing.T, res *DispatchResult, errMsg string, failed int, nilItems bool) {
 	t.Helper()
-	const prefix = "kept"
-	compare := func(name string, got []byte, gotErr error, v any) {
-		t.Helper()
-		want, wantErr := json.Marshal(v)
-		if errText(gotErr) != errText(wantErr) {
-			t.Fatalf("%s error %v; json.Marshal %v", name, gotErr, wantErr)
-		}
-		if wantErr != nil {
-			want = nil
-		} else {
-			want = append(want, '\n')
-		}
-		if string(got) != prefix+string(want) {
-			t.Fatalf("%s rendered\n%s\njson.Marshal\n%s", name, got[len(prefix):], want)
-		}
-	}
-	got, err := AppendComputeResult([]byte(prefix), &res.ComputeResult)
-	compare("AppendComputeResult", got, err, &res.ComputeResult)
-	got, err = AppendDispatchResult([]byte(prefix), res)
-	compare("AppendDispatchResult", got, err, res)
+	got, err := AppendComputeResult([]byte(renderPrefix), &res.ComputeResult)
+	compareRender(t, "AppendComputeResult", got, err, &res.ComputeResult)
+	got, err = AppendDispatchResult([]byte(renderPrefix), res)
+	compareRender(t, "AppendDispatchResult", got, err, res)
 
 	batch := DispatchBatchResult{Failed: failed}
 	if !nilItems {
-		batch.Items = []DispatchBatchItem{{DispatchResult: *res}, {Error: errMsg}, {DispatchResult: *res, Error: errMsg}}
-		batch.Items = batch.Items[:failed&3]
+		// The last two items share a tier segment: the second copies it.
+		batch.Items = []DispatchBatchItem{{DispatchResult: *res}, {Error: errMsg}, {DispatchResult: *res, Error: errMsg}, {DispatchResult: *res}}
+		batch.Items = batch.Items[:min(failed&7, 4)]
 	}
-	got, err = AppendDispatchBatchResult([]byte(prefix), &batch)
-	compare("AppendDispatchBatchResult", got, err, &batch)
+	got, err = AppendDispatchBatchResult([]byte(renderPrefix), &batch)
+	compareRender(t, "AppendDispatchBatchResult", got, err, &batch)
 }
 
 func TestRenderMatchesEncodingJSON(t *testing.T) {
@@ -206,6 +212,31 @@ func TestRenderMatchesEncodingJSON(t *testing.T) {
 			checkRender(t, &res, s, i+j, (i+j)%7 == 0)
 		}
 	}
+
+	// A batch item copies its predecessor's tier segment only when tier
+	// bits, objective and policy all repeat.
+	item := func(tier float64, objective, policy string) DispatchBatchItem {
+		return DispatchBatchItem{DispatchResult: DispatchResult{
+			ComputeResult: ComputeResult{Confidence: 0.93, Tier: tier, Objective: objective, Policy: policy, LatencyMS: 12.5, CostUSD: 0.001},
+			Backend:       "replay:v4", IaaSUSD: 2e-7,
+		}}
+	}
+	a := item(0.05, "response-time", "concurrent(1->6,θ=0.450)")
+	failed := DispatchBatchItem{Error: "dispatch: backend replay:v0: injected fault"}
+	for name, items := range map[string][]DispatchBatchItem{
+		"tier changes":      {a, a, item(0.1, a.Objective, a.Policy), a},
+		"objective changes": {a, a, item(a.Tier, "cost", a.Policy), a},
+		"policy changes":    {a, a, item(a.Tier, a.Objective, "failover(v0->v4,θ=0.500)"), a},
+		"error between":     {a, failed, a, a},
+		"errors only":       {failed, failed},
+		"zero tier":         {item(0, "", ""), failed, item(0, "", ""), item(0, "", "p")},
+		"signed zero":       {item(0, "o", "p"), item(math.Copysign(0, -1), "o", "p"), item(0, "o", "p")},
+		"escaped segment":   {item(1e-7, "<o>", "p\xff"), item(1e-7, "<o>", "p\xff")},
+	} {
+		batch := DispatchBatchResult{Items: items}
+		got, err := AppendDispatchBatchResult([]byte(renderPrefix), &batch)
+		compareRender(t, name, got, err, &batch)
+	}
 }
 
 // FuzzResultRender: the renderers write what json.Marshal writes, for
@@ -216,11 +247,14 @@ func FuzzResultRender(f *testing.F) {
 	f.Add(math.Float64bits(1e-6), math.Float64bits(-0.0), math.Float64bits(12.5), "<>&", "bad\xffutf8", "a b", 0, uint8(0xff), int8(1))
 	f.Add(math.Float64bits(math.NaN()), uint64(1), math.Float64bits(math.Inf(-1)), "", "\x00\x1f\"\\", " ", -1, uint8(0x55), int8(2))
 	f.Add(math.Float64bits(9.999999999999999e20), math.Float64bits(9.99999e-7), uint64(0x7fefffffffffffff), "o", "p", "b", 1<<40, uint8(3), int8(3))
+	f.Add(uint64(0), uint64(1), uint64(2), "o", "p", "b", 123456789, uint8(0), int8(6<<2)) // cost 123.456789
 	f.Fuzz(func(t *testing.T, a, b, c uint64, objective, policy, backend string, n int, flags uint8, payload int8) {
 		fa, fb, fc := math.Float64frombits(a), math.Float64frombits(b), math.Float64frombits(c)
+		// Random bits almost never land on appendFloat's short-decimal
+		// path, so the cost is a decimal n/10^k built from two ints.
 		res := DispatchResult{
 			ComputeResult: ComputeResult{Confidence: fa, Tier: fb, Objective: objective, Policy: policy,
-				LatencyMS: fc, CostUSD: fa * fb, Escalated: flags&1 != 0},
+				LatencyMS: fc, CostUSD: float64(n) / math.Pow10(int(uint8(payload)>>2)%10), Escalated: flags&1 != 0},
 			Backend: backend, Started: n, Hedged: flags&2 != 0, DeadlineExceeded: flags&4 != 0, Downgraded: flags&8 != 0,
 			IaaSUSD: fb + fc,
 		}
@@ -236,6 +270,49 @@ func FuzzResultRender(f *testing.F) {
 	})
 }
 
+// TestAppendFloatMatchesStrconv holds appendFloat to encoding/json's
+// number rule on decimals n/10^k (the short path's domain), on their
+// neighbours either side (which must fall back to strconv), on the
+// path's guard edges, and on random bit patterns.
+func TestAppendFloatMatchesStrconv(t *testing.T) {
+	var fs []float64
+	add := func(f float64) {
+		fs = append(fs, f, -f, math.Nextafter(f, math.Inf(1)), math.Nextafter(f, math.Inf(-1)))
+	}
+	rng := rand.New(rand.NewPCG(30, 1))
+	for k := 0; k <= 9; k++ {
+		p := math.Pow10(k)
+		for n := uint64(0); n < 2000; n++ {
+			add(float64(n) / p)
+		}
+		for _, n := range []uint64{1<<53 - 1, 1 << 53, 1 << 51, 1<<51 - 1, 1<<51 + 1, 123456789, 2251799813685248, 99999999} {
+			add(float64(n) / p)
+		}
+		for range 5000 {
+			add(float64(rng.Uint64N(1<<53+1)) / p)
+			add(float64(rng.Uint64N(1<<(rng.UintN(53)+1))) / p)
+		}
+	}
+	for _, f := range []float64{0, 1e-6, shortMax, 1e-8, 5e-9, 0.1 + 0.2, 1.0 / 3, 22517998.13685248, 22517998.136852484} {
+		add(f)
+	}
+	fs = append(fs, math.Copysign(0, -1), math.Nextafter(1e-6, 0), math.Nextafter(shortMax, 0))
+	for range 50000 {
+		if f := math.Float64frombits(rng.Uint64()); !math.IsNaN(f) && !math.IsInf(f, 0) {
+			fs = append(fs, f)
+		}
+	}
+	for _, f := range fs {
+		want, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendFloat(nil, f); string(got) != string(want) {
+			t.Fatalf("appendFloat(%v) = %s; encoding/json %s (bits %#x)", f, got, want, math.Float64bits(f))
+		}
+	}
+}
+
 // TestWireCodecAllocs pins the codec itself at zero: a scanned decode
 // into recycled capacity and a render into a buffer that is large enough
 // allocate nothing.
@@ -246,6 +323,7 @@ func TestWireCodecAllocs(t *testing.T) {
 	cls := 3
 	res := DispatchResult{ComputeResult: ComputeResult{Class: &cls, Confidence: 0.93, Tier: 0.05, Objective: "response-time",
 		Policy: "failover(v0->v4,θ=0.500)", LatencyMS: 12.5, CostUSD: 0.001}, Backend: "replay:v4", Started: 1, IaaSUSD: 2e-7}
+	batchRes := DispatchBatchResult{Items: []DispatchBatchItem{{DispatchResult: res}, {DispatchResult: res}, {Error: "failed"}}, Failed: 1}
 	buf := make([]byte, 0, 1024)
 	if n := testing.AllocsPerRun(200, func() {
 		var d DispatchRequest
@@ -255,6 +333,9 @@ func TestWireCodecAllocs(t *testing.T) {
 			t.Fatal("decode failed")
 		}
 		if _, err := AppendDispatchResult(buf, &res); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := AppendDispatchBatchResult(buf, &batchRes); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {

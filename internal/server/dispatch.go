@@ -376,8 +376,8 @@ func (s *Server) single(w http.ResponseWriter, r *http.Request, sc *scratch, tol
 	}
 }
 
-// writeJSON sends a rendered body with its accounting headers, given as
-// name/value pairs under the canonical names of internal/api. The values
+// writeJSON sends a rendered body with its headers, given as name/value
+// pairs under canonical names (internal/api's, or Content-Length). The values
 // share one backing array and index the map directly: one allocation,
 // no canonicalisation pass.
 func writeJSON(w http.ResponseWriter, body []byte, kv ...string) {
@@ -502,7 +502,9 @@ func (s *Server) handleDispatchBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "encode batch: %v", err)
 		return
 	}
+	// A body past net/http's 2 KB buffer would otherwise leave chunked.
 	writeJSON(w, sc.buf,
 		api.HeaderPolicy, rt.policy,
-		api.HeaderTableVersion, strconv.FormatInt(tableVer, 10))
+		api.HeaderTableVersion, strconv.FormatInt(tableVer, 10),
+		"Content-Length", strconv.Itoa(len(sc.buf)))
 }

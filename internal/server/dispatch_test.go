@@ -1,8 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -121,6 +125,49 @@ func TestDispatchBatchRoundTrip(t *testing.T) {
 	}
 	if snap.Requests != int64(len(ids)) {
 		t.Fatalf("telemetry requests = %d, want %d", snap.Requests, len(ids))
+	}
+
+	// On the wire, again on fresh servers: the batch answer is framed by
+	// Content-Length, not chunked, and each item is byte for byte the
+	// single answer for its id, newline trimmed.
+	post := func(url, body string) (*http.Response, []byte) {
+		t.Helper()
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(api.HeaderTolerance, "0.05")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: %d %s %v", url, resp.StatusCode, b, err)
+		}
+		return resp, b
+	}
+	ts3, _ := testServer(t)
+	ts4, _ := testServer(t)
+	idText := make([]string, len(ids))
+	for i, id := range ids {
+		idText[i] = strconv.Itoa(id)
+	}
+	resp, body := post(ts3.URL+"/dispatch/batch", `{"request_ids": [`+strings.Join(idText, ", ")+`]}`)
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("batch answer framed with ContentLength %d, TransferEncoding %v; body is %d bytes",
+			resp.ContentLength, resp.TransferEncoding, len(body))
+	}
+	var items struct{ Items []json.RawMessage }
+	if err := json.Unmarshal(body, &items); err != nil || len(items.Items) != len(ids) {
+		t.Fatalf("batch answer %s: %d items, %v", body, len(items.Items), err)
+	}
+	for i, id := range idText {
+		_, single := post(ts4.URL+"/dispatch", `{"request_id": `+id+`}`)
+		if want := bytes.TrimSuffix(single, []byte("\n")); !bytes.Equal(items.Items[i], want) {
+			t.Fatalf("item %d:\n%s\nsingle answer:\n%s", i, items.Items[i], want)
+		}
 	}
 }
 

@@ -18,7 +18,10 @@
 #   (BenchmarkCanaryDispatch/split within CANARY_OVERHEAD_PCT of /off),
 #   and the coalescer with a crowd (128 callers against MaxBatch 64:
 #   coalesced at most 0.75x serial, batching keeps paying) and below one
-#   (8 callers: at most 1.5x serial, a pass-through, not a timer wait);
+#   (8 callers: at most 1.5x serial, a pass-through, not a timer wait),
+#   and one item of a 64-item batch answer against a single answer
+#   (BenchmarkHandleDispatch/batch64 / 64 at most BATCH_ITEM_CAP_PCT of
+#   /bare);
 # - allocs/op, a count that is the same on every host: the HTTP
 #   handler's (BenchmarkHandleDispatch/*) and the fleet hop's
 #   (BenchmarkFleetProxy, front tier plus one worker) may not exceed
@@ -144,6 +147,31 @@ ratio_gate() {
 # 1.5x holds it on a quiet box and a shared CI runner alike.
 ratio_gate coalesce-crowd c128 75 "batching pays"
 ratio_gate coalesce-subcrowd c8 150 "pass-through"
+
+# Batch render gate, same-sweep: one item of a 64-item POST
+# /dispatch/batch (BenchmarkHandleDispatch/batch64 ns/op / 64) may cost
+# at most BATCH_ITEM_CAP_PCT percent of a bare POST /dispatch. Before
+# the batch renderer wrote the tier segment once per batch and short
+# decimals without Ryu, six 3-repetition sweeps on a 2-vCPU host read
+# 0.29-0.36; after, 0.23-0.27 (PERFORMANCE.md). The cap sits between,
+# so a per-item render cost creeping back trips it.
+BATCH_ITEM_CAP_PCT=28
+bare_ns="$(awk '$1 == "BenchmarkHandleDispatch/bare" {print $2}' /tmp/bench_fresh.$$)"
+batch_ns="$(awk '$1 == "BenchmarkHandleDispatch/batch64" {print $2}' /tmp/bench_fresh.$$)"
+if [[ -n "$bare_ns" && -n "$batch_ns" ]]; then
+    verdict="$(awk -v s="$bare_ns" -v b="$batch_ns" -v p="$BATCH_ITEM_CAP_PCT" \
+        'BEGIN { print (b / 64 > s * p / 100) ? "FAIL" : "ok" }')"
+    ratio="$(awk -v s="$bare_ns" -v b="$batch_ns" 'BEGIN { printf "%.2f", b / 64 / s }')"
+    printf '  %-5s %-40s %12.1f vs %12.1f ns/op (%sx bare per item, cap %sx)\n' \
+        "$verdict" "batch-item(batch64/64 / bare)" "$bare_ns" "$batch_ns" "$ratio" \
+        "$(awk -v p="$BATCH_ITEM_CAP_PCT" 'BEGIN { printf "%.2f", p / 100 }')"
+    if [[ "$verdict" == "FAIL" ]]; then
+        status=1
+    fi
+else
+    echo "  MISS  batch-item gate: HandleDispatch bare/batch64 pair absent from fresh run"
+    status=1
+fi
 
 # Handler alloc pins: allocs/op is a count, the same on every host, so
 # BenchmarkHandleDispatch/* and BenchmarkFleetProxy may not exceed the
