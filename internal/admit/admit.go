@@ -35,70 +35,20 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/toltiers/toltiers/internal/api"
 )
 
 // Rate is one tenant's token-bucket parameters.
-type Rate struct {
-	// PerSec refills the bucket in tokens per second (0 = unlimited).
-	PerSec float64
-	// Burst caps the bucket (0 = max(PerSec, 1)).
-	Burst float64
-}
+type Rate = api.Rate
 
-// Config parameterizes a Controller. The zero value is a disabled
-// layer that admits everything untouched; see the field defaults.
-type Config struct {
-	// Enabled turns admission control on.
-	Enabled bool
-	// MaxInFlight caps concurrently admitted dispatches (0 = unlimited:
-	// capacity admission and the queue-saturation brownout trigger are
-	// off). A batch admission holds one slot, mirroring the
-	// dispatcher's batch limiter lease.
-	MaxInFlight int
-	// PriorityReserve is the slice of MaxInFlight only priority tiers
-	// may occupy (default 10% of MaxInFlight, at least 1; clamped to
-	// MaxInFlight-1 so bulk traffic keeps at least one slot).
-	PriorityReserve int
-	// PriorityTolerance bounds the priority class: requests with
-	// tolerance <= it use the reserve and are never browned out
-	// (default 0.01).
-	PriorityTolerance float64
-	// DefaultRate is the token bucket applied to tenants without an
-	// override in Tenants (zero PerSec = unlimited).
-	DefaultRate Rate
-	// Tenants overrides per-tenant bucket rates, keyed by tenant ID.
-	Tenants map[string]Rate
-	// ShedMargin scales the observed floor in the deadline-shed test: a
-	// request is rejected when budget < floor*ShedMargin (default 1;
-	// negative disables deadline shedding).
-	ShedMargin float64
-	// Brownout arms the tier-downgrade controller.
-	Brownout bool
-	// BrownoutTolerance is the cheaper tier brownout downgrades
-	// tolerant traffic to (default 0.10). Requests already at or above
-	// it pass through unchanged — brownout never upgrades.
-	BrownoutTolerance float64
-	// EngageShed / ReleaseShed are the per-interval shed fractions that
-	// count an interval as breached or calm (defaults 0.10 / 0.02;
-	// intervals in between reset both streaks — the dead band of the
-	// hysteresis). Queue saturation (a capacity shed) also breaches.
-	EngageShed  float64
-	ReleaseShed float64
-	// EngageIntervals / ReleaseIntervals are the consecutive breached
-	// (calm) intervals that flip brownout on (off) — defaults 2 / 4.
-	EngageIntervals  int
-	ReleaseIntervals int
-	// Interval is the brownout evaluation cadence (default 500ms).
-	// Evaluation happens inline on the first admission past an interval
-	// boundary; a fully idle span counts as calm intervals.
-	Interval time.Duration
-	// RetryAfter is the client hint attached to capacity and deadline
-	// sheds (default 250ms); rate sheds compute theirs from the bucket.
-	RetryAfter time.Duration
-}
+// Config parameterizes a Controller. It is defined once, with its wire
+// form, in internal/api. The zero value is a disabled layer that admits
+// everything untouched; see the field defaults there.
+type Config = api.AdmissionConfig
 
 // normalized returns cfg with defaults filled in.
-func (cfg Config) normalized() Config {
+func normalized(cfg Config) Config {
 	if cfg.PriorityTolerance <= 0 {
 		cfg.PriorityTolerance = 0.01
 	}
@@ -141,7 +91,7 @@ func (cfg Config) normalized() Config {
 }
 
 // rateFor resolves one tenant's bucket parameters.
-func (cfg *Config) rateFor(id string) Rate {
+func rateFor(cfg *Config, id string) Rate {
 	r, ok := cfg.Tenants[id]
 	if !ok {
 		r = cfg.DefaultRate
@@ -298,7 +248,7 @@ type Controller struct {
 // New builds a Controller.
 func New(cfg Config) *Controller {
 	c := &Controller{tenants: make(map[string]*tenant)}
-	c.cfg = cfg.normalized()
+	c.cfg = normalized(cfg)
 	return c
 }
 
@@ -306,20 +256,13 @@ func New(cfg Config) *Controller {
 // for every known tenant (levels clamp to the new burst), counters and
 // brownout state carry over.
 func (c *Controller) SetConfig(cfg Config) {
-	cfg = cfg.normalized()
+	cfg = normalized(cfg)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.cfg = cfg
 	for id, t := range c.tenants {
-		t.setRate(cfg.rateFor(id))
+		t.setRate(rateFor(&cfg, id))
 	}
-}
-
-// ConfigSnapshot returns a copy of the normalized configuration.
-func (c *Controller) ConfigSnapshot() Config {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.cfg
 }
 
 // Engaged reports whether brownout is currently active.
@@ -493,7 +436,7 @@ func (c *Controller) tenantLocked(id string) *tenant {
 	c.mu.Lock()
 	t, ok := c.tenants[id]
 	if !ok {
-		t = &tenant{rate: c.cfg.rateFor(id)}
+		t = &tenant{rate: rateFor(&c.cfg, id)}
 		c.tenants[id] = t
 	}
 	c.mu.Unlock()

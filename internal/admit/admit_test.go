@@ -206,7 +206,7 @@ func TestBrownoutHysteresis(t *testing.T) {
 	})
 	// MaxInFlight 1 normalizes PriorityReserve to 0 — bulk may use the
 	// whole (single-slot) budget.
-	if got := c.ConfigSnapshot().PriorityReserve; got != 0 {
+	if got := c.Status().Config.PriorityReserve; got != 0 {
 		t.Fatalf("PriorityReserve normalized to %d, want 0", got)
 	}
 
@@ -380,32 +380,5 @@ func TestStatusCounters(t *testing.T) {
 	}
 	if st.InFlight != 0 {
 		t.Fatalf("in-flight = %d", st.InFlight)
-	}
-}
-
-func TestWireRoundTrip(t *testing.T) {
-	cfg := Config{
-		Enabled:           true,
-		MaxInFlight:       64,
-		PriorityReserve:   8,
-		PriorityTolerance: 0.02,
-		DefaultRate:       Rate{PerSec: 100, Burst: 200},
-		Tenants:           map[string]Rate{"gold": {PerSec: 1000, Burst: 1000}},
-		ShedMargin:        1.5,
-		Brownout:          true,
-		BrownoutTolerance: 0.08,
-		EngageShed:        0.2,
-		ReleaseShed:       0.01,
-		EngageIntervals:   3,
-		ReleaseIntervals:  5,
-		Interval:          250 * time.Millisecond,
-		RetryAfter:        125 * time.Millisecond,
-	}
-	got := FromWire(cfg.Wire())
-	if got.MaxInFlight != cfg.MaxInFlight || got.DefaultRate != cfg.DefaultRate ||
-		got.Interval != cfg.Interval || got.RetryAfter != cfg.RetryAfter ||
-		got.ShedMargin != cfg.ShedMargin || got.BrownoutTolerance != cfg.BrownoutTolerance ||
-		got.Tenants["gold"] != cfg.Tenants["gold"] {
-		t.Fatalf("wire round trip:\n got %+v\nwant %+v", got, cfg)
 	}
 }

@@ -2,65 +2,9 @@ package admit
 
 import (
 	"sort"
-	"time"
 
 	"github.com/toltiers/toltiers/internal/api"
 )
-
-// FromWire converts the HTTP configuration into a Config.
-func FromWire(w api.AdmissionConfig) Config {
-	cfg := Config{
-		Enabled:           w.Enabled,
-		MaxInFlight:       w.MaxInFlight,
-		PriorityReserve:   w.PriorityReserve,
-		PriorityTolerance: w.PriorityTolerance,
-		DefaultRate:       Rate{PerSec: w.DefaultRatePerSec, Burst: w.DefaultBurst},
-		ShedMargin:        w.ShedMargin,
-		Brownout:          w.Brownout,
-		BrownoutTolerance: w.BrownoutTolerance,
-		EngageShed:        w.BrownoutEngageShed,
-		ReleaseShed:       w.BrownoutReleaseShed,
-		EngageIntervals:   w.BrownoutEngageIntervals,
-		ReleaseIntervals:  w.BrownoutReleaseIntervals,
-		Interval:          time.Duration(w.BrownoutIntervalMS * float64(time.Millisecond)),
-		RetryAfter:        time.Duration(w.RetryAfterMS * float64(time.Millisecond)),
-	}
-	if len(w.Tenants) > 0 {
-		cfg.Tenants = make(map[string]Rate, len(w.Tenants))
-		for id, r := range w.Tenants {
-			cfg.Tenants[id] = Rate{PerSec: r.RatePerSec, Burst: r.Burst}
-		}
-	}
-	return cfg
-}
-
-// Wire renders the configuration in its HTTP form.
-func (cfg Config) Wire() api.AdmissionConfig {
-	w := api.AdmissionConfig{
-		Enabled:                  cfg.Enabled,
-		MaxInFlight:              cfg.MaxInFlight,
-		PriorityReserve:          cfg.PriorityReserve,
-		PriorityTolerance:        cfg.PriorityTolerance,
-		DefaultRatePerSec:        cfg.DefaultRate.PerSec,
-		DefaultBurst:             cfg.DefaultRate.Burst,
-		ShedMargin:               cfg.ShedMargin,
-		Brownout:                 cfg.Brownout,
-		BrownoutTolerance:        cfg.BrownoutTolerance,
-		BrownoutEngageShed:       cfg.EngageShed,
-		BrownoutReleaseShed:      cfg.ReleaseShed,
-		BrownoutEngageIntervals:  cfg.EngageIntervals,
-		BrownoutReleaseIntervals: cfg.ReleaseIntervals,
-		BrownoutIntervalMS:       float64(cfg.Interval) / float64(time.Millisecond),
-		RetryAfterMS:             float64(cfg.RetryAfter) / float64(time.Millisecond),
-	}
-	if len(cfg.Tenants) > 0 {
-		w.Tenants = make(map[string]api.TenantRate, len(cfg.Tenants))
-		for id, r := range cfg.Tenants {
-			w.Tenants[id] = api.TenantRate{RatePerSec: r.PerSec, Burst: r.Burst}
-		}
-	}
-	return w
-}
 
 // Status renders the controller's wire view: configuration, brownout
 // state, the in-flight gauge, and per-tenant counters (sorted by
@@ -69,7 +13,7 @@ func (c *Controller) Status() api.AdmissionStatus {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	st := api.AdmissionStatus{
-		Config:           c.cfg.Wire(),
+		Config:           c.cfg,
 		State:            "disabled",
 		InFlight:         c.inflight.Load(),
 		BrownoutEngaged:  c.engaged.Load(),

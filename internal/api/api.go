@@ -224,64 +224,6 @@ type RuleGenStatus struct {
 	Drift bool `json:"drift,omitempty"`
 }
 
-// TenantRate is one tenant's token-bucket override inside
-// AdmissionConfig.
-type TenantRate struct {
-	// RatePerSec refills the tenant's bucket (0 = unlimited).
-	RatePerSec float64 `json:"rate_per_sec"`
-	// Burst caps the bucket (0 = max(rate, 1)).
-	Burst float64 `json:"burst,omitempty"`
-}
-
-// AdmissionConfig is the admission layer's configuration — the JSON
-// body of POST /admission/config and the config echo inside
-// GET /admission. Zero values select the controller's defaults.
-type AdmissionConfig struct {
-	// Enabled turns admission control on; disabled, every request is
-	// accepted untouched.
-	Enabled bool `json:"enabled"`
-	// MaxInFlight caps concurrently admitted dispatches (0 = unlimited:
-	// capacity admission and the queue-depth brownout trigger are off).
-	MaxInFlight int `json:"max_in_flight,omitempty"`
-	// PriorityReserve is the slice of MaxInFlight only priority tiers
-	// (tolerance <= PriorityTolerance) may occupy, so bulk traffic can
-	// never starve the strict tiers of slots (default: 10%, min 1).
-	PriorityReserve int `json:"priority_reserve,omitempty"`
-	// PriorityTolerance bounds the priority class (default 0.01).
-	PriorityTolerance float64 `json:"priority_tolerance,omitempty"`
-	// DefaultRatePerSec / DefaultBurst parameterize the token bucket of
-	// tenants without an override (0 rate = unlimited).
-	DefaultRatePerSec float64 `json:"default_rate_per_sec,omitempty"`
-	DefaultBurst      float64 `json:"default_burst,omitempty"`
-	// Tenants overrides per-tenant bucket rates, keyed by tenant ID.
-	Tenants map[string]TenantRate `json:"tenants,omitempty"`
-	// ShedMargin scales the observed latency floor in the deadline shed
-	// test: a request is rejected when budget < floor*ShedMargin
-	// (default 1; 0 keeps the default, negative disables the shed).
-	ShedMargin float64 `json:"shed_margin,omitempty"`
-	// Brownout arms the tier-downgrade controller.
-	Brownout bool `json:"brownout,omitempty"`
-	// BrownoutTolerance is the cheaper tier brownout serves downgradable
-	// traffic with (default 0.10). Requests already at or above it, and
-	// priority-tier requests, are never touched.
-	BrownoutTolerance float64 `json:"brownout_tolerance,omitempty"`
-	// BrownoutEngageShed / BrownoutReleaseShed are the per-interval shed
-	// fractions that engage and release the brownout (defaults 0.10 and
-	// 0.02; release also requires the queue-depth trigger quiet).
-	BrownoutEngageShed  float64 `json:"brownout_engage_shed,omitempty"`
-	BrownoutReleaseShed float64 `json:"brownout_release_shed,omitempty"`
-	// BrownoutEngageIntervals / BrownoutReleaseIntervals are the
-	// consecutive evaluation intervals the trigger condition must hold
-	// (the hysteresis; defaults 2 and 4).
-	BrownoutEngageIntervals  int `json:"brownout_engage_intervals,omitempty"`
-	BrownoutReleaseIntervals int `json:"brownout_release_intervals,omitempty"`
-	// BrownoutIntervalMS is the evaluation interval (default 500ms).
-	BrownoutIntervalMS float64 `json:"brownout_interval_ms,omitempty"`
-	// RetryAfterMS is the Retry-After hint on capacity and deadline
-	// sheds (default 250ms); rate sheds compute theirs from the bucket.
-	RetryAfterMS float64 `json:"retry_after_ms,omitempty"`
-}
-
 // TenantAdmission is one tenant's admission counters in GET /admission.
 type TenantAdmission struct {
 	Tenant   string `json:"tenant"`
@@ -315,89 +257,6 @@ type AdmissionStatus struct {
 	BrownoutReleased int64 `json:"brownout_released,omitempty"`
 	// Tenants lists per-tenant counters, sorted by tenant ID.
 	Tenants []TenantAdmission `json:"tenants,omitempty"`
-}
-
-// DriftConfig is the drift monitor's configuration — the JSON body of
-// POST /drift/config and the config echo inside GET /drift. Zero
-// values select the monitor's defaults.
-type DriftConfig struct {
-	// Enabled turns observation and detection on.
-	Enabled bool `json:"enabled"`
-	// AutoReprofile arms the self-healing loop: a confirmed shift
-	// re-profiles the live backends and regenerates the rule tables
-	// through the async rule-generation job; the healed tables always
-	// earn their promotion through a canary trial (the Canary* fields).
-	AutoReprofile bool `json:"auto_reprofile"`
-	// Window is the number of dispatches folded into one detector
-	// observation per tier (default 64).
-	Window int `json:"window,omitempty"`
-	// WarmupWindows is the number of windows that settle the baselines
-	// before alarms arm (default 8).
-	WarmupWindows int `json:"warmup_windows,omitempty"`
-	// ErrDelta / ErrLambda parameterize the Page–Hinkley test on
-	// window-mean task error (defaults 0.02 / 0.3).
-	ErrDelta  float64 `json:"err_delta,omitempty"`
-	ErrLambda float64 `json:"err_lambda,omitempty"`
-	// LatDelta / LatLambda parameterize the Page–Hinkley test on
-	// window-mean latency relative to its warmup baseline
-	// (defaults 0.05 / 1.0).
-	LatDelta  float64 `json:"lat_delta,omitempty"`
-	LatLambda float64 `json:"lat_lambda,omitempty"`
-	// CusumK / CusumH parameterize the standardized CUSUM tests on the
-	// same window means (defaults 0.5 / 12).
-	CusumK float64 `json:"cusum_k,omitempty"`
-	CusumH float64 `json:"cusum_h,omitempty"`
-	// QuantileRatio / QuantileStrikes parameterize the per-backend
-	// latency-quantile shift test against the profiled baseline p95
-	// (defaults 0.5 / 3 consecutive checks).
-	QuantileRatio   float64 `json:"quantile_ratio,omitempty"`
-	QuantileStrikes int     `json:"quantile_strikes,omitempty"`
-	// CooldownMS is the minimum gap between self-healing triggers in
-	// milliseconds (default 30000).
-	CooldownMS float64 `json:"cooldown_ms,omitempty"`
-	// SeasonPeriod is the per-tier seasonal baseline period in detector
-	// windows (0 = seasonal adjustment off). When set, the monitor
-	// learns a per-phase latency profile over the first
-	// SeasonPeriod*SeasonCycles windows and subtracts it before the
-	// PH/CUSUM latency folding, so a periodic cycle (a daily load wave)
-	// is not read as drift.
-	SeasonPeriod int `json:"season_period,omitempty"`
-	// SeasonCycles is how many full periods the seasonal profile
-	// averages over before it arms (default 2).
-	SeasonCycles int `json:"season_cycles,omitempty"`
-	// CanaryFraction is the deterministic slice of traffic routed
-	// through a healed-but-unpromoted rule table, as 1/N of requests
-	// (default 8, i.e. 1/8th). 0 selects the default.
-	CanaryFraction int `json:"canary_fraction,omitempty"`
-	// CanaryMinSamples is the per-tier sample floor both arms (canary
-	// and incumbent) must reach before the verdict compares them
-	// (default 96).
-	CanaryMinSamples int `json:"canary_min_samples,omitempty"`
-	// CanaryMaxMS bounds a canary trial's duration in milliseconds
-	// (default 120000): past it the verdict is forced from whatever
-	// evidence exists.
-	CanaryMaxMS float64 `json:"canary_max_ms,omitempty"`
-	// CanaryErrSigma is the error-mean tolerance in standard errors: the
-	// canary passes a tier when its mean error stays within
-	// CanaryErrSigma combined standard errors of the incumbent's
-	// (default 3).
-	CanaryErrSigma float64 `json:"canary_err_sigma,omitempty"`
-	// CanaryLatSlack is the fractional p95 latency slack: the canary
-	// passes when its p95 stays within (1+CanaryLatSlack) of the
-	// incumbent's (default 0.25).
-	CanaryLatSlack float64 `json:"canary_lat_slack,omitempty"`
-	// MaxHealRetries suspends self-healing after this many consecutive
-	// non-promoted heals (default 8); a promotion resets the count.
-	MaxHealRetries int `json:"max_heal_retries,omitempty"`
-	// HealBackoffMS is the base of the exponential backoff between
-	// consecutive failed heals in milliseconds (default = CooldownMS);
-	// the n-th consecutive failure waits HealBackoffMS * 2^(n-1),
-	// capped at 16x.
-	HealBackoffMS float64 `json:"heal_backoff_ms,omitempty"`
-	// HedgeBoostQuantile is the hedging quantile the dispatcher uses for
-	// alarmed backends while a heal is in flight (default 0.99; >= 1
-	// disables the boost).
-	HedgeBoostQuantile float64 `json:"hedge_boost_quantile,omitempty"`
 }
 
 // DriftTierStatus is one tier's detector state in GET /drift.

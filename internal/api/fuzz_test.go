@@ -3,6 +3,7 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 )
 
@@ -118,4 +119,70 @@ func FuzzDispatchBatchWire(f *testing.F) {
 			roundTrip(t, &res, &again)
 		}
 	})
+}
+
+// FuzzConfigWire holds the two config bodies to their contract: an
+// arbitrary body either fails to decode or decodes to a config that
+// encodes without error and decodes back to itself, and no body with a
+// negative number — a sub-nanosecond *_ms value included — decodes, so
+// no handler can apply one.
+func FuzzConfigWire(f *testing.F) {
+	for _, seed := range []string{
+		`{}`,
+		`{"enabled":true,"auto_reprofile":true,"window":128,"err_lambda":0.2}`,
+		`{"enabled": true, "max_in_flight": 256, "brownout": true, "tenants": {"metered": {"rate_per_sec": 50, "burst": 100}}}`,
+		`{"cooldown_ms":1500.5,"canary_max_ms":0.000249,"heal_backoff_ms":2.0438187938605434e10}`,
+		`{"brownout_interval_ms":250.5,"retry_after_ms":9.2e12,"default_rate_per_sec":100,"default_burst":200,"shed_margin":-1}`,
+		`{"cooldown_ms":-1e-7,"retry_after_ms":-1e-7}`,
+		`{"COOLDOWN_MS":5,"cooldown_ms":-1,"tenants":{}}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var drift, driftBack DriftConfig
+		var driftMS struct {
+			Cooldown    float64 `json:"cooldown_ms"`
+			CanaryMax   float64 `json:"canary_max_ms"`
+			HealBackoff float64 `json:"heal_backoff_ms"`
+		}
+		if configRoundTrip(t, body, &drift, &driftBack, &driftMS) {
+			if !nonNegative(reflect.ValueOf(drift)) || driftMS.Cooldown < 0 || driftMS.CanaryMax < 0 || driftMS.HealBackoff < 0 {
+				t.Fatalf("negative value accepted: %s", body)
+			}
+		}
+		var adm, admBack AdmissionConfig
+		var admMS struct {
+			Interval   float64 `json:"brownout_interval_ms"`
+			RetryAfter float64 `json:"retry_after_ms"`
+		}
+		if configRoundTrip(t, body, &adm, &admBack, &admMS) {
+			adm.ShedMargin = 0
+			if !nonNegative(reflect.ValueOf(adm)) || admMS.Interval < 0 || admMS.RetryAfter < 0 {
+				t.Fatalf("negative value accepted: %s", body)
+			}
+		}
+	})
+}
+
+// configRoundTrip decodes body into cfg and, when that succeeds, checks
+// the encode/decode round trip through back and decodes body's *_ms
+// keys as plain floats into ms. It reports whether body decoded.
+func configRoundTrip(t *testing.T, body []byte, cfg, back, ms any) bool {
+	if json.Unmarshal(body, cfg) != nil {
+		return false
+	}
+	b, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatalf("decoded config failed to encode: %v", err)
+	}
+	if err := json.Unmarshal(b, back); err != nil {
+		t.Fatalf("encoded config rejected on re-read: %v\n%s", err, b)
+	}
+	if !reflect.DeepEqual(cfg, back) {
+		t.Fatalf("round trip changed the config:\nfirst  %+v\nsecond %+v\nwire %s", cfg, back, b)
+	}
+	if err := json.Unmarshal(body, ms); err != nil {
+		t.Fatalf("accepted body has malformed *_ms keys: %v", err)
+	}
+	return true
 }

@@ -1,4 +1,4 @@
-package api
+package client
 
 import (
 	"context"
@@ -9,22 +9,22 @@ import (
 	"github.com/toltiers/toltiers/internal/trace"
 )
 
-// TestRetryLoop pins the loop both HTTP callers share: transient
-// failures retry up to Attempts under one trace id and sleep the
+// TestRetryLoop pins the loop every *WithRetry call shares: transient
+// failures retry up to MaxAttempts under one trace id and sleep the
 // server's hint, a permanent failure returns at once, and a cancelled
 // sleep ends the call.
 func TestRetryLoop(t *testing.T) {
-	boom := errors.New("boom")
+	boom := &APIError{StatusCode: 503, RetryAfter: 2 * time.Second}
 	var slept []time.Duration
-	b := Backoff{Attempts: 3, Sleep: func(_ context.Context, d time.Duration) error {
+	p := RetryPolicy{MaxAttempts: 3, Sleep: func(_ context.Context, d time.Duration) error {
 		slept = append(slept, d)
 		return nil
 	}}
 
 	var ids []uint64
-	_, err := Retry(context.Background(), b, func(ctx context.Context) (int, time.Duration, bool, error) {
+	_, err := withRetry(context.Background(), p, func(ctx context.Context) (int, error) {
 		ids = append(ids, trace.IDFromContext(ctx))
-		return 0, 2 * time.Second, true, boom
+		return 0, boom
 	})
 	if !errors.Is(err, boom) || len(ids) != 3 {
 		t.Fatalf("transient failure: %d attempts, err %v; want 3 attempts wrapping boom", len(ids), err)
@@ -37,31 +37,32 @@ func TestRetryLoop(t *testing.T) {
 	}
 
 	calls := 0
-	got, err := Retry(trace.ContextWithID(context.Background(), 42), b, func(ctx context.Context) (int, time.Duration, bool, error) {
+	got, err := withRetry(trace.ContextWithID(context.Background(), 42), p, func(ctx context.Context) (int, error) {
 		if calls++; calls == 1 {
-			return 0, 0, true, boom
+			return 0, &APIError{StatusCode: 503}
 		}
-		return int(trace.IDFromContext(ctx)), 0, false, nil
+		return int(trace.IDFromContext(ctx)), nil
 	})
 	if err != nil || got != 42 || calls != 2 {
 		t.Fatalf("recovering call = %d, %v after %d calls; want the caller's id 42 on attempt 2", got, err, calls)
 	}
 
 	calls = 0
-	_, err = Retry(context.Background(), b, func(context.Context) (int, time.Duration, bool, error) {
+	permanent := &APIError{StatusCode: 400}
+	_, err = withRetry(context.Background(), p, func(context.Context) (int, error) {
 		calls++
-		return 0, 0, false, boom
+		return 0, permanent
 	})
-	if err != boom || calls != 1 {
+	if err != permanent || calls != 1 {
 		t.Fatalf("permanent failure: %d calls, err %v; want the bare error after one", calls, err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	b.Sleep = nil
-	_, err = Retry(ctx, b, func(context.Context) (int, time.Duration, bool, error) {
+	p.Sleep = nil
+	_, err = withRetry(ctx, p, func(context.Context) (int, error) {
 		time.AfterFunc(5*time.Millisecond, cancel) // fires inside the 1-minute hint sleep
-		return 0, time.Minute, true, boom
+		return 0, &APIError{StatusCode: 503, RetryAfter: time.Minute}
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("call cancelled mid-sleep returned %v, want context.Canceled", err)

@@ -3,10 +3,14 @@ package client
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand/v2"
+	"net/http"
 	"time"
 
 	"github.com/toltiers/toltiers/internal/api"
 	"github.com/toltiers/toltiers/internal/rulegen"
+	"github.com/toltiers/toltiers/internal/trace"
 )
 
 // RetryPolicy controls the *WithRetry calls. Transient failures —
@@ -40,23 +44,61 @@ func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{MaxAttempts: 3, BaseBackoff: 50 * time.Millisecond}
 }
 
-// backoff maps the policy onto the shared api.Backoff, filling the
-// SDK's default cap.
-func (p RetryPolicy) backoff() api.Backoff {
-	capd := p.MaxBackoff
-	if capd <= 0 {
-		capd = 10 * time.Second
+// maxRetryAfterHonor bounds how long a server Retry-After hint can
+// stretch one sleep. The hint deliberately overrides MaxBackoff — the
+// cap shapes the caller's own jitter, while the hint is the server
+// saying how long it needs; truncating it to the cap would send a whole
+// fleet of callers back early, in sync, at an overloaded node — but an
+// absurd or hostile hint must not park a caller for hours, hence this
+// explicit ceiling.
+const maxRetryAfterHonor = 5 * time.Minute
+
+// delay draws the decorrelated-jitter delay following prev, stretched
+// to at least the server's Retry-After hint (0 = none). MaxBackoff caps
+// only the jittered draw; the hint is honored above it, up to
+// maxRetryAfterHonor.
+func (p RetryPolicy) delay(prev, retryAfter time.Duration) time.Duration {
+	d := prev
+	if p.BaseBackoff > 0 {
+		r := p.Rand
+		if r == nil {
+			r = rand.Float64
+		}
+		capd := p.MaxBackoff
+		if capd <= 0 {
+			capd = 10 * time.Second
+		}
+		hi := max(3*prev, p.BaseBackoff)
+		d = min(p.BaseBackoff+time.Duration(r()*float64(hi-p.BaseBackoff)), capd)
 	}
-	return api.Backoff{Attempts: p.MaxAttempts, Base: p.BaseBackoff, Max: capd, Rand: p.Rand, Sleep: p.Sleep}
+	return max(d, min(retryAfter, maxRetryAfterHonor))
+}
+
+// sleepContext waits d or until ctx is done.
+func sleepContext(ctx context.Context, d time.Duration) error {
+	if d <= 0 {
+		return ctx.Err()
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return nil
+	}
 }
 
 // verdict classifies a failed attempt for the backoff loop: an API
-// error carries the server's Retry-After hint and is transient by its
-// status (api.TransientStatus); transport-level failures are retryable.
+// error carries the server's Retry-After hint and is transient for 5xx
+// and 429 — the admission layer's token-bucket shed, which tells the
+// caller when to come back — while other 4xx answers are permanent;
+// transport-level failures are retryable.
 func verdict(err error) (retryAfter time.Duration, transient bool) {
 	var apiErr *APIError
 	if errors.As(err, &apiErr) {
-		return apiErr.RetryAfter, api.TransientStatus(apiErr.StatusCode)
+		code := apiErr.StatusCode
+		return apiErr.RetryAfter, code >= http.StatusInternalServerError || code == http.StatusTooManyRequests
 	}
 	return 0, true
 }
@@ -64,13 +106,38 @@ func verdict(err error) (retryAfter time.Duration, transient bool) {
 // withRetry drives one idempotent call through the policy. All the
 // repo's API calls are idempotent (corpus requests are pure lookups by
 // ID), so retrying a response that may already have been computed is
-// safe.
+// safe. A permanent failure, a dead context, or an interrupted sleep
+// returns at once. Every attempt runs under one trace id — ctx's when
+// it carries one, otherwise minted here — so the X-Toltiers-Trace
+// header lets the server correlate them as one logical request.
 func withRetry[T any](ctx context.Context, policy RetryPolicy, call func(context.Context) (T, error)) (T, error) {
-	return api.Retry(ctx, policy.backoff(), func(ctx context.Context) (T, time.Duration, bool, error) {
+	var zero T
+	if trace.IDFromContext(ctx) == 0 {
+		ctx = trace.ContextWithID(ctx, trace.NextID())
+	}
+	attempts := max(policy.MaxAttempts, 1)
+	sleep := policy.Sleep
+	if sleep == nil {
+		sleep = sleepContext
+	}
+	var delay time.Duration
+	for attempt := 1; ; attempt++ {
 		res, err := call(ctx)
+		if err == nil {
+			return res, nil
+		}
 		retryAfter, transient := verdict(err)
-		return res, retryAfter, transient, err
-	})
+		switch {
+		case !transient || ctx.Err() != nil:
+			return zero, err
+		case attempt >= attempts:
+			return zero, fmt.Errorf("%d attempts failed: %w", attempts, err)
+		}
+		delay = policy.delay(delay, retryAfter)
+		if err := sleep(ctx, delay); err != nil {
+			return zero, err
+		}
+	}
 }
 
 // ComputeWithRetry is Compute with the retry policy applied.

@@ -51,9 +51,6 @@ type Options struct {
 	// honor context cancellation while waiting. A batch dispatched with
 	// DoBatch leases one slot per leg for the whole batch.
 	MaxConcurrentPerBackend int
-	// HedgeQuantile is the observed-latency quantile the hedging
-	// decision consults (default 0.95).
-	HedgeQuantile float64
 	// DisableHedging turns deadline-aware hedging off: failover tiers
 	// always escalate sequentially, deadlines only mark outcomes.
 	DisableHedging bool
@@ -248,12 +245,12 @@ type Dispatcher struct {
 	calls sync.Pool
 }
 
+// HedgeQuantile is the observed-latency quantile the hedging decision
+// consults; drift baselines are taken at the same quantile.
+const HedgeQuantile = 0.95
+
 // New builds a dispatcher over the backends.
 func New(backends []Backend, opts Options) *Dispatcher {
-	q := opts.HedgeQuantile
-	if q <= 0 || q >= 1 {
-		q = 0.95
-	}
 	d := &Dispatcher{
 		backends: backends,
 		sems:     make([]semaphore, len(backends)),
@@ -267,7 +264,7 @@ func New(backends []Backend, opts Options) *Dispatcher {
 	for i, b := range backends {
 		names[i] = b.Name()
 		d.sems[i] = newSemaphore(opts.MaxConcurrentPerBackend)
-		d.trackers[i] = newLatencyTracker(q)
+		d.trackers[i] = newLatencyTracker(HedgeQuantile)
 	}
 	d.names = names
 	d.tel = newTelemetry(names, opts.TelemetryShards)
@@ -301,9 +298,8 @@ func (d *Dispatcher) P95(backend int) float64 { return d.trackers[backend].estim
 // controller raises the quantile of alarmed backends, so the hedging
 // decision consults a more pessimistic tail estimate and fires the
 // secondary earlier, defending tail latency through the vulnerable
-// window. A q outside (0, 1) restores the dispatcher's configured
-// quantile. Safe to call concurrently with dispatch; out-of-range
-// backend indexes are ignored.
+// window. A q outside (0, 1) restores HedgeQuantile. Safe to call
+// concurrently with dispatch; out-of-range backend indexes are ignored.
 func (d *Dispatcher) SetHedgeQuantile(backend int, q float64) {
 	if backend < 0 || backend >= len(d.trackers) {
 		return

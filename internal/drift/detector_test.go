@@ -3,7 +3,6 @@ package drift
 import (
 	"math"
 	"testing"
-	"time"
 )
 
 func TestPageHinkleyDetectsStep(t *testing.T) {
@@ -192,22 +191,8 @@ func TestQuantileShift(t *testing.T) {
 	}
 }
 
-func TestConfigWireRoundTrip(t *testing.T) {
-	c := Config{
-		Enabled: true, AutoReprofile: true,
-		Window: 32, WarmupWindows: 4,
-		ErrDelta: 0.01, ErrLambda: 0.2, LatDelta: 0.03, LatLambda: 0.9,
-		CusumK: 0.25, CusumH: 9, QuantileRatio: 0.4, QuantileStrikes: 2,
-		Cooldown: 1500 * time.Millisecond,
-	}
-	got := FromWire(c.Wire())
-	if got != c {
-		t.Fatalf("wire round trip changed config:\nin  %+v\nout %+v", c, got)
-	}
-}
-
 func TestConfigDefaults(t *testing.T) {
-	c := Config{Enabled: true}.withDefaults()
+	c := withDefaults(Config{Enabled: true})
 	if c.Window <= 0 || c.WarmupWindows <= 0 || c.ErrLambda <= 0 || c.LatLambda <= 0 ||
 		c.CusumH <= 0 || c.QuantileStrikes <= 0 || c.Cooldown <= 0 {
 		t.Fatalf("defaults left zero fields: %+v", c)

@@ -13,64 +13,10 @@ import (
 	"github.com/toltiers/toltiers/internal/stats"
 )
 
-// Config parameterizes a Monitor. The zero value resolves to the
-// defaults documented on api.DriftConfig; FromWire/Wire convert to and
-// from the HTTP representation.
-type Config struct {
-	// Enabled turns observation and detection on.
-	Enabled bool
-	// AutoReprofile arms the self-healing loop: a confirmed shift makes
-	// the serving node re-profile its backends and regenerate its rule
-	// tables.
-	AutoReprofile bool
-	// Window is the number of dispatches folded into one detector
-	// observation per tier.
-	Window int
-	// WarmupWindows settle the baselines before alarms arm.
-	WarmupWindows int
-	// ErrDelta / ErrLambda parameterize the Page–Hinkley test on
-	// window-mean task error.
-	ErrDelta, ErrLambda float64
-	// LatDelta / LatLambda parameterize the Page–Hinkley test on
-	// window-mean latency relative to its warmup baseline.
-	LatDelta, LatLambda float64
-	// CusumK / CusumH parameterize the standardized CUSUM tests.
-	CusumK, CusumH float64
-	// QuantileRatio / QuantileStrikes parameterize the per-backend
-	// latency-quantile shift test.
-	QuantileRatio   float64
-	QuantileStrikes int
-	// Cooldown is the minimum gap between self-healing triggers.
-	Cooldown time.Duration
-	// SeasonPeriod is the per-tier seasonal latency baseline period in
-	// detector windows (0 = seasonal adjustment off); SeasonCycles is
-	// how many full periods the profile averages before it arms.
-	SeasonPeriod, SeasonCycles int
-	// CanaryFraction routes 1/CanaryFraction of traffic through a
-	// healed-but-unpromoted rule table.
-	CanaryFraction int
-	// CanaryMinSamples is the per-tier sample floor both arms need
-	// before the promotion verdict compares them.
-	CanaryMinSamples int
-	// CanaryMaxDuration bounds a trial; past it the verdict is forced
-	// from whatever evidence exists.
-	CanaryMaxDuration time.Duration
-	// CanaryErrSigma / CanaryLatSlack are the verdict tolerances: the
-	// canary wins a tier when its mean error stays within CanaryErrSigma
-	// combined standard errors of the incumbent's and its p95 latency
-	// within (1+CanaryLatSlack) of the incumbent's.
-	CanaryErrSigma, CanaryLatSlack float64
-	// MaxHealRetries suspends self-healing after this many consecutive
-	// non-promoted heals; a promotion resets the count.
-	MaxHealRetries int
-	// HealBackoff is the base of the exponential backoff between
-	// consecutive failed heals (default Cooldown): the n-th consecutive
-	// failure waits HealBackoff * 2^(n-1), capped at 16x.
-	HealBackoff time.Duration
-	// HedgeBoost is the hedging quantile alarmed backends run at while
-	// a heal is in flight (>= 1 disables the boost).
-	HedgeBoost float64
-}
+// Config parameterizes a Monitor. It is defined once, with its wire
+// form, in internal/api; the zero value resolves to the defaults
+// documented there.
+type Config = api.DriftConfig
 
 // withDefaults resolves zero fields to the monitor's defaults. The
 // detector thresholds are deliberately conservative: a tier window mean
@@ -79,7 +25,7 @@ type Config struct {
 // stationary traffic quiet for these values while a real shift of a few
 // percent error (or tens of percent latency) still fires within a
 // handful of windows.
-func (c Config) withDefaults() Config {
+func withDefaults(c Config) Config {
 	if c.Window <= 0 {
 		c.Window = 64
 	}
@@ -141,64 +87,6 @@ func (c Config) withDefaults() Config {
 		c.HedgeBoost = 0.99
 	}
 	return c
-}
-
-// FromWire converts the HTTP configuration to a Config.
-func FromWire(w api.DriftConfig) Config {
-	return Config{
-		Enabled:           w.Enabled,
-		AutoReprofile:     w.AutoReprofile,
-		Window:            w.Window,
-		WarmupWindows:     w.WarmupWindows,
-		ErrDelta:          w.ErrDelta,
-		ErrLambda:         w.ErrLambda,
-		LatDelta:          w.LatDelta,
-		LatLambda:         w.LatLambda,
-		CusumK:            w.CusumK,
-		CusumH:            w.CusumH,
-		QuantileRatio:     w.QuantileRatio,
-		QuantileStrikes:   w.QuantileStrikes,
-		Cooldown:          time.Duration(w.CooldownMS * float64(time.Millisecond)),
-		SeasonPeriod:      w.SeasonPeriod,
-		SeasonCycles:      w.SeasonCycles,
-		CanaryFraction:    w.CanaryFraction,
-		CanaryMinSamples:  w.CanaryMinSamples,
-		CanaryMaxDuration: time.Duration(w.CanaryMaxMS * float64(time.Millisecond)),
-		CanaryErrSigma:    w.CanaryErrSigma,
-		CanaryLatSlack:    w.CanaryLatSlack,
-		MaxHealRetries:    w.MaxHealRetries,
-		HealBackoff:       time.Duration(w.HealBackoffMS * float64(time.Millisecond)),
-		HedgeBoost:        w.HedgeBoostQuantile,
-	}
-}
-
-// Wire converts the Config to its HTTP representation.
-func (c Config) Wire() api.DriftConfig {
-	return api.DriftConfig{
-		Enabled:            c.Enabled,
-		AutoReprofile:      c.AutoReprofile,
-		Window:             c.Window,
-		WarmupWindows:      c.WarmupWindows,
-		ErrDelta:           c.ErrDelta,
-		ErrLambda:          c.ErrLambda,
-		LatDelta:           c.LatDelta,
-		LatLambda:          c.LatLambda,
-		CusumK:             c.CusumK,
-		CusumH:             c.CusumH,
-		QuantileRatio:      c.QuantileRatio,
-		QuantileStrikes:    c.QuantileStrikes,
-		CooldownMS:         float64(c.Cooldown) / float64(time.Millisecond),
-		SeasonPeriod:       c.SeasonPeriod,
-		SeasonCycles:       c.SeasonCycles,
-		CanaryFraction:     c.CanaryFraction,
-		CanaryMinSamples:   c.CanaryMinSamples,
-		CanaryMaxMS:        float64(c.CanaryMaxDuration) / float64(time.Millisecond),
-		CanaryErrSigma:     c.CanaryErrSigma,
-		CanaryLatSlack:     c.CanaryLatSlack,
-		MaxHealRetries:     c.MaxHealRetries,
-		HealBackoffMS:      float64(c.HealBackoff) / float64(time.Millisecond),
-		HedgeBoostQuantile: c.HedgeBoost,
-	}
 }
 
 // Event is one confirmed distribution shift.
@@ -347,16 +235,10 @@ func NewMonitor(cfg Config, backendNames []string, baselineP95Ns []float64) *Mon
 
 // BackendBaselines derives the per-version latency p95 baselines (ns)
 // from a profile matrix, in version order — the reference the
-// quantile-shift test holds live backends to.
+// quantile-shift test holds live backends to. They are taken at
+// dispatch.HedgeQuantile, the quantile the live estimates use, or the
+// shift test would compare mismatched order statistics.
 func BackendBaselines(m *profile.Matrix) []float64 {
-	return BackendBaselinesAt(m, 0.95)
-}
-
-// BackendBaselinesAt is BackendBaselines at an arbitrary quantile: the
-// baseline must be taken at the same quantile the live estimates use
-// (the dispatcher's HedgeQuantile), or the shift test compares a tail
-// against a median.
-func BackendBaselinesAt(m *profile.Matrix, quantile float64) []float64 {
 	nv := m.NumVersions()
 	out := make([]float64, nv)
 	col := make([]float64, m.NumRequests())
@@ -364,7 +246,7 @@ func BackendBaselinesAt(m *profile.Matrix, quantile float64) []float64 {
 		for i := range col {
 			col[i] = m.LatencyNs[m.Index(i, v)]
 		}
-		if q, err := stats.Quantile(col, quantile); err == nil {
+		if q, err := stats.Quantile(col, dispatch.HedgeQuantile); err == nil {
 			out[v] = q
 		}
 	}
@@ -375,7 +257,7 @@ func BackendBaselinesAt(m *profile.Matrix, quantile float64) []float64 {
 // detector (tier states are rebuilt lazily as traffic arrives; backend
 // baselines are kept).
 func (m *Monitor) SetConfig(cfg Config) {
-	cfg = cfg.withDefaults()
+	cfg = withDefaults(cfg)
 	m.mu.Lock()
 	m.cfg = cfg
 	m.tiers = make(map[string]*tierState)
@@ -796,7 +678,7 @@ func (m *Monitor) Status(p95 func(backend int) float64) api.DriftStatus {
 	// A copy: SetBaselines rewrites the slice when a heal applies,
 	// possibly concurrently with a status poll.
 	baseline := m.Baselines()
-	st := api.DriftStatus{Config: m.Config().Wire(), Reprofiles: m.reprofiles.Add(0)}
+	st := api.DriftStatus{Config: m.Config(), Reprofiles: m.reprofiles.Add(0)}
 	for _, ts := range m.tierStates() {
 		ts.mu.Lock()
 		ti := api.DriftTierStatus{

@@ -79,10 +79,6 @@ type Config struct {
 	// ThresholdPoints is the number of confidence quantiles to try per
 	// ensemble pair.
 	ThresholdPoints int
-	// PairPrimaries limits ensemble primaries to the first N versions
-	// (0 = all but the best). The paper found fast-primary pairs
-	// dominate.
-	PairPrimaries int
 	// IncludePickBest also enumerates the PickBest result-selection
 	// variant of each ensemble.
 	IncludePickBest bool
@@ -175,15 +171,11 @@ func enumeratePolicies(m *profile.Matrix, rows []int, cfg Config) []ensemble.Pol
 	for v := 0; v < nv; v++ {
 		out = append(out, ensemble.Policy{Kind: ensemble.Single, Primary: v})
 	}
-	maxPrimary := cfg.PairPrimaries
-	if maxPrimary <= 0 || maxPrimary > nv {
-		maxPrimary = nv
-	}
 	// Thresholds are enumerated outside secondaries so that consecutive
 	// candidates share a (primary, threshold) pair: the evaluator's
 	// escalation-mask cache then hits across every secondary, kind, and
 	// PickBest variant of the pair.
-	for p := 0; p < maxPrimary; p++ {
+	for p := 0; p < nv; p++ {
 		grid := ensemble.ThresholdGrid(m, rows, p, cfg.ThresholdPoints)
 		for _, th := range grid {
 			if th == 0 {

@@ -36,26 +36,12 @@ func (s *Server) handleAdmission(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleAdmissionConfig(w http.ResponseWriter, r *http.Request) {
-	var wcfg api.AdmissionConfig
-	if err := json.NewDecoder(r.Body).Decode(&wcfg); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
+	var cfg admit.Config
+	if err := json.NewDecoder(r.Body).Decode(&cfg); err != nil {
+		httpError(w, http.StatusBadRequest, "invalid admission config: %v", err)
 		return
 	}
-	if wcfg.MaxInFlight < 0 || wcfg.PriorityReserve < 0 || wcfg.PriorityTolerance < 0 ||
-		wcfg.DefaultRatePerSec < 0 || wcfg.DefaultBurst < 0 ||
-		wcfg.BrownoutTolerance < 0 || wcfg.BrownoutEngageShed < 0 || wcfg.BrownoutReleaseShed < 0 ||
-		wcfg.BrownoutEngageIntervals < 0 || wcfg.BrownoutReleaseIntervals < 0 ||
-		wcfg.BrownoutIntervalMS < 0 || wcfg.RetryAfterMS < 0 {
-		httpError(w, http.StatusBadRequest, "admission config fields must be non-negative")
-		return
-	}
-	for id, tr := range wcfg.Tenants {
-		if tr.RatePerSec < 0 || tr.Burst < 0 {
-			httpError(w, http.StatusBadRequest, "tenant %q rate fields must be non-negative", id)
-			return
-		}
-	}
-	s.adm.SetConfig(admit.FromWire(wcfg))
+	s.adm.SetConfig(cfg)
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(s.adm.Status())
 }

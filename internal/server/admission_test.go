@@ -62,13 +62,27 @@ func TestAdmissionDisabledByDefault(t *testing.T) {
 
 func TestAdmissionConfigValidation(t *testing.T) {
 	ts, _ := testServer(t)
-	for _, body := range []string{
-		`{"max_in_flight": -1}`,
-		`{"default_rate_per_sec": -5}`,
-		`{"brownout_interval_ms": -1}`,
+	bodies := []string{
 		`{"tenants": {"x": {"rate_per_sec": -1}}}`,
+		`{"tenants": {"x": {"rate_per_sec": 1, "burst": -1}}}`,
 		`not json`,
+	}
+	// Every numeric field but shed_margin, whose negative values
+	// disable deadline shedding.
+	for _, field := range []string{
+		"max_in_flight", "priority_reserve", "priority_tolerance", "default_rate_per_sec",
+		"default_burst", "brownout_tolerance", "brownout_engage_shed", "brownout_release_shed",
+		"brownout_engage_intervals", "brownout_release_intervals", "brownout_interval_ms",
+		"retry_after_ms",
 	} {
+		bodies = append(bodies, `{"`+field+`": -1}`)
+	}
+	// Sub-nanosecond negatives round to a zero Duration, so the sign is
+	// checked on the wire value.
+	for _, field := range []string{"brownout_interval_ms", "retry_after_ms"} {
+		bodies = append(bodies, `{"`+field+`": -1e-7}`)
+	}
+	for _, body := range bodies {
 		resp, err := ts.Client().Post(ts.URL+"/admission/config", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -281,7 +295,7 @@ func TestAdmissionRuntimeRetuning(t *testing.T) {
 
 	st, err := cl.SetAdmissionConfig(ctx, api.AdmissionConfig{
 		Enabled: true,
-		Tenants: map[string]api.TenantRate{"metered": {RatePerSec: 0.001, Burst: 1}},
+		Tenants: map[string]api.Rate{"metered": {PerSec: 0.001, Burst: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -65,12 +65,22 @@ func TestDriftConfigEnableAtRuntime(t *testing.T) {
 
 func TestDriftConfigValidation(t *testing.T) {
 	_, ts, _ := testRuleGenServer(t)
-	for _, body := range []string{
-		`not json`,
-		`{"enabled": true, "window": -1}`,
-		`{"enabled": true, "err_lambda": -0.5}`,
-		`{"enabled": true, "cooldown_ms": -10}`,
+	bodies := []string{`not json`}
+	for _, field := range []string{
+		"window", "warmup_windows", "err_delta", "err_lambda", "lat_delta", "lat_lambda",
+		"cusum_k", "cusum_h", "quantile_ratio", "quantile_strikes", "cooldown_ms",
+		"season_period", "season_cycles", "canary_fraction", "canary_min_samples",
+		"canary_max_ms", "canary_err_sigma", "canary_lat_slack", "max_heal_retries",
+		"heal_backoff_ms", "hedge_boost_quantile",
 	} {
+		bodies = append(bodies, `{"enabled": true, "`+field+`": -1}`)
+	}
+	// Sub-nanosecond negatives round to a zero Duration, so the sign is
+	// checked on the wire value.
+	for _, field := range []string{"cooldown_ms", "canary_max_ms", "heal_backoff_ms"} {
+		bodies = append(bodies, `{"enabled": true, "`+field+`": -1e-7}`)
+	}
+	for _, body := range bodies {
 		resp, err := http.Post(ts.URL+"/drift/config", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

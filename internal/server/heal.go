@@ -232,7 +232,7 @@ func (h *healer) verdict(now time.Time) {
 		// re-anchor at the quantile the live trackers estimate.
 		s.promote(c.reg, c.job)
 		s.setTrainingMatrix(c.job.matrix)
-		s.mon.SetBaselines(drift.BackendBaselinesAt(c.job.matrix, s.hedgeQuantile))
+		s.mon.SetBaselines(drift.BackendBaselines(c.job.matrix))
 		h.finish(now, drift.HealPromoted, "")
 	case drift.CanaryReject:
 		h.finish(now, drift.HealRejected, d.Reason)
@@ -254,7 +254,7 @@ func (h *healer) finish(now time.Time, verdict, reason string) {
 	s := h.s
 	h.cand.Store(nil)
 	for i := range s.backends {
-		s.disp.SetHedgeQuantile(i, 0) // back to the configured quantile
+		s.disp.SetHedgeQuantile(i, 0) // back to dispatch.HedgeQuantile
 	}
 	rec := drift.HealRecord{
 		At: now, Trigger: cur.trigger, JobID: cur.jobID,
@@ -377,23 +377,13 @@ func (s *Server) handleDrift(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleDriftConfig(w http.ResponseWriter, r *http.Request) {
-	var wcfg api.DriftConfig
-	if err := json.NewDecoder(r.Body).Decode(&wcfg); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
+	var cfg drift.Config
+	if err := json.NewDecoder(r.Body).Decode(&cfg); err != nil {
+		httpError(w, http.StatusBadRequest, "invalid drift config: %v", err)
 		return
 	}
-	if wcfg.Window < 0 || wcfg.WarmupWindows < 0 || wcfg.QuantileStrikes < 0 ||
-		wcfg.ErrDelta < 0 || wcfg.ErrLambda < 0 || wcfg.LatDelta < 0 || wcfg.LatLambda < 0 ||
-		wcfg.CusumK < 0 || wcfg.CusumH < 0 || wcfg.QuantileRatio < 0 || wcfg.CooldownMS < 0 ||
-		wcfg.SeasonPeriod < 0 || wcfg.SeasonCycles < 0 ||
-		wcfg.CanaryFraction < 0 || wcfg.CanaryMinSamples < 0 || wcfg.CanaryMaxMS < 0 ||
-		wcfg.CanaryErrSigma < 0 || wcfg.CanaryLatSlack < 0 ||
-		wcfg.MaxHealRetries < 0 || wcfg.HealBackoffMS < 0 || wcfg.HedgeBoostQuantile < 0 {
-		httpError(w, http.StatusBadRequest, "drift config fields must be non-negative")
-		return
-	}
-	s.mon.SetConfig(drift.FromWire(wcfg))
-	if wcfg.Enabled {
+	s.mon.SetConfig(cfg)
+	if cfg.Enabled {
 		// First enable on a node constructed without drift: the loop
 		// starts here.
 		s.heal.ensureLoop()

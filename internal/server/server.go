@@ -158,9 +158,8 @@ type Server struct {
 	// mon watches live telemetry for distribution shifts (it is the
 	// dispatcher's Observer); heal ticks it and owns the self-healing
 	// loop it gates.
-	mon           *drift.Monitor
-	hedgeQuantile float64 // quantile both the trackers and drift baselines use
-	heal          *healer
+	mon  *drift.Monitor
+	heal *healer
 
 	// stateDir is Config.StateDir: where promotions and Close persist
 	// the node's state snapshot ("" = persistence off; see state.go).
@@ -190,16 +189,9 @@ func NewWithConfig(reg *tiers.Registry, reqs []*service.Request, cfg Config) *Se
 	for i, b := range s.backends {
 		names[i] = b.Name()
 	}
-	// The quantile baseline must match the quantile the dispatcher's
-	// live trackers estimate (Options.HedgeQuantile), or the shift test
-	// compares mismatched order statistics.
-	s.hedgeQuantile = cfg.Dispatch.HedgeQuantile
-	if s.hedgeQuantile <= 0 || s.hedgeQuantile >= 1 {
-		s.hedgeQuantile = 0.95
-	}
 	var baselines []float64
 	if cfg.Matrix != nil && cfg.Matrix.NumVersions() == len(s.backends) {
-		baselines = drift.BackendBaselinesAt(cfg.Matrix, s.hedgeQuantile)
+		baselines = drift.BackendBaselines(cfg.Matrix)
 	}
 	s.mon = drift.NewMonitor(cfg.Drift, names, baselines)
 	s.stateDir = cfg.StateDir

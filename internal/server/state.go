@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"github.com/toltiers/toltiers/internal/dispatch"
 	"github.com/toltiers/toltiers/internal/drift"
 	"github.com/toltiers/toltiers/internal/state"
 )
@@ -37,7 +38,7 @@ func (s *Server) buildSnapshot(promoted *drift.HealRecord) *state.Snapshot {
 	reg, tableVer := s.registryAndVersion()
 	snap := &state.Snapshot{
 		SavedAt:          time.Now(),
-		HedgeQuantile:    s.hedgeQuantile,
+		HedgeQuantile:    dispatch.HedgeQuantile,
 		Reprofiles:       s.mon.Reprofiles(),
 		BackendBaselines: s.mon.Baselines(),
 		Heals:            s.mon.Heals(),

@@ -50,8 +50,6 @@ type Config struct {
 	Duration time.Duration
 	// CorpusSize bounds RequestIndex.
 	CorpusSize int
-	// Mix is the consumer-class mix (nil = DefaultMix).
-	Mix []ConsumerClass
 	// Burstiness > 1 enables a two-state modulated process whose "hot"
 	// state multiplies the rate by Burstiness for exponential dwell
 	// times. 0 or 1 keeps plain Poisson.
@@ -65,10 +63,7 @@ func Generate(cfg Config) []Arrival {
 	if cfg.RatePerSec <= 0 || cfg.Duration <= 0 || cfg.CorpusSize <= 0 {
 		return nil
 	}
-	mix := cfg.Mix
-	if mix == nil {
-		mix = DefaultMix()
-	}
+	mix := DefaultMix()
 	total := 0.0
 	for _, c := range mix {
 		total += c.Weight
