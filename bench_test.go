@@ -498,12 +498,13 @@ func BenchmarkDispatch(b *testing.B) {
 // one lease per leg) once per window. At c128 the callers are a crowd:
 // windows fill and flush by size, and batching must keep paying. At c8
 // they are not: no window can fill, so the coalescer must be a
-// pass-through, not a millisecond timer wait per request.
-// scripts/bench_check.sh gates each coalesced arm's ns/op over its
-// serial twin's (same sweep, so host speed cancels). GOMAXPROCS is
-// floored at 8 (matching BenchmarkDispatch/parallel) so the lease
-// contention the coalescer amortizes actually materializes on
-// single-core CI boxes.
+// pass-through, not a millisecond timer wait per request. embedded-c64
+// is the embedded node's shape (see the arm). scripts/bench_check.sh
+// gates each coalesced arm's ns/op over its serial twin's, and
+// embedded-c64's over serial-c128's (same sweep, so host speed
+// cancels). GOMAXPROCS is floored at 8 (matching
+// BenchmarkDispatch/parallel) so the lease contention the coalescer
+// amortizes actually materializes on single-core CI boxes.
 func BenchmarkCoalescedDispatch(b *testing.B) {
 	corpus := toltiers.NewVisionCorpus(400)
 	matrix := toltiers.Profile(corpus.Service, corpus.Requests)
@@ -536,6 +537,22 @@ func BenchmarkCoalescedDispatch(b *testing.B) {
 			Brownout:    true,
 		})
 		return d, ctrl
+	}
+
+	// gateOf admits every flush through ctrl, n tokens and one slot.
+	gateOf := func(ctrl *toltiers.AdmissionController) func(int, toltiers.DispatchTicket) (toltiers.CoalesceGrant, error) {
+		return func(n int, t toltiers.DispatchTicket) (toltiers.CoalesceGrant, error) {
+			dec := ctrl.AdmitBatch(time.Now(), t.Tenant, rule.Tolerance, 0, math.NaN(), n)
+			if dec.Verdict != toltiers.AdmitAccept {
+				return toltiers.CoalesceGrant{}, fmt.Errorf("shed: %v", dec.Verdict)
+			}
+			return toltiers.CoalesceGrant{Ticket: t, Release: func() { ctrl.Done(dec) }}, nil
+		}
+	}
+	reportWindow := func(b *testing.B, coal *toltiers.Coalescer) {
+		if st := coal.Stats(); st.Windows > 0 {
+			b.ReportMetric(float64(st.Coalesced)/float64(st.Windows), "reqs/window")
+		}
 	}
 
 	// drive splits b.N ops across a pool of callers and reports throughput.
@@ -585,24 +602,37 @@ func BenchmarkCoalescedDispatch(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("coalesced-c%d", callers), func(b *testing.B) {
 			d, ctrl := newRuntime()
-			gate := func(n int, t toltiers.DispatchTicket) (toltiers.CoalesceGrant, error) {
-				dec := ctrl.AdmitBatch(time.Now(), t.Tenant, rule.Tolerance, 0, math.NaN(), n)
-				if dec.Verdict != toltiers.AdmitAccept {
-					return toltiers.CoalesceGrant{}, fmt.Errorf("shed: %v", dec.Verdict)
-				}
-				return toltiers.CoalesceGrant{Ticket: t, Release: func() { ctrl.Done(dec) }}, nil
-			}
-			coal := toltiers.NewCoalescer(d, toltiers.CoalesceOptions{MaxBatch: 64, Gate: gate})
+			coal := toltiers.NewCoalescer(d, toltiers.CoalesceOptions{MaxBatch: 64, Gate: gateOf(ctrl)})
 			drive(b, callers, func(i int) error {
 				_, _, err := coal.Do(ctx, reqs[i%len(reqs)], ticket)
 				return err
 			})
-			st := coal.Stats()
-			if st.Windows > 0 {
-				b.ReportMetric(float64(st.Coalesced)/float64(st.Windows), "reqs/window")
-			}
+			reportWindow(b, coal)
 		})
 	}
+	// embedded-c64 is the embedded_contended node's shape: 64 callers
+	// alternating between two tiers whose policies share both legs,
+	// through a MaxBatch-8 coalescer. Windows are 8x smaller than
+	// coalesced-c128's and every one leases the same two backends, so
+	// nearly every flush hands its lease to a parked one: this arm
+	// measures that hand-off, and bench_check.sh gates it against
+	// serial-c128.
+	b.Run("embedded-c64", func(b *testing.B) {
+		d, ctrl := newRuntime()
+		nv := matrix.NumVersions()
+		shared := []toltiers.DispatchTicket{
+			{Tier: "response-time/0", Tenant: "bench", Policy: ensemble.Policy{
+				Kind: ensemble.Concurrent, Primary: 0, Secondary: nv - 1, Threshold: 0.772}},
+			{Tier: "cost/0.1", Tenant: "bench", Policy: ensemble.Policy{
+				Kind: ensemble.Failover, Primary: 0, Secondary: nv - 1, Threshold: 0.504, PickBest: true}},
+		}
+		coal := toltiers.NewCoalescer(d, toltiers.CoalesceOptions{MaxBatch: 8, Gate: gateOf(ctrl)})
+		drive(b, 64, func(i int) error {
+			_, _, err := coal.Do(ctx, reqs[i%len(reqs)], shared[i%len(shared)])
+			return err
+		})
+		reportWindow(b, coal)
+	})
 }
 
 // BenchmarkDriftObserve measures the drift monitor's per-outcome

@@ -248,6 +248,10 @@ func (c *Coalescer) gate(n int, t dispatch.Ticket) (Grant, error) {
 // its outcome, or dispatches directly when there is no crowd to wait for.
 // The returned served value is the flush grant's Served (nil when the
 // request never reached a gate — a pre-flush context cancellation).
+// A parked caller whose context can be cancelled waits in a select on
+// its result and ctx.Done(); one whose context never can (Done returns
+// nil, as for context.Background) waits in a plain receive on its
+// result, since it can never leave its window.
 //
 // The ticket must be fully resolved (tier, policy, budget): it is the
 // coalescing key, so two requests coalesce iff their tickets are equal.
@@ -300,10 +304,17 @@ func (c *Coalescer) Do(ctx context.Context, req *service.Request, t dispatch.Tic
 		c.flush(ready)
 	}
 
+	done := ctx.Done()
+	if done == nil {
+		// A context that can never be cancelled can never leave its
+		// window: a plain receive spares the select's locking of both
+		// channels on every coalesced request.
+		return c.deliver(w, <-w.done)
+	}
 	select {
 	case res := <-w.done:
 		return c.deliver(w, res)
-	case <-ctx.Done():
+	case <-done:
 		c.mu.Lock()
 		if ww := w.win; ww != nil {
 			// Still queued: leave the window before its flush claims us.

@@ -429,3 +429,86 @@ func TestArrivalDrainsLeftovers(t *testing.T) {
 		t.Fatalf("dispatcher saw %d requests, want %d", snap.Requests, k+1)
 	}
 }
+
+// TestMixedContextsShareWindow pins one window holding both kinds of
+// caller: those whose context can never be cancelled (they wait in a
+// plain receive) and those whose context can (they wait in a select).
+// Two cancellable callers cancelled while queued leave the window with
+// their context error; the rest — the third cancellable caller among
+// them — ride one size-triggered flush and each receive the outcome a
+// serial dispatch would have given. The coalescer then serves a second
+// round from its pooled waiters and window: a result delivered twice
+// would sit in a recycled waiter's buffer and surface there, or block
+// the flush on the full buffer.
+func TestMixedContextsShareWindow(t *testing.T) {
+	const maxBatch = 8
+	c, d, reqs := newRuntime(t, Options{MaxBatch: maxBatch})
+	c.opts.Window = time.Hour // white box: only the size trigger may flush
+	defer fakeCrowd(c)()
+	serial := dispatch.New(dispatch.NewReplayBackends(visionMatrix(t)), dispatch.Options{DisableHedging: true})
+	tk := dispatch.Ticket{Tier: "mixed/0", Policy: ensemble.Policy{
+		Kind: ensemble.Failover, Primary: 0, Secondary: visionMatrix(t).NumVersions() - 1, Threshold: 0.5,
+	}}
+
+	for round := 0; round < 2; round++ {
+		type res struct {
+			out dispatch.Outcome
+			err error
+		}
+		results := make([]chan res, maxBatch+2)
+		call := func(i int, ctx context.Context) {
+			results[i] = make(chan res, 1)
+			go func() {
+				out, _, err := c.Do(ctx, reqs[round*16+i], tk)
+				results[i] <- res{out, err}
+			}()
+		}
+		// Callers 0-2 cannot be cancelled; 3-5 can, and 3 and 4 will be.
+		cancels := make([]context.CancelFunc, maxBatch+2)
+		for i := 0; i < 6; i++ {
+			ctx := context.Background()
+			if i >= 3 {
+				ctx, cancels[i] = context.WithCancel(ctx)
+				defer cancels[i]()
+			}
+			call(i, ctx)
+			awaitQueued(c, tk, i+1)
+		}
+		cancels[3]()
+		cancels[4]()
+		for _, i := range []int{3, 4} {
+			if r := <-results[i]; !errors.Is(r.err, context.Canceled) {
+				t.Fatalf("round %d: cancelled caller %d returned %v, want context.Canceled", round, i, r.err)
+			}
+		}
+		awaitQueued(c, tk, 4)
+		// Four more uncancellable callers fill the window to MaxBatch.
+		for i := 6; i < maxBatch+2; i++ {
+			call(i, context.Background())
+		}
+		for i, ch := range results {
+			if i == 3 || i == 4 {
+				continue
+			}
+			r := <-ch
+			if r.err != nil {
+				t.Fatalf("round %d: caller %d: %v", round, i, r.err)
+			}
+			want, err := serial.Do(context.Background(), reqs[round*16+i], tk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameOutcome(r.out, want) {
+				t.Fatalf("round %d: caller %d got %+v, serial %+v", round, i, r.out, want)
+			}
+		}
+		st := c.Stats()
+		if st.Left != int64(2*(round+1)) || st.Windows != int64(round+1) ||
+			st.SizeFlushes != int64(round+1) || st.Coalesced != int64(maxBatch*(round+1)) {
+			t.Fatalf("round %d: stats %+v, want two departures and one full window per round", round, st)
+		}
+		if snap := d.Snapshot(); snap.Requests != int64(maxBatch*(round+1)) {
+			t.Fatalf("round %d: dispatcher saw %d requests, want %d", round, snap.Requests, maxBatch*(round+1))
+		}
+	}
+}

@@ -108,8 +108,16 @@ func (s semaphore) acquire(ctx context.Context) error {
 	}
 }
 
-func (s semaphore) release() {
-	if s != nil {
-		<-s
+// release frees a slot and reports whether the slot was handed straight
+// on. A receive from a full channel with an acquirer parked on it moves
+// that acquirer's value into the buffer and readies it, so the buffer
+// is still full when the receive returns; a free slot leaves it short.
+// (An acquirer on another P that takes the slot in the same instant
+// reads the same, and costs the caller at most a needless yield.)
+func (s semaphore) release() (handedOff bool) {
+	if s == nil {
+		return false
 	}
+	<-s
+	return len(s) == cap(s)
 }

@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"context"
+	"runtime"
 	"time"
 
 	"github.com/toltiers/toltiers/internal/ensemble"
@@ -121,11 +122,19 @@ func (d *Dispatcher) leaseBatch(ctx context.Context, p ensemble.Policy) (lo, hi 
 	return lo, hi, nil
 }
 
-// releaseBatch returns the limiter slots leaseBatch took.
+// releaseBatch returns the limiter slots leaseBatch took. When a
+// release handed a slot to a parked batch, the releaser yields once,
+// after every leg is back: the woken holder sits in this P's runnext,
+// and the releaser's own window deliveries would otherwise keep it
+// there, its lease idle, until the releaser parks. The yield is the
+// hand-off the runtime itself makes for a starving sync.Mutex.
 func (d *Dispatcher) releaseBatch(lo, hi int) {
-	d.sems[lo].release()
-	if hi >= 0 {
-		d.sems[hi].release()
+	handedOff := d.sems[lo].release()
+	if hi >= 0 && d.sems[hi].release() {
+		handedOff = true
+	}
+	if handedOff {
+		runtime.Gosched()
 	}
 }
 

@@ -2,8 +2,10 @@ package dispatch
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -171,23 +173,23 @@ func TestDoBatchValidation(t *testing.T) {
 // limiter lease counts every item as a failed request — the same
 // accounting those items would have produced through Do.
 func TestDoBatchLeaseFailureCounts(t *testing.T) {
-	b := &stubBackend{name: "slow", conf: 1, delay: 50 * time.Millisecond}
+	held := make(chan struct{}, 1)
+	b := &stubBackend{name: "slow", conf: 1, delay: time.Hour, held: held}
 	d := New([]Backend{b}, Options{MaxConcurrentPerBackend: 1})
 	tk := Ticket{Tier: "t", Policy: ensemble.Policy{Kind: ensemble.Single, Primary: 0}}
-	// Saturate the only slot, then lease a batch with an expired context.
-	started := make(chan struct{})
-	go func() {
-		close(started)
-		d.Do(context.Background(), &svcReq{ID: 1}, tk) //nolint:errcheck // holds the slot
-	}()
-	<-started
-	time.Sleep(5 * time.Millisecond)
+	// Saturate the only slot — the holder reports from inside the
+	// backend and stays there until cancelled — then lease a batch with
+	// an expiring context.
+	hold, release := context.WithCancel(context.Background())
+	defer release()
+	go d.Do(hold, &svcReq{ID: 1}, tk) //nolint:errcheck // holds the slot
+	<-held
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	reqs := makeStubRequests(5)
 	_, _, err := d.DoBatch(ctx, reqs, tk, nil, nil)
-	if err == nil {
-		t.Fatal("want lease error with the limiter saturated")
+	if err == nil || !strings.Contains(err.Error(), "backend limiter") {
+		t.Fatalf("err = %v, want the lease to fail on the saturated limiter", err)
 	}
 	snap := d.Snapshot()
 	if snap.Failures != int64(len(reqs)) {
@@ -231,6 +233,90 @@ func TestDoBatchLeasing(t *testing.T) {
 	}
 	if snap := d.Snapshot(); snap.Requests != 12 {
 		t.Fatalf("requests = %d, want 12", snap.Requests)
+	}
+}
+
+// TestDoBatchContendedLease runs DoBatch in the embedded shape: 16
+// goroutines batch 8 items at a time through two tickets whose replay
+// policies share both legs, under a per-backend cap of 1, so nearly
+// every release hands its slots to a parked batch. Every call
+// completes, every outcome equals a serial DoBatch's bit for bit, the
+// telemetry request count is exact, and every slot is back at the end.
+func TestDoBatchContendedLease(t *testing.T) {
+	m := visionMatrix(t)
+	nv := m.NumVersions()
+	reqs := ReplayRequests(m)
+	tickets := []Ticket{
+		{Tier: "lease/0", Policy: ensemble.Policy{Kind: ensemble.Concurrent, Primary: 0, Secondary: nv - 1, Threshold: 0.772}},
+		{Tier: "lease/0.10", Policy: ensemble.Policy{Kind: ensemble.Failover, Primary: 0, Secondary: nv - 1, Threshold: 0.504, PickBest: true}},
+	}
+	const goroutines, rounds, batch = 16, 24, 8
+	ctx := context.Background()
+
+	serial := New(NewReplayBackends(m), Options{DisableHedging: true})
+	want := make([][]Outcome, len(tickets))
+	for k, tk := range tickets {
+		outs, errs, err := serial.DoBatch(ctx, reqs, tk, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range errs {
+			if e != nil {
+				t.Fatalf("serial %s item %d: %v", tk.Tier, i, e)
+			}
+		}
+		want[k] = outs
+	}
+
+	d := New(NewReplayBackends(m), Options{MaxConcurrentPerBackend: 1, DisableHedging: true})
+	fails := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var outs []Outcome
+			var errs []error
+			var err error
+			for r := range rounds {
+				k := (g + r) % len(tickets)
+				lo := (g*rounds + r) * batch % (len(reqs) - batch)
+				outs, errs, err = d.DoBatch(ctx, reqs[lo:lo+batch], tickets[k], outs, errs)
+				if err != nil {
+					fails[g] = err
+					return
+				}
+				for i := range outs {
+					if errs[i] != nil {
+						fails[g] = errs[i]
+						return
+					}
+					if !reflect.DeepEqual(outs[i], want[k][lo+i]) {
+						fails[g] = fmt.Errorf("%s request %d: contended %+v != serial %+v",
+							tickets[k].Tier, lo+i, outs[i], want[k][lo+i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+	select {
+	case <-finished:
+	case <-time.After(time.Minute):
+		t.Fatal("contended batches still running after a minute: a lease was never handed on")
+	}
+	for g, err := range fails {
+		if err != nil {
+			t.Fatalf("goroutine %d: %v", g, err)
+		}
+	}
+	if got := d.Snapshot().Requests; got != goroutines*rounds*batch {
+		t.Fatalf("telemetry counted %d requests, want %d", got, goroutines*rounds*batch)
+	}
+	if len(d.sems[0]) != 0 || len(d.sems[nv-1]) != 0 {
+		t.Fatalf("slots still held after every batch returned: %d and %d", len(d.sems[0]), len(d.sems[nv-1]))
 	}
 }
 

@@ -47,9 +47,12 @@ import (
 // latency percentile.
 type Options struct {
 	// MaxConcurrentPerBackend caps in-flight invocations per backend
-	// (0 = unlimited). Requests beyond the cap queue on the limiter and
-	// honor context cancellation while waiting. A batch dispatched with
-	// DoBatch leases one slot per leg for the whole batch.
+	// (0 = unlimited). Requests beyond the cap queue on the limiter, in
+	// arrival order, and honor context cancellation while waiting. A
+	// batch dispatched with DoBatch leases one slot per leg for the whole
+	// batch; its release hands each slot to the longest waiter and, when
+	// one was waiting, yields to it so the lease never sits idle behind
+	// the releaser's own work.
 	MaxConcurrentPerBackend int
 	// DisableHedging turns deadline-aware hedging off: failover tiers
 	// always escalate sequentially, deadlines only mark outcomes.
@@ -320,7 +323,9 @@ func (d *Dispatcher) Recorder() *trace.Recorder { return d.rec }
 // empirical floor deadline-aware admission compares budgets against.
 // Every policy's response includes its primary's service time, so a
 // budget below Floor(policy.Primary) is provably unmeetable on current
-// evidence. Served from the same lazily refreshed cache as P95.
+// evidence. It is recomputed by one min pass over the window whenever an
+// observation has landed since the last read, never by P95's quantile
+// selection.
 func (d *Dispatcher) Floor(backend int) float64 { return d.trackers[backend].estimateFloor() }
 
 // dispatchCall is the pooled per-dispatch scratch: the buffered

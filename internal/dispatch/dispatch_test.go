@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -140,11 +141,14 @@ func TestDispatchTelemetry(t *testing.T) {
 }
 
 // stubBackend is a controllable backend for failure/limiter tests.
+// When held is set, Invoke signals on it first: the call is then inside
+// the backend, holding its limiter slot.
 type stubBackend struct {
 	name    string
 	delay   time.Duration
 	conf    float64
 	failErr error
+	held    chan<- struct{}
 }
 
 func (s *stubBackend) Name() string { return s.name }
@@ -152,6 +156,9 @@ func (s *stubBackend) Plan() costmodel.Plan {
 	return costmodel.Plan{PerInvocation: 0.01, NodeHourly: 1}
 }
 func (s *stubBackend) Invoke(ctx context.Context, _ *service.Request) (Response, error) {
+	if s.held != nil {
+		s.held <- struct{}{}
+	}
 	if s.delay > 0 {
 		select {
 		case <-time.After(s.delay):
@@ -233,21 +240,19 @@ func TestDispatchLimiter(t *testing.T) {
 		}
 	}
 
-	// Saturate the slot, then time out while queued.
-	release := make(chan struct{})
-	go func() {
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		go func() { <-release; cancel() }()
-		d.Do(ctx, &service.Request{ID: 9}, tk) //nolint:errcheck // holds the slot
-	}()
-	time.Sleep(5 * time.Millisecond)
+	// Saturate the slot: the holder reports from inside the backend and
+	// stays there until cancelled. Then time out while queued.
+	held := make(chan struct{}, 1)
+	b.delay, b.held = time.Hour, held
+	hold, release := context.WithCancel(context.Background())
+	defer release()
+	go d.Do(hold, &service.Request{ID: 9}, tk) //nolint:errcheck // holds the slot
+	<-held
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
 	_, err := d.Do(ctx, &service.Request{ID: 10}, tk)
-	close(release)
-	if err == nil {
-		t.Fatal("want limiter timeout error")
+	if err == nil || !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "backend limiter") {
+		t.Fatalf("err = %v, want the limiter's timeout", err)
 	}
 }
 

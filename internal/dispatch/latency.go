@@ -24,6 +24,12 @@ import (
 // cache. A refresh racing in-flight stores may read a mix of window
 // generations; the estimate is statistical, and every slot read is a
 // torn-free atomic.
+//
+// The window minimum (the admission floor) keeps its own staleness mark
+// and is refreshed by a plain min pass, never by the quickselect: the
+// admission gate reads it once per coalesced window, and each window
+// lands a dozen observations per leg, so a shared mark would rerun the
+// quickselect on nearly every gate call.
 // A request-path specialization stats.Ring cannot replace: BENCH.json BenchmarkDispatch/parallel (0 allocs, no lock) pins it.
 type latencyTracker struct {
 	// base is the construction-time quantile; quantile carries the
@@ -34,7 +40,8 @@ type latencyTracker struct {
 	total       atomic.Uint64 // lifetime observation count (ring cursor)
 	refreshedAt atomic.Uint64 // total at the last cache refresh (0 = never)
 	cached      atomic.Uint64 // float64 bits; NaN until trackerMinSamples
-	floorCached atomic.Uint64 // float64 bits of the window minimum; NaN until samples
+	floorAt     atomic.Uint64 // total at the last floor refresh (0 = never)
+	floorCached atomic.Uint64 // float64 bits of the window minimum; NaN until trackerMinSamples
 	window      [trackerWindow]atomic.Uint64
 
 	refreshMu sync.Mutex
@@ -101,7 +108,6 @@ func (t *latencyTracker) refresh() {
 		return
 	}
 	s := t.scratch[:0]
-	floor := math.Inf(1)
 	for i := 0; i < fill; i++ {
 		// A slot whose observe claimed the cursor but has not stored yet
 		// reads as zero bits; skip it rather than folding a fabricated
@@ -109,11 +115,7 @@ func (t *latencyTracker) refresh() {
 		// the bit pattern and is dropped too — harmless for an upper
 		// latency quantile.)
 		if bits := t.window[i].Load(); bits != 0 {
-			v := math.Float64frombits(bits)
-			s = append(s, v)
-			if v < floor {
-				floor = v
-			}
+			s = append(s, math.Float64frombits(bits))
 		}
 	}
 	t.scratch = s
@@ -122,11 +124,6 @@ func (t *latencyTracker) refresh() {
 	}
 	idx := int(math.Float64frombits(t.quantile.Load()) * float64(len(s)-1))
 	t.cached.Store(math.Float64bits(selectKth(s, idx)))
-	// The window minimum rides along for free: it is the empirical floor
-	// of the backend's recent latency, which admission control compares
-	// deadline budgets against (a budget below the floor is provably
-	// unmeetable on current evidence).
-	t.floorCached.Store(math.Float64bits(floor))
 	t.refreshedAt.Store(n)
 }
 
@@ -188,15 +185,39 @@ func (t *latencyTracker) estimate() float64 {
 	return math.Float64frombits(t.cached.Load())
 }
 
-// estimateFloor returns the cached window-minimum latency in ns, or NaN
-// when too few observations have arrived. Same refresh discipline and
-// cost profile as estimate — the two caches are recomputed together.
+// estimateFloor returns the window-minimum latency in ns — the empirical
+// floor of the backend's recent latency, which admission compares
+// deadline budgets against — or NaN when too few observations have
+// arrived. Any observation since the last read stales it, and the
+// refresh is one lock-free min pass over the window (no scratch, no
+// selection). Racing refreshers may store out of order; the loser's
+// floor is at most a few observations old, and the mark it leaves only
+// triggers another pass.
 func (t *latencyTracker) estimateFloor() float64 {
-	t.maybeRefresh()
+	n := t.total.Load()
+	if n < trackerMinSamples {
+		return math.NaN()
+	}
+	if t.floorAt.Load() != n {
+		floor := math.Inf(1)
+		for i := range min(n, trackerWindow) {
+			// Zero bits are a claimed but unstored slot, skipped as in
+			// refresh.
+			if bits := t.window[i].Load(); bits != 0 {
+				if v := math.Float64frombits(bits); v < floor {
+					floor = v
+				}
+			}
+		}
+		if floor < math.Inf(1) {
+			t.floorCached.Store(math.Float64bits(floor))
+		}
+		t.floorAt.Store(n)
+	}
 	return math.Float64frombits(t.floorCached.Load())
 }
 
-// maybeRefresh recomputes the caches when they are at least
+// maybeRefresh recomputes the quantile cache when it is at least
 // trackerRefresh observations stale; otherwise it is two atomic loads.
 func (t *latencyTracker) maybeRefresh() {
 	n := t.total.Load()

@@ -16,8 +16,9 @@ BENCHES='BenchmarkPolicySimulate$|BenchmarkEvaluatorTrial$|BenchmarkEvaluatorSet
 
 cd "$(dirname "$0")/.."
 
-# BenchmarkCoalescedDispatch brings four arms, serial and coalesced at
-# 128 callers (a crowd) and at 8 (none); bench_check.sh gates their ratios.
+# BenchmarkCoalescedDispatch brings five arms, serial and coalesced at
+# 128 callers (a crowd) and at 8 (none), and embedded-c64 (the
+# embedded node's shape); bench_check.sh gates their ratios.
 # The two -c8 rows are recorded for that same-sweep ratio and for the
 # gate's "vanished from the sweep" check only: their baseline ns/op is
 # never compared (a contended microsecond, too host-bound to gate).

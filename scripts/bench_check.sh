@@ -17,8 +17,10 @@
 #   within TRACE_OVERHEAD_PCT of /serial), canary-split dispatch
 #   (BenchmarkCanaryDispatch/split within CANARY_OVERHEAD_PCT of /off),
 #   and the coalescer with a crowd (128 callers against MaxBatch 64:
-#   coalesced at most 0.75x serial, batching keeps paying) and below one
-#   (8 callers: at most 1.5x serial, a pass-through, not a timer wait),
+#   coalesced at most 0.75x serial, batching keeps paying), below one
+#   (8 callers: at most 1.5x serial, a pass-through, not a timer wait)
+#   and in the embedded shape (embedded-c64 at most 0.80x serial-c128,
+#   a released lease runs its next flush at once),
 #   and one item of a 64-item batch answer against a single answer
 #   (BenchmarkHandleDispatch/batch64 / 64 at most BATCH_ITEM_CAP_PCT of
 #   /bare);
@@ -114,22 +116,23 @@ else
 fi
 
 # Coalescer gates, same-sweep like the two above. ratio_gate fails when
-# the coalesced arm's ns/op exceeds cap_pct percent of its serial twin's.
+# arm's ns/op exceeds cap_pct percent of base's, both arms of
+# BenchmarkCoalescedDispatch.
 ratio_gate() {
-    local label="$1" callers="$2" cap_pct="$3" what="$4"
-    local serial coalesced verdict ratio
-    serial="$(awk -v n="BenchmarkCoalescedDispatch/serial-$callers" '$1 == n {print $2}' /tmp/bench_fresh.$$)"
-    coalesced="$(awk -v n="BenchmarkCoalescedDispatch/coalesced-$callers" '$1 == n {print $2}' /tmp/bench_fresh.$$)"
-    if [[ -z "$serial" || -z "$coalesced" ]]; then
-        echo "  MISS  $label gate: serial-$callers/coalesced-$callers pair absent from fresh run"
+    local label="$1" arm="$2" base="$3" cap_pct="$4" what="$5"
+    local base_ns arm_ns verdict ratio
+    base_ns="$(awk -v n="BenchmarkCoalescedDispatch/$base" '$1 == n {print $2}' /tmp/bench_fresh.$$)"
+    arm_ns="$(awk -v n="BenchmarkCoalescedDispatch/$arm" '$1 == n {print $2}' /tmp/bench_fresh.$$)"
+    if [[ -z "$base_ns" || -z "$arm_ns" ]]; then
+        echo "  MISS  $label gate: $arm/$base pair absent from fresh run"
         status=1
         return
     fi
-    verdict="$(awk -v s="$serial" -v c="$coalesced" -v p="$cap_pct" \
+    verdict="$(awk -v s="$base_ns" -v c="$arm_ns" -v p="$cap_pct" \
         'BEGIN { print (c > s * p / 100) ? "FAIL" : "ok" }')"
-    ratio="$(awk -v s="$serial" -v c="$coalesced" 'BEGIN { printf "%.2f", c / s }')"
-    printf '  %-5s %-40s %12.1f vs %12.1f ns/op (%sx serial, cap %sx: %s)\n' \
-        "$verdict" "$label(coalesced-$callers/serial-$callers)" "$serial" "$coalesced" "$ratio" \
+    ratio="$(awk -v s="$base_ns" -v c="$arm_ns" 'BEGIN { printf "%.2f", c / s }')"
+    printf '  %-5s %-40s %12.1f vs %12.1f ns/op (%sx %s, cap %sx: %s)\n' \
+        "$verdict" "$label($arm/$base)" "$base_ns" "$arm_ns" "$ratio" "$base" \
         "$(awk -v p="$cap_pct" 'BEGIN { printf "%.2f", p / 100 }')" "$what"
     if [[ "$verdict" == "FAIL" ]]; then
         status=1
@@ -145,8 +148,15 @@ ratio_gate() {
 # either arm scattering 5-7 %. The cap is the pin against ever parking a
 # sub-crowd request on the timer again, which reads 100x and more, so
 # 1.5x holds it on a quiet box and a shared CI runner alike.
-ratio_gate coalesce-crowd c128 75 "batching pays"
-ratio_gate coalesce-subcrowd c8 150 "pass-through"
+ratio_gate coalesce-crowd coalesced-c128 serial-c128 75 "batching pays"
+ratio_gate coalesce-subcrowd coalesced-c8 serial-c8 150 "pass-through"
+# The embedded shape (64 callers, MaxBatch 8, two tiers sharing both
+# legs under a cap of 1) hands the lease from flush to flush. Before a
+# release yielded to the flush it woke, 13 sweeps on a 2-vCPU host read
+# 0.67-0.93x serial-c128 (ten of them above 0.78); after, 0.65-0.76x.
+# The cap sits between: a lease left idle behind its releaser's
+# deliveries trips it on most sweeps.
+ratio_gate lease-handoff embedded-c64 serial-c128 80 "lease hand-off"
 
 # Batch render gate, same-sweep: one item of a 64-item POST
 # /dispatch/batch (BenchmarkHandleDispatch/batch64 ns/op / 64) may cost
