@@ -78,6 +78,11 @@ func main() {
 		restore *toltiers.StateSnapshot
 	)
 	if *stateDir != "" {
+		// Every install persists before it serves, so a directory that
+		// cannot hold the snapshot would refuse every promotion.
+		if err := os.MkdirAll(*stateDir, 0o755); err != nil {
+			log.Fatalf("state dir: %v", err)
+		}
 		path := toltiers.ServerStatePath(*stateDir)
 		snap, lerr := toltiers.LoadStateSnapshot(path)
 		if lerr == nil {

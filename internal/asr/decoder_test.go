@@ -233,12 +233,6 @@ func TestVersionsNamedAndOrdered(t *testing.T) {
 			t.Errorf("version %d shortlist not increasing", i)
 		}
 	}
-	if _, ok := VersionByName("asr-v3"); !ok {
-		t.Error("VersionByName failed for asr-v3")
-	}
-	if _, ok := VersionByName("nope"); ok {
-		t.Error("VersionByName matched a nonexistent name")
-	}
 }
 
 func TestTopKSelection(t *testing.T) {

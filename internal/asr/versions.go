@@ -19,13 +19,3 @@ func Versions() []Config {
 		{Name: "asr-v7", ShortlistK: 80, MaxActive: 40, BeamDelta: 14, TokenBudget: 40000, LMWeight: 1.0, LengthPenalty: 0},
 	}
 }
-
-// VersionByName returns the preset with the given name, or false.
-func VersionByName(name string) (Config, bool) {
-	for _, c := range Versions() {
-		if c.Name == name {
-			return c, true
-		}
-	}
-	return Config{}, false
-}

@@ -6,7 +6,6 @@
 package costmodel
 
 import (
-	"fmt"
 	"math"
 	"time"
 )
@@ -34,45 +33,6 @@ func (p Plan) IaaSCost(d time.Duration) float64 {
 	return float64(p.NodeHourly) * d.Hours()
 }
 
-// Catalog maps version names to plans.
-type Catalog struct {
-	plans map[string]Plan
-}
-
-// NewCatalog returns an empty catalog.
-func NewCatalog() *Catalog { return &Catalog{plans: make(map[string]Plan)} }
-
-// Set registers or replaces the plan for version name.
-func (c *Catalog) Set(name string, p Plan) { c.plans[name] = p }
-
-// Plan returns the plan for name.
-func (c *Catalog) Plan(name string) (Plan, error) {
-	p, ok := c.plans[name]
-	if !ok {
-		return Plan{}, fmt.Errorf("costmodel: no plan for version %q", name)
-	}
-	return p, nil
-}
-
-// MustPlan is Plan but panics on unknown versions (programming error in
-// experiment wiring).
-func (c *Catalog) MustPlan(name string) Plan {
-	p, err := c.Plan(name)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// Names returns the registered version names (order unspecified).
-func (c *Catalog) Names() []string {
-	out := make([]string, 0, len(c.plans))
-	for n := range c.plans {
-		out = append(out, n)
-	}
-	return out
-}
-
 // Billing accumulates consumer invocation costs and provider IaaS costs
 // across a workload.
 type Billing struct {
@@ -81,13 +41,6 @@ type Billing struct {
 	InvocationTotal float64
 	// IaaSTotal is the summed node-time cost.
 	IaaSTotal float64
-}
-
-// AddInvocation records one priced invocation occupying its node for d.
-func (b *Billing) AddInvocation(p Plan, d time.Duration) {
-	b.Invocations++
-	b.InvocationTotal += p.InvocationCost()
-	b.IaaSTotal += p.IaaSCost(d)
 }
 
 // AddPriced records one invocation whose costs were already computed —
@@ -104,14 +57,6 @@ func (b *Billing) Merge(other Billing) {
 	b.Invocations += other.Invocations
 	b.InvocationTotal += other.InvocationTotal
 	b.IaaSTotal += other.IaaSTotal
-}
-
-// MeanInvocationCost returns the mean consumer cost per invocation.
-func (b *Billing) MeanInvocationCost() float64 {
-	if b.Invocations == 0 {
-		return 0
-	}
-	return b.InvocationTotal / float64(b.Invocations)
 }
 
 // Pricing constants for the default catalogs: a compute-proportional

@@ -17,40 +17,11 @@ func TestPlanIaaSCost(t *testing.T) {
 	}
 }
 
-func TestCatalog(t *testing.T) {
-	c := NewCatalog()
-	c.Set("v1", Plan{PerInvocation: 1})
-	p, err := c.Plan("v1")
-	if err != nil || p.PerInvocation != 1 {
-		t.Fatalf("Plan(v1) = %+v, %v", p, err)
-	}
-	if _, err := c.Plan("missing"); err == nil {
-		t.Fatal("missing plan did not error")
-	}
-	if len(c.Names()) != 1 || c.Names()[0] != "v1" {
-		t.Fatalf("Names = %v", c.Names())
-	}
-	// Replacement.
-	c.Set("v1", Plan{PerInvocation: 2})
-	if c.MustPlan("v1").PerInvocation != 2 {
-		t.Fatal("Set did not replace")
-	}
-}
-
-func TestMustPlanPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustPlan on missing version did not panic")
-		}
-	}()
-	NewCatalog().MustPlan("nope")
-}
-
 func TestBillingAccumulation(t *testing.T) {
 	var b Billing
 	p := Plan{PerInvocation: 0.002, NodeHourly: 3.6} // 0.001/s
-	b.AddInvocation(p, time.Second)
-	b.AddInvocation(p, 2*time.Second)
+	b.AddPriced(p.InvocationCost(), p.IaaSCost(time.Second))
+	b.AddPriced(p.InvocationCost(), p.IaaSCost(2*time.Second))
 	if b.Invocations != 2 {
 		t.Fatalf("Invocations = %d", b.Invocations)
 	}
@@ -60,9 +31,6 @@ func TestBillingAccumulation(t *testing.T) {
 	if math.Abs(b.IaaSTotal-0.003) > 1e-12 {
 		t.Fatalf("IaaSTotal = %v", b.IaaSTotal)
 	}
-	if math.Abs(b.MeanInvocationCost()-0.002) > 1e-12 {
-		t.Fatalf("MeanInvocationCost = %v", b.MeanInvocationCost())
-	}
 }
 
 func TestBillingMerge(t *testing.T) {
@@ -71,13 +39,6 @@ func TestBillingMerge(t *testing.T) {
 	a.Merge(b)
 	if a.Invocations != 3 || a.InvocationTotal != 4 || a.IaaSTotal != 6 {
 		t.Fatalf("merged = %+v", a)
-	}
-}
-
-func TestBillingZero(t *testing.T) {
-	var b Billing
-	if b.MeanInvocationCost() != 0 {
-		t.Fatal("zero billing mean cost should be 0")
 	}
 }
 

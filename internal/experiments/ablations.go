@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/toltiers/toltiers/internal/dataset"
 	"github.com/toltiers/toltiers/internal/ensemble"
 	"github.com/toltiers/toltiers/internal/profile"
 	"github.com/toltiers/toltiers/internal/rulegen"
@@ -200,9 +199,4 @@ func (e *Env) A5() []*tablewriter.Table {
 		out = append(out, t)
 	}
 	return out
-}
-
-// speechFoldMatrix exists for white-box experiment tests.
-func speechFoldMatrix(m *profile.Matrix, k int) []dataset.Fold {
-	return dataset.KFold(m.NumRequests(), k, 1)
 }

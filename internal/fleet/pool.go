@@ -148,15 +148,8 @@ func (p *Pool) Close() {
 	}
 }
 
-// Version returns the fleet's fenced rule-table version.
-func (p *Pool) Version() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.version
-}
-
-// SetVersion seeds the fence at boot (from a restored snapshot, or 1
-// for a fresh fleet). It never lowers an already-promoted version.
+// SetVersion seeds the fence at boot (from a restored snapshot; a fresh
+// fleet is at version 0). It never lowers an already-promoted version.
 func (p *Pool) SetVersion(v int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

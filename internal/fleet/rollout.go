@@ -51,33 +51,22 @@ func DecodeTables(raw []json.RawMessage) ([]rulegen.RuleTable, error) {
 	return out, nil
 }
 
-// Promote fences a newly promoted rule-table set and starts the rolling
-// push: the new version is assigned under the pool lock (so Status and
-// Register see it immediately and late joiners resync), then a
-// background rollout walks the live workers one at a time in name
-// order, POSTing /fleet/table and waiting for each ack before moving
-// on. A worker that fails the push is evicted from rotation rather than
-// left serving stale tables — its heartbeat comes back Known=false, it
-// re-registers, and the Resync flag walks it through the snapshot
-// endpoint to the fenced version. A Promote issued while a rollout is
-// still walking supersedes it: the old rollout is cancelled at the next
-// worker boundary and the new version's rollout starts from the full
-// live list.
-//
-// The returned version is the fence. The front tier only swaps its own
-// registry to the promoted tables with this version in hand, and every
-// dispatch response carries the version that actually served it, so a
-// mixed-version batch can never be assembled: each batch resolves its
-// rule exactly once against one (registry, version) pair.
-func (p *Pool) Promote(tables []rulegen.RuleTable) (int64, error) {
-	blobs, err := EncodeTables(tables)
-	if err != nil {
-		return 0, fmt.Errorf("fleet: encoding promoted tables: %w", err)
-	}
+// Promote moves the fence to ver — under the pool lock, so Status and
+// Register see it at once and late joiners resync to the snapshot the
+// front tier already persisted and serves under it — and starts the
+// rolling push of the encoded table set: a background rollout walks the
+// live workers one at a time in name order, POSTing /fleet/table and
+// waiting for each ack before moving on. A worker that fails the push
+// is evicted from rotation rather than left serving stale tables — its
+// heartbeat comes back Known=false, it re-registers, and the Resync
+// flag walks it through the snapshot endpoint to the fenced version. A
+// Promote issued while a rollout is still walking supersedes it: the
+// old rollout is cancelled at the next worker boundary and the new
+// version's rollout starts from the full live list.
+func (p *Pool) Promote(ver int64, tables []json.RawMessage) {
 	now := p.now()
 	p.mu.Lock()
-	p.version++
-	ver := p.version
+	p.version = ver
 	if p.rollout != nil && !p.rollout.done {
 		p.rollout.cancel()
 	}
@@ -93,8 +82,7 @@ func (p *Pool) Promote(tables []rulegen.RuleTable) (int64, error) {
 	}
 
 	p.logf("fleet: promoting table v%d; rolling push to %d worker(s)", ver, len(targets))
-	go p.runRollout(ctx, ro, targets, api.FleetTableUpdate{Version: ver, Tables: blobs})
-	return ver, nil
+	go p.runRollout(ctx, ro, targets, api.FleetTableUpdate{Version: ver, Tables: tables})
 }
 
 // runRollout walks the target workers sequentially. Sequential is the
@@ -150,8 +138,8 @@ func (p *Pool) runRollout(ctx context.Context, ro *rollout, targets []string, up
 }
 
 // pushTable POSTs one FleetTableUpdate to a worker. A 409 counts as
-// success: the version fence means the worker already serves this
-// version or newer (it resynced, or a superseding rollout beat us).
+// success: the version fence means the worker already serves a newer
+// version (it resynced, or a superseding rollout beat us).
 func (p *Pool) pushTable(ctx context.Context, base string, upd api.FleetTableUpdate) error {
 	payload, err := json.Marshal(upd)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"github.com/toltiers/toltiers/internal/xrand"
 )
@@ -142,54 +141,5 @@ func TestTop1Error(t *testing.T) {
 	}
 	if Top1Error(3, 4) != 1 {
 		t.Error("mismatch should be 1")
-	}
-}
-
-func TestSummarizeLatencies(t *testing.T) {
-	ds := []time.Duration{4 * time.Millisecond, 1 * time.Millisecond, 3 * time.Millisecond, 2 * time.Millisecond}
-	s := SummarizeLatencies(ds)
-	if s.Count != 4 {
-		t.Errorf("count = %d", s.Count)
-	}
-	if s.Mean != 2500*time.Microsecond {
-		t.Errorf("mean = %v", s.Mean)
-	}
-	if s.Max != 4*time.Millisecond {
-		t.Errorf("max = %v", s.Max)
-	}
-	if s.P50 < 2*time.Millisecond || s.P50 > 3*time.Millisecond {
-		t.Errorf("p50 = %v", s.P50)
-	}
-	if z := SummarizeLatencies(nil); z.Count != 0 || z.Mean != 0 {
-		t.Errorf("empty summary = %+v", z)
-	}
-}
-
-func TestSummarizeLatenciesDoesNotMutate(t *testing.T) {
-	ds := []time.Duration{3, 1, 2}
-	SummarizeLatencies(ds)
-	if ds[0] != 3 || ds[1] != 1 || ds[2] != 2 {
-		t.Errorf("input mutated: %v", ds)
-	}
-}
-
-func TestAccumulator(t *testing.T) {
-	var a Accumulator
-	if a.MeanError() != 0 || a.MeanLatency() != 0 || a.MeanCost() != 0 {
-		t.Error("zero accumulator should report zeros")
-	}
-	a.Add(0.5, 10*time.Millisecond, 2)
-	a.Add(0.0, 20*time.Millisecond, 4)
-	if a.N() != 2 {
-		t.Errorf("N = %d", a.N())
-	}
-	if a.MeanError() != 0.25 {
-		t.Errorf("mean error = %v", a.MeanError())
-	}
-	if a.MeanLatency() != 15*time.Millisecond {
-		t.Errorf("mean latency = %v", a.MeanLatency())
-	}
-	if a.TotalCost() != 6 || a.MeanCost() != 3 {
-		t.Errorf("cost = %v/%v", a.TotalCost(), a.MeanCost())
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"github.com/toltiers/toltiers/internal/service"
 )
@@ -103,33 +102,4 @@ func Read(r io.Reader) (*Matrix, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// SaveFile writes the matrix to path (atomically via a temp file).
-func (m *Matrix) SaveFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := m.Write(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// LoadFile reads a matrix from path.
-func LoadFile(path string) (*Matrix, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Read(f)
 }

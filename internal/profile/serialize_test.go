@@ -2,7 +2,6 @@ package profile
 
 import (
 	"bytes"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -62,23 +61,5 @@ func TestReadRejectsTruncated(t *testing.T) {
 	data := buf.Bytes()
 	if _, err := Read(bytes.NewReader(data[:len(data)/2])); err == nil {
 		t.Fatal("truncated stream accepted")
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	m := visionMatrix(t, 25)
-	path := filepath.Join(t.TempDir(), "matrix.jsonl")
-	if err := m.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumRequests() != 25 {
-		t.Fatalf("loaded %d requests", got.NumRequests())
-	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.jsonl")); err == nil {
-		t.Fatal("missing file accepted")
 	}
 }

@@ -145,13 +145,3 @@ func SaveTableFile(path string, t RuleTable) error {
 	}
 	return f.Close()
 }
-
-// LoadTableFile reads a table from path.
-func LoadTableFile(path string, nVersions int) (RuleTable, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return RuleTable{}, err
-	}
-	defer f.Close()
-	return ReadTable(f, nVersions)
-}

@@ -253,7 +253,11 @@ func TestPromotionBetweenResolveAndFlush(t *testing.T) {
 	// MaxBatch 1 makes each lone dispatch its own window, so the promotion
 	// lands between a resolve and a window's flush, not a solo dispatch.
 	srv.coal = coalesce.New(srv.disp, coalesce.Options{MaxBatch: 1, Gate: func(n int, tk dispatch.Ticket) (coalesce.Grant, error) {
-		promote.Do(func() { srv.promote(next, &ruleJob{}) })
+		promote.Do(func() {
+			if err := srv.install(tableSet{reg: next, job: &ruleJob{}}); err != nil {
+				t.Error(err)
+			}
+		})
 		g, err := srv.admitWindow(n, tk)
 		if err == nil && g.Ticket.Policy != tk.Policy {
 			t.Errorf("admission rewrote the ticket's policy %v to %v", tk.Policy, g.Ticket.Policy)

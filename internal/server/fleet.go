@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -90,11 +91,11 @@ func (s *Server) handleFleetSnapshot(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleFleetTable is the worker-side half of the rolling update: one
-// fenced table push. The fence makes pushes idempotent and
-// unreorderable — a version equal to the one served acks as a no-op, a
-// lower one is rejected with 409, a higher one swaps the registry and
-// the fence atomically (under regMu, so in-flight resolves finish on
-// the version they started with and no request observes a half-swap).
+// fenced table push, installed under install's fence — a version below
+// the served one is refused with 409, the same or a higher one swaps
+// the registry and the fence atomically (in-flight resolves finish on
+// the version they started with), so pushes are idempotent and
+// unreorderable.
 func (s *Server) handleFleetTable(w http.ResponseWriter, r *http.Request) {
 	var upd api.FleetTableUpdate
 	if err := json.NewDecoder(io.LimitReader(r.Body, maxTableBody)).Decode(&upd); err != nil {
@@ -106,19 +107,14 @@ func (s *Server) handleFleetTable(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "decoding tables: %v", err)
 		return
 	}
-	reg := newRegistryFrom(s.registry(), tables)
-	s.regMu.Lock()
-	switch {
-	case upd.Version < s.tableVer:
-		cur := s.tableVer
-		s.regMu.Unlock()
-		httpError(w, http.StatusConflict, "version fence: serving v%d, refusing v%d", cur, upd.Version)
+	if err := s.install(tableSet{reg: newRegistryFrom(s.registry(), tables), ver: upd.Version}); err != nil {
+		code := http.StatusInternalServerError
+		if errors.Is(err, errFence) {
+			code = http.StatusConflict
+		}
+		httpError(w, code, "%v", err)
 		return
-	case upd.Version > s.tableVer:
-		s.reg = reg
-		s.tableVer = upd.Version
 	}
-	s.regMu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(api.FleetTableAck{Version: upd.Version})
 }
@@ -178,27 +174,14 @@ func NewWorkerFromSnapshot(snap *state.Snapshot, opts WorkerOptions) (*Server, e
 }
 
 // InstallSnapshot adopts a re-pulled fleet snapshot on a worker: the
-// shipped rule tables and version fence swap in atomically, and the
-// training matrix follows. It is the resync path — a worker evicted
-// mid-rollout or joining behind the fence converges through here. A
-// snapshot behind the local fence is refused (the fence never moves
-// backwards); an equal version re-installs idempotently.
+// shipped rule tables, version fence and training matrix, through
+// install. It is the resync path — a worker evicted mid-rollout or
+// joining behind the fence converges through here. A snapshot behind
+// the local fence is refused; an equal version re-installs.
 func (s *Server) InstallSnapshot(snap *state.Snapshot) error {
 	if snap == nil || len(snap.Tables) == 0 {
 		return fmt.Errorf("server: snapshot has no rule tables")
 	}
 	reg := newRegistryFrom(s.registry(), snap.Tables)
-	s.regMu.Lock()
-	if snap.TableVersion < s.tableVer {
-		cur := s.tableVer
-		s.regMu.Unlock()
-		return fmt.Errorf("server: snapshot v%d behind local fence v%d", snap.TableVersion, cur)
-	}
-	s.reg = reg
-	s.tableVer = snap.TableVersion
-	s.regMu.Unlock()
-	if snap.Matrix != nil {
-		s.setTrainingMatrix(snap.Matrix)
-	}
-	return nil
+	return s.install(tableSet{reg: reg, ver: snap.TableVersion, matrix: snap.Matrix})
 }

@@ -35,6 +35,12 @@ import (
 // usual small corpus/generator config the other server tests use.
 func fleetFront(t testing.TB, lease time.Duration) (*Server, *httptest.Server, *dataset.VisionCorpus) {
 	t.Helper()
+	return fleetFrontWith(t, Config{Fleet: &fleet.Options{Lease: lease}})
+}
+
+// fleetFrontWith is fleetFront over cfg; the fixture sets its Matrix.
+func fleetFrontWith(t testing.TB, cfg Config) (*Server, *httptest.Server, *dataset.VisionCorpus) {
+	t.Helper()
 	c := dataset.NewVisionCorpus(dataset.VisionCorpusConfig{N: 240, Device: vision.GPU})
 	m := profile.Build(c.Service, c.Requests)
 	gcfg := rulegen.DefaultConfig()
@@ -47,10 +53,8 @@ func fleetFront(t testing.TB, lease time.Duration) (*Server, *httptest.Server, *
 	reg := tiers.NewRegistry(c.Service,
 		g.Generate(tols, rulegen.MinimizeLatency),
 		g.Generate(tols, rulegen.MinimizeCost))
-	srv := NewWithConfig(reg, c.Requests, Config{
-		Matrix: m,
-		Fleet:  &fleet.Options{Lease: lease},
-	})
+	cfg.Matrix = m
+	srv := NewWithConfig(reg, c.Requests, cfg)
 	t.Cleanup(func() { srv.Close() })
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
@@ -302,7 +306,9 @@ func TestFleetRollingUpdateNeverServesMixedVersions(t *testing.T) {
 	}
 
 	time.Sleep(50 * time.Millisecond) // let the load establish on v0
-	front.promote(newRegistryFrom(front.registry(), nil), &ruleJob{})
+	if err := front.install(tableSet{reg: front.registry(), job: &ruleJob{}}); err != nil {
+		t.Fatal(err)
+	}
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -342,8 +348,8 @@ func TestFleetRollingUpdateNeverServesMixedVersions(t *testing.T) {
 // TestFleetSnapshotBootstrapAndFencedTablePush walks the worker
 // lifecycle without a front-tier router in the path: bootstrap from the
 // shipped snapshot, serve dispatch at the snapshot's fence, accept a
-// higher fenced push, refuse a lower one with 409, re-ack an equal one
-// idempotently, and refuse a stale snapshot on resync.
+// higher fenced push, refuse a lower one with 409, re-install an equal
+// one, and refuse a stale snapshot on resync.
 func TestFleetSnapshotBootstrapAndFencedTablePush(t *testing.T) {
 	front, fts, c := fleetFront(t, 30*time.Second)
 	snap, err := fleet.PullSnapshot(context.Background(), fts.Client(), fts.URL)
@@ -389,7 +395,7 @@ func TestFleetSnapshotBootstrapAndFencedTablePush(t *testing.T) {
 		t.Fatalf("push v1 behind the fence: status %d, want 409", got)
 	}
 	if got := push(2); got != http.StatusOK {
-		t.Fatalf("idempotent re-push of v2: status %d", got)
+		t.Fatalf("re-push of v2: status %d", got)
 	}
 	if _, ver, ok := postBatch(t, ws.Client(), ws.URL, ids); !ok || ver != 2 {
 		t.Fatalf("post-push dispatch fence = v%d, want v2", ver)

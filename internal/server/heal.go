@@ -40,16 +40,16 @@ import (
 //	          deterministic 1/CanaryFraction slice of traffic and open
 //	          the monitor's trial. A heal always earns its promotion
 //	          through that trial.
-//	verdict   loop: a win promotes (Server.promote, the swap a manual
-//	          apply runs, plus the re-profiled matrix and re-anchored
-//	          baselines); a loss drops the candidate — the incumbent
-//	          never stopped serving the rest of the traffic.
+//	verdict   loop: a win or a loss ends the heal; the incumbent never
+//	          stopped serving the rest of the traffic.
 //	finish    whichever goroutine ends the heal, and the only ending:
-//	          clear the candidate, restore hedging, set last_error, build
-//	          the one drift.HealRecord, persist it when promoted and only
-//	          then publish it (Monitor.FinishHeal) — a kill -9 at any
-//	          point leaves GET /drift having reported nothing the disk
-//	          does not hold.
+//	          build the one drift.HealRecord; on a win Server.install
+//	          persists it with the candidate's tables, matrix and
+//	          baselines, then swaps them in (unwritable: the heal fails
+//	          and the incumbent serves on); clear the candidate, restore
+//	          hedging, set last_error, and only then publish the record
+//	          (Monitor.FinishHeal) — a kill -9 at any point leaves GET
+//	          /drift having reported nothing the disk does not hold.
 //
 // Every failure (re-profile error, job collision, job failure or DELETE
 // /rules/generate, rejection, shutdown) ends in finish; the detectors
@@ -220,19 +220,11 @@ func (h *healer) generated(job *ruleJob, tables []rulegen.RuleTable, err error) 
 }
 
 func (h *healer) verdict(now time.Time) {
-	c := h.cand.Load()
-	if c == nil {
+	if h.cand.Load() == nil {
 		return
 	}
-	s := h.s
-	switch d := s.mon.CanaryVerdict(now); d.Action {
+	switch d := h.s.mon.CanaryVerdict(now); d.Action {
 	case drift.CanaryPromote:
-		// finish clears the candidate only after the swap, so slice
-		// traffic never falls back to the tables it displaced. Baselines
-		// re-anchor at the quantile the live trackers estimate.
-		s.promote(c.reg, c.job)
-		s.setTrainingMatrix(c.job.matrix)
-		s.mon.SetBaselines(drift.BackendBaselines(c.job.matrix))
 		h.finish(now, drift.HealPromoted, "")
 	case drift.CanaryReject:
 		h.finish(now, drift.HealRejected, d.Reason)
@@ -252,17 +244,23 @@ func (h *healer) finish(now time.Time, verdict, reason string) {
 	h.cur, h.lastErr = nil, reason
 	h.mu.Unlock()
 	s := h.s
-	h.cand.Store(nil)
-	for i := range s.backends {
-		s.disp.SetHedgeQuantile(i, 0) // back to dispatch.HedgeQuantile
-	}
 	rec := drift.HealRecord{
 		At: now, Trigger: cur.trigger, JobID: cur.jobID,
 		Verdict: verdict, Promoted: verdict == drift.HealPromoted,
 		Duration: now.Sub(cur.start), Err: reason,
 	}
 	if rec.Promoted {
-		s.saveState(&rec)
+		// c is staged (only a verdict promotes) and cleared only after the
+		// swap, so slice traffic never falls back to the tables it displaced.
+		c := h.cand.Load()
+		if err := s.install(tableSet{reg: c.reg, job: c.job, matrix: c.job.matrix, heal: &rec}); err != nil {
+			rec.Verdict, rec.Promoted, rec.Err = drift.HealFailed, false, err.Error()
+			h.setErr(rec.Err)
+		}
+	}
+	h.cand.Store(nil)
+	for i := range s.backends {
+		s.disp.SetHedgeQuantile(i, 0) // back to dispatch.HedgeQuantile
 	}
 	s.mon.FinishHeal(rec)
 }
@@ -285,8 +283,8 @@ func (h *healer) close() {
 	h.finish(time.Now(), drift.HealFailed, reason)
 }
 
-// setErr records a node-level failure outside a heal's ending (a state
-// snapshot or fleet promotion error) in GET /drift's last_error.
+// setErr records a failure in GET /drift's last_error: a failed install
+// of a won canary, or Close's final state snapshot.
 func (h *healer) setErr(msg string) {
 	h.mu.Lock()
 	h.lastErr = msg

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -209,6 +210,23 @@ func TestHealEndings(t *testing.T) {
 			verdict: "promoted", ranJob: true,
 		},
 		{
+			// A won canary whose snapshot cannot be written is not
+			// installed: the incumbent keeps serving.
+			name: "canary won, snapshot unwritable", interval: loop, reprofile: f.reprofileReq(),
+			arm: func(e *healEnv) {
+				// A regular file where the directory was: every save
+				// fails with ENOTDIR, even as root.
+				if err := os.RemoveAll(e.dir); err != nil {
+					e.t.Fatal(err)
+				}
+				if err := os.WriteFile(e.dir, nil, 0o644); err != nil {
+					e.t.Fatal(err)
+				}
+			},
+			drive:   func(e *healEnv) { e.trial(0.05) },
+			verdict: "failed", errHas: "state snapshot: ", ranJob: true,
+		},
+		{
 			name: "Close mid-trial", interval: loop, reprofile: f.reprofileReq(),
 			drive: func(e *healEnv) {
 				e.waitFor("the canary trial", func() bool { return e.drift().State == "canary" })
@@ -314,6 +332,9 @@ func TestHealEndings(t *testing.T) {
 			}
 			if st.State != "watching" {
 				t.Fatalf("state %q after the heal ended", st.State)
+			}
+			if got := e.srv.TableVersion(); got != wantReprofiles {
+				t.Fatalf("serving v%d after a %s heal, want v%d", got, row.verdict, wantReprofiles)
 			}
 
 			// No staged candidate: nothing resolves canary.

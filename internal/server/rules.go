@@ -24,8 +24,8 @@ import (
 //	DELETE /rules/generate   cancels the running job   -> 202
 //
 // One job runs at a time (409 while busy); with "apply": true the
-// serving registry is swapped atomically on success, so in-flight
-// /compute requests keep their tables and later ones see the new rules.
+// tables install on success (Server.install), so in-flight /compute
+// requests keep their tables and later ones see the new rules.
 // DELETE cancels through the job's context: the sweep's workers stop
 // before their next candidate, nothing is applied, and /rules/status
 // reports "cancelling" until the workers drain, then "cancelled".
@@ -56,7 +56,7 @@ type ruleJob struct {
 	// training matrix, or a drift re-profile).
 	matrix *profile.Matrix
 	// generated, when set, receives the finished job's outcome in place
-	// of the manual job's "promote if Apply" (see startRuleJob).
+	// of the manual job's "install if Apply" (see startRuleJob).
 	generated generatedFunc
 }
 
@@ -138,7 +138,7 @@ func ruleGenParams(req api.RuleGenRequest) (genParams, error) {
 }
 
 // startRuleJob validates the request and launches the asynchronous
-// sweep over m; a nil generated is the manual job, which promotes its
+// sweep over m; a nil generated is the manual job, which installs its
 // tables when req.Apply is set. It returns errJobRunning while another
 // job runs.
 func (s *Server) startRuleJob(req api.RuleGenRequest, m *profile.Matrix, generated generatedFunc) (*ruleJob, error) {
@@ -199,7 +199,7 @@ func (s *Server) handleRulesGenerate(w http.ResponseWriter, r *http.Request) {
 }
 
 // runRuleJob executes the sweep and hands the outcome on: to
-// job.generated when set, else — on success with Apply set — to promote.
+// job.generated when set, else — on success with Apply set — to install.
 // A cancelled context (DELETE /rules/generate) stops the sweep before
 // the next candidate and marks the job cancelled instead of failed.
 func (s *Server) runRuleJob(ctx context.Context, job *ruleJob, gcfg rulegen.Config, step, maxTol float64) {
@@ -225,10 +225,9 @@ func (s *Server) runRuleJob(ctx context.Context, job *ruleJob, gcfg rulegen.Conf
 			tables = append(tables, gen.Generate(grid, obj))
 		}
 		if job.generated == nil && job.req.Apply {
-			// Promoted before the job reports "done", so a client that
-			// polls the status and then resolves sees the new tables.
-			s.promote(newRegistryFrom(s.registry(), tables), job)
-			s.saveState(nil)
+			// Installed before the job reports "done" (a failed install
+			// fails it), so a poll-then-resolve client sees the new tables.
+			err = s.install(tableSet{reg: newRegistryFrom(s.registry(), tables), job: job})
 		}
 	}
 

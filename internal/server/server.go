@@ -19,11 +19,13 @@
 //
 // Beside it rides the control plane: rule regeneration (rules.go), the
 // self-healing loop (heal.go states its lifecycle once), state
-// snapshots (state.go) and the worker fleet (fleet.go).
+// snapshots (state.go) and the worker fleet (fleet.go); the served
+// tables change only through Server.install (persist, publish, push).
 package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -90,8 +92,8 @@ type Config struct {
 	Reprofile api.RuleGenRequest
 	// StateDir, when non-empty, makes the node persist a state snapshot
 	// (matrix, rule tables, drift baselines, heal history) atomically on
-	// every promotion and on Close; see state.go. "" disables
-	// persistence.
+	// every install, before it serves, and on Close; see state.go. The
+	// directory must exist. "" disables persistence.
 	StateDir string
 	// Restore seeds the drift monitor from a previously loaded snapshot
 	// (baselines, heal history); the caller builds the registry and
@@ -113,15 +115,17 @@ type Config struct {
 // (see heal.go).
 type Server struct {
 	// regMu guards the serving registry and its fleet version fence:
-	// every promotion swaps both together, so a resolve observes one
-	// consistent (tables, version) pair and a batch can never mix
-	// versions — it resolves exactly once.
-	regMu    sync.RWMutex
-	reg      *tiers.Registry
-	tableVer int64
-	reqs     []*service.Request
-	byID     map[int]*service.Request
-	mux      *http.ServeMux
+	// install swaps both together, so a resolve observes one consistent
+	// (tables, version) pair and a batch can never mix versions — it
+	// resolves exactly once. installMu serialises install and the
+	// snapshot writes; it is never taken under regMu.
+	installMu sync.Mutex
+	regMu     sync.RWMutex
+	reg       *tiers.Registry
+	tableVer  int64
+	reqs      []*service.Request
+	byID      map[int]*service.Request
+	mux       *http.ServeMux
 
 	// pool is the fleet control plane when this node is a front tier
 	// (Config.Fleet); nil on workers and single-node servers.
@@ -266,7 +270,11 @@ func (s *Server) Close() {
 	if s.pool != nil {
 		s.pool.Close()
 	}
-	s.saveState(nil)
+	s.installMu.Lock()
+	if err := s.saveState(nil); err != nil {
+		s.heal.setErr(err.Error())
+	}
+	s.installMu.Unlock()
 }
 
 // Dispatcher exposes the server's tier-execution runtime (load
@@ -288,25 +296,18 @@ func (s *Server) Coalescer() *coalesce.Coalescer { return s.coal }
 func (s *Server) Recorder() *trace.Recorder { return s.rec }
 
 // trainingMatrix returns the matrix backing rule generation (nil
-// disables the endpoints); a promoted heal swaps in its re-profile.
+// disables the endpoints); a heal's install swaps in its re-profile.
 func (s *Server) trainingMatrix() *profile.Matrix {
 	s.jobMu.Lock()
 	defer s.jobMu.Unlock()
 	return s.matrix
 }
 
-func (s *Server) setTrainingMatrix(m *profile.Matrix) {
-	s.jobMu.Lock()
-	s.matrix = m
-	s.jobMu.Unlock()
-}
-
-// registry returns the serving registry; a finished generation job with
-// "apply" swaps it, so readers always go through here.
+// registry returns the serving registry; install swaps it, so readers
+// always go through here.
 func (s *Server) registry() *tiers.Registry {
-	s.regMu.RLock()
-	defer s.regMu.RUnlock()
-	return s.reg
+	reg, _ := s.registryAndVersion()
+	return reg
 }
 
 // registryAndVersion returns the serving registry together with the
@@ -320,46 +321,76 @@ func (s *Server) registryAndVersion() (*tiers.Registry, int64) {
 // TableVersion reports the rule-table version fence this node serves
 // (0 until a first promotion or fleet sync).
 func (s *Server) TableVersion() int64 {
-	s.regMu.RLock()
-	defer s.regMu.RUnlock()
-	return s.tableVer
+	_, ver := s.registryAndVersion()
+	return ver
 }
 
 // Fleet exposes the front tier's worker pool (nil unless Config.Fleet
 // made this node a front tier).
 func (s *Server) Fleet() *fleet.Pool { return s.pool }
 
-// promote is the node's one promotion sequence — a manual apply and a
-// canary win both run it: make reg the serving registry under a new
-// version fence and mark job applied. With a fleet pool attached, the
-// fence comes from the pool's Promote — which starts the rolling push
-// to workers before the front tier itself swaps, so a worker joining
-// mid-promotion already sees the new version and resyncs — otherwise
-// the version increments locally (the single-node case keeps the
-// dispatch header meaningful). The caller persists: saveState for a
-// manual apply, the heal's finish for a canary win.
-func (s *Server) promote(reg *tiers.Registry, job *ruleJob) {
-	var ver int64
-	if s.pool != nil {
-		v, err := s.pool.Promote(tablesOf(reg))
-		if err != nil {
-			// An unencodable table set cannot ship to workers; serve it
-			// locally under a locally-bumped fence and surface the error.
-			s.heal.setErr("fleet promote: " + err.Error())
-		} else {
-			ver = v
-		}
+// tableSet is one change of the served tables, as install takes it:
+// ver is the fence a fleet push or resync names (a set carrying its
+// rule job is this node's own promotion, which mints the served
+// version + 1 instead); matrix, when set, replaces the training matrix
+// (a heal's re-profile, a resync's shipped one); heal, when set, is the
+// won canary's record, persisted with the tables, and the drift
+// baselines re-anchor on matrix.
+type tableSet struct {
+	reg    *tiers.Registry
+	ver    int64
+	job    *ruleJob
+	matrix *profile.Matrix
+	heal   *drift.HealRecord
+}
+
+// errFence refuses a table set older than the one served.
+var errFence = errors.New("version fence")
+
+// install is the only code that changes the served table set — a
+// manual apply, a canary win, a fleet push and a resync all run it —
+// and the only place a version is minted. A version below the served
+// one is refused; the same or a higher one installs. The steps run in
+// one order: encode (an unencodable set is refused before anything is
+// written), persist (with Config.StateDir; a failed save refuses the
+// install), publish (registry and fence swap together under regMu, then
+// the matrix, the baselines and the job's applied mark), push (the
+// fleet's rolling update). installMu serialises installs and snapshot
+// writes and is held outside regMu, so no resolve waits on an fsync.
+func (s *Server) install(next tableSet) error {
+	s.installMu.Lock()
+	defer s.installMu.Unlock()
+	switch cur := s.TableVersion(); {
+	case next.job != nil:
+		next.ver = cur + 1
+	case next.ver < cur:
+		return fmt.Errorf("%w: serving v%d, refusing v%d", errFence, cur, next.ver)
+	}
+	blobs, err := fleet.EncodeTables(tablesOf(next.reg))
+	if err != nil {
+		return fmt.Errorf("encoding tables: %w", err)
+	}
+	if err := s.saveState(&next); err != nil {
+		return err
 	}
 	s.regMu.Lock()
-	if ver == 0 {
-		ver = s.tableVer + 1
-	}
-	s.reg = reg
-	s.tableVer = ver
+	s.reg, s.tableVer = next.reg, next.ver
 	s.regMu.Unlock()
+	if next.heal != nil {
+		s.mon.SetBaselines(drift.BackendBaselines(next.matrix))
+	}
 	s.jobMu.Lock()
-	job.applied = true
+	if next.matrix != nil {
+		s.matrix = next.matrix
+	}
+	if next.job != nil {
+		next.job.applied = true
+	}
 	s.jobMu.Unlock()
+	if s.pool != nil {
+		s.pool.Promote(next.ver, blobs)
+	}
+	return nil
 }
 
 // ServeHTTP implements http.Handler.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"path/filepath"
 	"time"
 
@@ -11,12 +12,12 @@ import (
 
 // Crash-safe persistence: with Config.StateDir set, the node writes a
 // versioned state snapshot — training matrix, active rule tables, drift
-// baselines, heal history — atomically on every promotion (a heal's
-// before it is published; see heal.go) and on Close. A restarted node
-// hands the loaded snapshot back through Config.Restore (ttserver
-// -state-dir does both), resuming from its healed state with zero
-// re-profiling. The snapshot is a cache: any load failure falls back to
-// profiling from scratch.
+// baselines, heal history — atomically on every install, before the
+// tables serve or reach a worker (Server.install; a snapshot that cannot
+// be written refuses the install), and best-effort on Close. A restarted
+// node hands the loaded snapshot back through Config.Restore (ttserver
+// -state-dir does both), resuming with zero re-profiling at the version
+// its workers hold. Any load failure falls back to profiling from scratch.
 
 // StatePath is the snapshot file a node with the given state directory
 // reads and writes.
@@ -26,16 +27,22 @@ const stateFileName = "toltiers-state.bin"
 
 // buildSnapshot assembles the node's persistable state; nil when the
 // node has no training matrix (nothing re-derivable to cache). A
-// non-nil promoted is the record of a heal whose promotion is installed
-// but not yet published: the snapshot holds the monitor's state as
-// FinishHeal is about to leave it — the record appended, the reprofile
-// counted, the per-tier baselines dropped with the detectors it resets.
-func (s *Server) buildSnapshot(promoted *drift.HealRecord) *state.Snapshot {
+// non-nil next is an install not yet published, and the snapshot holds
+// the node as it will leave it; for a heal, the monitor as FinishHeal
+// will: record appended, reprofile counted, backend baselines
+// re-anchored, per-tier ones dropped with the detectors it resets.
+func (s *Server) buildSnapshot(next *tableSet) *state.Snapshot {
 	m := s.trainingMatrix()
+	reg, tableVer := s.registryAndVersion()
+	if next != nil {
+		reg, tableVer = next.reg, next.ver
+		if next.matrix != nil {
+			m = next.matrix
+		}
+	}
 	if m == nil {
 		return nil
 	}
-	reg, tableVer := s.registryAndVersion()
 	snap := &state.Snapshot{
 		SavedAt:          time.Now(),
 		HedgeQuantile:    dispatch.HedgeQuantile,
@@ -46,30 +53,31 @@ func (s *Server) buildSnapshot(promoted *drift.HealRecord) *state.Snapshot {
 		Tables:           tablesOf(reg),
 		TableVersion:     tableVer,
 	}
-	if promoted != nil {
+	if next != nil && next.heal != nil {
 		snap.Reprofiles++
-		snap.Heals = append(snap.Heals, *promoted)
+		snap.Heals = append(snap.Heals, *next.heal)
+		snap.BackendBaselines = drift.BackendBaselines(m)
 	} else {
 		snap.TierBaselines = s.mon.TierBaselines()
 	}
 	return snap
 }
 
-// saveState persists the snapshot atomically (temp + fsync + rename);
-// promoted is buildSnapshot's. Best-effort: a failed save surfaces in
-// /drift's last_error and the node keeps serving — the snapshot is a
-// cache, never a dependency.
-func (s *Server) saveState(promoted *drift.HealRecord) {
+// saveState persists buildSnapshot(next) atomically (temp + fsync +
+// rename + directory fsync). Callers hold installMu, so snapshots land
+// in install order.
+func (s *Server) saveState(next *tableSet) error {
 	if s.stateDir == "" {
-		return
+		return nil
 	}
-	snap := s.buildSnapshot(promoted)
+	snap := s.buildSnapshot(next)
 	if snap == nil {
-		return
+		return nil
 	}
 	if err := state.Save(StatePath(s.stateDir), snap); err != nil {
-		s.heal.setErr("state snapshot: " + err.Error())
+		return fmt.Errorf("state snapshot: %w", err)
 	}
+	return nil
 }
 
 // restoreFrom seeds the drift monitor from a loaded snapshot: backend

@@ -1,8 +1,6 @@
 package speech
 
 import (
-	"math"
-
 	"github.com/toltiers/toltiers/internal/xrand"
 )
 
@@ -53,9 +51,6 @@ func NewAcousticModel(vocabSize int, cfg AcousticConfig) *AcousticModel {
 
 // Dim returns the embedding dimensionality.
 func (am *AcousticModel) Dim() int { return am.dim }
-
-// Embedding returns word w's embedding. Callers must not mutate it.
-func (am *AcousticModel) Embedding(w int) []float64 { return am.embeddings[w] }
 
 // EmitFrame synthesizes the acoustic observation for spoken word w at
 // noise scale sigma: the word's embedding plus isotropic Gaussian noise.
@@ -199,21 +194,4 @@ func (s *Synthesizer) Corpus(first, n int) []*Utterance {
 		out[i] = s.Utterance(first + i)
 	}
 	return out
-}
-
-// Perplexityish returns a cheap diagnostic: the mean per-word bigram
-// log-probability over a sample of sentences, useful for sanity tests.
-func (s *Synthesizer) Perplexityish(rng *xrand.RNG, sentences int) float64 {
-	total, words := 0.0, 0
-	for i := 0; i < sentences; i++ {
-		sent := s.LM.SampleSentence(rng, 8)
-		for j := 1; j < len(sent); j++ {
-			total += s.LM.BigramLogP(sent[j-1], sent[j])
-			words++
-		}
-	}
-	if words == 0 {
-		return 0
-	}
-	return math.Exp(-total / float64(words))
 }

@@ -157,10 +157,3 @@ func (lm *LanguageModel) BigramLogP(prev, next int) float64 {
 
 // UnigramLogP returns log P(w) under the unigram model.
 func (lm *LanguageModel) UnigramLogP(w int) float64 { return lm.uniLogP[w] }
-
-// Successors returns the words with explicit bigram mass after w, in
-// synthesis order, along with their probabilities. Callers must not
-// mutate the returned slices.
-func (lm *LanguageModel) Successors(w int) ([]int, []float64) {
-	return lm.succ[w], lm.succP[w]
-}

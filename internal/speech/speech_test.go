@@ -21,8 +21,8 @@ func TestLMDeterministic(t *testing.T) {
 	a := NewLanguageModel(cfg)
 	b := NewLanguageModel(cfg)
 	for w := 0; w < 100; w++ {
-		sa, pa := a.Successors(w)
-		sb, pb := b.Successors(w)
+		sa, pa := a.succ[w], a.succP[w]
+		sb, pb := b.succ[w], b.succP[w]
 		if len(sa) != len(sb) {
 			t.Fatalf("successor count differs for word %d", w)
 		}
@@ -37,7 +37,7 @@ func TestLMDeterministic(t *testing.T) {
 func TestLMSuccessorProbabilitiesNormalized(t *testing.T) {
 	lm := testLM(t)
 	for w := 0; w < lm.VocabSize(); w++ {
-		_, probs := lm.Successors(w)
+		probs := lm.succP[w]
 		sum := 0.0
 		for _, p := range probs {
 			if p <= 0 {
@@ -53,7 +53,7 @@ func TestLMSuccessorProbabilitiesNormalized(t *testing.T) {
 
 func TestLMBigramBackoff(t *testing.T) {
 	lm := testLM(t)
-	succ, _ := lm.Successors(0)
+	succ := lm.succ[0]
 	inList := map[int]bool{}
 	for _, s := range succ {
 		inList[s] = true
@@ -102,7 +102,7 @@ func TestLMSampledBigramsAreExplicit(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		s := lm.SampleSentence(r, 6)
 		for j := 1; j < len(s); j++ {
-			succ, _ := lm.Successors(s[j-1])
+			succ := lm.succ[s[j-1]]
 			found := false
 			for _, w := range succ {
 				if w == s[j] {
@@ -247,15 +247,5 @@ func TestSynthesizerSigmaVariation(t *testing.T) {
 	}
 	if maxS/minS < 1.3 {
 		t.Fatalf("speaker/env variation too small: sigma range [%v, %v]", minS, maxS)
-	}
-}
-
-func TestPerplexityishPositive(t *testing.T) {
-	lm := testLM(t)
-	am := NewAcousticModel(lm.VocabSize(), DefaultAcousticConfig())
-	s := NewSynthesizer(lm, am, 2)
-	p := s.Perplexityish(xrand.New(3), 50)
-	if p <= 1 {
-		t.Fatalf("perplexity-like diagnostic = %v, want > 1", p)
 	}
 }

@@ -350,9 +350,9 @@ func canonicalVersion(name string) string {
 }
 
 // Save writes the snapshot to path atomically: a temp file in the same
-// directory, fsynced, then renamed over the target. A reader (or a
-// crash) therefore only ever sees the previous complete snapshot or the
-// new complete snapshot, never a torn write.
+// directory, fsynced, then renamed over the target, and the directory
+// fsynced. A reader (or a crash) therefore only ever sees the previous
+// complete snapshot or the new complete snapshot, never a torn write.
 func Save(path string, s *Snapshot) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, ".state-*.tmp")
@@ -377,6 +377,16 @@ func Save(path string, s *Snapshot) error {
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("state: rename: %w", err)
+	}
+	// The rename is durable only once the directory entry is: without
+	// this sync a power loss can bring the previous snapshot back.
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("state: sync dir: %w", err)
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("state: sync dir: %w", err)
 	}
 	return nil
 }

@@ -1,5 +1,5 @@
 // Package stats supplies the statistical machinery behind the Tolerance
-// Tiers routing-rule generator: descriptive statistics, z-scores, the
+// Tiers routing-rule generator: quantiles, streaming moments, the
 // normal quantile function (ppf), bootstrap resampling, and the Fig.-7
 // confidence test from the paper.
 package stats
@@ -12,78 +12,6 @@ import (
 
 // ErrEmpty is returned by functions that need at least one observation.
 var ErrEmpty = errors.New("stats: empty sample")
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// Variance returns the population variance of xs (denominator n).
-func Variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs))
-}
-
-// SampleVariance returns the unbiased sample variance (denominator n-1),
-// or 0 when fewer than two observations are available.
-func SampleVariance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs)-1)
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Min returns the minimum of xs. It returns ErrEmpty for an empty slice.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Max returns the maximum of xs. It returns ErrEmpty for an empty slice.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
 
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics. The input need not be sorted.
@@ -136,23 +64,6 @@ func (r *Ring) Quantile(q float64) float64 {
 	return v
 }
 
-// ZScores standardizes xs: (x - mean) / stddev. When the standard
-// deviation is zero (all observations equal) every z-score is zero,
-// matching scipy.stats.zscore's behaviour of returning non-informative
-// values for degenerate samples.
-func ZScores(xs []float64) []float64 {
-	zs := make([]float64, len(xs))
-	sd := StdDev(xs)
-	if sd == 0 {
-		return zs
-	}
-	m := Mean(xs)
-	for i, x := range xs {
-		zs[i] = (x - m) / sd
-	}
-	return zs
-}
-
 // NormPPF returns the quantile function (inverse CDF) of the standard
 // normal distribution, the `ppf` used by the paper's Fig.-7 generator.
 // The implementation is Acklam's rational approximation with one step of
@@ -197,16 +108,4 @@ func NormPPF(p float64) float64 {
 // NormCDF returns the standard normal cumulative distribution function.
 func NormCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
-}
-
-// MeanCI returns a two-sided normal-approximation confidence interval for
-// the mean of xs at the given confidence level (e.g. 0.999).
-func MeanCI(xs []float64, confidence float64) (lo, hi float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	m := Mean(xs)
-	se := math.Sqrt(SampleVariance(xs) / float64(len(xs)))
-	z := NormPPF(0.5 + confidence/2)
-	return m - z*se, m + z*se, nil
 }

@@ -10,52 +10,6 @@ import (
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestMean(t *testing.T) {
-	cases := []struct {
-		xs   []float64
-		want float64
-	}{
-		{nil, 0},
-		{[]float64{5}, 5},
-		{[]float64{1, 2, 3, 4}, 2.5},
-		{[]float64{-1, 1}, 0},
-	}
-	for _, c := range cases {
-		if got := Mean(c.xs); !approx(got, c.want, 1e-12) {
-			t.Errorf("Mean(%v) = %v, want %v", c.xs, got, c.want)
-		}
-	}
-}
-
-func TestVariance(t *testing.T) {
-	if got := Variance([]float64{2, 2, 2}); got != 0 {
-		t.Errorf("constant variance = %v", got)
-	}
-	if got := Variance([]float64{1, 3}); !approx(got, 1, 1e-12) {
-		t.Errorf("Variance = %v, want 1", got)
-	}
-	if got := SampleVariance([]float64{1, 3}); !approx(got, 2, 1e-12) {
-		t.Errorf("SampleVariance = %v, want 2", got)
-	}
-	if got := SampleVariance([]float64{7}); got != 0 {
-		t.Errorf("single-sample variance = %v", got)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	if _, err := Min(nil); err != ErrEmpty {
-		t.Errorf("Min(nil) err = %v, want ErrEmpty", err)
-	}
-	if _, err := Max(nil); err != ErrEmpty {
-		t.Errorf("Max(nil) err = %v, want ErrEmpty", err)
-	}
-	mn, _ := Min([]float64{3, -2, 8})
-	mx, _ := Max([]float64{3, -2, 8})
-	if mn != -2 || mx != 8 {
-		t.Errorf("Min/Max = %v/%v", mn, mx)
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{4, 1, 3, 2}
 	q0, _ := Quantile(xs, 0)
@@ -105,21 +59,6 @@ func TestRing(t *testing.T) {
 	}
 }
 
-func TestZScores(t *testing.T) {
-	zs := ZScores([]float64{1, 2, 3})
-	if !approx(Mean(zs), 0, 1e-12) {
-		t.Errorf("z-score mean = %v", Mean(zs))
-	}
-	if !approx(StdDev(zs), 1, 1e-12) {
-		t.Errorf("z-score stddev = %v", StdDev(zs))
-	}
-	for _, z := range ZScores([]float64{5, 5, 5}) {
-		if z != 0 {
-			t.Errorf("degenerate z-scores should be zero, got %v", z)
-		}
-	}
-}
-
 func TestNormPPFKnownValues(t *testing.T) {
 	cases := []struct{ p, want float64 }{
 		{0.5, 0},
@@ -147,27 +86,6 @@ func TestNormPPFInvertsCDF(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMeanCI(t *testing.T) {
-	r := xrand.New(99)
-	xs := make([]float64, 5000)
-	for i := range xs {
-		xs[i] = r.NormMS(10, 2)
-	}
-	lo, hi, err := MeanCI(xs, 0.99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo > 10 || hi < 10 {
-		t.Errorf("99%% CI [%v, %v] excludes true mean 10", lo, hi)
-	}
-	if hi-lo > 0.5 {
-		t.Errorf("CI too wide: [%v, %v]", lo, hi)
-	}
-	if _, _, err := MeanCI(nil, 0.99); err != ErrEmpty {
-		t.Errorf("MeanCI(nil) err = %v", err)
 	}
 }
 

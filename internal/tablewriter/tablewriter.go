@@ -21,22 +21,6 @@ func New(title string, header ...string) *Table {
 	return &Table{Title: title, Header: header}
 }
 
-// Add appends a row; values are formatted with %v.
-func (t *Table) Add(cells ...any) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = fmt.Sprintf("%.4f", v)
-		case string:
-			row[i] = v
-		default:
-			row[i] = fmt.Sprint(v)
-		}
-	}
-	t.Rows = append(t.Rows, row)
-}
-
 // AddStrings appends a preformatted row.
 func (t *Table) AddStrings(cells ...string) { t.Rows = append(t.Rows, cells) }
 

@@ -141,11 +141,6 @@ func (r *RNG) FillIntn(dst []int, n int) {
 	}
 }
 
-// Int63 returns a non-negative 63-bit integer.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Norm returns a standard normal variate (mean 0, stddev 1) using the
 // Box-Muller transform.
 func (r *RNG) Norm() float64 {
@@ -202,14 +197,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Shuffle permutes the first n indices in place via swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Zipf samples ranks in [0, n) following a Zipf distribution with
 // exponent s (s > 0). Rank 0 is the most probable. The sampler is exact
 // (inverse-CDF over precomputed cumulative weights) and is constructed
@@ -235,9 +222,6 @@ func NewZipf(n int, s float64) *Zipf {
 	cum[n-1] = 1
 	return &Zipf{cum: cum}
 }
-
-// N reports the number of ranks the sampler draws from.
-func (z *Zipf) N() int { return len(z.cum) }
 
 // P returns the probability of rank i.
 func (z *Zipf) P(i int) float64 {

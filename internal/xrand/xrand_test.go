@@ -166,9 +166,10 @@ func TestPermIsPermutation(t *testing.T) {
 }
 
 func TestZipfProbabilitiesSumToOne(t *testing.T) {
-	z := NewZipf(50, 1.1)
+	const n = 50
+	z := NewZipf(n, 1.1)
 	sum := 0.0
-	for i := 0; i < z.N(); i++ {
+	for i := 0; i < n; i++ {
 		sum += z.P(i)
 	}
 	if math.Abs(sum-1) > 1e-9 {
@@ -177,8 +178,9 @@ func TestZipfProbabilitiesSumToOne(t *testing.T) {
 }
 
 func TestZipfRankOrdering(t *testing.T) {
-	z := NewZipf(100, 1.0)
-	for i := 1; i < z.N(); i++ {
+	const n = 100
+	z := NewZipf(n, 1.0)
+	for i := 1; i < n; i++ {
 		if z.P(i) > z.P(i-1)+1e-12 {
 			t.Fatalf("Zipf rank %d more probable than rank %d", i, i-1)
 		}
@@ -248,22 +250,5 @@ func TestFillIntnMatchesUint64Pairs(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestShufflePreservesElements(t *testing.T) {
-	r := New(13)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range xs {
-		sum += v
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, v := range xs {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed multiset: sum %d != %d", got, sum)
 	}
 }

@@ -2,7 +2,8 @@
 # Restart-recovery smoke: proves the crash-safe persistence loop on the
 # real ttserver binary, end to end.
 #
-#   1. Boot ttserver with -state-dir and -drift, serve live traffic.
+#   1. Boot ttserver with -drift and a -state-dir that does not exist
+#      yet (it must create it), serve live traffic.
 #   2. SIGTERM: graceful shutdown must drain and write a state snapshot.
 #   3. Reboot: the node must restore from the snapshot — zero
 #      re-profiling — and keep serving the same tiers.
@@ -27,12 +28,14 @@ BASE="http://$ADDR"
 cd "$(dirname "$0")/.."
 
 BIN="$(mktemp -d)/ttserver"
-STATE_DIR="$(mktemp -d /tmp/ttstate.XXXXXX)"
+STATE_ROOT="$(mktemp -d /tmp/ttstate.XXXXXX)"
+# A directory that does not exist yet: ttserver must create it at boot.
+STATE_DIR="$STATE_ROOT/state"
 LOG="$(mktemp /tmp/ttserver_smoke.XXXXXX.log)"
 SRV_PID=""
 cleanup() {
     [[ -n "$SRV_PID" ]] && kill -9 "$SRV_PID" 2>/dev/null || true
-    rm -rf "$(dirname "$BIN")" "$STATE_DIR" "$LOG"
+    rm -rf "$(dirname "$BIN")" "$STATE_ROOT" "$LOG"
 }
 trap cleanup EXIT
 
@@ -69,8 +72,9 @@ drive_load() {
 echo "restart_smoke: building ttserver ..."
 go build -o "$BIN" ./cmd/ttserver
 
-echo "restart_smoke: [1/5] cold boot (profiles from scratch) + live traffic"
+echo "restart_smoke: [1/5] cold boot (creates the state dir, profiles from scratch) + live traffic"
 start_server
+[[ -d "$STATE_DIR" ]] || fail "boot did not create the state dir $STATE_DIR"
 grep -q "no state snapshot" "$LOG" || fail "cold boot should report the missing snapshot"
 drive_load
 
