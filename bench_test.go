@@ -5,8 +5,8 @@
 //	go test -bench=. -benchmem
 //
 // The E-benches run the experiments at a reduced scale so `go test
-// -bench` stays interactive; `cmd/ttbench` regenerates them at the full
-// EXPERIMENTS.md scale.
+// -bench` stays interactive; `cmd/ttbench` regenerates them at
+// experiments.DefaultScale.
 package toltiers_test
 
 import (
@@ -19,14 +19,18 @@ import (
 	"testing"
 	"time"
 
-	"github.com/toltiers/toltiers"
+	"github.com/toltiers/toltiers/internal/admit"
 	"github.com/toltiers/toltiers/internal/asr"
+	"github.com/toltiers/toltiers/internal/coalesce"
 	"github.com/toltiers/toltiers/internal/dataset"
+	"github.com/toltiers/toltiers/internal/dispatch"
+	"github.com/toltiers/toltiers/internal/drift"
 	"github.com/toltiers/toltiers/internal/ensemble"
 	"github.com/toltiers/toltiers/internal/experiments"
 	"github.com/toltiers/toltiers/internal/profile"
 	"github.com/toltiers/toltiers/internal/rulegen"
 	"github.com/toltiers/toltiers/internal/speech"
+	"github.com/toltiers/toltiers/internal/tiers"
 	"github.com/toltiers/toltiers/internal/trace"
 	"github.com/toltiers/toltiers/internal/vision"
 )
@@ -370,28 +374,28 @@ func BenchmarkColumnGather(b *testing.B) {
 // pushes the same b.N requests through DoBatch in 64-item batches;
 // its ns/op is directly comparable to /serial's per-request cost.
 func BenchmarkDispatch(b *testing.B) {
-	corpus := toltiers.NewVisionCorpus(400)
-	matrix := toltiers.Profile(corpus.Service, corpus.Requests)
-	gcfg := toltiers.DefaultGeneratorConfig()
+	corpus := dataset.NewVisionCorpus(dataset.VisionCorpusConfig{N: 400, Device: vision.GPU})
+	matrix := profile.Build(corpus.Service, corpus.Requests)
+	gcfg := rulegen.DefaultConfig()
 	gcfg.MinTrials = 5
 	gcfg.MaxTrials = 20
 	gcfg.ThresholdPoints = 4
 	gcfg.IncludePickBest = false
-	gen := toltiers.NewRuleGenerator(matrix, nil, gcfg)
-	table := gen.Generate(toltiers.ToleranceGrid(0.10, 0.01), toltiers.MinimizeLatency)
+	gen := rulegen.New(matrix, nil, gcfg)
+	table := gen.Generate(rulegen.ToleranceGrid(0.10, 0.01), rulegen.MinimizeLatency)
 	rule, ok := table.Lookup(0.05)
 	if !ok {
 		b.Fatal("no 5% tier")
 	}
-	d := toltiers.NewDispatcher(toltiers.NewReplayBackends(matrix), toltiers.DispatchOptions{})
-	reqs := toltiers.ReplayRequests(matrix)
-	ticket := toltiers.DispatchTicket{
-		Tier:   toltiers.DispatchTierKey(toltiers.MinimizeLatency, rule.Tolerance),
+	d := dispatch.New(dispatch.NewReplayBackends(matrix), dispatch.Options{})
+	reqs := dispatch.ReplayRequests(matrix)
+	ticket := dispatch.Ticket{
+		Tier:   dispatch.TierKey(string(rulegen.MinimizeLatency), rule.Tolerance),
 		Policy: rule.Candidate.Policy,
 	}
 	ctx := context.Background()
 
-	runParallel := func(b *testing.B, d *toltiers.Dispatcher) {
+	runParallel := func(b *testing.B, d *dispatch.Dispatcher) {
 		b.Helper()
 		b.ReportAllocs()
 		if procs := runtime.GOMAXPROCS(0); procs < 4 {
@@ -433,8 +437,8 @@ func BenchmarkDispatch(b *testing.B) {
 		// /serial in the same sweep; zero allocs/op is the recording
 		// contract.
 		b.ReportAllocs()
-		td := toltiers.NewDispatcher(toltiers.NewReplayBackends(matrix),
-			toltiers.DispatchOptions{Recorder: toltiers.NewTraceRecorder(toltiers.TraceOptions{})})
+		td := dispatch.New(dispatch.NewReplayBackends(matrix),
+			dispatch.Options{Recorder: trace.New(trace.Options{})})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := td.Do(ctx, reqs[i%len(reqs)], ticket); err != nil {
@@ -451,15 +455,15 @@ func BenchmarkDispatch(b *testing.B) {
 		if procs < 4 {
 			procs = 4
 		}
-		sharded := toltiers.NewDispatcher(toltiers.NewReplayBackends(matrix),
-			toltiers.DispatchOptions{TelemetryShards: 2 * procs})
+		sharded := dispatch.New(dispatch.NewReplayBackends(matrix),
+			dispatch.Options{TelemetryShards: 2 * procs})
 		runParallel(b, sharded)
 	})
 	b.Run("batch", func(b *testing.B) {
 		b.ReportAllocs()
 		const batch = 64
-		bd := toltiers.NewDispatcher(toltiers.NewReplayBackends(matrix), toltiers.DispatchOptions{})
-		var outs []toltiers.DispatchOutcome
+		bd := dispatch.New(dispatch.NewReplayBackends(matrix), dispatch.Options{})
+		var outs []dispatch.Outcome
 		var errs []error
 		var err error
 		b.ResetTimer()
@@ -506,50 +510,50 @@ func BenchmarkDispatch(b *testing.B) {
 // BenchmarkDispatch/parallel) so the lease contention the coalescer
 // amortizes actually materializes on single-core CI boxes.
 func BenchmarkCoalescedDispatch(b *testing.B) {
-	corpus := toltiers.NewVisionCorpus(400)
-	matrix := toltiers.Profile(corpus.Service, corpus.Requests)
-	gcfg := toltiers.DefaultGeneratorConfig()
+	corpus := dataset.NewVisionCorpus(dataset.VisionCorpusConfig{N: 400, Device: vision.GPU})
+	matrix := profile.Build(corpus.Service, corpus.Requests)
+	gcfg := rulegen.DefaultConfig()
 	gcfg.MinTrials = 5
 	gcfg.MaxTrials = 20
 	gcfg.ThresholdPoints = 4
 	gcfg.IncludePickBest = false
-	gen := toltiers.NewRuleGenerator(matrix, nil, gcfg)
-	table := gen.Generate(toltiers.ToleranceGrid(0.10, 0.01), toltiers.MinimizeLatency)
+	gen := rulegen.New(matrix, nil, gcfg)
+	table := gen.Generate(rulegen.ToleranceGrid(0.10, 0.01), rulegen.MinimizeLatency)
 	rule, ok := table.Lookup(0.05)
 	if !ok {
 		b.Fatal("no 5% tier")
 	}
-	reqs := toltiers.ReplayRequests(matrix)
-	ticket := toltiers.DispatchTicket{
-		Tier:   toltiers.DispatchTierKey(toltiers.MinimizeLatency, rule.Tolerance),
+	reqs := dispatch.ReplayRequests(matrix)
+	ticket := dispatch.Ticket{
+		Tier:   dispatch.TierKey(string(rulegen.MinimizeLatency), rule.Tolerance),
 		Tenant: "bench",
 		Policy: rule.Candidate.Policy,
 	}
 	ctx := context.Background()
 
-	newRuntime := func() (*toltiers.Dispatcher, *toltiers.AdmissionController) {
-		d := toltiers.NewDispatcher(toltiers.NewReplayBackends(matrix),
-			toltiers.DispatchOptions{MaxConcurrentPerBackend: 1})
-		ctrl := toltiers.NewAdmissionController(toltiers.AdmissionConfig{
+	newRuntime := func() (*dispatch.Dispatcher, *admit.Controller) {
+		d := dispatch.New(dispatch.NewReplayBackends(matrix),
+			dispatch.Options{MaxConcurrentPerBackend: 1})
+		ctrl := admit.New(admit.Config{
 			Enabled:     true,
 			MaxInFlight: 1 << 20,
-			DefaultRate: toltiers.TenantRate{PerSec: 1e9, Burst: 1e9},
+			DefaultRate: admit.Rate{PerSec: 1e9, Burst: 1e9},
 			Brownout:    true,
 		})
 		return d, ctrl
 	}
 
 	// gateOf admits every flush through ctrl, n tokens and one slot.
-	gateOf := func(ctrl *toltiers.AdmissionController) func(int, toltiers.DispatchTicket) (toltiers.CoalesceGrant, error) {
-		return func(n int, t toltiers.DispatchTicket) (toltiers.CoalesceGrant, error) {
+	gateOf := func(ctrl *admit.Controller) func(int, dispatch.Ticket) (coalesce.Grant, error) {
+		return func(n int, t dispatch.Ticket) (coalesce.Grant, error) {
 			dec := ctrl.AdmitBatch(time.Now(), t.Tenant, rule.Tolerance, 0, math.NaN(), n)
-			if dec.Verdict != toltiers.AdmitAccept {
-				return toltiers.CoalesceGrant{}, fmt.Errorf("shed: %v", dec.Verdict)
+			if dec.Verdict != admit.Accept {
+				return coalesce.Grant{}, fmt.Errorf("shed: %v", dec.Verdict)
 			}
-			return toltiers.CoalesceGrant{Ticket: t, Release: func() { ctrl.Done(dec) }}, nil
+			return coalesce.Grant{Ticket: t, Release: func() { ctrl.Done(dec) }}, nil
 		}
 	}
-	reportWindow := func(b *testing.B, coal *toltiers.Coalescer) {
+	reportWindow := func(b *testing.B, coal *coalesce.Coalescer) {
 		if st := coal.Stats(); st.Windows > 0 {
 			b.ReportMetric(float64(st.Coalesced)/float64(st.Windows), "reqs/window")
 		}
@@ -592,7 +596,7 @@ func BenchmarkCoalescedDispatch(b *testing.B) {
 			d, ctrl := newRuntime()
 			drive(b, callers, func(i int) error {
 				dec := ctrl.Admit(time.Now(), ticket.Tenant, rule.Tolerance, 0, math.NaN())
-				if dec.Verdict != toltiers.AdmitAccept {
+				if dec.Verdict != admit.Accept {
 					return fmt.Errorf("shed: %v", dec.Verdict)
 				}
 				defer ctrl.Done(dec)
@@ -602,7 +606,7 @@ func BenchmarkCoalescedDispatch(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("coalesced-c%d", callers), func(b *testing.B) {
 			d, ctrl := newRuntime()
-			coal := toltiers.NewCoalescer(d, toltiers.CoalesceOptions{MaxBatch: 64, Gate: gateOf(ctrl)})
+			coal := coalesce.New(d, coalesce.Options{MaxBatch: 64, Gate: gateOf(ctrl)})
 			drive(b, callers, func(i int) error {
 				_, _, err := coal.Do(ctx, reqs[i%len(reqs)], ticket)
 				return err
@@ -620,13 +624,13 @@ func BenchmarkCoalescedDispatch(b *testing.B) {
 	b.Run("embedded-c64", func(b *testing.B) {
 		d, ctrl := newRuntime()
 		nv := matrix.NumVersions()
-		shared := []toltiers.DispatchTicket{
+		shared := []dispatch.Ticket{
 			{Tier: "response-time/0", Tenant: "bench", Policy: ensemble.Policy{
 				Kind: ensemble.Concurrent, Primary: 0, Secondary: nv - 1, Threshold: 0.772}},
 			{Tier: "cost/0.1", Tenant: "bench", Policy: ensemble.Policy{
 				Kind: ensemble.Failover, Primary: 0, Secondary: nv - 1, Threshold: 0.504, PickBest: true}},
 		}
-		coal := toltiers.NewCoalescer(d, toltiers.CoalesceOptions{MaxBatch: 8, Gate: gateOf(ctrl)})
+		coal := coalesce.New(d, coalesce.Options{MaxBatch: 8, Gate: gateOf(ctrl)})
 		drive(b, 64, func(i int) error {
 			_, _, err := coal.Do(ctx, reqs[i%len(reqs)], shared[i%len(shared)])
 			return err
@@ -644,10 +648,10 @@ func BenchmarkCoalescedDispatch(b *testing.B) {
 // in internal/drift pins the same property, and scripts/bench.sh records
 // the ns/op.
 func BenchmarkDriftObserve(b *testing.B) {
-	mon := toltiers.NewDriftMonitor(toltiers.DriftConfig{Enabled: true, Window: 64},
+	mon := drift.NewMonitor(drift.Config{Enabled: true, Window: 64},
 		[]string{"replay:v0"}, nil)
-	o := toltiers.DispatchOutcome{Err: 0.05, Latency: 20 * time.Millisecond}
-	tier := toltiers.DispatchTierKey(toltiers.MinimizeLatency, 0.05)
+	o := dispatch.Outcome{Err: 0.05, Latency: 20 * time.Millisecond}
+	tier := dispatch.TierKey(string(rulegen.MinimizeLatency), 0.05)
 	for i := 0; i < 128; i++ {
 		mon.ObserveOutcome(tier, &o)
 	}
@@ -666,20 +670,20 @@ func BenchmarkDriftObserve(b *testing.B) {
 // slice during a heal. The split path must stay within 20% of /off in
 // the same sweep; scripts/bench_check.sh gates the pair.
 func BenchmarkCanaryDispatch(b *testing.B) {
-	corpus := toltiers.NewVisionCorpus(400)
-	matrix := toltiers.Profile(corpus.Service, corpus.Requests)
-	gcfg := toltiers.DefaultGeneratorConfig()
+	corpus := dataset.NewVisionCorpus(dataset.VisionCorpusConfig{N: 400, Device: vision.GPU})
+	matrix := profile.Build(corpus.Service, corpus.Requests)
+	gcfg := rulegen.DefaultConfig()
 	gcfg.MinTrials = 5
 	gcfg.MaxTrials = 20
 	gcfg.ThresholdPoints = 4
 	gcfg.IncludePickBest = false
-	gen := toltiers.NewRuleGenerator(matrix, nil, gcfg)
-	table := gen.Generate(toltiers.ToleranceGrid(0.10, 0.01), toltiers.MinimizeLatency)
+	gen := rulegen.New(matrix, nil, gcfg)
+	table := gen.Generate(rulegen.ToleranceGrid(0.10, 0.01), rulegen.MinimizeLatency)
 	rule, ok := table.Lookup(0.05)
 	if !ok {
 		b.Fatal("no 5% tier")
 	}
-	reqs := toltiers.ReplayRequests(matrix)
+	reqs := dispatch.ReplayRequests(matrix)
 	ctx := context.Background()
 	names := make([]string, matrix.NumVersions())
 	for i := range names {
@@ -688,14 +692,14 @@ func BenchmarkCanaryDispatch(b *testing.B) {
 
 	run := func(b *testing.B, trial bool) {
 		b.Helper()
-		mon := toltiers.NewDriftMonitor(toltiers.DriftConfig{Enabled: true, Window: 64}, names, nil)
+		mon := drift.NewMonitor(drift.Config{Enabled: true, Window: 64}, names, nil)
 		if trial {
 			mon.StartCanaryTrial(time.Now())
 		}
-		d := toltiers.NewDispatcher(toltiers.NewReplayBackends(matrix),
-			toltiers.DispatchOptions{Observer: mon})
-		ticket := toltiers.DispatchTicket{
-			Tier:   toltiers.DispatchTierKey(toltiers.MinimizeLatency, rule.Tolerance),
+		d := dispatch.New(dispatch.NewReplayBackends(matrix),
+			dispatch.Options{Observer: mon})
+		ticket := dispatch.Ticket{
+			Tier:   dispatch.TierKey(string(rulegen.MinimizeLatency), rule.Tolerance),
 			Policy: rule.Candidate.Policy,
 		}
 		b.ReportAllocs()
@@ -755,19 +759,19 @@ func BenchmarkTraceObserve(b *testing.B) {
 // BenchmarkRegistryHandle measures the live annotated-request path
 // through the public API.
 func BenchmarkRegistryHandle(b *testing.B) {
-	corpus := toltiers.NewVisionCorpus(400)
-	matrix := toltiers.Profile(corpus.Service, corpus.Requests)
-	gcfg := toltiers.DefaultGeneratorConfig()
+	corpus := dataset.NewVisionCorpus(dataset.VisionCorpusConfig{N: 400, Device: vision.GPU})
+	matrix := profile.Build(corpus.Service, corpus.Requests)
+	gcfg := rulegen.DefaultConfig()
 	gcfg.MinTrials = 5
 	gcfg.MaxTrials = 20
 	gcfg.ThresholdPoints = 4
 	gcfg.IncludePickBest = false
-	gen := toltiers.NewRuleGenerator(matrix, nil, gcfg)
-	reg := toltiers.NewRegistry(corpus.Service,
-		gen.Generate(toltiers.ToleranceGrid(0.10, 0.01), toltiers.MinimizeLatency))
+	gen := rulegen.New(matrix, nil, gcfg)
+	reg := tiers.NewRegistry(corpus.Service,
+		gen.Generate(rulegen.ToleranceGrid(0.10, 0.01), rulegen.MinimizeLatency))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, _, err := reg.Handle(corpus.Requests[i%len(corpus.Requests)], 0.05, toltiers.MinimizeLatency)
+		_, _, _, err := reg.Handle(corpus.Requests[i%len(corpus.Requests)], 0.05, rulegen.MinimizeLatency)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -781,10 +785,10 @@ func BenchmarkRegistryHandle(b *testing.B) {
 // zero-allocation property; scripts/bench.sh records the ns/op), or
 // the QoS layer would eat the contention-free fast path it guards.
 func BenchmarkAdmit(b *testing.B) {
-	ctrl := toltiers.NewAdmissionController(toltiers.AdmissionConfig{
+	ctrl := admit.New(admit.Config{
 		Enabled:     true,
 		MaxInFlight: 1 << 20,
-		DefaultRate: toltiers.TenantRate{PerSec: 1e9, Burst: 1e9},
+		DefaultRate: admit.Rate{PerSec: 1e9, Burst: 1e9},
 		Brownout:    true,
 	})
 	// Warm: materialize the tenant bucket so the steady state is the
@@ -796,7 +800,7 @@ func BenchmarkAdmit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dec := ctrl.Admit(time.Now(), "tenant-a", 0.05, 0, math.NaN())
-		if dec.Verdict != toltiers.AdmitAccept {
+		if dec.Verdict != admit.Accept {
 			b.Fatalf("shed at iteration %d: %v", i, dec.Verdict)
 		}
 		ctrl.Done(dec)

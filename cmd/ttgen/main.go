@@ -12,8 +12,11 @@ import (
 	"os"
 	"time"
 
-	"github.com/toltiers/toltiers"
+	"github.com/toltiers/toltiers/internal/dataset"
+	"github.com/toltiers/toltiers/internal/profile"
+	"github.com/toltiers/toltiers/internal/rulegen"
 	"github.com/toltiers/toltiers/internal/tablewriter"
+	"github.com/toltiers/toltiers/internal/tiers"
 )
 
 func main() {
@@ -29,41 +32,30 @@ func main() {
 	)
 	flag.Parse()
 
-	var svc *toltiers.Service
-	var reqs []*toltiers.Request
-	switch *svcName {
-	case "asr":
-		c := toltiers.NewSpeechCorpus(*corpusN)
-		svc, reqs = c.Service, c.Requests
-	case "vision":
-		c := toltiers.NewVisionCorpus(*corpusN)
-		svc, reqs = c.Service, c.Requests
-	case "vision-cpu":
-		c := toltiers.NewVisionCorpusCPU(*corpusN)
-		svc, reqs = c.Service, c.Requests
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -service %q\n", *svcName)
+	svc, reqs, err := dataset.ByName(*svcName, *corpusN)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	obj := toltiers.Objective(*objective)
+	obj := rulegen.Objective(*objective)
 
 	fmt.Fprintf(os.Stderr, "profiling %d requests ...\n", len(reqs))
-	matrix := toltiers.Profile(svc, reqs)
+	matrix := profile.Build(svc, reqs)
 
 	var train, test []int
 	if *trainFrac < 1 {
-		train, test = toltiers.Split(matrix.NumRequests(), *trainFrac, 1)
+		train, test = dataset.Split(matrix.NumRequests(), *trainFrac, 1)
 	}
 
-	gcfg := toltiers.DefaultGeneratorConfig()
+	gcfg := rulegen.DefaultConfig()
 	gcfg.Confidence = *confidence
 	start := time.Now()
 	// The bootstrap sweep runs on every CPU; its output does not depend
 	// on how many there are.
-	gen := toltiers.NewRuleGenerator(matrix, train, gcfg)
+	gen := rulegen.New(matrix, train, gcfg)
 	fmt.Fprintf(os.Stderr, "bootstrapped %d candidates in %.1fs\n", len(gen.Candidates()), time.Since(start).Seconds())
 
-	table := gen.Generate(toltiers.ToleranceGrid(*maxTol, *step), obj)
+	table := gen.Generate(rulegen.ToleranceGrid(*maxTol, *step), obj)
 	out := tablewriter.New(
 		fmt.Sprintf("routing rules — %s, objective=%s, confidence=%.3f", *svcName, obj, *confidence),
 		"tolerance", "policy", "worst-case err deg", "mean latency (ms)", "mean inv cost ($)", "bootstrap trials")
@@ -82,12 +74,12 @@ func main() {
 	}
 
 	if test != nil {
-		rep := toltiers.Audit(matrix, test, table)
+		rep := tiers.Audit(matrix, test, table)
 		fmt.Printf("held-out audit: %d tiers, %d violations\n", len(rep.Entries), rep.Violations)
 	}
 
 	if *outPath != "" {
-		if err := toltiers.SaveRuleTable(*outPath, table); err != nil {
+		if err := rulegen.SaveTableFile(*outPath, table); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -43,14 +43,17 @@ import (
 	"sync"
 	"time"
 
-	"github.com/toltiers/toltiers"
 	"github.com/toltiers/toltiers/internal/admit"
 	"github.com/toltiers/toltiers/internal/api"
 	"github.com/toltiers/toltiers/internal/client"
 	"github.com/toltiers/toltiers/internal/coalesce"
+	"github.com/toltiers/toltiers/internal/dataset"
 	"github.com/toltiers/toltiers/internal/dispatch"
 	"github.com/toltiers/toltiers/internal/drift"
+	"github.com/toltiers/toltiers/internal/profile"
+	"github.com/toltiers/toltiers/internal/rulegen"
 	"github.com/toltiers/toltiers/internal/server"
+	"github.com/toltiers/toltiers/internal/tiers"
 	"github.com/toltiers/toltiers/internal/trace"
 	"github.com/toltiers/toltiers/internal/workload"
 )
@@ -137,19 +140,19 @@ func main() {
 
 // profileCorpus builds what a booted node serves: the profile matrix
 // its replay backends answer from and the rule tables generated over it.
-func profileCorpus(service string, n int, step float64) (*toltiers.Matrix, *toltiers.Registry, error) {
-	svc, reqs, err := toltiers.NewCorpusByName(service, n)
+func profileCorpus(service string, n int, step float64) (*profile.Matrix, *tiers.Registry, error) {
+	svc, reqs, err := dataset.ByName(service, n)
 	if err != nil {
 		return nil, nil, err
 	}
 	log.Printf("profiling %d requests of %s ...", len(reqs), svc.Domain)
-	m := toltiers.Profile(svc, reqs)
+	m := profile.Build(svc, reqs)
 	log.Printf("generating rule tables (step %g) ...", step)
-	gen := toltiers.NewRuleGenerator(m, nil, toltiers.DefaultGeneratorConfig())
-	grid := toltiers.ToleranceGrid(0.10, step)
-	return m, toltiers.NewRegistry(svc,
-		gen.Generate(grid, toltiers.MinimizeLatency),
-		gen.Generate(grid, toltiers.MinimizeCost)), nil
+	gen := rulegen.New(m, nil, rulegen.DefaultConfig())
+	grid := rulegen.ToleranceGrid(0.10, step)
+	return m, tiers.NewRegistry(svc,
+		gen.Generate(grid, rulegen.MinimizeLatency),
+		gen.Generate(grid, rulegen.MinimizeCost)), nil
 }
 
 // bootNode assembles the node ttserver serves over replay backends of
@@ -157,8 +160,8 @@ func profileCorpus(service string, n int, step float64) (*toltiers.Matrix, *tolt
 // a serving node's does — the per-backend quantile-shift tests need
 // consecutive Check strikes — but never self-heals: a scenario reports
 // the detectors, it does not re-profile under them.
-func bootNode(m *toltiers.Matrix, reg *toltiers.Registry, o options) (*server.Server, error) {
-	backends := toltiers.NewReplayBackends(m)
+func bootNode(m *profile.Matrix, reg *tiers.Registry, o options) (*server.Server, error) {
+	backends := dispatch.NewReplayBackends(m)
 	if o.sleepScale > 0 {
 		for _, b := range backends {
 			b.(*dispatch.ReplayBackend).SleepScale = o.sleepScale
@@ -197,7 +200,7 @@ func bootNode(m *toltiers.Matrix, reg *toltiers.Registry, o options) (*server.Se
 	if o.coalesce {
 		cfg.Coalesce = &coalesce.Options{Window: o.coalesceWindow, MaxBatch: o.coalesceMax}
 	}
-	return server.NewWithConfig(reg, toltiers.ReplayRequests(m), cfg), nil
+	return server.NewWithConfig(reg, dispatch.ReplayRequests(m), cfg), nil
 }
 
 // inProcess is the transport of a booted node: each round trip is one

@@ -6,18 +6,19 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/toltiers/toltiers"
 	"github.com/toltiers/toltiers/internal/api"
 	"github.com/toltiers/toltiers/internal/client"
 	"github.com/toltiers/toltiers/internal/coalesce"
+	"github.com/toltiers/toltiers/internal/profile"
+	"github.com/toltiers/toltiers/internal/tiers"
 )
 
 // The scenarios share one profiled corpus; every case boots its own node
 // over it.
 var corpus struct {
 	once sync.Once
-	m    *toltiers.Matrix
-	reg  *toltiers.Registry
+	m    *profile.Matrix
+	reg  *tiers.Registry
 	err  error
 }
 

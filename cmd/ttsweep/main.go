@@ -9,7 +9,7 @@
 //
 // The policies mode sweeps every candidate ensemble routing policy of a
 // profiled service on held-out rows through the columnar
-// toltiers.PolicyEvaluator — one gather, then a fused fill-and-sum per
+// ensemble.Evaluator — one gather, then a fused fill-and-sum per
 // configuration instead of a per-row simulation scan — and prints the
 // held-out accuracy-latency Pareto frontier.
 //
@@ -24,10 +24,11 @@ import (
 	"sort"
 	"time"
 
-	"github.com/toltiers/toltiers"
 	"github.com/toltiers/toltiers/internal/asr"
+	"github.com/toltiers/toltiers/internal/dataset"
 	"github.com/toltiers/toltiers/internal/ensemble"
 	"github.com/toltiers/toltiers/internal/metrics"
+	"github.com/toltiers/toltiers/internal/profile"
 	"github.com/toltiers/toltiers/internal/speech"
 	"github.com/toltiers/toltiers/internal/tablewriter"
 )
@@ -147,30 +148,30 @@ func max(a, b int) int {
 // policyPoint is one evaluated ensemble configuration.
 type policyPoint struct {
 	policy ensemble.Policy
-	agg    toltiers.PolicyAggregate
+	agg    ensemble.Aggregate
 }
 
 // sweepPolicies profiles the service, enumerates every candidate
 // routing policy (singles plus failover/concurrent pairs across the
 // train-quantile threshold grid, with and without PickBest), and
 // evaluates each configuration on the held-out rows through one
-// toltiers.PolicyEvaluator. This replaces the per-configuration
+// ensemble.Evaluator. This replaces the per-configuration
 // ensemble.Evaluate row scans such a sweep used to need: the column
 // gather is paid once, thresholds are enumerated outside secondaries so
 // the evaluator's escalation-mask cache hits across variants, and every
 // aggregate is bit-identical to the row-oriented path.
 func sweepPolicies(svcName string, corpusN int, trainFrac float64, points int) {
-	svc, reqs, err := toltiers.NewCorpusByName(svcName, corpusN)
+	svc, reqs, err := dataset.ByName(svcName, corpusN)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	fmt.Fprintf(os.Stderr, "profiling %d requests across %d versions of %s ...\n",
 		len(reqs), len(svc.Versions), svc.Domain)
-	m := toltiers.Profile(svc, reqs)
-	train, test := toltiers.Split(m.NumRequests(), trainFrac, 0x53eeb)
+	m := profile.Build(svc, reqs)
+	train, test := dataset.Split(m.NumRequests(), trainFrac, 0x53eeb)
 
-	ev := toltiers.NewPolicyEvaluator(m, test)
+	ev := ensemble.NewEvaluator(m, test)
 	nv := m.NumVersions()
 	var pts []policyPoint
 	evaluate := func(p ensemble.Policy) {

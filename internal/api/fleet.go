@@ -3,7 +3,7 @@ package api
 import "encoding/json"
 
 // Fleet wire types: the control-plane API between the front tier and
-// its ttworker serving nodes.
+// its worker nodes (ttserver -join).
 //
 //	POST /fleet/register   FleetRegisterRequest  -> FleetRegisterResponse
 //	POST /fleet/heartbeat  FleetHeartbeatRequest -> FleetHeartbeatResponse

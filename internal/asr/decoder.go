@@ -82,7 +82,7 @@ type Result struct {
 // production engines (a large acoustic DNN per frame); expansion cost
 // scales with the explored search space. NanosPerUnit converts units to
 // simulated wall time, calibrated so the default corpus decodes near
-// real-time factor ≈0.2 for the fastest preset (DESIGN.md §5).
+// real-time factor ≈0.2 for the fastest preset.
 const (
 	unitEmissionPerDim = 1.0
 	unitSelectPerWord  = 1.0

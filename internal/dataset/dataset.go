@@ -98,6 +98,25 @@ func NewVisionCorpus(cfg VisionCorpusConfig) *VisionCorpus {
 	}
 }
 
+// ByName builds one of the standard evaluation corpora by its CLI name
+// — "asr", "vision" (GPU) or "vision-cpu" — with n requests (n <= 0
+// selects the experiments' default size). It is the service selector
+// of the cmd/ binaries.
+func ByName(name string, n int) (*service.Service, []*service.Request, error) {
+	switch name {
+	case "asr":
+		c := NewSpeechCorpus(SpeechCorpusConfig{N: n})
+		return c.Service, c.Requests, nil
+	case "vision":
+		c := NewVisionCorpus(VisionCorpusConfig{N: n, Device: vision.GPU})
+		return c.Service, c.Requests, nil
+	case "vision-cpu":
+		c := NewVisionCorpus(VisionCorpusConfig{N: n, Device: vision.CPU})
+		return c.Service, c.Requests, nil
+	}
+	return nil, nil, fmt.Errorf("unknown service %q (want asr | vision | vision-cpu)", name)
+}
+
 // Split partitions indices [0, n) into a training and test set with the
 // given training fraction, shuffled deterministically by seed.
 func Split(n int, trainFrac float64, seed uint64) (train, test []int) {

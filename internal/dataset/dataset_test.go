@@ -3,6 +3,7 @@ package dataset
 import (
 	"testing"
 
+	"github.com/toltiers/toltiers/internal/service"
 	"github.com/toltiers/toltiers/internal/vision"
 )
 
@@ -121,5 +122,31 @@ func TestKFoldPanics(t *testing.T) {
 			}()
 			KFold(c.n, c.k, 1)
 		}()
+	}
+}
+
+func TestByName(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		domain service.Domain
+		device vision.Device
+	}{
+		{"asr", service.SpeechDomain, 0},
+		{"vision", service.VisionDomain, vision.GPU},
+		{"vision-cpu", service.VisionDomain, vision.CPU},
+	} {
+		svc, reqs, err := ByName(tc.name, 20)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if svc.Domain != tc.domain || len(reqs) != 20 {
+			t.Errorf("%s: domain %s, %d requests", tc.name, svc.Domain, len(reqs))
+		}
+		if v, ok := svc.Versions[0].(*service.VisionVersion); ok && v.Device() != tc.device {
+			t.Errorf("%s: device %v, want %v", tc.name, v.Device(), tc.device)
+		}
+	}
+	if _, _, err := ByName("gpu", 20); err == nil {
+		t.Error("an unknown service name must be refused")
 	}
 }

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md §4 for the experiment index E1-E10 and the
-// ablations A1-A4). Each experiment returns text tables; the ttbench
-// command renders them to stdout or CSV.
+// evaluation: the experiments E1-E10 and the ablations A1-A4. Each
+// experiment returns text tables; the ttbench command renders them to
+// stdout or CSV.
 package experiments
 
 import (
@@ -35,7 +35,7 @@ type Scale struct {
 	KFolds int
 }
 
-// DefaultScale is the scale used for EXPERIMENTS.md.
+// DefaultScale is the scale cmd/ttbench runs at unless -quick.
 func DefaultScale() Scale {
 	return Scale{
 		SpeechN:       6000,

@@ -7,7 +7,7 @@
 // maintains membership from the other end of the wire.
 //
 // The paper's scale-out setting — multiple instantiations of each
-// version behind a load balancer — is served for real here: ttworker nodes
+// version behind a load balancer — is served for real here: worker nodes
 // bootstrap from the snapshot-shipping endpoint (no pre-deployed
 // corpus), serve the existing dispatch wire shapes, and the front tier
 // routes around failures so a worker kill mid-run loses no requests.

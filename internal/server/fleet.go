@@ -21,7 +21,7 @@ import (
 // Fleet glue: the front tier's control-plane handlers (register,
 // heartbeat, status, snapshot shipping), the worker-side fenced
 // table-push handler, and the assembly of a serving node from a shipped
-// snapshot (cmd/ttworker's core). Dispatch traffic reaches the pool from
+// snapshot (the core of ttserver -join). Dispatch traffic reaches the pool from
 // the parse stage (parseCall in dispatch.go).
 
 // maxTableBody bounds a fenced table push — far above any real table
@@ -73,7 +73,8 @@ func (s *Server) handleFleetStatus(w http.ResponseWriter, _ *http.Request) {
 
 // handleFleetSnapshot ships the node's state — profile matrix plus the
 // promoted rule tables, in the internal/state section format — so a
-// bare ttworker can bootstrap without a corpus or a profiling run.
+// node started with ttserver -join can bootstrap without a corpus or a
+// profiling run.
 func (s *Server) handleFleetSnapshot(w http.ResponseWriter, _ *http.Request) {
 	snap := s.buildSnapshot(nil)
 	if snap == nil {

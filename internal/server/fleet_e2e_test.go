@@ -61,7 +61,7 @@ func fleetFrontWith(t testing.TB, cfg Config) (*Server, *httptest.Server, *datas
 	return srv, ts, c
 }
 
-// startFleetWorker bootstraps a worker the way cmd/ttworker does — pull
+// startFleetWorker bootstraps a worker the way ttserver -join does — pull
 // the snapshot over HTTP, assemble the node, register with the front
 // tier — and returns it serving on its own httptest listener.
 func startFleetWorker(t testing.TB, front *httptest.Server, name string, opts WorkerOptions) (*Server, *httptest.Server) {

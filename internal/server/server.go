@@ -102,7 +102,7 @@ type Config struct {
 	// Fleet, when non-nil, makes this node a front tier: the fleet
 	// control-plane endpoints (/fleet/register, /fleet/heartbeat,
 	// /fleet/deregister, GET /fleet, GET /fleet/snapshot) are mounted,
-	// dispatch traffic is routed across registered ttworker nodes with
+	// dispatch traffic is routed across registered worker nodes with
 	// tenant-affine consistent routing and transparent failover (the
 	// node serves locally only when no worker can), and every table
 	// promotion rolls to the workers one at a time behind a version

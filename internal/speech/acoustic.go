@@ -140,7 +140,7 @@ type Synthesizer struct {
 }
 
 // NewSynthesizer builds a synthesizer with the given models and defaults
-// calibrated for the experiments (see DESIGN.md).
+// calibrated for the experiments.
 func NewSynthesizer(lm *LanguageModel, am *AcousticModel, seed uint64) *Synthesizer {
 	s := &Synthesizer{
 		LM:       lm,

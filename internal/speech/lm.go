@@ -4,7 +4,7 @@
 // acoustic model's pronunciation space, and frame-observation synthesis
 // with speaker and recording-environment variation.
 //
-// Substitution note (see DESIGN.md §2): the paper uses a proprietary IBM
+// Substitution note: the paper uses a proprietary IBM
 // engine with HMM acoustic/language models trained on real speech. The
 // structural property its evaluation depends on — a probabilistic word
 // graph whose exhaustive search is intractable, forcing heuristic beam

@@ -4,7 +4,7 @@
 // state-of-the-art flagship), CPU/GPU device latency profiles, and
 // calibrated softmax confidences.
 //
-// Substitution note (DESIGN.md §2): instead of trained CNNs over
+// Substitution note: instead of trained CNNs over
 // ILSVRC2012, each image is its class prototype plus *shared* difficulty
 // noise and *model-specific* residual noise; a model's quality is how
 // strongly it attenuates the shared noise. This preserves the three

@@ -37,10 +37,9 @@ var testSeams = map[string]string{
 
 // TestEveryOptionIsSet fails on an exported field of an option struct
 // that no non-test file outside the struct's own package assigns,
-// either as a composite-literal key of the struct's type (named
-// directly or through a root-package alias) or as the selector on the
-// left of an assignment or under &. benchmark/ and cmd/ count as
-// callers.
+// either as a composite-literal key of the struct's type or as the
+// selector on the left of an assignment or under &. benchmark/ and cmd/
+// count as callers.
 func TestEveryOptionIsSet(t *testing.T) {
 	const module = "github.com/toltiers/toltiers"
 	type typeKey struct{ dir, name string }
@@ -88,10 +87,7 @@ func TestEveryOptionIsSet(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// typeOf resolves a composite literal's type expression, following
-	// the root package's type aliases (toltiers.DispatchOptions and
-	// friends).
-	aliases := map[typeKey]typeKey{}
+	// typeOf resolves a composite literal's type expression.
 	typeOf := func(f file, e ast.Expr) (typeKey, bool) {
 		switch e := e.(type) {
 		case *ast.Ident:
@@ -101,27 +97,10 @@ func TestEveryOptionIsSet(t *testing.T) {
 				if dir, ok := f.imports[x.Name]; ok {
 					return typeKey{dir, e.Sel.Name}, true
 				}
-				if x.Name == "toltiers" {
-					return typeKey{".", e.Sel.Name}, true
-				}
 			}
 		}
 		return typeKey{}, false
 	}
-	for _, f := range files {
-		if f.dir != "." {
-			continue
-		}
-		ast.Inspect(f.ast, func(n ast.Node) bool {
-			if ts, ok := n.(*ast.TypeSpec); ok && ts.Assign.IsValid() {
-				if k, ok := typeOf(f, ts.Type); ok {
-					aliases[typeKey{".", ts.Name.Name}] = k
-				}
-			}
-			return true
-		})
-	}
-
 	litKeys := map[string]bool{}       // dir.Type.Field set by a literal outside dir
 	selectors := map[string][]string{} // field name -> dirs assigning x.Field
 	for _, f := range files {
@@ -131,9 +110,6 @@ func TestEveryOptionIsSet(t *testing.T) {
 				k, ok := typeOf(f, n.Type)
 				if !ok {
 					return true
-				}
-				if a, ok := aliases[k]; ok {
-					k = a
 				}
 				if k.dir == f.dir {
 					return true

@@ -2,8 +2,10 @@
 # Multi-node fleet smoke: proves the serving fleet on the real
 # binaries, end to end.
 #
-#   1. Boot ttserver -fleet (the front tier) and three ttworkers that
-#      join it: each pulls the profile matrix + rule tables over
+#   0. ttserver -fleet without -state-dir must refuse to start (exit 2):
+#      such a front tier would restart at table v0 under its workers.
+#   1. Boot ttserver -fleet (the front tier) and three ttserver -join
+#      workers: each pulls the profile matrix + rule tables over
 #      GET /fleet/snapshot and registers for dispatch traffic.
 #   2. Drive closed-loop load through the front tier with ttload
 #      -assert, and kill -9 one worker mid-run: the router must fail
@@ -72,9 +74,8 @@ wait_workers() {
     fail "fleet never settled at $want workers (have $(live_workers)): $(curl -fsS "$BASE/fleet" || true)"
 }
 
-echo "fleet_smoke: building ttserver, ttworker, ttload ..."
+echo "fleet_smoke: building ttserver, ttload ..."
 go build -o "$BIN_DIR/ttserver" ./cmd/ttserver
-go build -o "$BIN_DIR/ttworker" ./cmd/ttworker
 go build -o "$BIN_DIR/ttload" ./cmd/ttload
 
 # start_front boots the front tier, logging to $LOG_DIR/$1.log.
@@ -121,11 +122,19 @@ promote() {
     done
 }
 
+echo "fleet_smoke: [0/4] a front tier without -state-dir is refused"
+CODE=0
+"$BIN_DIR/ttserver" -service vision -corpus 300 -addr "$ADDR" -fleet \
+    >"$LOG_DIR/no-state-dir.log" 2>&1 || CODE=$?
+[[ "$CODE" -eq 2 ]] || fail "ttserver -fleet without -state-dir exited $CODE, want 2"
+grep -q -- "-fleet needs -state-dir" "$LOG_DIR/no-state-dir.log" \
+    || fail "ttserver -fleet without -state-dir gave no reason"
+
 echo "fleet_smoke: [1/4] boot the front tier + 3 workers"
 start_front front
 
 for i in 1 2 3; do
-    "$BIN_DIR/ttworker" -join "$BASE" -name "worker-$i" \
+    "$BIN_DIR/ttserver" -join "$BASE" -name "worker-$i" \
         -addr "$HOST:$((PORT + i))" -heartbeat 250ms \
         >"$LOG_DIR/worker-$i.log" 2>&1 &
     WORKER_PIDS[i]=$!

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/toltiers/toltiers"
+	"github.com/toltiers/toltiers/internal/profile"
 )
 
 func sscanPct(s string, v *float64) (int, error) {
@@ -72,8 +73,8 @@ func TestPublicSpeechPipeline(t *testing.T) {
 	if bd.Total != 120 || len(per) != 120 {
 		t.Fatal("categorization shape wrong")
 	}
-	sum := bd.Fraction(toltiers.Unchanged) + bd.Fraction(toltiers.Improves) +
-		bd.Fraction(toltiers.Degrades) + bd.Fraction(toltiers.Varies)
+	sum := bd.Fraction(profile.Unchanged) + bd.Fraction(profile.Improves) +
+		bd.Fraction(profile.Degrades) + bd.Fraction(profile.Varies)
 	if sum < 0.999 || sum > 1.001 {
 		t.Fatalf("fractions sum to %v", sum)
 	}
