@@ -33,6 +33,7 @@ import (
 	"github.com/toltiers/toltiers/internal/tiers"
 	"github.com/toltiers/toltiers/internal/trace"
 	"github.com/toltiers/toltiers/internal/vision"
+	"github.com/toltiers/toltiers/internal/xrand"
 )
 
 // ---- shared fixtures ----------------------------------------------------
@@ -301,6 +302,41 @@ func BenchmarkEvaluatorTrial(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(m.NumRequests()), "ns/row")
+}
+
+// BenchmarkEvaluatorTrialDrawn times one bootstrap trial as the rule
+// generator runs it: 200 random rows (DefaultConfig's 10 % sample) of a
+// 2 000-row training set, drawn and summed. "kernel" is DrawTrial on
+// xrand's fused AVX2 pass (skipped on hosts without it); "reference" is
+// the FillIntn + Trial path every other host runs.
+func BenchmarkEvaluatorTrialDrawn(b *testing.B) {
+	const rows, k = 2000, 200
+	c := dataset.NewVisionCorpus(dataset.VisionCorpusConfig{N: rows, Device: vision.GPU})
+	m := profile.Build(c.Service, c.Requests)
+	ev := ensemble.NewEvaluator(m, nil)
+	ev.SetBaseline(m.NumVersions() - 1)
+	ev.SetPolicy(ensemble.Policy{Kind: ensemble.Concurrent, Primary: 0, Secondary: m.NumVersions() - 1, Threshold: 0.5})
+	b.Run("kernel", func(b *testing.B) {
+		if !xrand.HasSumRows8 {
+			b.Skip("no SumRows8 kernel on this host")
+		}
+		rng := xrand.New(1)
+		for i := 0; i < b.N; i++ {
+			if t := ev.DrawTrial(rng, k); t.LatNsSum <= 0 {
+				b.Fatal("bad trial")
+			}
+		}
+	})
+	b.Run("reference", func(b *testing.B) {
+		rng := xrand.New(1)
+		subset := make([]int, k)
+		for i := 0; i < b.N; i++ {
+			rng.FillIntn(subset, rows)
+			if t := ev.Trial(subset); t.LatNsSum <= 0 {
+				b.Fatal("bad trial")
+			}
+		}
+	})
 }
 
 // BenchmarkEvaluatorSetPolicy measures fusing a policy into the

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"github.com/toltiers/toltiers/internal/profile"
+	"github.com/toltiers/toltiers/internal/xrand"
 )
 
 // Evaluator is the columnar fast path for the Fig.-7 bootstrap: it
@@ -65,6 +66,9 @@ type Evaluator struct {
 	escSec   int
 	escPick  bool
 	escKind  Kind
+
+	// subset is DrawTrial's row buffer on hosts without xrand's kernel.
+	subset []int
 }
 
 // Fused-lane offsets within one out row.
@@ -339,6 +343,25 @@ func (e *Evaluator) Trial(subset []int) TrialSums {
 	}
 	return TrialSums{N: n, ErrSum: errSum, LatNsSum: latSum, InvSum: invSum,
 		IaaSSum: iaasSum, EscalSum: escalSum, BaseErrSum: baseSum}
+}
+
+// DrawTrial runs one bootstrap trial: it draws k training rows with
+// rng.FillIntn (with replacement) and sums their fused lanes in draw
+// order. Where xrand.HasSumRows8, the draw and the sum are one AVX2
+// pass; elsewhere it is FillIntn followed by Trial. Both give the same
+// sums bit for bit and leave rng in the same state.
+func (e *Evaluator) DrawTrial(rng *xrand.RNG, k int) TrialSums {
+	if xrand.HasSumRows8 {
+		s := rng.SumRows8(e.out, e.rows, k)
+		return TrialSums{N: k, ErrSum: s[laneErr], LatNsSum: s[laneLat], InvSum: s[laneInv],
+			IaaSSum: s[laneIaaS], EscalSum: s[laneEscal], BaseErrSum: s[laneBase]}
+	}
+	if e.subset == nil || cap(e.subset) < k {
+		e.subset = make([]int, k)
+	}
+	e.subset = e.subset[:k]
+	rng.FillIntn(e.subset, e.rows)
+	return e.Trial(e.subset)
 }
 
 // Aggregate runs Trial and converts the sums into the legacy Evaluate

@@ -178,3 +178,26 @@ func TestEvaluatorMaskCacheSequences(t *testing.T) {
 		}
 	}
 }
+
+// DrawTrial must return Trial's sums over the rows FillIntn draws and
+// leave the generator where FillIntn leaves it, on whichever path this
+// host runs, for empty, odd and even draws in a row.
+func TestDrawTrialMatchesFillIntnThenTrial(t *testing.T) {
+	const rows = 300
+	m := randomMatrix(xrand.New(0xd7a3), rows, 4)
+	ev := NewEvaluator(m, nil)
+	ev.SetBaseline(3)
+	ev.SetPolicy(Policy{Kind: Concurrent, Primary: 0, Secondary: 3, Threshold: 0.5})
+	got, want := xrand.New(9), xrand.New(9)
+	for _, k := range []int{0, 1, 30, 31, rows, 2*rows + 1} {
+		g := ev.DrawTrial(got, k)
+		subset := make([]int, k)
+		want.FillIntn(subset, rows)
+		if w := ev.Trial(subset); g != w {
+			t.Fatalf("k %d: DrawTrial %+v, want %+v", k, g, w)
+		}
+		if *got != *want {
+			t.Fatalf("k %d: generator %+v, want %+v", k, *got, *want)
+		}
+	}
+}

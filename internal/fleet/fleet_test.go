@@ -263,6 +263,9 @@ type tableSink struct {
 	ts       *httptest.Server
 }
 
+// newTableSink starts a stub worker whose POST /fleet/table records the
+// pushed version and acks it, or, with fail, answers 500 without
+// installing.
 func newTableSink(t *testing.T, fail bool) *tableSink {
 	s := &tableSink{fail: fail}
 	s.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -402,4 +405,39 @@ func TestAgentRegistersHeartbeatsAndResyncs(t *testing.T) {
 	}
 	cancel()
 	<-done
+}
+
+// A 409 is a worker's version fence refusing the push: it still serves
+// another table set, so the rollout must evict it, not list it as
+// pushed, and no worker may show the pushed version it never installed.
+func TestPromoteEvictsWorkerThatRefusesWithConflict(t *testing.T) {
+	ok := newTableSink(t, false)
+	var pushes atomic.Int64
+	fenced := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		pushes.Add(1)
+		http.Error(w, "version fence: serving v2, refusing v1", http.StatusConflict)
+	}))
+	defer fenced.Close()
+	p := NewPool(Options{})
+	defer p.Close()
+	p.Register("a", ok.ts.URL, 0)
+	p.Register("b", fenced.URL, 2)
+
+	const ver = 1
+	p.Promote(ver, nil)
+	ro := waitRollout(t, p, ver)
+	if len(ro.Pushed) != 1 || ro.Pushed[0] != "a" {
+		t.Fatalf("pushed %v, want [a]", ro.Pushed)
+	}
+	if len(ro.Evicted) != 1 || ro.Evicted[0] != "b" {
+		t.Fatalf("evicted %v, want [b]", ro.Evicted)
+	}
+	if n := pushes.Load(); n != 1 {
+		t.Fatalf("refused push sent %d times, want 1", n)
+	}
+	for _, w := range p.Status().Workers {
+		if w.Name == "b" {
+			t.Fatalf("worker b still in rotation at v%d after refusing v%d", w.TableVersion, ver)
+		}
+	}
 }

@@ -137,9 +137,10 @@ func (p *Pool) runRollout(ctx context.Context, ro *rollout, targets []string, up
 	}
 }
 
-// pushTable POSTs one FleetTableUpdate to a worker. A 409 counts as
-// success: the version fence means the worker already serves a newer
-// version (it resynced, or a superseding rollout beat us).
+// pushTable POSTs one FleetTableUpdate to a worker. Only a 200 is an
+// ack. A 409 is the worker's version fence refusing the push: it serves
+// some other version than upd's, so the push fails at once (a retry
+// would be refused too) and the rollout evicts the worker for resync.
 func (p *Pool) pushTable(ctx context.Context, base string, upd api.FleetTableUpdate) error {
 	payload, err := json.Marshal(upd)
 	if err != nil {
@@ -168,10 +169,13 @@ func (p *Pool) pushTable(ctx context.Context, base string, upd api.FleetTableUpd
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		drainBody(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusConflict {
+		if resp.StatusCode == http.StatusOK {
 			return nil
 		}
 		lastErr = fmt.Errorf("worker returned %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
+		if resp.StatusCode == http.StatusConflict {
+			break
+		}
 	}
 	return lastErr
 }

@@ -291,13 +291,13 @@ func BootstrapCandidate(ev *ensemble.Evaluator, pol ensemble.Policy, index int, 
 	}
 	nRows := ev.NumRows()
 	sampleSize := int(cfg.SampleFraction * float64(nRows))
-	if sampleSize < 1 {
+	if sampleSize < 1 || sampleSize > nRows {
 		sampleSize = nRows
 	}
 	ev.SetPolicy(pol)
 	rng := xrand.New(CandidateSeed(cfg, index))
-	streams := stats.BootstrapStreams(rng, nRows, sampleSize, 4, test, func(subset []int, out []float64) {
-		t := ev.Trial(subset)
+	streams := stats.BootstrapStreams(4, test, func(out []float64) {
+		t := ev.DrawTrial(rng, sampleSize)
 		n := float64(t.N)
 		meanErr := t.ErrSum / n
 		baseline := t.BaseErrSum / n

@@ -192,42 +192,32 @@ type BootstrapResult struct {
 	Mean []float64
 }
 
-// bootstrapCore is the shared trial loop: draw a subset, simulate, fold
-// the metric vector into per-metric streams, stop when every stream is
-// confident. step may return the same backing slice every call.
-func bootstrapCore(rng *xrand.RNG, n, sampleSize int, test ConfidenceTest, step func(subset []int) []float64) BootstrapResult {
+// Bootstrap repeatedly invokes simulate on random subsets of size
+// sampleSize, each drawn with replacement from a population of n items
+// by FillIntn (numpy.random.choice's default, as Fig. 7 uses), until
+// every metric passes the confidence test. Subset indices are provided
+// to simulate. It is BootstrapStreams with the draw done here and the
+// streams summarized.
+//
+// simulate must return the same number of metrics on every call.
+func Bootstrap(rng *xrand.RNG, n, sampleSize int, test ConfidenceTest, simulate func(subset []int) Trial) BootstrapResult {
 	if sampleSize <= 0 || sampleSize > n {
 		sampleSize = n
 	}
-	var streams []Stream
 	subset := make([]int, sampleSize)
-	trials := 0
-	_, maxT := test.bounds()
-	stdevs := NormPPF(test.Level)
-	for {
-		// Draw a uniform random subset (a with-replacement draw matches
-		// numpy.random.choice as used in Fig. 7; FillIntn's paired
-		// 32-bit reductions keep the draw cheap at bootstrap rates).
+	draw := func() Trial {
 		rng.FillIntn(subset, n)
-		vals := step(subset)
-		trials++
-		if streams == nil {
-			streams = make([]Stream, len(vals))
-		}
-		for i, v := range vals {
-			streams[i].Add(v)
-		}
-		done := true
-		for i := range streams {
-			if !test.confidentStreamZ(&streams[i], stdevs) {
-				done = false
-				break
-			}
-		}
-		if done || trials >= maxT {
-			break
-		}
+		return simulate(subset)
 	}
+	// The first trial runs before the loop to learn the metric count.
+	vals, trials := draw(), 0
+	streams := BootstrapStreams(len(vals), test, func(out []float64) {
+		if trials > 0 {
+			vals = draw()
+		}
+		trials++
+		copy(out, vals)
+	})
 	res := BootstrapResult{Trials: trials}
 	res.WorstCase = make([]float64, len(streams))
 	res.Mean = make([]float64, len(streams))
@@ -238,42 +228,21 @@ func bootstrapCore(rng *xrand.RNG, n, sampleSize int, test ConfidenceTest, step 
 	return res
 }
 
-// Bootstrap repeatedly invokes simulate on random subsets of size
-// sampleSize drawn (with replacement across trials, without replacement
-// within a trial) from a population of n items, until every metric
-// passes the confidence test. Subset indices are provided to simulate.
-//
-// simulate must return the same number of metrics on every call.
-func Bootstrap(rng *xrand.RNG, n, sampleSize int, test ConfidenceTest, simulate func(subset []int) Trial) BootstrapResult {
-	return bootstrapCore(rng, n, sampleSize, test, func(subset []int) []float64 {
-		return simulate(subset)
-	})
-}
-
-// BootstrapStreams is the allocation-free form of Bootstrap for hot
-// callers: the metric count is declared up front, simulate writes each
-// trial's metrics into a reused out buffer, and the raw per-metric
-// Stream accumulators come back unsummarized — each stream's N is the
-// trial count, its Max the worst case, its Mean the across-trial mean.
-// Apart from the fixed-size buffers allocated before the first trial,
-// the loop performs no allocation.
-// The loop body mirrors bootstrapCore with the step indirection
-// removed — this is the Fig.-7 inner loop, run hundreds of times per
-// candidate.
-func BootstrapStreams(rng *xrand.RNG, n, sampleSize, nMetrics int, test ConfidenceTest, simulate func(subset []int, out []float64)) []Stream {
-	if sampleSize <= 0 || sampleSize > n {
-		sampleSize = n
-	}
+// BootstrapStreams is the Fig.-7 trial loop: trial runs one bootstrap
+// trial — drawing its own subset — and writes its metrics into a reused
+// out buffer, and the loop folds them into per-metric Stream
+// accumulators until every stream is confident or MaxTrials is reached.
+// The raw streams come back unsummarized: each stream's N is the trial
+// count, its Max the worst case, its Mean the across-trial mean. Apart
+// from the fixed-size buffers allocated before the first trial, the
+// loop performs no allocation.
+func BootstrapStreams(nMetrics int, test ConfidenceTest, trial func(out []float64)) []Stream {
 	streams := make([]Stream, nMetrics)
 	out := make([]float64, nMetrics)
-	subset := make([]int, sampleSize)
-	trials := 0
 	_, maxT := test.bounds()
 	stdevs := NormPPF(test.Level)
-	for {
-		rng.FillIntn(subset, n)
-		simulate(subset, out)
-		trials++
+	for trials := 1; ; trials++ {
+		trial(out)
 		for i, v := range out {
 			streams[i].Add(v)
 		}
@@ -285,8 +254,7 @@ func BootstrapStreams(rng *xrand.RNG, n, sampleSize, nMetrics int, test Confiden
 			}
 		}
 		if done || trials >= maxT {
-			break
+			return streams
 		}
 	}
-	return streams
 }

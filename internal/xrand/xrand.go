@@ -141,6 +141,36 @@ func (r *RNG) FillIntn(dst []int, n int) {
 	}
 }
 
+// SumRows8 is FillIntn and a row sum in one pass: it draws k indices in
+// [0, n) exactly as FillIntn would into a k-long dst, leaving r in the
+// same state, and returns the lane-wise sums of the 8-float rows
+// tab[8*i:8*i+8] those indices name. Each lane adds its rows one at a
+// time in draw order, starting from +0: the IEEE adds a scalar loop
+// over FillIntn's indices does, so the sums are bit-identical to it.
+// The pairs run in an AVX2 kernel, the draw in general registers
+// overlapping the adds; the odd tail is drawn here as FillIntn draws
+// it. It panics unless HasSumRows8, if k < 0, if n is outside
+// FillIntn's range, or if tab holds fewer than n rows.
+func (r *RNG) SumRows8(tab []float64, n, k int) [8]float64 {
+	if !HasSumRows8 {
+		panic("xrand: SumRows8 has no kernel on this host")
+	}
+	if k < 0 || n <= 0 || n >= 1<<31 || len(tab) < 8*n {
+		panic("xrand: SumRows8 argument out of range")
+	}
+	var acc [8]float64
+	if k >= 2 {
+		sumRows8AVX2(&r.s, &tab[0], uint64(n), k/2, &acc)
+	}
+	if k&1 != 0 {
+		row := tab[8*int((r.Uint64()>>32)*uint64(n)>>32):][:8]
+		for l, v := range row {
+			acc[l] += v
+		}
+	}
+	return acc
+}
+
 // Norm returns a standard normal variate (mean 0, stddev 1) using the
 // Box-Muller transform.
 func (r *RNG) Norm() float64 {

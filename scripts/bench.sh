@@ -12,7 +12,7 @@ set -euo pipefail
 
 COUNT="${1:-3}"
 OUT="${2:-BENCH.json}"
-BENCHES='BenchmarkPolicySimulate$|BenchmarkEvaluatorTrial$|BenchmarkEvaluatorSetPolicy$|BenchmarkRuleGenerator$|BenchmarkColumnGather$|BenchmarkRegistryHandle$|BenchmarkProfileBuild$|BenchmarkDispatch$|BenchmarkDriftObserve$|BenchmarkAdmit$|BenchmarkCoalescedDispatch$|BenchmarkTraceObserve$|BenchmarkCanaryDispatch$'
+BENCHES='BenchmarkPolicySimulate$|BenchmarkEvaluatorTrial$|BenchmarkEvaluatorTrialDrawn$|BenchmarkEvaluatorSetPolicy$|BenchmarkRuleGenerator$|BenchmarkColumnGather$|BenchmarkRegistryHandle$|BenchmarkProfileBuild$|BenchmarkDispatch$|BenchmarkDriftObserve$|BenchmarkAdmit$|BenchmarkCoalescedDispatch$|BenchmarkTraceObserve$|BenchmarkCanaryDispatch$'
 
 cd "$(dirname "$0")/.."
 

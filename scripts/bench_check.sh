@@ -216,7 +216,7 @@ fi
 # otherwise losing the benchmark silently loses its protection.
 while read -r name _; do
     case "$name" in
-        BenchmarkDispatch*|BenchmarkCoalescedDispatch*|BenchmarkCanaryDispatch*|BenchmarkRuleGenerator|BenchmarkEvaluatorTrial|BenchmarkDriftObserve|BenchmarkAdmit|BenchmarkTraceObserve) ;;
+        BenchmarkDispatch*|BenchmarkCoalescedDispatch*|BenchmarkCanaryDispatch*|BenchmarkRuleGenerator|BenchmarkEvaluatorTrial*|BenchmarkDriftObserve|BenchmarkAdmit|BenchmarkTraceObserve) ;;
         *) continue ;;
     esac
     if ! awk -v n="$name" '$1 == n {found=1} END {exit !found}' /tmp/bench_fresh.$$; then
