@@ -10,6 +10,7 @@
 package toltiers_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -30,6 +31,7 @@ import (
 	"github.com/toltiers/toltiers/internal/profile"
 	"github.com/toltiers/toltiers/internal/rulegen"
 	"github.com/toltiers/toltiers/internal/speech"
+	"github.com/toltiers/toltiers/internal/state"
 	"github.com/toltiers/toltiers/internal/tiers"
 	"github.com/toltiers/toltiers/internal/trace"
 	"github.com/toltiers/toltiers/internal/vision"
@@ -334,6 +336,48 @@ func BenchmarkEvaluatorTrialDrawn(b *testing.B) {
 			rng.FillIntn(subset, rows)
 			if t := ev.Trial(subset); t.LatNsSum <= 0 {
 				b.Fatal("bad trial")
+			}
+		}
+	})
+}
+
+// BenchmarkSnapshotCodec times both ends of a fleet worker's join:
+// state.Write of a 2 000-row GPU snapshot (the profile matrix and two
+// rule tables, what GET /fleet/snapshot ships) and state.Read of those
+// bytes. Both split the matrix rows across GOMAXPROCS goroutines.
+func BenchmarkSnapshotCodec(b *testing.B) {
+	c := dataset.NewVisionCorpus(dataset.VisionCorpusConfig{N: 2000, Device: vision.GPU})
+	m := profile.Build(c.Service, c.Requests)
+	cfg := rulegen.DefaultConfig()
+	cfg.MinTrials = 4
+	cfg.MaxTrials = 16
+	cfg.ThresholdPoints = 3
+	g := rulegen.New(m, nil, cfg)
+	tols := []float64{0, 0.05, 0.10}
+	snap := &state.Snapshot{Matrix: m, SavedAt: time.UnixMilli(1), Tables: []rulegen.RuleTable{
+		g.Generate(tols, rulegen.MinimizeLatency), g.Generate(tols, rulegen.MinimizeCost),
+	}}
+	var buf bytes.Buffer
+	if err := state.Write(&buf, snap); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.Run("write", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var out bytes.Buffer
+			if err := state.Write(&out, snap); err != nil || out.Len() != len(data) {
+				b.Fatal("bad encode", err)
+			}
+		}
+	})
+	b.Run("read", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if s, err := state.Read(data); err != nil || s.Matrix.NumRequests() != 2000 {
+				b.Fatal("bad decode", err)
 			}
 		}
 	})

@@ -60,7 +60,8 @@ type FleetTableUpdate struct {
 	Tables  []json.RawMessage `json:"tables"`
 }
 
-// FleetTableAck confirms the worker serves Version.
+// FleetTableAck confirms the worker serves Version, read after its
+// install.
 type FleetTableAck struct {
 	Version int64 `json:"version"`
 }

@@ -248,6 +248,11 @@ func (s *scanner) integers(dst []int, keep bool) ([]int, bool) {
 // with strconv.ParseFloat; an out-of-range literal is left to it.
 func (s *scanner) float() (float64, bool) {
 	s.space()
+	return s.number()
+}
+
+// number is float without the leading whitespace.
+func (s *scanner) number() (float64, bool) {
 	start := s.i
 	if !s.intPart() {
 		return 0, false
@@ -272,6 +277,27 @@ func (s *scanner) float() (float64, bool) {
 	}
 	f, err := strconv.ParseFloat(string(s.b[start:s.i]), 64)
 	return f, err == nil
+}
+
+// ScanInt64 and ScanFloat read the JSON number that starts at b[i],
+// skipping no whitespace, and return it with the index just past it; ok
+// is false unless one starts there in the scanner's grammar and fits.
+// ScanInt64 takes an integer with neither fraction nor exponent that
+// fits an int64. The profile matrix codec parses its rows with them.
+func ScanInt64(b []byte, i int) (v int64, next int, ok bool) {
+	s := scanner{b: b, i: i}
+	if !s.intPart() || s.i-i > 20 { // a sign and 19 digits
+		return 0, s.i, false
+	}
+	v, err := strconv.ParseInt(string(b[i:s.i]), 10, 64)
+	return v, s.i, err == nil
+}
+
+// ScanFloat: see ScanInt64.
+func ScanFloat(b []byte, i int) (v float64, next int, ok bool) {
+	s := scanner{b: b, i: i}
+	v, ok = s.number()
+	return v, s.i, ok
 }
 
 // AppendComputeResult appends r and a newline to dst, byte for byte what
@@ -379,21 +405,21 @@ func appendComputeFields(dst []byte, r *ComputeResult, memo *tierMemo) []byte {
 		dst = strconv.AppendInt(append(dst, `"class":`...), int64(*r.Class), 10)
 		dst = append(dst, ',')
 	}
-	dst = appendFloat(append(dst, `"confidence":`...), r.Confidence)
+	dst = AppendFloat(append(dst, `"confidence":`...), r.Confidence)
 	if memo != nil && memo.prev != nil && math.Float64bits(memo.prev.Tier) == math.Float64bits(r.Tier) &&
 		memo.prev.Objective == r.Objective && memo.prev.Policy == r.Policy {
 		dst = append(dst, dst[memo.start:memo.end]...)
 	} else {
 		start := len(dst)
-		dst = appendFloat(append(dst, `,"tier":`...), r.Tier)
+		dst = AppendFloat(append(dst, `,"tier":`...), r.Tier)
 		dst = appendString(append(dst, `,"objective":`...), r.Objective)
 		dst = appendString(append(dst, `,"policy":`...), r.Policy)
 		if memo != nil {
 			memo.start, memo.end = start, len(dst)
 		}
 	}
-	dst = appendFloat(append(dst, `,"latency_ms":`...), r.LatencyMS)
-	dst = appendFloat(append(dst, `,"cost_usd":`...), r.CostUSD)
+	dst = AppendFloat(append(dst, `,"latency_ms":`...), r.LatencyMS)
+	dst = AppendFloat(append(dst, `,"cost_usd":`...), r.CostUSD)
 	return strconv.AppendBool(append(dst, `,"escalated":`...), r.Escalated)
 }
 
@@ -410,15 +436,15 @@ func appendDispatchFields(dst []byte, r *DispatchResult, memo *tierMemo) []byte 
 	if r.Downgraded {
 		dst = append(dst, `,"downgraded":true`...)
 	}
-	return appendFloat(append(dst, `,"iaas_usd":`...), r.IaaSUSD)
+	return AppendFloat(append(dst, `,"iaas_usd":`...), r.IaaSUSD)
 }
 
-// shortMax bounds appendFloat's short-decimal path: below it ulp(f) is
+// shortMax bounds AppendFloat's short-decimal path: below it ulp(f) is
 // at most 2^-28 < 0.5e-8, and n = |f|·1e8 is at most 2^51, exact in a
 // float64.
 const shortMax = 1 << 51 / 1e8
 
-// appendFloat appends a finite float by encoding/json's rule: ES6
+// AppendFloat appends a finite float by encoding/json's rule: ES6
 // number-to-string, i.e. shortest 'f' form except 'e' below 1e-6 and
 // from 1e21, with a two-digit negative exponent's leading zero dropped.
 //
@@ -432,8 +458,9 @@ const shortMax = 1 << 51 / 1e8
 // D's power of ten there too, and so make D that one-digit power.) D,
 // trailing zeros trimmed, is therefore the unique shortest decimal that
 // reads back as f: exactly what strconv writes. Integer nanoseconds in
-// milliseconds always take this path; confidences seldom do.
-func appendFloat(dst []byte, f float64) []byte {
+// milliseconds always take this path; confidences seldom do. The
+// profile matrix codec renders its rows with it too.
+func AppendFloat(dst []byte, f float64) []byte {
 	abs := math.Abs(f)
 	if abs >= 1e-6 && abs < shortMax {
 		if n := uint64(abs*1e8 + 0.5); float64(n)/1e8 == abs {

@@ -250,7 +250,7 @@ func FuzzResultRender(f *testing.F) {
 	f.Add(uint64(0), uint64(1), uint64(2), "o", "p", "b", 123456789, uint8(0), int8(6<<2)) // cost 123.456789
 	f.Fuzz(func(t *testing.T, a, b, c uint64, objective, policy, backend string, n int, flags uint8, payload int8) {
 		fa, fb, fc := math.Float64frombits(a), math.Float64frombits(b), math.Float64frombits(c)
-		// Random bits almost never land on appendFloat's short-decimal
+		// Random bits almost never land on AppendFloat's short-decimal
 		// path, so the cost is a decimal n/10^k built from two ints.
 		res := DispatchResult{
 			ComputeResult: ComputeResult{Confidence: fa, Tier: fb, Objective: objective, Policy: policy,
@@ -270,7 +270,7 @@ func FuzzResultRender(f *testing.F) {
 	})
 }
 
-// TestAppendFloatMatchesStrconv holds appendFloat to encoding/json's
+// TestAppendFloatMatchesStrconv holds AppendFloat to encoding/json's
 // number rule on decimals n/10^k (the short path's domain), on their
 // neighbours either side (which must fall back to strconv), on the
 // path's guard edges, and on random bit patterns.
@@ -307,8 +307,8 @@ func TestAppendFloatMatchesStrconv(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := appendFloat(nil, f); string(got) != string(want) {
-			t.Fatalf("appendFloat(%v) = %s; encoding/json %s (bits %#x)", f, got, want, math.Float64bits(f))
+		if got := AppendFloat(nil, f); string(got) != string(want) {
+			t.Fatalf("AppendFloat(%v) = %s; encoding/json %s (bits %#x)", f, got, want, math.Float64bits(f))
 		}
 	}
 }

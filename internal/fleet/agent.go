@@ -207,6 +207,9 @@ func (a *Agent) post(ctx context.Context, path string, body, out any) error {
 	return nil
 }
 
+// maxSnapshot bounds a pulled snapshot's body.
+const maxSnapshot = 256 << 20
+
 // PullSnapshot fetches the front tier's state snapshot — profile matrix
 // plus promoted rule tables, in the internal/state section format — for
 // worker bootstrap and resync. No corpus or profiling run is needed on
@@ -230,11 +233,14 @@ func PullSnapshot(ctx context.Context, client *http.Client, join string) (*state
 		drainBody(resp.Body)
 		return nil, fmt.Errorf("/fleet/snapshot returned %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
-	if err != nil {
+	// Sized once by the declared length; the MinRead spare lets ReadFrom
+	// meet EOF without growing.
+	var buf bytes.Buffer
+	buf.Grow(int(min(max(resp.ContentLength, 0), maxSnapshot)) + bytes.MinRead)
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxSnapshot)); err != nil {
 		return nil, fmt.Errorf("reading fleet snapshot: %w", err)
 	}
-	snap, err := state.Read(data)
+	snap, err := state.Read(buf.Bytes())
 	if err != nil {
 		return nil, fmt.Errorf("decoding fleet snapshot: %w", err)
 	}

@@ -115,6 +115,13 @@ func workerStub(t *testing.T, status int, body string, hits *atomic.Int64) *http
 		if hits != nil {
 			hits.Add(1)
 		}
+		if r.URL.Path == "/fleet/table" && status == http.StatusOK {
+			// A healthy worker acks the version it was pushed.
+			var upd api.FleetTableUpdate
+			_ = json.NewDecoder(r.Body).Decode(&upd)
+			_ = json.NewEncoder(w).Encode(api.FleetTableAck{Version: upd.Version})
+			return
+		}
 		_, _ = io.Copy(io.Discard, r.Body)
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("X-Toltiers-Policy", "single:0")
@@ -438,6 +445,45 @@ func TestPromoteEvictsWorkerThatRefusesWithConflict(t *testing.T) {
 	for _, w := range p.Status().Workers {
 		if w.Name == "b" {
 			t.Fatalf("worker b still in rotation at v%d after refusing v%d", w.TableVersion, ver)
+		}
+	}
+}
+
+// TestPromoteEvictsWorkerThatAcksAnotherVersion: a 200 is an ack of the
+// version it names. A worker that answers 200 but serves some other
+// version is evicted for resync like one that refuses with a 409, and
+// the rollout records what each worker acked.
+func TestPromoteEvictsWorkerThatAcksAnotherVersion(t *testing.T) {
+	ok := newTableSink(t, false)
+	var pushes atomic.Int64
+	stale := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		pushes.Add(1)
+		_ = json.NewEncoder(w).Encode(api.FleetTableAck{Version: 2})
+	}))
+	defer stale.Close()
+	p := NewPool(Options{})
+	defer p.Close()
+	p.Register("a", ok.ts.URL, 0)
+	p.Register("b", stale.URL, 0)
+
+	const ver = 3
+	p.Promote(ver, nil)
+	ro := waitRollout(t, p, ver)
+	if len(ro.Pushed) != 1 || ro.Pushed[0] != "a" {
+		t.Fatalf("pushed %v, want [a]", ro.Pushed)
+	}
+	if len(ro.Evicted) != 1 || ro.Evicted[0] != "b" {
+		t.Fatalf("evicted %v, want [b]", ro.Evicted)
+	}
+	if n := pushes.Load(); n != 1 {
+		t.Fatalf("mis-acked push sent %d times, want 1", n)
+	}
+	for _, w := range p.Status().Workers {
+		if w.Name == "b" {
+			t.Fatalf("worker b still in rotation at v%d after acking v2 for v%d", w.TableVersion, ver)
+		}
+		if w.Name == "a" && w.TableVersion != ver {
+			t.Fatalf("worker a recorded at v%d, acked v%d", w.TableVersion, ver)
 		}
 	}
 }

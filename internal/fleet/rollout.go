@@ -110,7 +110,7 @@ func (p *Pool) runRollout(ctx context.Context, ro *rollout, targets []string, up
 		if m == nil {
 			continue // lease lapsed mid-rollout; it will resync on re-register
 		}
-		err := p.pushTable(ctx, m.base, upd)
+		acked, err := p.pushTable(ctx, m.base, upd)
 		p.mu.Lock()
 		if err != nil {
 			if ctx.Err() != nil {
@@ -130,35 +130,37 @@ func (p *Pool) runRollout(ctx context.Context, ro *rollout, targets []string, up
 			p.logf("fleet: push v%d to %s failed (%v); evicted for resync", upd.Version, name, err)
 			continue
 		}
-		m.version.Store(upd.Version)
+		m.version.Store(acked)
 		ro.pushed = append(ro.pushed, name)
 		p.mu.Unlock()
-		p.logf("fleet: worker %s acked table v%d", name, upd.Version)
+		p.logf("fleet: worker %s acked table v%d", name, acked)
 	}
 }
 
-// pushTable POSTs one FleetTableUpdate to a worker. Only a 200 is an
-// ack. A 409 is the worker's version fence refusing the push: it serves
-// some other version than upd's, so the push fails at once (a retry
-// would be refused too) and the rollout evicts the worker for resync.
-func (p *Pool) pushTable(ctx context.Context, base string, upd api.FleetTableUpdate) error {
+// pushTable POSTs one FleetTableUpdate to a worker and returns the
+// version its ack says it serves. Only a 200 acking upd's version is an
+// ack. A 409 is the worker's version fence refusing the push, and a 200
+// naming another version means the worker serves some other version
+// than upd's: either way the push fails at once (a retry would meet the
+// same worker state) and the rollout evicts the worker for resync.
+func (p *Pool) pushTable(ctx context.Context, base string, upd api.FleetTableUpdate) (int64, error) {
 	payload, err := json.Marshal(upd)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-ctx.Done():
-				return ctx.Err()
+				return 0, ctx.Err()
 			case <-time.After(200 * time.Millisecond):
 			}
 		}
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 			strings.TrimRight(base, "/")+"/fleet/table", bytes.NewReader(payload))
 		if err != nil {
-			return err
+			return 0, err
 		}
 		req.Header.Set("Content-Type", "application/json")
 		resp, err := p.client.Do(req)
@@ -170,14 +172,21 @@ func (p *Pool) pushTable(ctx context.Context, base string, upd api.FleetTableUpd
 		drainBody(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode == http.StatusOK {
-			return nil
+			var ack api.FleetTableAck
+			if err := json.Unmarshal(msg, &ack); err != nil {
+				return 0, fmt.Errorf("decoding ack: %w", err)
+			}
+			if ack.Version != upd.Version {
+				return ack.Version, fmt.Errorf("worker acked v%d, pushed v%d", ack.Version, upd.Version)
+			}
+			return ack.Version, nil
 		}
 		lastErr = fmt.Errorf("worker returned %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
 		if resp.StatusCode == http.StatusConflict {
 			break
 		}
 	}
-	return lastErr
+	return 0, lastErr
 }
 
 // drainBody consumes the remainder of a response body (bounded) so the

@@ -88,6 +88,9 @@ func (s *Server) handleFleetSnapshot(w http.ResponseWriter, _ *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(api.HeaderTableVersion, strconv.FormatInt(snap.TableVersion, 10))
+	// Declared, not chunked: the worker reads the body into one buffer
+	// of exactly this size.
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	_, _ = w.Write(buf.Bytes())
 }
 
@@ -96,7 +99,9 @@ func (s *Server) handleFleetSnapshot(w http.ResponseWriter, _ *http.Request) {
 // the served one is refused with 409, the same or a higher one swaps
 // the registry and the fence atomically (in-flight resolves finish on
 // the version they started with), so pushes are idempotent and
-// unreorderable.
+// unreorderable. The ack names the version this install put in place:
+// install returns nil only once it serves exactly upd.Version, which the
+// front tier checks against the one it pushed.
 func (s *Server) handleFleetTable(w http.ResponseWriter, r *http.Request) {
 	var upd api.FleetTableUpdate
 	if err := json.NewDecoder(io.LimitReader(r.Body, maxTableBody)).Decode(&upd); err != nil {

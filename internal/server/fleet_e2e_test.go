@@ -81,6 +81,27 @@ func startFleetWorker(t testing.TB, front *httptest.Server, name string, opts Wo
 	return w, ws
 }
 
+// TestFleetSnapshotDeclaresLength: the snapshot goes out with a
+// Content-Length, not chunked, so a joining worker reads it into one
+// buffer of exactly that size.
+func TestFleetSnapshotDeclaresLength(t *testing.T) {
+	_, front, _ := fleetFront(t, time.Minute)
+	resp, err := front.Client().Get(front.URL + "/fleet/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || len(resp.TransferEncoding) != 0 ||
+		resp.ContentLength <= 0 || resp.ContentLength != int64(len(body)) {
+		t.Fatalf("status %d, transfer-encoding %v, content-length %d for a %d-byte body",
+			resp.StatusCode, resp.TransferEncoding, resp.ContentLength, len(body))
+	}
+}
+
 func registerWorker(t testing.TB, front *httptest.Server, name, base string, ver int64) api.FleetRegisterResponse {
 	t.Helper()
 	body, _ := json.Marshal(api.FleetRegisterRequest{Name: name, BaseURL: base, TableVersion: ver})

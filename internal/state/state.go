@@ -17,7 +17,6 @@
 package state
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -105,15 +104,6 @@ type healJSON struct {
 	Err        string  `json:"error,omitempty"`
 }
 
-// matrixHeader shadows the profile stream's header line, decoded ahead
-// of profile.Read so a corrupt snapshot claiming an absurd request
-// count is rejected by arithmetic instead of honored by allocation.
-type matrixHeader struct {
-	Format   string   `json:"format"`
-	Versions []string `json:"versions"`
-	Requests int64    `json:"requests"`
-}
-
 // Write serializes the snapshot.
 func Write(w io.Writer, s *Snapshot) error {
 	if s.Matrix == nil {
@@ -143,11 +133,11 @@ func Write(w io.Writer, s *Snapshot) error {
 	sections := [][]byte{metaBytes}
 	names := []string{"meta"}
 
-	var mb bytes.Buffer
-	if err := s.Matrix.Write(&mb); err != nil {
+	mb, err := s.Matrix.AppendTo(nil)
+	if err != nil {
 		return fmt.Errorf("state: encode matrix: %w", err)
 	}
-	sections = append(sections, mb.Bytes())
+	sections = append(sections, mb)
 	names = append(names, "matrix")
 
 	for i, t := range s.Tables {
@@ -165,16 +155,28 @@ func Write(w io.Writer, s *Snapshot) error {
 			Name: names[i], Bytes: int64(len(b)), CRC32: crc32.ChecksumIEEE(b),
 		})
 	}
-	bw := bufio.NewWriter(w)
-	if err := json.NewEncoder(bw).Encode(h); err != nil {
+	hb, err := json.Marshal(h)
+	if err != nil {
+		return fmt.Errorf("state: write header: %w", err)
+	}
+	hb = append(hb, '\n')
+	total := len(hb)
+	for _, b := range sections {
+		total += len(b)
+	}
+	// A buffer (the fleet snapshot handler's) is sized once.
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		g.Grow(total)
+	}
+	if _, err := w.Write(hb); err != nil {
 		return fmt.Errorf("state: write header: %w", err)
 	}
 	for i, b := range sections {
-		if _, err := bw.Write(b); err != nil {
+		if _, err := w.Write(b); err != nil {
 			return fmt.Errorf("state: write section %s: %w", names[i], err)
 		}
 	}
-	return bw.Flush()
+	return nil
 }
 
 // Read deserializes a snapshot written by Write. Every failure mode of
@@ -273,29 +275,11 @@ func Read(data []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-// readMatrixSection guards profile.Read against hostile headers:
-// profile.Read allocates its columns from the header's claimed
-// dimensions before any row arrives, so a 50-byte section claiming a
-// billion requests must be rejected by arithmetic first. Every row the
-// stream encodes occupies at least one byte per (request, version)
-// cell, so claimed dimensions beyond the section's byte length are
-// provably a lie.
+// readMatrixSection parses the matrix section in place. profile.Read
+// sizes the columns by the rows the section holds, never by its header's
+// claim, so a 50-byte section claiming a billion requests costs nothing.
 func readMatrixSection(b []byte) (*profile.Matrix, error) {
-	nl := bytes.IndexByte(b, '\n')
-	if nl < 0 {
-		return nil, fmt.Errorf("state: matrix section has no header line")
-	}
-	var mh matrixHeader
-	if err := json.Unmarshal(b[:nl+1], &mh); err != nil {
-		return nil, fmt.Errorf("state: decode matrix header: %w", err)
-	}
-	n := int64(len(b))
-	nv := int64(len(mh.Versions))
-	if mh.Requests < 0 || mh.Requests > n || nv > n || mh.Requests*(nv+1) > 2*n {
-		return nil, fmt.Errorf("state: matrix header claims %d requests x %d versions in a %d-byte section",
-			mh.Requests, nv, n)
-	}
-	m, err := profile.Read(bytes.NewReader(b))
+	m, err := profile.Read(b)
 	if err != nil {
 		return nil, fmt.Errorf("state: %w", err)
 	}

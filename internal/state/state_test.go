@@ -2,10 +2,13 @@ package state
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -124,6 +127,19 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// snapshotSHA256 is the SHA-256 of Write on fixture(), taken before the
+// profile matrix codec was written by hand: the snapshot format is
+// pinned byte for byte, as TestSetUpGolden pins the floats.
+const snapshotSHA256 = "a60407594db73221e29cf5d8ac3d9b755ecf63533289aba5ebc3a1af2c4b548f"
+
+func TestSnapshotBytesGolden(t *testing.T) {
+	snap, _ := fixture(t)
+	sum := sha256.Sum256(encode(t, snap))
+	if got := hex.EncodeToString(sum[:]); got != snapshotSHA256 {
+		t.Fatalf("snapshot SHA-256 %s, want %s", got, snapshotSHA256)
+	}
+}
+
 func TestSnapshotRejectsDamage(t *testing.T) {
 	snap, _ := fixture(t)
 	good := encode(t, snap)
@@ -165,6 +181,13 @@ func TestSnapshotRejectsAbsurdMatrixHeader(t *testing.T) {
 	lie := `{"format":"toltiers-profile-v1","versions":["a","b"],"requests":1000000000}` + "\n"
 	if _, err := readMatrixSection([]byte(lie)); err == nil {
 		t.Fatal("absurd matrix header accepted")
+	}
+	// A claim whose row-range arithmetic overflows int64 once split across
+	// three or more goroutines.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	lie = `{"format":"toltiers-profile-v1","versions":["a"],"requests":6917529027641081856}` + "\n"
+	if _, err := readMatrixSection([]byte(lie)); err == nil {
+		t.Fatal("overflowing matrix header accepted")
 	}
 	if _, err := readMatrixSection([]byte("no newline")); err == nil {
 		t.Fatal("headerless matrix section accepted")

@@ -12,7 +12,7 @@ set -euo pipefail
 
 COUNT="${1:-3}"
 OUT="${2:-BENCH.json}"
-BENCHES='BenchmarkPolicySimulate$|BenchmarkEvaluatorTrial$|BenchmarkEvaluatorTrialDrawn$|BenchmarkEvaluatorSetPolicy$|BenchmarkRuleGenerator$|BenchmarkColumnGather$|BenchmarkRegistryHandle$|BenchmarkProfileBuild$|BenchmarkDispatch$|BenchmarkDriftObserve$|BenchmarkAdmit$|BenchmarkCoalescedDispatch$|BenchmarkTraceObserve$|BenchmarkCanaryDispatch$'
+BENCHES='BenchmarkPolicySimulate$|BenchmarkEvaluatorTrial$|BenchmarkEvaluatorTrialDrawn$|BenchmarkEvaluatorSetPolicy$|BenchmarkRuleGenerator$|BenchmarkColumnGather$|BenchmarkRegistryHandle$|BenchmarkProfileBuild$|BenchmarkDispatch$|BenchmarkDriftObserve$|BenchmarkAdmit$|BenchmarkCoalescedDispatch$|BenchmarkTraceObserve$|BenchmarkCanaryDispatch$|BenchmarkSnapshotCodec$'
 
 cd "$(dirname "$0")/.."
 
@@ -22,6 +22,9 @@ cd "$(dirname "$0")/.."
 # The two -c8 rows are recorded for that same-sweep ratio and for the
 # gate's "vanished from the sweep" check only: their baseline ns/op is
 # never compared (a contended microsecond, too host-bound to gate).
+# BenchmarkSnapshotCodec/{write,read} are both ends of a fleet worker's
+# join (state.Write and state.Read of the 2 000-row GPU snapshot);
+# bench_check.sh pins the read's allocs/op.
 # The handler's own cost (POST /dispatch bare and instrumented, a 64-item
 # batch) and the fleet hop (front tier handler, Pool.Proxy, one worker
 # over a real socket) live beside the handler, in internal/server.

@@ -20,13 +20,15 @@
 #   coalesced at most 0.75x serial, batching keeps paying), below one
 #   (8 callers: at most 1.5x serial, a pass-through, not a timer wait)
 #   and in the embedded shape (embedded-c64 at most 0.80x serial-c128,
-#   a released lease runs its next flush at once),
-#   and one item of a 64-item batch answer against a single answer
-#   (BenchmarkHandleDispatch/batch64 / 64 at most BATCH_ITEM_CAP_PCT of
-#   /bare);
+#   a released lease runs its next flush at once), the fused bootstrap
+#   trial (BenchmarkEvaluatorTrialDrawn/kernel at most 0.65x
+#   /reference), and one item of a 64-item batch answer against a
+#   single answer (BenchmarkHandleDispatch/batch64 / 64 at most
+#   BATCH_ITEM_CAP_PCT of /bare);
 # - allocs/op, a count that is the same on every host: the HTTP
-#   handler's (BenchmarkHandleDispatch/*) and the fleet hop's
-#   (BenchmarkFleetProxy, front tier plus one worker) may not exceed
+#   handler's (BenchmarkHandleDispatch/*), the fleet hop's
+#   (BenchmarkFleetProxy, front tier plus one worker) and a fleet
+#   worker's snapshot read (BenchmarkSnapshotCodec/read) may not exceed
 #   BENCH.json. The zero-allocation paths (dispatch, drift observe,
 #   admit, trace observe) are pinned by AllocsPerRun tests in their
 #   packages;
@@ -115,16 +117,16 @@ else
     status=1
 fi
 
-# Coalescer gates, same-sweep like the two above. ratio_gate fails when
-# arm's ns/op exceeds cap_pct percent of base's, both arms of
-# BenchmarkCoalescedDispatch.
+# Coalescer and trial-kernel gates, same-sweep like the two above.
+# ratio_gate fails when arm's ns/op exceeds cap_pct percent of base's;
+# both are full benchmark names, and the label shows their last parts.
 ratio_gate() {
     local label="$1" arm="$2" base="$3" cap_pct="$4" what="$5"
     local base_ns arm_ns verdict ratio
-    base_ns="$(awk -v n="BenchmarkCoalescedDispatch/$base" '$1 == n {print $2}' /tmp/bench_fresh.$$)"
-    arm_ns="$(awk -v n="BenchmarkCoalescedDispatch/$arm" '$1 == n {print $2}' /tmp/bench_fresh.$$)"
+    base_ns="$(awk -v n="$base" '$1 == n {print $2}' /tmp/bench_fresh.$$)"
+    arm_ns="$(awk -v n="$arm" '$1 == n {print $2}' /tmp/bench_fresh.$$)"
     if [[ -z "$base_ns" || -z "$arm_ns" ]]; then
-        echo "  MISS  $label gate: $arm/$base pair absent from fresh run"
+        echo "  MISS  $label gate: $arm / $base pair absent from fresh run"
         status=1
         return
     fi
@@ -132,7 +134,7 @@ ratio_gate() {
         'BEGIN { print (c > s * p / 100) ? "FAIL" : "ok" }')"
     ratio="$(awk -v s="$base_ns" -v c="$arm_ns" 'BEGIN { printf "%.2f", c / s }')"
     printf '  %-5s %-40s %12.1f vs %12.1f ns/op (%sx %s, cap %sx: %s)\n' \
-        "$verdict" "$label($arm/$base)" "$base_ns" "$arm_ns" "$ratio" "$base" \
+        "$verdict" "$label(${arm##*/}/${base##*/})" "$base_ns" "$arm_ns" "$ratio" "${base##*/}" \
         "$(awk -v p="$cap_pct" 'BEGIN { printf "%.2f", p / 100 }')" "$what"
     if [[ "$verdict" == "FAIL" ]]; then
         status=1
@@ -148,15 +150,23 @@ ratio_gate() {
 # either arm scattering 5-7 %. The cap is the pin against ever parking a
 # sub-crowd request on the timer again, which reads 100x and more, so
 # 1.5x holds it on a quiet box and a shared CI runner alike.
-ratio_gate coalesce-crowd coalesced-c128 serial-c128 75 "batching pays"
-ratio_gate coalesce-subcrowd coalesced-c8 serial-c8 150 "pass-through"
+ratio_gate coalesce-crowd BenchmarkCoalescedDispatch/coalesced-c128 BenchmarkCoalescedDispatch/serial-c128 75 "batching pays"
+ratio_gate coalesce-subcrowd BenchmarkCoalescedDispatch/coalesced-c8 BenchmarkCoalescedDispatch/serial-c8 150 "pass-through"
 # The embedded shape (64 callers, MaxBatch 8, two tiers sharing both
 # legs under a cap of 1) hands the lease from flush to flush. Before a
 # release yielded to the flush it woke, 13 sweeps on a 2-vCPU host read
 # 0.67-0.93x serial-c128 (ten of them above 0.78); after, 0.65-0.76x.
 # The cap sits between: a lease left idle behind its releaser's
 # deliveries trips it on most sweeps.
-ratio_gate lease-handoff embedded-c64 serial-c128 80 "lease hand-off"
+ratio_gate lease-handoff BenchmarkCoalescedDispatch/embedded-c64 BenchmarkCoalescedDispatch/serial-c128 80 "lease hand-off"
+# The fused AVX2 trial (xrand.SumRows8: draw and row sum in one pass)
+# against the FillIntn + Trial path every other host runs, one
+# 200-of-2 000-row bootstrap trial each. Four sweeps on a 2-vCPU host
+# read 0.37-0.45x; a kernel that stops overlapping the draw with the
+# add chain reads near 1x, so 0.65x trips on it and not on noise.
+# BenchmarkRuleGenerator cannot see the kernel (its time is the column
+# gather and SetPolicy), so this ratio is the kernel's only gate.
+ratio_gate trial-kernel BenchmarkEvaluatorTrialDrawn/kernel BenchmarkEvaluatorTrialDrawn/reference 65 "fused draw and sum"
 
 # Batch render gate, same-sweep: one item of a 64-item POST
 # /dispatch/batch (BenchmarkHandleDispatch/batch64 ns/op / 64) may cost
@@ -184,12 +194,19 @@ else
 fi
 
 # Handler alloc pins: allocs/op is a count, the same on every host, so
-# BenchmarkHandleDispatch/* and BenchmarkFleetProxy may not exceed the
-# committed baseline (their ns/op is recorded, never gated).
-# internal/server's TestDispatchHandlerAllocs and TestFleetProxyAllocs
-# hold the handler's and the front tier's share in `go test`.
+# BenchmarkHandleDispatch/*, BenchmarkFleetProxy and
+# BenchmarkSnapshotCodec/read may not exceed the committed baseline
+# (their ns/op is recorded, never gated). internal/server's
+# TestDispatchHandlerAllocs and TestFleetProxyAllocs hold the handler's
+# and the front tier's share in `go test`. The snapshot read allocates
+# the matrix columns and a fixed handful per GOMAXPROCS-independent
+# split; the encoding/json row reader took 42 k, so a reflection decoder
+# coming back trips on the count. The write arm is not pinned: its
+# count is encoding/json's pooled encoders for the rule tables, which
+# moves with the scheduler, and the reflection row writer allocated no
+# more than the hand-written one.
 allocs_of() {
-    sed -n 's/^[[:space:]]*"\(Benchmark\(HandleDispatch\|FleetProxy\)[^"]*\)": {.*"allocs_per_op": \([0-9.]*\).*/\1 \3/p' "$1"
+    sed -n 's/^[[:space:]]*"\(Benchmark\(HandleDispatch\|FleetProxy\|SnapshotCodec\/read\)[^"]*\)": {.*"allocs_per_op": \([0-9.]*\).*/\1 \3/p' "$1"
 }
 pinned=0
 while read -r name base_allocs; do
@@ -207,7 +224,7 @@ while read -r name base_allocs; do
     fi
 done < <(allocs_of "$BASELINE")
 if [[ "$pinned" -eq 0 ]]; then
-    echo "  MISS  handler alloc pins: no BenchmarkHandleDispatch or BenchmarkFleetProxy entry in $BASELINE"
+    echo "  MISS  alloc pins: no BenchmarkHandleDispatch, BenchmarkFleetProxy or BenchmarkSnapshotCodec/read entry in $BASELINE"
     status=1
 fi
 
@@ -216,7 +233,7 @@ fi
 # otherwise losing the benchmark silently loses its protection.
 while read -r name _; do
     case "$name" in
-        BenchmarkDispatch*|BenchmarkCoalescedDispatch*|BenchmarkCanaryDispatch*|BenchmarkRuleGenerator|BenchmarkEvaluatorTrial*|BenchmarkDriftObserve|BenchmarkAdmit|BenchmarkTraceObserve) ;;
+        BenchmarkDispatch*|BenchmarkCoalescedDispatch*|BenchmarkCanaryDispatch*|BenchmarkRuleGenerator|BenchmarkEvaluatorTrial*|BenchmarkSnapshotCodec*|BenchmarkDriftObserve|BenchmarkAdmit|BenchmarkTraceObserve) ;;
         *) continue ;;
     esac
     if ! awk -v n="$name" '$1 == n {found=1} END {exit !found}' /tmp/bench_fresh.$$; then
