@@ -448,9 +448,8 @@ func BenchmarkColumnGather(b *testing.B) {
 //
 // The parallel variants drive RunParallel at GOMAXPROCS >= 4 (forced on
 // smaller machines, where the workers timeshare and the numbers bound
-// contention overhead rather than demonstrate speedup): /parallel uses
-// the dispatcher's default telemetry sharding, /parallel-sharded pins
-// an explicit per-core stripe count on a fresh dispatcher. /batch
+// contention overhead rather than demonstrate speedup) and commit to the
+// dispatcher's telemetry stripes from every worker at once. /batch
 // pushes the same b.N requests through DoBatch in 64-item batches;
 // its ns/op is directly comparable to /serial's per-request cost.
 func BenchmarkDispatch(b *testing.B) {
@@ -474,32 +473,6 @@ func BenchmarkDispatch(b *testing.B) {
 		Policy: rule.Candidate.Policy,
 	}
 	ctx := context.Background()
-
-	runParallel := func(b *testing.B, d *dispatch.Dispatcher) {
-		b.Helper()
-		b.ReportAllocs()
-		if procs := runtime.GOMAXPROCS(0); procs < 4 {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-		}
-		var idx int64
-		var failures int64
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			// b.Fatal must not run on a RunParallel worker goroutine;
-			// record failures and report after the pool drains.
-			for pb.Next() {
-				i := int(atomic.AddInt64(&idx, 1))
-				if _, err := d.Do(ctx, reqs[i%len(reqs)], ticket); err != nil {
-					atomic.AddInt64(&failures, 1)
-					return
-				}
-			}
-		})
-		if failures > 0 {
-			b.Fatalf("%d dispatch failures", failures)
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "dispatches/sec")
-	}
 
 	b.Run("serial", func(b *testing.B) {
 		b.ReportAllocs()
@@ -528,16 +501,28 @@ func BenchmarkDispatch(b *testing.B) {
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "dispatches/sec")
 	})
 	b.Run("parallel", func(b *testing.B) {
-		runParallel(b, d)
-	})
-	b.Run("parallel-sharded", func(b *testing.B) {
-		procs := runtime.GOMAXPROCS(0)
-		if procs < 4 {
-			procs = 4
+		b.ReportAllocs()
+		if procs := runtime.GOMAXPROCS(0); procs < 4 {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 		}
-		sharded := dispatch.New(dispatch.NewReplayBackends(matrix),
-			dispatch.Options{TelemetryShards: 2 * procs})
-		runParallel(b, sharded)
+		var idx int64
+		var failures int64
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			// b.Fatal must not run on a RunParallel worker goroutine;
+			// record failures and report after the pool drains.
+			for pb.Next() {
+				i := int(atomic.AddInt64(&idx, 1))
+				if _, err := d.Do(ctx, reqs[i%len(reqs)], ticket); err != nil {
+					atomic.AddInt64(&failures, 1)
+					return
+				}
+			}
+		})
+		if failures > 0 {
+			b.Fatalf("%d dispatch failures", failures)
+		}
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "dispatches/sec")
 	})
 	b.Run("batch", func(b *testing.B) {
 		b.ReportAllocs()

@@ -33,32 +33,6 @@ func (p Plan) IaaSCost(d time.Duration) float64 {
 	return float64(p.NodeHourly) * d.Hours()
 }
 
-// Billing accumulates consumer invocation costs and provider IaaS costs
-// across a workload.
-type Billing struct {
-	Invocations int
-	// InvocationTotal is the summed per-invocation (API) cost.
-	InvocationTotal float64
-	// IaaSTotal is the summed node-time cost.
-	IaaSTotal float64
-}
-
-// AddPriced records one invocation whose costs were already computed —
-// the online dispatcher bills final amounts (e.g. an early-terminated
-// hedge's pro-rated node time) rather than re-pricing from a plan.
-func (b *Billing) AddPriced(invCost, iaasCost float64) {
-	b.Invocations++
-	b.InvocationTotal += invCost
-	b.IaaSTotal += iaasCost
-}
-
-// Merge adds other's totals into b.
-func (b *Billing) Merge(other Billing) {
-	b.Invocations += other.Invocations
-	b.InvocationTotal += other.InvocationTotal
-	b.IaaSTotal += other.IaaSTotal
-}
-
 // Pricing constants for the default catalogs: a compute-proportional
 // per-invocation price (per 1k invocations, Bluemix-style) and node
 // rates for commodity CPU vs accelerated GPU instances.

@@ -17,31 +17,6 @@ func TestPlanIaaSCost(t *testing.T) {
 	}
 }
 
-func TestBillingAccumulation(t *testing.T) {
-	var b Billing
-	p := Plan{PerInvocation: 0.002, NodeHourly: 3.6} // 0.001/s
-	b.AddPriced(p.InvocationCost(), p.IaaSCost(time.Second))
-	b.AddPriced(p.InvocationCost(), p.IaaSCost(2*time.Second))
-	if b.Invocations != 2 {
-		t.Fatalf("Invocations = %d", b.Invocations)
-	}
-	if math.Abs(b.InvocationTotal-0.004) > 1e-12 {
-		t.Fatalf("InvocationTotal = %v", b.InvocationTotal)
-	}
-	if math.Abs(b.IaaSTotal-0.003) > 1e-12 {
-		t.Fatalf("IaaSTotal = %v", b.IaaSTotal)
-	}
-}
-
-func TestBillingMerge(t *testing.T) {
-	a := Billing{Invocations: 1, InvocationTotal: 1, IaaSTotal: 2}
-	b := Billing{Invocations: 2, InvocationTotal: 3, IaaSTotal: 4}
-	a.Merge(b)
-	if a.Invocations != 3 || a.InvocationTotal != 4 || a.IaaSTotal != 6 {
-		t.Fatalf("merged = %+v", a)
-	}
-}
-
 func TestASRPlanProportionalToWork(t *testing.T) {
 	small := ASRPlan(100000)
 	big := ASRPlan(544372)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/toltiers/toltiers/internal/api"
 	"github.com/toltiers/toltiers/internal/ensemble"
 	"github.com/toltiers/toltiers/internal/rulegen"
 	"github.com/toltiers/toltiers/internal/stats"
@@ -97,13 +98,18 @@ func TestReplayConvergence(t *testing.T) {
 			t.Fatalf("tier %s: regenerated candidate diverges from the table's", tier)
 		}
 
-		telErr, telLat, graded := d.Telemetry().TierMeans(tier)
-		if graded != draws {
-			t.Fatalf("tier %s: telemetry graded %d of %d", tier, graded, draws)
+		var tel api.TierTelemetry
+		for _, row := range d.Snapshot().Tiers {
+			if row.Tier == tier {
+				tel = row
+			}
 		}
-		telDeg := ensemble.ErrDegradation(telErr, baseErrSum/n)
+		if tel.Graded != int64(draws) {
+			t.Fatalf("tier %s: telemetry graded %d of %d", tier, tel.Graded, draws)
+		}
+		telDeg := ensemble.ErrDegradation(tel.MeanErr, baseErrSum/n)
 		assertWithinCI(t, tier+" err degradation", telDeg, cs.Streams[0], cs.Trials)
-		assertWithinCI(t, tier+" latency", float64(telLat), cs.Streams[1], cs.Trials)
+		assertWithinCI(t, tier+" latency", tel.MeanLatencyMS*1e6, cs.Streams[1], cs.Trials)
 	}
 }
 

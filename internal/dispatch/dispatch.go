@@ -5,8 +5,8 @@
 // is the serving-side seam — it invokes the primary backend, evaluates
 // the escalation condition on the live result, and escalates (or
 // hedges) to the secondary under a per-request deadline budget, with
-// per-backend concurrency limiters and online Welford telemetry plus
-// billing accounting.
+// per-backend concurrency limiters and online telemetry kept as counts
+// and sums (per-tier means and per-backend billing totals).
 //
 // The outcome arithmetic is the paper's: for any backend set that
 // reports the same latencies, confidences and costs as a profile
@@ -57,11 +57,6 @@ type Options struct {
 	// DisableHedging turns deadline-aware hedging off: failover tiers
 	// always escalate sequentially, deadlines only mark outcomes.
 	DisableHedging bool
-	// TelemetryShards overrides the telemetry stripe count (0 = auto:
-	// a power of two covering GOMAXPROCS, clamped to [8, 64]). One
-	// shard serializes all telemetry commits on a single mutex — the
-	// pre-sharding behaviour, kept reachable for contention A/B runs.
-	TelemetryShards int
 	// Observer, when set, receives every finished dispatch outcome on
 	// the dispatch path itself (drift monitors hang here). It must be
 	// fast, allocation-free and safe for concurrent use; nil costs one
@@ -270,15 +265,13 @@ func New(backends []Backend, opts Options) *Dispatcher {
 		d.trackers[i] = newLatencyTracker(HedgeQuantile)
 	}
 	d.names = names
-	d.tel = newTelemetry(names, opts.TelemetryShards)
+	d.tel = newTelemetry(names)
 	d.calls.New = func() any {
-		return &dispatchCall{d: d, secCh: make(chan hedgeLeg, 1)}
+		return &dispatchCall{d: d, secCh: make(chan hedgeLeg, 1),
+			txn: telemetryTxn{backends: make([]backendSums, len(backends))}}
 	}
 	return d
 }
-
-// Telemetry returns the dispatcher's online statistics.
-func (d *Dispatcher) Telemetry() *Telemetry { return d.tel }
 
 // Snapshot renders the wire view of the telemetry, including the
 // per-backend hedging estimates.
@@ -328,7 +321,7 @@ func (d *Dispatcher) Recorder() *trace.Recorder { return d.rec }
 // selection.
 func (d *Dispatcher) Floor(backend int) float64 { return d.trackers[backend].estimateFloor() }
 
-// dispatchCall is the pooled per-dispatch scratch: the buffered
+// dispatchCall is the pooled per-dispatch scratch: the summed
 // telemetry transaction, the reusable hedge-leg channel, and the
 // batch-lease flag. A call serves one Do (or one whole DoBatch) at a
 // time; the hedge-leg goroutine is always joined before the call

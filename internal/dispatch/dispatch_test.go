@@ -94,23 +94,23 @@ func TestDispatchTelemetry(t *testing.T) {
 			escalations++
 		}
 	}
-	meanErr, meanLat, graded := d.Telemetry().TierMeans(tk.Tier)
-	if graded != n {
-		t.Fatalf("graded = %d, want %d", graded, n)
-	}
-	if math.Abs(meanErr-wantErrSum/float64(n)) > 1e-12 {
-		t.Fatalf("mean err %v, want %v", meanErr, wantErrSum/float64(n))
-	}
-	if diff := meanLat - wantLatSum/time.Duration(n); diff < -time.Microsecond || diff > time.Microsecond {
-		t.Fatalf("mean latency %v, want %v", meanLat, wantLatSum/time.Duration(n))
-	}
-
 	snap := d.Snapshot()
 	if snap.Requests != int64(n) {
 		t.Fatalf("requests = %d", snap.Requests)
 	}
 	if len(snap.Tiers) != 1 || snap.Tiers[0].Tier != tk.Tier {
 		t.Fatalf("tiers = %+v", snap.Tiers)
+	}
+	tier := snap.Tiers[0]
+	if tier.Graded != int64(n) {
+		t.Fatalf("graded = %d, want %d", tier.Graded, n)
+	}
+	if math.Abs(tier.MeanErr-wantErrSum/float64(n)) > 1e-12 {
+		t.Fatalf("mean err %v, want %v", tier.MeanErr, wantErrSum/float64(n))
+	}
+	wantLatMS := float64(wantLatSum/time.Duration(n)) / 1e6
+	if diff := tier.MeanLatencyMS - wantLatMS; diff < -1e-3 || diff > 1e-3 {
+		t.Fatalf("mean latency %vms, want %vms", tier.MeanLatencyMS, wantLatMS)
 	}
 	if snap.Tiers[0].Escalations != int64(escalations) {
 		t.Fatalf("escalations = %d, want %d", snap.Tiers[0].Escalations, escalations)
@@ -134,9 +134,6 @@ func TestDispatchTelemetry(t *testing.T) {
 	}
 	if math.Abs(gotInv-wantInvSum) > 1e-9 {
 		t.Fatalf("billed %v, outcomes summed %v", gotInv, wantInvSum)
-	}
-	if b := d.Telemetry().Billing(p.Primary); b.Invocations != n {
-		t.Fatalf("primary billing invocations = %d", b.Invocations)
 	}
 }
 
@@ -346,6 +343,7 @@ func TestDispatchHedgeCancelsSecondary(t *testing.T) {
 	// Both stubs report 10ms service latency, so any budget under their
 	// 20ms p95 sum forces the hedge.
 	tk := Ticket{Tier: "hedge", Policy: p, Budget: 5 * time.Millisecond}
+	before := d.Snapshot().Backends[1]
 	start := time.Now()
 	o, err := d.Do(context.Background(), &service.Request{ID: 99}, tk)
 	wall := time.Since(start)
@@ -361,6 +359,16 @@ func TestDispatchHedgeCancelsSecondary(t *testing.T) {
 	// Both invocations billed: the aborted secondary from its plan.
 	if want := 2 * 0.01; math.Abs(o.InvCost-want) > 1e-12 {
 		t.Fatalf("hedged invocation cost %v, want %v", o.InvCost, want)
+	}
+	// The billed-only invocation counts and bills, but reported no
+	// latency, so the backend's mean latency stays where it was.
+	after := d.Snapshot().Backends[1]
+	if after.Invocations != before.Invocations+1 || math.Abs(after.InvocationUSD-before.InvocationUSD-0.01) > 1e-12 {
+		t.Fatalf("aborted secondary: invocations %d -> %d, billed %v -> %v; want +1 and +0.01",
+			before.Invocations, after.Invocations, before.InvocationUSD, after.InvocationUSD)
+	}
+	if after.MeanLatencyMS != before.MeanLatencyMS {
+		t.Fatalf("aborted secondary moved its mean latency %vms -> %vms", before.MeanLatencyMS, after.MeanLatencyMS)
 	}
 }
 

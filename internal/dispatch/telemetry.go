@@ -9,33 +9,35 @@ import (
 	"time"
 
 	"github.com/toltiers/toltiers/internal/api"
-	"github.com/toltiers/toltiers/internal/costmodel"
-	"github.com/toltiers/toltiers/internal/stats"
 )
 
-// Telemetry accumulates the dispatcher's online serving statistics:
-// per-tier Welford streams of task error and response latency, runtime
-// event counters, and per-backend latency streams plus costmodel.Billing
-// accounting. It is the live counterpart of the offline bootstrap — the
-// same means the Fig.-7 generator predicts per tier are measured here on
-// real traffic, which is what the replay-convergence test pins.
+// Telemetry accumulates the dispatcher's online serving statistics as
+// counts, sums and maxima: per tier the request and runtime-event
+// counts, Σ task error over graded requests, Σ and max response
+// latency, and Σ invocation cost; per backend the invocation and
+// latency-sample counts, Σ latency and the billed totals. Every figure
+// GET /telemetry serves, bar the backends' hedging p95 estimates, is
+// one of these or a quotient of two. It is the live counterpart of the
+// offline bootstrap — the same means the Fig.-7 generator predicts per
+// tier are measured here on real traffic, which is what the
+// replay-convergence test pins.
 //
 // Storage is sharded so concurrent dispatchers never serialize on one
-// lock: a dispatch commits its whole transaction (tier streams, backend
-// streams, billing) to a single shard chosen through a P-affine
-// sync.Pool, so steady-state commits take an uncontended shard mutex
-// while GET /telemetry merges the shards with stats.Stream.Merge without
-// ever stalling the dispatch path. Counts merge exactly; merged means
-// differ from a single sequential stream only in the last float bits
-// (see Stream.Merge), far inside every guarantee the runtime reports.
+// lock: a dispatch commits its whole transaction — one delta of the
+// same sums — to a single shard chosen through a P-affine sync.Pool, so
+// steady-state commits take an uncontended shard mutex, while
+// GET /telemetry adds the shards together one lock at a time without
+// ever stalling the dispatch path. Counts add exactly; a mean is a sum
+// over a count, so it depends on the order the shards were added only
+// in the last float bits.
 //
 // Beyond the global stripe, every shard also carries per-tenant
-// partitions: a ticket with a non-empty Tenant folds its transaction
-// into the tenant's own tier/backend streams and billing in the same
-// commit, under the same single shard lock. The anonymous tenant ("")
-// is not partitioned — it is the global stripe — so the tenant-less
-// dispatch path stays allocation-free (the alloc-regression tests pin
-// this with partitions compiled in).
+// partitions: a ticket with a non-empty Tenant adds its transaction to
+// the tenant's own partition in the same commit, under the same single
+// shard lock. The anonymous tenant ("") is not partitioned — it is the
+// global stripe — so the tenant-less dispatch path stays
+// allocation-free (the alloc-regression tests pin this with partitions
+// compiled in).
 //
 // All methods are safe for concurrent use.
 type Telemetry struct {
@@ -48,78 +50,103 @@ type Telemetry struct {
 	rr   atomic.Uint64
 }
 
+// tierSums is one tier's counters and sums: a transaction's delta, a
+// shard's running total, and a snapshot's merge are all this type.
+type tierSums struct {
+	requests           int64
+	escalations        int64
+	hedges             int64
+	deadlineMisses     int64
+	escalationFailures int64
+	graded             int64
+	errSum             float64 // graded requests only
+	latNsSum           float64
+	latNsMax           float64
+	invSum             float64
+}
+
+func (s *tierSums) add(o *tierSums) {
+	s.requests += o.requests
+	s.escalations += o.escalations
+	s.hedges += o.hedges
+	s.deadlineMisses += o.deadlineMisses
+	s.escalationFailures += o.escalationFailures
+	s.graded += o.graded
+	s.errSum += o.errSum
+	s.latNsSum += o.latNsSum
+	s.latNsMax = max(s.latNsMax, o.latNsMax)
+	s.invSum += o.invSum
+}
+
+// backendSums is one backend's counters and sums. A cancelled hedge is
+// an invocation (billed) without a latency sample: the backend never
+// reported one.
+type backendSums struct {
+	invocations int64
+	latN        int64
+	latNsSum    float64
+	invUSD      float64
+	iaasUSD     float64
+}
+
+func (s *backendSums) add(o *backendSums) {
+	s.invocations += o.invocations
+	s.latN += o.latN
+	s.latNsSum += o.latNsSum
+	s.invUSD += o.invUSD
+	s.iaasUSD += o.iaasUSD
+}
+
 // partition is one stripe's worth of serving statistics — the global
-// view and each tenant's view have identical shape, so the commit fold
-// and the snapshot merge are written once against this type.
+// view and each tenant's view have identical shape. Its request count
+// is derived: every finished dispatch is one tier request, every other
+// one a failure.
 type partition struct {
-	requests int64
 	failures int64
-	tiers    map[string]*tierStats
-	backends []backendStats
+	tiers    map[string]*tierSums
+	backends []backendSums
 }
 
-func newPartition(names []string) *partition {
-	p := &partition{tiers: make(map[string]*tierStats), backends: make([]backendStats, len(names))}
-	for j, n := range names {
-		p.backends[j].name = n
-	}
-	return p
+func newPartition(n int) *partition {
+	return &partition{tiers: make(map[string]*tierSums), backends: make([]backendSums, n)}
 }
 
-// apply folds one committed transaction into the partition. The caller
-// holds the owning shard's lock.
-func (p *partition) apply(x *telemetryTxn) {
-	p.requests += x.outcomes + x.failures
-	p.failures += x.failures
-	if x.outcomes > 0 || x.escalationFailures > 0 {
-		ts := p.tiers[x.tier]
-		if ts == nil {
-			ts = &tierStats{}
-			p.tiers[x.tier] = ts
-		}
-		ts.requests += x.outcomes
-		ts.escalations += x.escalations
-		ts.hedges += x.hedges
-		ts.deadlineMisses += x.deadlineMisses
-		ts.escalationFailures += x.escalationFailures
-		for _, v := range x.errVals {
-			ts.err.Add(v)
-		}
-		for _, v := range x.latVals {
-			ts.latNs.Add(v)
-		}
-		for _, v := range x.invVals {
-			ts.inv.Add(v)
-		}
+// add folds a delta into p: a failure count, per-backend sums, and one
+// tier's sums (s nil or empty adds no tier row). A commit adds one
+// transaction; a snapshot adds another partition's backends and then
+// each of its tiers. The caller holds whatever lock guards p.
+func (p *partition) add(failures int64, backends []backendSums, tier string, s *tierSums) {
+	p.failures += failures
+	for j := range backends {
+		p.backends[j].add(&backends[j])
 	}
-	for i := range x.backendObs {
-		o := &x.backendObs[i]
-		b := &p.backends[o.backend]
-		if !o.billedOnly {
-			b.latNs.Add(o.latNs)
-		}
-		b.billing.AddPriced(o.invCost, o.iaasCost)
+	if s == nil || (s.requests == 0 && s.escalationFailures == 0) {
+		return
+	}
+	ts := p.tiers[tier]
+	if ts == nil {
+		ts = &tierSums{}
+		p.tiers[tier] = ts
+	}
+	ts.add(s)
+}
+
+// addPartition folds all of o into p.
+func (p *partition) addPartition(o *partition) {
+	p.add(o.failures, o.backends, "", nil)
+	for k, s := range o.tiers {
+		p.add(0, nil, k, s)
 	}
 }
 
-// merge folds o into p (counts exact, streams via Stream.Merge). Both
-// partitions must cover the same backend list.
-func (p *partition) merge(o *partition) {
-	p.requests += o.requests
-	p.failures += o.failures
-	for k, ts := range o.tiers {
-		cp := *ts
-		agg := p.tiers[k]
-		if agg == nil {
-			agg = &tierStats{}
-			p.tiers[k] = agg
-		}
-		agg.merge(&cp)
+// requests is the partition's dispatch count: its tier requests plus
+// its failures.
+func (p *partition) requests() int64 {
+	n := p.failures
+	for _, s := range p.tiers {
+		n += s.requests
 	}
-	for j := range o.backends {
-		p.backends[j].latNs.Merge(o.backends[j].latNs)
-		p.backends[j].billing.Merge(o.backends[j].billing)
-	}
+	return n
 }
 
 // telemetryShard is one stripe of the telemetry: the embedded global
@@ -133,35 +160,6 @@ type telemetryShard struct {
 	_       [64]byte
 }
 
-type tierStats struct {
-	requests           int64
-	escalations        int64
-	hedges             int64
-	deadlineMisses     int64
-	escalationFailures int64
-	err                stats.Stream // graded requests only
-	latNs              stats.Stream
-	inv                stats.Stream
-}
-
-// merge folds o into ts (counts exact, streams via Stream.Merge).
-func (ts *tierStats) merge(o *tierStats) {
-	ts.requests += o.requests
-	ts.escalations += o.escalations
-	ts.hedges += o.hedges
-	ts.deadlineMisses += o.deadlineMisses
-	ts.escalationFailures += o.escalationFailures
-	ts.err.Merge(o.err)
-	ts.latNs.Merge(o.latNs)
-	ts.inv.Merge(o.inv)
-}
-
-type backendStats struct {
-	name    string
-	latNs   stats.Stream
-	billing costmodel.Billing
-}
-
 // defaultTelemetryShards sizes the stripe count: a power of two covering
 // GOMAXPROCS with headroom (GOMAXPROCS may be raised after construction),
 // clamped to [8, 64].
@@ -173,16 +171,12 @@ func defaultTelemetryShards() int {
 	return n
 }
 
-// newTelemetry sizes the per-backend slots from the backend list and the
-// stripe count (0 = auto).
-func newTelemetry(names []string, shards int) *Telemetry {
-	if shards <= 0 {
-		shards = defaultTelemetryShards()
-	}
-	t := &Telemetry{shards: make([]telemetryShard, shards), names: names}
+// newTelemetry sizes the per-backend slots from the backend list.
+func newTelemetry(names []string) *Telemetry {
+	t := &Telemetry{shards: make([]telemetryShard, defaultTelemetryShards()), names: names}
 	for i := range t.shards {
 		sh := &t.shards[i]
-		sh.partition = *newPartition(names)
+		sh.partition = *newPartition(len(names))
 		sh.tenants = make(map[string]*partition)
 	}
 	t.pool.New = func() any {
@@ -191,162 +185,111 @@ func newTelemetry(names []string, shards int) *Telemetry {
 	return t
 }
 
-// telemetryTxn is one dispatch transaction's worth of observations,
-// buffered locally (and allocation-free once warm) so the dispatch path
-// takes exactly one shard lock per commit — per request for Do, per
-// batch for DoBatch. Values are applied to the shard streams in
-// insertion order, so a transaction's float arithmetic is identical to
-// the former observe-as-you-go accounting.
+// telemetryTxn is one dispatch transaction's delta, summed locally (its
+// backend slots are sized once, in the pooled dispatchCall) so the
+// dispatch path takes exactly one shard lock per commit — per request
+// for Do, per batch for DoBatch.
 type telemetryTxn struct {
 	tier string
 	// tenant selects the per-tenant partition the transaction also
-	// folds into ("" = global stripe only, the allocation-free path).
+	// adds to ("" = global stripe only, the allocation-free path).
 	tenant string
-	// outcomes counts finished dispatches, failures dispatches that
-	// produced no result; both count toward total requests but only
-	// outcomes create tier rows.
-	outcomes           int64
-	failures           int64
-	escalations        int64
-	hedges             int64
-	deadlineMisses     int64
-	escalationFailures int64
-	errVals            []float64 // graded task errors
-	latVals            []float64 // response latencies (ns)
-	invVals            []float64 // invocation costs
-	backendObs         []backendObs
+	// failures counts dispatches that produced no result; they count
+	// toward total requests but create no tier row.
+	failures int64
+	sums     tierSums
+	backends []backendSums
 }
 
-// backendObs is one backend invocation's accounting inside a
-// transaction. billedOnly marks a started-but-unfinished invocation (a
-// cancelled hedge): billed and counted, but contributing no latency
-// observation — the backend never reported one.
-type backendObs struct {
-	backend    int
-	latNs      float64
-	invCost    float64
-	iaasCost   float64
-	billedOnly bool
-}
-
-// reset rewinds the transaction for a new tier and tenant, keeping
-// capacity.
+// reset rewinds the transaction for a new tier and tenant.
 func (x *telemetryTxn) reset(tier, tenant string) {
 	x.tier = tier
 	x.tenant = tenant
-	x.outcomes, x.failures = 0, 0
-	x.escalations, x.hedges, x.deadlineMisses, x.escalationFailures = 0, 0, 0, 0
-	x.errVals = x.errVals[:0]
-	x.latVals = x.latVals[:0]
-	x.invVals = x.invVals[:0]
-	x.backendObs = x.backendObs[:0]
+	x.failures = 0
+	x.sums = tierSums{}
+	clear(x.backends)
 }
 
-// addOutcome folds one finished dispatch into the transaction.
+// addOutcome adds one finished dispatch to the transaction.
 func (x *telemetryTxn) addOutcome(o *Outcome) {
-	x.outcomes++
+	s := &x.sums
+	s.requests++
 	if o.Escalated {
-		x.escalations++
+		s.escalations++
 	}
 	if o.Hedged {
-		x.hedges++
+		s.hedges++
 	}
 	if o.DeadlineExceeded {
-		x.deadlineMisses++
+		s.deadlineMisses++
 	}
 	if !math.IsNaN(o.Err) {
-		x.errVals = append(x.errVals, o.Err)
+		s.graded++
+		s.errSum += o.Err
 	}
-	x.latVals = append(x.latVals, float64(o.Latency))
-	x.invVals = append(x.invVals, o.InvCost)
+	s.latNsSum += float64(o.Latency)
+	s.latNsMax = max(s.latNsMax, float64(o.Latency))
+	s.invSum += o.InvCost
 }
 
 // addInvocation records one completed backend invocation: its reported
 // service latency and its final billed costs (IaaS after any
 // early-termination credit).
 func (x *telemetryTxn) addInvocation(backend int, latency time.Duration, invCost, iaasCost float64) {
-	x.backendObs = append(x.backendObs, backendObs{
-		backend: backend, latNs: float64(latency), invCost: invCost, iaasCost: iaasCost,
-	})
+	b := &x.backends[backend]
+	b.latN++
+	b.latNsSum += float64(latency)
+	x.addBilled(backend, invCost, iaasCost)
 }
 
 // addBilled records a started-but-unfinished invocation (a cancelled
-// hedge, billed from its plan).
+// hedge, billed from its plan): an invocation without a latency sample.
 func (x *telemetryTxn) addBilled(backend int, invCost, iaasCost float64) {
-	x.backendObs = append(x.backendObs, backendObs{
-		backend: backend, invCost: invCost, iaasCost: iaasCost, billedOnly: true,
-	})
+	b := &x.backends[backend]
+	b.invocations++
+	b.invUSD += invCost
+	b.iaasUSD += iaasCost
 }
 
 // addEscalationFailure counts a secondary invocation that failed after
 // the primary had already answered (the dispatcher degrades to the
 // primary's result).
-func (x *telemetryTxn) addEscalationFailure() { x.escalationFailures++ }
+func (x *telemetryTxn) addEscalationFailure() { x.sums.escalationFailures++ }
 
 // addFailure counts a dispatch that produced no result at all.
 func (x *telemetryTxn) addFailure() { x.failures++ }
 
-// commit applies the transaction to one shard under a single lock: the
+// commit adds the transaction to one shard under a single lock: the
 // global stripe always, and the tenant's partition of the same shard
-// when the ticket named one. The tenant fold allocates only the first
+// when the ticket named one. The tenant add allocates only the first
 // time a tenant lands on a shard; the tenant-less path takes one
 // predictable branch.
 func (t *Telemetry) commit(x *telemetryTxn) {
 	sh := t.pool.Get().(*telemetryShard)
 	sh.mu.Lock()
-	sh.partition.apply(x)
+	sh.add(x.failures, x.backends, x.tier, &x.sums)
 	if x.tenant != "" {
 		tn := sh.tenants[x.tenant]
 		if tn == nil {
-			tn = newPartition(t.names)
+			tn = newPartition(len(t.names))
 			sh.tenants[x.tenant] = tn
 		}
-		tn.apply(x)
+		tn.add(x.failures, x.backends, x.tier, &x.sums)
 	}
 	sh.mu.Unlock()
 	t.pool.Put(sh)
 }
 
-// foldTier merges one tier's stats across shards (zero value when the
-// tier was never observed).
-func (t *Telemetry) foldTier(tier string) tierStats {
-	var agg tierStats
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		if ts := sh.tiers[tier]; ts != nil {
-			cp := *ts
-			sh.mu.Unlock()
-			agg.merge(&cp)
-			continue
-		}
-		sh.mu.Unlock()
+// mean is sum/n, 0 for an empty count.
+func mean(sum float64, n int64) float64 {
+	if n == 0 {
+		return 0
 	}
-	return agg
-}
-
-// TierMeans returns the online mean task error and response latency of
-// one tier key ("objective/tolerance"), with the graded-request count —
-// what convergence tests compare against offline predictions.
-func (t *Telemetry) TierMeans(tier string) (meanErr float64, meanLatency time.Duration, graded int) {
-	ts := t.foldTier(tier)
-	return ts.err.Mean, time.Duration(ts.latNs.Mean), ts.err.N
-}
-
-// Billing returns the accumulated billing of one backend index.
-func (t *Telemetry) Billing(backend int) costmodel.Billing {
-	var agg costmodel.Billing
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		agg.Merge(sh.backends[backend].billing)
-		sh.mu.Unlock()
-	}
-	return agg
+	return sum / float64(n)
 }
 
 // renderTiers flattens a merged tier map into sorted wire rows.
-func renderTiers(tiers map[string]*tierStats) []api.TierTelemetry {
+func renderTiers(tiers map[string]*tierSums) []api.TierTelemetry {
 	keys := make([]string, 0, len(tiers))
 	for k := range tiers {
 		keys = append(keys, k)
@@ -362,11 +305,11 @@ func renderTiers(tiers map[string]*tierStats) []api.TierTelemetry {
 			Hedges:             ts.hedges,
 			DeadlineMisses:     ts.deadlineMisses,
 			EscalationFailures: ts.escalationFailures,
-			Graded:             int64(ts.err.N),
-			MeanErr:            ts.err.Mean,
-			MeanLatencyMS:      ts.latNs.Mean / 1e6,
-			MaxLatencyMS:       ts.latNs.Max / 1e6,
-			MeanCostUSD:        ts.inv.Mean,
+			Graded:             ts.graded,
+			MeanErr:            mean(ts.errSum, ts.graded),
+			MeanLatencyMS:      mean(ts.latNsSum, ts.requests) / 1e6,
+			MaxLatencyMS:       ts.latNsMax / 1e6,
+			MeanCostUSD:        mean(ts.invSum, ts.requests),
 		})
 	}
 	return rows
@@ -377,11 +320,11 @@ func renderTiers(tiers map[string]*tierStats) []api.TierTelemetry {
 // tenant partitions — the estimate is a dispatcher-global order
 // statistic, not a per-tenant one). skipIdle drops backends the
 // partition never touched, keeping tenant rollups compact.
-func renderBackends(backends []backendStats, trackerP95 func(backend int) float64, skipIdle bool) []api.BackendTelemetry {
+func renderBackends(names []string, backends []backendSums, trackerP95 func(backend int) float64, skipIdle bool) []api.BackendTelemetry {
 	var rows []api.BackendTelemetry
 	for i := range backends {
 		b := &backends[i]
-		if skipIdle && b.billing.Invocations == 0 && b.latNs.N == 0 {
+		if skipIdle && b.invocations == 0 {
 			continue
 		}
 		p95 := 0.0
@@ -391,55 +334,55 @@ func renderBackends(backends []backendStats, trackerP95 func(backend int) float6
 			}
 		}
 		rows = append(rows, api.BackendTelemetry{
-			Backend:       b.name,
-			Invocations:   int64(b.billing.Invocations),
-			MeanLatencyMS: b.latNs.Mean / 1e6,
+			Backend:       names[i],
+			Invocations:   b.invocations,
+			MeanLatencyMS: mean(b.latNsSum, b.latN) / 1e6,
 			P95LatencyMS:  p95,
-			InvocationUSD: b.billing.InvocationTotal,
-			IaaSUSD:       b.billing.IaaSTotal,
+			InvocationUSD: b.invUSD,
+			IaaSUSD:       b.iaasUSD,
 		})
 	}
 	return rows
 }
 
 // renderTenant flattens one tenant's merged partition into its wire row.
-func renderTenant(id string, p *partition) api.TenantTelemetry {
+func (t *Telemetry) renderTenant(id string, p *partition) api.TenantTelemetry {
 	return api.TenantTelemetry{
 		Tenant:   id,
-		Requests: p.requests,
+		Requests: p.requests(),
 		Failures: p.failures,
 		Tiers:    renderTiers(p.tiers),
-		Backends: renderBackends(p.backends, nil, true),
+		Backends: renderBackends(t.names, p.backends, nil, true),
 	}
 }
 
-// snapshot renders the wire view by merging every shard: the global
+// snapshot renders the wire view by adding every shard: the global
 // stripe plus the per-tenant rollup. trackerP95 supplies the
 // dispatcher's cached per-backend hedging estimates (ns; NaN when
 // unknown). Shards are locked one at a time, so a snapshot in flight
 // never stalls more than one concurrent dispatch commit.
 func (t *Telemetry) snapshot(trackerP95 func(backend int) float64) api.TelemetrySnapshot {
-	agg := newPartition(t.names)
+	agg := newPartition(len(t.names))
 	tenants := make(map[string]*partition)
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
-		agg.merge(&sh.partition)
+		agg.addPartition(&sh.partition)
 		for id, tn := range sh.tenants {
 			dst := tenants[id]
 			if dst == nil {
-				dst = newPartition(t.names)
+				dst = newPartition(len(t.names))
 				tenants[id] = dst
 			}
-			dst.merge(tn)
+			dst.addPartition(tn)
 		}
 		sh.mu.Unlock()
 	}
 	snap := api.TelemetrySnapshot{
-		Requests: agg.requests,
+		Requests: agg.requests(),
 		Failures: agg.failures,
 		Tiers:    renderTiers(agg.tiers),
-		Backends: renderBackends(agg.backends, trackerP95, false),
+		Backends: renderBackends(t.names, agg.backends, trackerP95, false),
 	}
 	ids := make([]string, 0, len(tenants))
 	for id := range tenants {
@@ -447,23 +390,23 @@ func (t *Telemetry) snapshot(trackerP95 func(backend int) float64) api.Telemetry
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		snap.Tenants = append(snap.Tenants, renderTenant(id, tenants[id]))
+		snap.Tenants = append(snap.Tenants, t.renderTenant(id, tenants[id]))
 	}
 	return snap
 }
 
-// TenantSnapshot renders one tenant's partition merged across shards
+// TenantSnapshot renders one tenant's partition added up across shards
 // (the zero row when the tenant was never observed). The anonymous
 // tenant "" has no partition — its traffic is only the global stripe.
 func (t *Telemetry) TenantSnapshot(tenant string) api.TenantTelemetry {
-	agg := newPartition(t.names)
+	agg := newPartition(len(t.names))
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
 		if tn := sh.tenants[tenant]; tn != nil {
-			agg.merge(tn)
+			agg.addPartition(tn)
 		}
 		sh.mu.Unlock()
 	}
-	return renderTenant(tenant, agg)
+	return t.renderTenant(tenant, agg)
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/toltiers/toltiers/internal/ensemble"
 )
@@ -36,7 +37,26 @@ func TestTelemetryConcurrentSnapshot(t *testing.T) {
 		escalations int64
 		errSum      float64
 		invSum      float64
-		secondary   int64 // secondary-backend invocations
+		maxLatency  time.Duration
+		secondary   int64   // secondary-backend invocations
+		priLatSum   float64 // primary-backend reported latency (ns)
+		secLatSum   float64 // secondary-backend reported latency (ns)
+	}
+	// count folds one outcome of matrix row r into a tally: each replay
+	// leg reports its profiled latency for the row.
+	count := func(tl *tally, o *Outcome, r int) {
+		tl.requests++
+		tl.errSum += o.Err
+		tl.invSum += o.InvCost
+		tl.maxLatency = max(tl.maxLatency, o.Latency)
+		if o.Escalated {
+			tl.escalations++
+		}
+		tl.priLatSum += m.LatencyNs[m.Index(r, 0)]
+		if o.Started == 2 {
+			tl.secondary++
+			tl.secLatSum += m.LatencyNs[m.Index(r, nv-1)]
+		}
 	}
 	tallies := make([]map[string]*tally, workers)
 	ctx := context.Background()
@@ -85,35 +105,20 @@ func TestTelemetryConcurrentSnapshot(t *testing.T) {
 					if err != nil {
 						panic(err)
 					}
-					for j, o := range outs {
+					for j := range outs {
 						if errs[j] != nil {
 							panic(errs[j])
 						}
-						tl.requests++
-						tl.errSum += o.Err
-						tl.invSum += o.InvCost
-						if o.Escalated {
-							tl.escalations++
-						}
-						if o.Started == 2 {
-							tl.secondary++
-						}
+						count(tl, &outs[j], lo+j)
 					}
 					continue
 				}
-				o, err := d.Do(ctx, reqs[(w*perWork+i)%len(reqs)], tk)
+				r := (w*perWork + i) % len(reqs)
+				o, err := d.Do(ctx, reqs[r], tk)
 				if err != nil {
 					panic(err)
 				}
-				tl.requests++
-				tl.errSum += o.Err
-				tl.invSum += o.InvCost
-				if o.Escalated {
-					tl.escalations++
-				}
-				if o.Started == 2 {
-					tl.secondary++
-				}
+				count(tl, &o, r)
 			}
 		}(w)
 	}
@@ -130,15 +135,20 @@ func TestTelemetryConcurrentSnapshot(t *testing.T) {
 			agg.escalations += tl.escalations
 			agg.errSum += tl.errSum
 			agg.invSum += tl.invSum
+			agg.maxLatency = max(agg.maxLatency, tl.maxLatency)
 			agg.secondary += tl.secondary
+			agg.priLatSum += tl.priLatSum
+			agg.secLatSum += tl.secLatSum
 		}
 	}
 	var total, secondaryInv int64
-	var invSum float64
+	var invSum, priLatSum, secLatSum float64
 	for _, agg := range want {
 		total += agg.requests
 		secondaryInv += agg.secondary
 		invSum += agg.invSum
+		priLatSum += agg.priLatSum
+		secLatSum += agg.secLatSum
 	}
 
 	snap := d.Snapshot()
@@ -158,6 +168,9 @@ func TestTelemetryConcurrentSnapshot(t *testing.T) {
 		if math.Abs(ts.MeanErr-wantMean) > 1e-9 {
 			t.Fatalf("tier %s: mean err %v, want %v", ts.Tier, ts.MeanErr, wantMean)
 		}
+		if wantMax := float64(agg.maxLatency) / 1e6; ts.MaxLatencyMS != wantMax {
+			t.Fatalf("tier %s: max latency %vms, want %vms", ts.Tier, ts.MaxLatencyMS, wantMax)
+		}
 	}
 	// Backend accounting: the primary ran every request, the secondary
 	// every two-leg dispatch; summed invocation billing matches outcomes.
@@ -166,6 +179,18 @@ func TestTelemetryConcurrentSnapshot(t *testing.T) {
 	}
 	if got := snap.Backends[nv-1].Invocations; got != secondaryInv {
 		t.Fatalf("secondary invocations = %d, want %d", got, secondaryInv)
+	}
+	// Every invocation here reported a latency, so a backend's mean is
+	// its profiled latencies over its invocations.
+	for _, bk := range []struct {
+		i    int
+		sum  float64
+		invs int64
+	}{{0, priLatSum, total}, {nv - 1, secLatSum, secondaryInv}} {
+		want := bk.sum / float64(bk.invs) / 1e6
+		if got := snap.Backends[bk.i].MeanLatencyMS; math.Abs(got-want) > 1e-9*want {
+			t.Fatalf("backend %d: mean latency %vms, want %vms", bk.i, got, want)
+		}
 	}
 	var billed float64
 	for _, b := range snap.Backends {

@@ -53,35 +53,6 @@ func (s *Stream) Add(x float64) {
 	s.M2 += delta * (x - s.Mean)
 }
 
-// Merge folds the observations of o into s, as if every observation o
-// absorbed had been Added to s (Chan et al.'s parallel Welford
-// combination). Count, Min and Max merge exactly; Mean and M2 are
-// combined in floating point and may differ from sequential accumulation
-// in the last bits — Merge is therefore used for striped summary
-// statistics, never on the bit-exact rule-generation path, where every
-// candidate's streams are accumulated whole on one worker.
-func (s *Stream) Merge(o Stream) {
-	if o.N == 0 {
-		return
-	}
-	if s.N == 0 {
-		*s = o
-		return
-	}
-	if o.Min < s.Min {
-		s.Min = o.Min
-	}
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-	n1, n2 := float64(s.N), float64(o.N)
-	delta := o.Mean - s.Mean
-	n := n1 + n2
-	s.Mean += delta * n2 / n
-	s.M2 += o.M2 + delta*delta*n1*n2/n
-	s.N += o.N
-}
-
 // Variance returns the population variance (denominator n) of the
 // observations so far.
 func (s *Stream) Variance() float64 {

@@ -2,7 +2,7 @@
 // span record per dispatch — tier, tenant, admit decision, coalesce
 // window attribution, and one sub-span per executed backend leg — kept
 // in a power-of-two ring with head-sampling plus always-capture tail
-// exemplars. Aggregates (Welford tier means, the admit ledger, drift
+// exemplars. Aggregates (telemetry tier means, the admit ledger, drift
 // status) answer "how is the tier doing"; the recorder answers "what
 // happened to *this* request": did the hedge fire, did the escalation
 // degrade, did admission downgrade it, did a coalesce window park it.

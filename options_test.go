@@ -28,11 +28,10 @@ var optionStructs = []struct{ dir, name string }{
 // testSeams are the option fields only tests set, each with a test
 // that sets it.
 var testSeams = map[string]string{
-	"internal/dispatch.Options.DisableHedging":  "TestObserverSeesBackendFailuresNotCancellations (internal/dispatch)",
-	"internal/dispatch.Options.TelemetryShards": "BenchmarkDispatch (bench_test.go)",
-	"internal/fleet.Options.Now":                "TestLeaseExpiryRemovesWorker (internal/fleet)",
-	"internal/server.Config.Reprofile":          "TestEndToEndDriftSelfHealing (internal/server)",
-	"internal/rulegen.Config.SampleFraction":    "TestKernelEquivalenceRandomMatrices (internal/rulegen)",
+	"internal/dispatch.Options.DisableHedging": "TestObserverSeesBackendFailuresNotCancellations (internal/dispatch)",
+	"internal/fleet.Options.Now":               "TestLeaseExpiryRemovesWorker (internal/fleet)",
+	"internal/server.Config.Reprofile":         "TestEndToEndDriftSelfHealing (internal/server)",
+	"internal/rulegen.Config.SampleFraction":   "TestKernelEquivalenceRandomMatrices (internal/rulegen)",
 }
 
 // TestEveryOptionIsSet fails on an exported field of an option struct
