@@ -16,8 +16,9 @@
 // dispatch wire surface the front tier routes to. Membership is
 // lease-based: the worker heartbeats, the front tier de-registers it
 // when heartbeats stop, and a worker that falls behind the fleet's
-// rule-table version fence re-pulls the snapshot. Rolling table pushes
-// land on POST /fleet/table.
+// rule-table version fence re-pulls the snapshot, which is how every
+// promotion reaches the workers. The front tier routes a worker only
+// while it reports a table version the front tier holds.
 //
 //	ttserver -fleet -state-dir /var/lib/toltiers -addr :8080 &
 //	ttserver -join http://localhost:8080 -addr :9001 &
@@ -307,10 +308,10 @@ func bootstrap(ctx context.Context) *server.Server {
 }
 
 // startAgent runs a worker's membership loop until ctx ends: register,
-// heartbeat, resync when the front tier's version fence moves past the
-// worker (its register/heartbeat responses say so; rolling pushes
-// normally keep the worker current without a resync). bound is the
-// listen address. The returned leave deregisters once the loop is done.
+// heartbeat, and resync (pull the snapshot) as soon as a register or
+// heartbeat answer names a fleet version above the worker's; that pull
+// is how each promotion reaches the worker. bound is the listen
+// address. The returned leave deregisters once the loop is done.
 func startAgent(ctx context.Context, srv *server.Server, bound string) (leave func(context.Context)) {
 	a := &fleet.Agent{
 		Join: *join, Name: *name, Advertise: *advertise,

@@ -1,7 +1,5 @@
 package api
 
-import "encoding/json"
-
 // Fleet wire types: the control-plane API between the front tier and
 // its worker nodes (ttserver -join).
 //
@@ -11,7 +9,11 @@ import "encoding/json"
 //	GET  /fleet/snapshot   -> internal/state snapshot stream (matrix +
 //	                          rule tables; X-Toltiers-Table-Version header)
 //	GET  /fleet            -> FleetStatus
-//	POST /fleet/table      FleetTableUpdate -> FleetTableAck   (on workers)
+//
+// Tables reach a worker only by pull: a register or heartbeat answer
+// names the fleet's fenced table_version, and a worker below it pulls
+// GET /fleet/snapshot. The front tier learns a worker's version only
+// from that worker's own register and heartbeat reports.
 
 // FleetRegisterRequest announces a worker to the front tier: the name
 // it leases, the base URL the router dispatches to, and the rule-table
@@ -22,15 +24,11 @@ type FleetRegisterRequest struct {
 	TableVersion int64  `json:"table_version"`
 }
 
-// FleetRegisterResponse grants the liveness lease. Resync tells the
-// worker its rule tables are not at the fleet's fenced version (it
-// joined mid-promotion, or the front tier restarted): the worker must
-// re-pull GET /fleet/snapshot and install it before relying on its
-// tables matching the fleet.
+// FleetRegisterResponse grants the liveness lease and names the fleet's
+// fenced table version; a worker below it pulls the snapshot.
 type FleetRegisterResponse struct {
 	LeaseMS      int64 `json:"lease_ms"`
 	TableVersion int64 `json:"table_version"`
-	Resync       bool  `json:"resync,omitempty"`
 }
 
 // FleetHeartbeatRequest renews a worker's lease (and doubles as the
@@ -40,35 +38,22 @@ type FleetHeartbeatRequest struct {
 	TableVersion int64  `json:"table_version"`
 }
 
-// FleetHeartbeatResponse acknowledges a renewal. Known=false means the
-// front tier no longer holds the lease (it expired, the worker was
-// evicted after a failed table push, or the front tier restarted); the
-// worker must re-register.
+// FleetHeartbeatResponse acknowledges a renewal and, like the register
+// answer, names the fleet's fenced table version. Known=false means the
+// front tier no longer holds the lease (it expired, the worker
+// deregistered, or the front tier restarted); the worker must
+// re-register.
 type FleetHeartbeatResponse struct {
 	LeaseMS      int64 `json:"lease_ms"`
 	TableVersion int64 `json:"table_version"`
 	Known        bool  `json:"known"`
 }
 
-// FleetTableUpdate is one rolling-push step: the fenced version and the
-// rule tables (each in the rulegen "toltiers-rules-v1" JSON form) the
-// worker must serve from the moment it acks. The version fence makes
-// pushes idempotent and unreorderable — a worker rejects any version
-// at or below the one it already serves with 409.
-type FleetTableUpdate struct {
-	Version int64             `json:"version"`
-	Tables  []json.RawMessage `json:"tables"`
-}
-
-// FleetTableAck confirms the worker serves Version, read after its
-// install.
-type FleetTableAck struct {
-	Version int64 `json:"version"`
-}
-
-// FleetWorker is one live worker in the fleet status: identity, the
-// table version it serves, the router's health/latency accounting for
-// it, and its lease runway.
+// FleetWorker is one leased worker in the fleet status: identity, the
+// table version its own last register or heartbeat reported, the
+// router's health/latency accounting for it, and its lease runway. The
+// front tier routes to it only while it reports a version the front
+// tier holds (see internal/fleet).
 type FleetWorker struct {
 	Name         string `json:"name"`
 	BaseURL      string `json:"base_url"`
@@ -87,28 +72,14 @@ type FleetWorker struct {
 	LeaseRemainingMS int64   `json:"lease_remaining_ms"`
 }
 
-// FleetRollout reports the most recent rolling table push.
-type FleetRollout struct {
-	Version int64 `json:"version"`
-	Done    bool  `json:"done"`
-	// Pushed lists workers that acked the fenced version, in push
-	// order; Evicted the workers dropped after a failed push (they
-	// re-register and resync from the snapshot endpoint).
-	Pushed  []string `json:"pushed,omitempty"`
-	Evicted []string `json:"evicted,omitempty"`
-	Error   string   `json:"error,omitempty"`
-}
-
-// FleetStatus is GET /fleet: the fenced table version, the live
-// workers, and the latest rollout. Proxied and
-// LocalFallback count front-tier dispatches routed to workers vs
-// served locally because no worker was live (or every candidate
-// failed).
+// FleetStatus is GET /fleet: the fenced table version and every leased
+// worker, routed or not. Proxied and LocalFallback count front-tier
+// dispatches routed to workers vs served locally because no worker was
+// routable (or every candidate failed).
 type FleetStatus struct {
 	TableVersion  int64         `json:"table_version"`
 	LeaseMS       int64         `json:"lease_ms"`
 	Workers       []FleetWorker `json:"workers"`
-	Rollout       *FleetRollout `json:"rollout,omitempty"`
 	Proxied       int64         `json:"proxied"`
 	LocalFallback int64         `json:"local_fallback"`
 }

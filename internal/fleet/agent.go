@@ -16,9 +16,10 @@ import (
 
 // Agent is the worker side of fleet membership: it registers with the
 // front tier, renews its lease on a heartbeat cadence, re-registers
-// when the front tier forgets it (lease lapse, eviction, front-tier
-// restart), and invokes Resync whenever the fence says the worker's
-// tables are behind the fleet.
+// when the front tier forgets it (lease lapse, deregistration,
+// front-tier restart), and invokes Resync whenever a register or
+// heartbeat answer names a fleet version above the worker's own. It is
+// the only way tables reach a worker: the front tier pushes none.
 type Agent struct {
 	// Join is the front tier's base URL; Name the lease identity;
 	// Advertise the base URL the router dispatches to.
@@ -32,8 +33,9 @@ type Agent struct {
 	Client *http.Client
 	// Version reports the table version the worker currently serves.
 	Version func() int64
-	// Resync pulls the snapshot and installs it; invoked when register
-	// says Resync or when heartbeats persistently disagree on version.
+	// Resync pulls the snapshot and installs it; invoked as soon as a
+	// register or heartbeat answer names a fleet version above
+	// Version(), and never when the worker's version is equal or higher.
 	Resync func(ctx context.Context, fleetVersion int64) error
 	// Logf, when set, receives membership events.
 	Logf func(format string, args ...any)
@@ -59,35 +61,33 @@ func (a *Agent) version() int64 {
 	return 0
 }
 
-// versionMismatchTolerance is how many consecutive heartbeats may
-// disagree with the fleet fence before the agent resyncs on its own.
-// The rolling push normally converges the worker first; this is the
-// anti-entropy net for a worker the rollout missed (e.g. it was being
-// evicted and re-registered in the same instant).
-const versionMismatchTolerance = 3
-
 // Run drives the membership loop until ctx is done. It blocks through
 // an initial register (retrying with backoff while the front tier is
 // unreachable) and then heartbeats forever; transient heartbeat
 // failures are retried on the next tick, relying on the lease to
-// resolve true partitions.
+// resolve true partitions, and so is a failed resync. A successful
+// resync is reported by a heartbeat at once, not a tick later: the
+// front tier routes by reported versions.
 func (a *Agent) Run(ctx context.Context) error {
 	hb := a.Heartbeat
 	if hb <= 0 {
 		hb = time.Second
 	}
-	if err := a.registerUntil(ctx); err != nil {
+	pulled, err := a.registerUntil(ctx)
+	if err != nil {
 		return err
 	}
 	ticker := time.NewTicker(hb)
 	defer ticker.Stop()
-	mismatches := 0
 	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-ticker.C:
+		if !pulled {
+			select {
+			case <-ctx.Done():
+				return ctx.Err()
+			case <-ticker.C:
+			}
 		}
+		pulled = false
 		resp, err := a.heartbeat(ctx)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -98,43 +98,32 @@ func (a *Agent) Run(ctx context.Context) error {
 		}
 		if !resp.Known {
 			a.logf("fleet agent: front tier forgot lease for %s; re-registering", a.Name)
-			if err := a.registerUntil(ctx); err != nil {
+			if pulled, err = a.registerUntil(ctx); err != nil {
 				return err
 			}
-			mismatches = 0
 			continue
 		}
-		if resp.TableVersion != a.version() {
-			mismatches++
-			if mismatches >= versionMismatchTolerance {
-				a.resync(ctx, resp.TableVersion)
-				mismatches = 0
-			}
-		} else {
-			mismatches = 0
-		}
+		pulled = a.converge(ctx, resp.TableVersion)
 	}
 }
 
-// registerUntil retries registration with linear backoff until it
-// succeeds or ctx dies, then resyncs if the grant says to.
-func (a *Agent) registerUntil(ctx context.Context) error {
+// registerUntil retries registration with backoff until it succeeds or
+// ctx dies, then converges on the version the grant names. The bool is
+// converge's.
+func (a *Agent) registerUntil(ctx context.Context) (bool, error) {
 	delay := 100 * time.Millisecond
 	for {
 		resp, err := a.register(ctx)
 		if err == nil {
-			if resp.Resync {
-				a.resync(ctx, resp.TableVersion)
-			}
-			return nil
+			return a.converge(ctx, resp.TableVersion), nil
 		}
 		if ctx.Err() != nil {
-			return ctx.Err()
+			return false, ctx.Err()
 		}
 		a.logf("fleet agent: register failed: %v (retrying in %v)", err, delay)
 		select {
 		case <-ctx.Done():
-			return ctx.Err()
+			return false, ctx.Err()
 		case <-time.After(delay):
 		}
 		if delay < 2*time.Second {
@@ -143,14 +132,21 @@ func (a *Agent) registerUntil(ctx context.Context) error {
 	}
 }
 
-func (a *Agent) resync(ctx context.Context, fleetVersion int64) {
-	if a.Resync == nil {
-		return
+// converge is the one pull rule, for register and heartbeat answers
+// alike: a fleet version above the worker's own is pulled at once; an
+// equal or lower one never is (a worker ahead of the fence is routed
+// nothing until the fence reaches its version). It reports whether a
+// pull brought the worker to fleetVersion.
+func (a *Agent) converge(ctx context.Context, fleetVersion int64) bool {
+	if a.Resync == nil || fleetVersion <= a.version() {
+		return false
 	}
 	a.logf("fleet agent: resyncing tables to fleet v%d (local v%d)", fleetVersion, a.version())
 	if err := a.Resync(ctx, fleetVersion); err != nil {
 		a.logf("fleet agent: resync failed: %v", err)
+		return false
 	}
+	return a.version() >= fleetVersion
 }
 
 func (a *Agent) register(ctx context.Context) (api.FleetRegisterResponse, error) {
@@ -245,4 +241,10 @@ func PullSnapshot(ctx context.Context, client *http.Client, join string) (*state
 		return nil, fmt.Errorf("decoding fleet snapshot: %w", err)
 	}
 	return snap, nil
+}
+
+// drainBody consumes the remainder of a response body (bounded) so the
+// connection returns to the keep-alive pool.
+func drainBody(r io.Reader) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(r, 1<<20))
 }

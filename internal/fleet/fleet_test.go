@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -40,8 +41,8 @@ func TestLeaseExpiryRemovesWorker(t *testing.T) {
 	if grant.LeaseMS != 3000 {
 		t.Fatalf("lease grant = %dms, want 3000", grant.LeaseMS)
 	}
-	if !p.HasLive() {
-		t.Fatal("worker should be live right after register")
+	if n := len(p.Status().Workers); n != 1 {
+		t.Fatalf("%d workers right after register, want 1", n)
 	}
 	// A heartbeat inside the lease renews it.
 	clk.advance(2 * time.Second)
@@ -51,29 +52,176 @@ func TestLeaseExpiryRemovesWorker(t *testing.T) {
 	// Hanging past the lease removes the worker; its next heartbeat is
 	// told to re-register.
 	clk.advance(3*time.Second + time.Millisecond)
-	if p.HasLive() {
-		t.Fatal("worker should have expired off the pool")
+	if n := len(p.Status().Workers); n != 0 {
+		t.Fatalf("%d workers past the lease, want 0", n)
 	}
 	if hb := p.Heartbeat("w1", 0); hb.Known {
 		t.Fatal("heartbeat after expiry must return Known=false")
 	}
-	if resp := p.Register("w1", "http://w1", 0); resp.Resync {
-		t.Fatal("re-register at the fleet version should not demand a resync")
-	}
-	if !p.HasLive() {
-		t.Fatal("re-register should restore liveness")
+	p.Register("w1", "http://w1", 0)
+	if n := len(p.Status().Workers); n != 1 {
+		t.Fatalf("%d workers after re-register, want 1", n)
 	}
 }
 
+// frontOver serves p's register, heartbeat and deregister endpoints the
+// way the server package mounts them. onHeartbeat, when set, runs with
+// the heartbeat's 1-based count before the pool answers it.
+func frontOver(t *testing.T, p *Pool, onHeartbeat func(n int64)) *httptest.Server {
+	t.Helper()
+	var hbs atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("/fleet/register", func(w http.ResponseWriter, r *http.Request) {
+		var req api.FleetRegisterRequest
+		_ = json.NewDecoder(r.Body).Decode(&req)
+		_ = json.NewEncoder(w).Encode(p.Register(req.Name, req.BaseURL, req.TableVersion))
+	})
+	mux.HandleFunc("/fleet/heartbeat", func(w http.ResponseWriter, r *http.Request) {
+		var req api.FleetHeartbeatRequest
+		_ = json.NewDecoder(r.Body).Decode(&req)
+		if n := hbs.Add(1); onHeartbeat != nil {
+			onHeartbeat(n)
+		}
+		_ = json.NewEncoder(w).Encode(p.Heartbeat(req.Name, req.TableVersion))
+	})
+	mux.HandleFunc("/fleet/deregister", func(w http.ResponseWriter, r *http.Request) {
+		var req api.FleetHeartbeatRequest
+		_ = json.NewDecoder(r.Body).Decode(&req)
+		p.Deregister(req.Name)
+		w.WriteHeader(http.StatusNoContent)
+	})
+	front := httptest.NewServer(mux)
+	t.Cleanup(front.Close)
+	return front
+}
+
+// testAgent is a real Agent over an in-memory table version: its
+// Resync counts the pull and, unless fail is set, installs the fleet
+// version it was asked for.
+type testAgent struct {
+	*Agent
+	ver   atomic.Int64
+	pulls atomic.Int64
+	fail  atomic.Bool
+}
+
+// newAgent builds a testAgent at version ver with a 10ms heartbeat,
+// advertising base; start runs it.
+func newAgent(join, name, base string, ver int64) *testAgent {
+	a := &testAgent{}
+	a.ver.Store(ver)
+	a.Agent = &Agent{
+		Join: join, Name: name, Advertise: base,
+		Heartbeat: 10 * time.Millisecond,
+		Version:   a.ver.Load,
+		Resync: func(_ context.Context, fleetVersion int64) error {
+			a.pulls.Add(1)
+			if a.fail.Load() {
+				return errors.New("synthetic pull failure")
+			}
+			a.ver.Store(fleetVersion)
+			return nil
+		},
+	}
+	return a
+}
+
+// start runs the agent's loop until the test's cleanup stops it.
+func (a *testAgent) start(t *testing.T) *testAgent {
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); _ = a.Run(ctx) }()
+	t.Cleanup(func() { cancel(); <-done })
+	return a
+}
+
+// runAgent starts newAgent(join, name, base, ver).
+func runAgent(t *testing.T, join, name, base string, ver int64) *testAgent {
+	return newAgent(join, name, base, ver).start(t)
+}
+
+// eventually polls cond for up to 5s.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+	}
+}
+
+// reported is the version Status lists for the named worker, -1 when
+// it is not listed.
+func reported(p *Pool, name string) int64 {
+	for _, w := range p.Status().Workers {
+		if w.Name == name {
+			return w.TableVersion
+		}
+	}
+	return -1
+}
+
+// TestRegisterResyncOnVersionMismatch: a worker that registers behind
+// the fence pulls at once; one at or ahead of it never pulls.
 func TestRegisterResyncOnVersionMismatch(t *testing.T) {
 	p := NewPool(Options{})
 	p.SetVersion(4)
-	if resp := p.Register("w1", "http://w1", 1); !resp.Resync || resp.TableVersion != 4 {
-		t.Fatalf("stale worker got %+v, want Resync at fleet v4", resp)
+	front := frontOver(t, p, nil)
+	behind := runAgent(t, front.URL, "behind", "http://behind", 1)
+	current := runAgent(t, front.URL, "current", "http://current", 4)
+	ahead := runAgent(t, front.URL, "ahead", "http://ahead", 6)
+	eventually(t, "the behind worker reports v4", func() bool { return reported(p, "behind") == 4 })
+	if n := behind.pulls.Load(); n != 1 {
+		t.Fatalf("behind worker pulled %d times, want 1", n)
 	}
-	if resp := p.Register("w2", "http://w2", 4); resp.Resync {
-		t.Fatal("current worker should not be told to resync")
+	eventually(t, "all three are listed", func() bool { return len(p.Status().Workers) == 3 })
+	if c, a := current.pulls.Load(), ahead.pulls.Load(); c != 0 || a != 0 {
+		t.Fatalf("pulls: current %d, ahead %d; want none", c, a)
 	}
+}
+
+// TestAgentPullsOnlyWhenBehind: an agent ahead of the fence never pulls,
+// however long it heartbeats, and an agent behind it pulls on the first
+// heartbeat that names the new version.
+func TestAgentPullsOnlyWhenBehind(t *testing.T) {
+	t.Run("ahead", func(t *testing.T) {
+		p := NewPool(Options{})
+		p.SetVersion(2)
+		var hbs atomic.Int64
+		front := frontOver(t, p, func(n int64) { hbs.Store(n) })
+		a := runAgent(t, front.URL, "w", "http://w", 5)
+		eventually(t, "ten heartbeats", func() bool { return hbs.Load() >= 10 })
+		if n := a.pulls.Load(); n != 0 {
+			t.Fatalf("an agent at v5 under a v2 fence pulled %d times, want 0", n)
+		}
+		if v := reported(p, "w"); v != 5 {
+			t.Fatalf("pool lists the worker at v%d, want its own report v5", v)
+		}
+	})
+	t.Run("behind", func(t *testing.T) {
+		p := NewPool(Options{})
+		p.SetVersion(2)
+		const promoteAt = 3
+		var hbs atomic.Int64
+		front := frontOver(t, p, func(n int64) {
+			hbs.Store(n)
+			if n == promoteAt {
+				p.Promote(3)
+			}
+		})
+		a := newAgent(front.URL, "w", "http://w", 2)
+		var pulledAt atomic.Int64
+		resync := a.Resync
+		a.Resync = func(ctx context.Context, v int64) error {
+			pulledAt.CompareAndSwap(0, hbs.Load())
+			return resync(ctx, v)
+		}
+		a.start(t)
+		eventually(t, "the worker reports v3", func() bool { return reported(p, "w") == 3 })
+		if n, at := a.pulls.Load(), pulledAt.Load(); n != 1 || at != promoteAt {
+			t.Fatalf("%d pull(s), first after heartbeat %d; want 1, after heartbeat %d", n, at, promoteAt)
+		}
+	})
 }
 
 func TestTenantAffinityAndAnonymousRoundRobin(t *testing.T) {
@@ -114,13 +262,6 @@ func workerStub(t *testing.T, status int, body string, hits *atomic.Int64) *http
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if hits != nil {
 			hits.Add(1)
-		}
-		if r.URL.Path == "/fleet/table" && status == http.StatusOK {
-			// A healthy worker acks the version it was pushed.
-			var upd api.FleetTableUpdate
-			_ = json.NewDecoder(r.Body).Decode(&upd)
-			_ = json.NewEncoder(w).Encode(api.FleetTableAck{Version: upd.Version})
-			return
 		}
 		_, _ = io.Copy(io.Discard, r.Body)
 		w.Header().Set("Content-Type", "application/json")
@@ -262,228 +403,187 @@ func TestProxyRelaysWorkerRejectionsWithoutFailover(t *testing.T) {
 	}
 }
 
-// tableSink is a stub worker control endpoint recording pushed versions.
-type tableSink struct {
-	mu       sync.Mutex
-	versions []int64
-	fail     bool
-	ts       *httptest.Server
-}
-
-// newTableSink starts a stub worker whose POST /fleet/table records the
-// pushed version and acks it, or, with fail, answers 500 without
-// installing.
-func newTableSink(t *testing.T, fail bool) *tableSink {
-	s := &tableSink{fail: fail}
-	s.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/fleet/table" {
-			http.NotFound(w, r)
-			return
-		}
-		var upd api.FleetTableUpdate
-		if err := json.NewDecoder(r.Body).Decode(&upd); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.fail {
-			http.Error(w, "synthetic apply failure", http.StatusInternalServerError)
-			return
-		}
-		s.versions = append(s.versions, upd.Version)
-		_ = json.NewEncoder(w).Encode(api.FleetTableAck{Version: upd.Version})
-	}))
-	t.Cleanup(s.ts.Close)
-	return s
-}
-
-func waitRollout(t *testing.T, p *Pool, ver int64) api.FleetRollout {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		st := p.Status()
-		if st.Rollout != nil && st.Rollout.Version == ver && st.Rollout.Done {
-			return *st.Rollout
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("rollout v%d did not finish", ver)
-	return api.FleetRollout{}
-}
-
-func TestPromoteRollsTablesSequentiallyAndEvictsFailures(t *testing.T) {
-	okA := newTableSink(t, false)
-	okB := newTableSink(t, false)
-	badC := newTableSink(t, true)
-	p := NewPool(Options{})
-	defer p.Close()
-	p.Register("a", okA.ts.URL, 0)
-	p.Register("b", okB.ts.URL, 0)
-	p.Register("c", badC.ts.URL, 0)
-
-	const ver = 1
-	p.Promote(ver, nil) // empty table set still exercises the fence + push
-	if got := p.Status().TableVersion; got != ver {
-		t.Fatalf("promotion fenced v%d, want v%d", got, ver)
-	}
-	ro := waitRollout(t, p, ver)
-	if want := []string{"a", "b"}; len(ro.Pushed) != 2 || ro.Pushed[0] != want[0] || ro.Pushed[1] != want[1] {
-		t.Fatalf("pushed %v, want name-ordered %v", ro.Pushed, want)
-	}
-	if len(ro.Evicted) != 1 || ro.Evicted[0] != "c" {
-		t.Fatalf("evicted %v, want [c]", ro.Evicted)
-	}
-	st := p.Status()
-	if len(st.Workers) != 2 {
-		t.Fatalf("%d workers live after eviction, want 2", len(st.Workers))
-	}
-	for _, w := range st.Workers {
-		if w.TableVersion != ver {
-			t.Fatalf("worker %s at v%d after rollout, want v%d", w.Name, w.TableVersion, ver)
-		}
-	}
-	// The evicted worker's heartbeat now demands a re-register, and its
-	// register demands a resync — the convergence path.
-	if hb := p.Heartbeat("c", 0); hb.Known {
-		t.Fatal("evicted worker's heartbeat must return Known=false")
-	}
-	if reg := p.Register("c", badC.ts.URL, 0); !reg.Resync {
-		t.Fatal("evicted worker's re-register must demand a resync")
-	}
-}
-
 func TestAgentRegistersHeartbeatsAndResyncs(t *testing.T) {
 	p := NewPool(Options{Lease: time.Second})
 	p.SetVersion(2)
-	mux := http.NewServeMux()
-	mux.HandleFunc("/fleet/register", func(w http.ResponseWriter, r *http.Request) {
-		var req api.FleetRegisterRequest
-		_ = json.NewDecoder(r.Body).Decode(&req)
-		_ = json.NewEncoder(w).Encode(p.Register(req.Name, req.BaseURL, req.TableVersion))
-	})
-	mux.HandleFunc("/fleet/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-		var req api.FleetHeartbeatRequest
-		_ = json.NewDecoder(r.Body).Decode(&req)
-		_ = json.NewEncoder(w).Encode(p.Heartbeat(req.Name, req.TableVersion))
-	})
-	front := httptest.NewServer(mux)
-	t.Cleanup(front.Close)
-
-	var version atomic.Int64
-	var resyncs atomic.Int64
-	ag := &Agent{
-		Join: front.URL, Name: "w1", Advertise: "http://w1",
-		Heartbeat: 10 * time.Millisecond,
-		Version:   version.Load,
-		Resync: func(ctx context.Context, fleetVersion int64) error {
-			resyncs.Add(1)
-			version.Store(fleetVersion)
-			return nil
-		},
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan struct{})
-	go func() { defer close(done); _ = ag.Run(ctx) }()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && (resyncs.Load() == 0 || !p.HasLive()) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if resyncs.Load() == 0 {
-		t.Fatal("agent never resynced despite joining behind the fence")
-	}
-	if !p.HasLive() {
-		t.Fatal("agent never became live")
-	}
-	if version.Load() != 2 {
-		t.Fatalf("agent version after resync = %d, want 2", version.Load())
+	a := runAgent(t, frontOver(t, p, nil).URL, "w1", "http://w1", 0)
+	eventually(t, "the agent reports the fence", func() bool { return reported(p, "w1") == 2 })
+	if n := a.pulls.Load(); n != 1 {
+		t.Fatalf("agent joining behind the fence pulled %d times, want 1", n)
 	}
 
 	// Forget the worker server-side; the agent must re-register.
 	p.Deregister("w1")
-	deadline = time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && !p.HasLive() {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !p.HasLive() {
-		t.Fatal("agent did not re-register after the front tier forgot it")
-	}
-	cancel()
-	<-done
+	eventually(t, "the agent re-registers", func() bool { return len(p.Status().Workers) == 1 })
 }
 
-// A 409 is a worker's version fence refusing the push: it still serves
-// another table set, so the rollout must evict it, not list it as
-// pushed, and no worker may show the pushed version it never installed.
-func TestPromoteEvictsWorkerThatRefusesWithConflict(t *testing.T) {
-	ok := newTableSink(t, false)
-	var pushes atomic.Int64
-	fenced := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		pushes.Add(1)
-		http.Error(w, "version fence: serving v2, refusing v1", http.StatusConflict)
-	}))
-	defer fenced.Close()
+// routed reports whether the named worker is in the routing snapshot.
+func routed(p *Pool, name string) bool {
+	for _, m := range *p.routes.Load() {
+		if m.name == name {
+			return true
+		}
+	}
+	return false
+}
+
+// TestPromoteConvergesByPull: a promotion moves the fence and nothing
+// else. Real agents pull it on their next heartbeat; until a worker
+// reports the fence it is routed only for one lease at the version the
+// promotion replaced, and it stays listed, at its own report, either way.
+func TestPromoteConvergesByPull(t *testing.T) {
+	var hits atomic.Int64
+	stub := workerStub(t, http.StatusOK, `{}`, &hits) // every worker's advertised base
+	p := NewPool(Options{Lease: 300 * time.Millisecond})
+	defer p.Close()
+	front := frontOver(t, p, nil)
+	a := runAgent(t, front.URL, "a", stub.URL, 0)
+	b := runAgent(t, front.URL, "b", stub.URL+"/b", 0)
+	c := newAgent(front.URL, "c", stub.URL+"/c", 0)
+	c.fail.Store(true)
+	c.start(t)
+	eventually(t, "three routed workers", func() bool { return len(*p.routes.Load()) == 3 })
+
+	start := time.Now()
+	p.Promote(1)
+	if got := p.Status().TableVersion; got != 1 {
+		t.Fatalf("promotion fenced v%d, want v1", got)
+	}
+	eventually(t, "a and b report v1", func() bool { return reported(p, "a") == 1 && reported(p, "b") == 1 })
+	if r := routed(p, "c"); !r && time.Since(start) < 300*time.Millisecond {
+		t.Fatal("c left the routes before its replaced-version allowance ran out")
+	}
+	eventually(t, "c is unrouted", func() bool { return !routed(p, "c") })
+	if !routed(p, "a") || !routed(p, "b") {
+		t.Fatal("a worker that reports the fence is unrouted")
+	}
+	if v := reported(p, "c"); v != 0 {
+		t.Fatalf("c listed at v%d, want its own report v0", v)
+	}
+	if c.pulls.Load() < 2 {
+		t.Fatalf("a failed pull was not retried on the next heartbeat (%d pulls)", c.pulls.Load())
+	}
+	if n := hits.Load(); n != 0 {
+		t.Fatalf("the promotion sent %d request(s) to workers, want none", n)
+	}
+
+	c.fail.Store(false)
+	eventually(t, "c converges and is routed", func() bool { return reported(p, "c") == 1 && routed(p, "c") })
+	if pa, pb := a.pulls.Load(), b.pulls.Load(); pa != 1 || pb != 1 {
+		t.Fatalf("pulls a=%d b=%d, want one each", pa, pb)
+	}
+}
+
+// TestPromoteUnroutesWorkerAheadOfTheFence: a worker already past the
+// version a promotion fences never pulls it and is never routed, but
+// stays listed at its own report while its peer converges.
+func TestPromoteUnroutesWorkerAheadOfTheFence(t *testing.T) {
+	var hits atomic.Int64
+	stub := workerStub(t, http.StatusOK, `{}`, &hits)
 	p := NewPool(Options{})
 	defer p.Close()
-	p.Register("a", ok.ts.URL, 0)
-	p.Register("b", fenced.URL, 2)
+	front := frontOver(t, p, nil)
+	a := runAgent(t, front.URL, "a", stub.URL, 0)
+	b := runAgent(t, front.URL, "b", stub.URL+"/b", 2)
+	eventually(t, "both workers listed", func() bool { return len(p.Status().Workers) == 2 })
 
 	const ver = 1
-	p.Promote(ver, nil)
-	ro := waitRollout(t, p, ver)
-	if len(ro.Pushed) != 1 || ro.Pushed[0] != "a" {
-		t.Fatalf("pushed %v, want [a]", ro.Pushed)
+	p.Promote(ver)
+	eventually(t, "a reports the fence and is routed", func() bool { return reported(p, "a") == ver && routed(p, "a") })
+	if routed(p, "b") {
+		t.Fatalf("worker b routed at v2 under a v%d fence", ver)
 	}
-	if len(ro.Evicted) != 1 || ro.Evicted[0] != "b" {
-		t.Fatalf("evicted %v, want [b]", ro.Evicted)
+	if v := reported(p, "b"); v != 2 {
+		t.Fatalf("b listed at v%d, want its own report v2", v)
 	}
-	if n := pushes.Load(); n != 1 {
-		t.Fatalf("refused push sent %d times, want 1", n)
+	if pa, pb := a.pulls.Load(), b.pulls.Load(); pa != 1 || pb != 0 {
+		t.Fatalf("pulls a=%d b=%d, want 1 and 0", pa, pb)
 	}
-	for _, w := range p.Status().Workers {
-		if w.Name == "b" {
-			t.Fatalf("worker b still in rotation at v%d after refusing v%d", w.TableVersion, ver)
-		}
+	if n := hits.Load(); n != 0 {
+		t.Fatalf("the promotion sent %d request(s) to workers, want none", n)
 	}
 }
 
-// TestPromoteEvictsWorkerThatAcksAnotherVersion: a 200 is an ack of the
-// version it names. A worker that answers 200 but serves some other
-// version is evicted for resync like one that refuses with a 409, and
-// the rollout records what each worker acked.
-func TestPromoteEvictsWorkerThatAcksAnotherVersion(t *testing.T) {
-	ok := newTableSink(t, false)
-	var pushes atomic.Int64
-	stale := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		pushes.Add(1)
-		_ = json.NewEncoder(w).Encode(api.FleetTableAck{Version: 2})
-	}))
-	defer stale.Close()
+// TestPromoteUnroutesWorkerReportingAnotherVersion: a pull that
+// succeeds yet leaves the worker at a version that is neither the fence
+// nor the one the promotion replaced does not route it; it stays listed
+// at what it reports and pulls again on later heartbeats.
+func TestPromoteUnroutesWorkerReportingAnotherVersion(t *testing.T) {
 	p := NewPool(Options{})
 	defer p.Close()
-	p.Register("a", ok.ts.URL, 0)
-	p.Register("b", stale.URL, 0)
+	front := frontOver(t, p, nil)
+	runAgent(t, front.URL, "a", "http://a", 0)
+	b := newAgent(front.URL, "b", "http://b", 0)
+	b.Resync = func(context.Context, int64) error {
+		b.pulls.Add(1)
+		b.ver.Store(2)
+		return nil
+	}
+	b.start(t)
+	eventually(t, "both workers routed", func() bool { return routed(p, "a") && routed(p, "b") })
 
 	const ver = 3
-	p.Promote(ver, nil)
-	ro := waitRollout(t, p, ver)
-	if len(ro.Pushed) != 1 || ro.Pushed[0] != "a" {
-		t.Fatalf("pushed %v, want [a]", ro.Pushed)
+	p.Promote(ver)
+	eventually(t, "b reports v2", func() bool { return reported(p, "b") == 2 })
+	eventually(t, "a reports the fence", func() bool { return reported(p, "a") == ver })
+	if routed(p, "b") {
+		t.Fatalf("worker b routed at v2 under a v%d fence that replaced v0", ver)
 	}
-	if len(ro.Evicted) != 1 || ro.Evicted[0] != "b" {
-		t.Fatalf("evicted %v, want [b]", ro.Evicted)
+	if !routed(p, "a") {
+		t.Fatal("worker a at the fence is unrouted")
 	}
-	if n := pushes.Load(); n != 1 {
-		t.Fatalf("mis-acked push sent %d times, want 1", n)
-	}
-	for _, w := range p.Status().Workers {
-		if w.Name == "b" {
-			t.Fatalf("worker b still in rotation at v%d after acking v2 for v%d", w.TableVersion, ver)
-		}
-		if w.Name == "a" && w.TableVersion != ver {
-			t.Fatalf("worker a recorded at v%d, acked v%d", w.TableVersion, ver)
-		}
+	eventually(t, "b pulls again", func() bool { return b.pulls.Load() >= 2 })
+}
+
+// TestRoutingFollowsReportedVersions: whether a leased member is routed
+// is a function of the version it reported, the fence, the version the
+// last promotion replaced and the time since that promotion; Status
+// lists it whatever the answer.
+func TestRoutingFollowsReportedVersions(t *testing.T) {
+	const lease = 3 * time.Second
+	for _, tc := range []struct {
+		name     string
+		boot     int64   // SetVersion at boot
+		promote  []int64 // promotions, in order, all at one instant
+		since    time.Duration
+		reported int64
+		routed   bool
+	}{
+		{"at the boot fence", 2, nil, 0, 2, true},
+		{"behind the boot fence", 2, nil, 0, 1, false},
+		{"ahead of the boot fence", 0, nil, 0, 2, false},
+		{"at the fence after a promotion", 1, []int64{2}, 0, 2, true},
+		{"at the fence long after", 1, []int64{2}, 10 * lease, 2, true},
+		{"at the replaced version inside the lease", 1, []int64{2}, lease - time.Millisecond, 1, true},
+		{"at the replaced version at the lease's end", 1, []int64{2}, lease, 1, true},
+		{"at the replaced version past the lease", 1, []int64{2}, lease + time.Millisecond, 1, false},
+		{"below the replaced version", 1, []int64{2}, 0, 0, false},
+		{"ahead of a promoted fence", 1, []int64{2}, 0, 3, false},
+		{"two promotions: the first one's replaced version", 0, []int64{1, 2}, 0, 0, false},
+		{"two promotions: the last one's replaced version", 0, []int64{1, 2}, 0, 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := &fakeClock{t: time.Unix(1000, 0)}
+			p := NewPool(Options{Lease: lease, Now: clk.now})
+			p.SetVersion(tc.boot)
+			p.Register("fence", "http://fence", tc.boot)
+			for _, v := range tc.promote {
+				p.Promote(v)
+				p.Heartbeat("fence", v)
+			}
+			clk.advance(tc.since)
+			p.Register("fence", "http://fence", p.Status().TableVersion)
+			p.Register("w", "http://w", tc.reported)
+			if got := routed(p, "w"); got != tc.routed {
+				t.Fatalf("routed %v, want %v", got, tc.routed)
+			}
+			if got := len(p.candidates("", nil)) == 2; got != tc.routed {
+				t.Fatalf("anonymous candidates include w: %v, want %v", got, tc.routed)
+			}
+			st := p.Status()
+			if len(st.Workers) != 2 || reported(p, "w") != tc.reported {
+				t.Fatalf("status lists %+v, want both leased members and w at v%d", st.Workers, tc.reported)
+			}
+		})
 	}
 }

@@ -1,10 +1,16 @@
 // Package fleet is the multi-node serving control plane: the front
 // tier's worker registry (register + heartbeat liveness leases), the
-// dispatch router that spreads traffic across live workers with
-// tenant-affine consistent routing and transparent failover, the
-// rolling rule-table push that moves the whole fleet to a new fenced
-// table version one worker at a time, and the worker-side Agent that
-// maintains membership from the other end of the wire.
+// dispatch router that spreads traffic across workers with
+// tenant-affine consistent routing and transparent failover, the rule
+// table version fence, and the worker-side Agent that maintains
+// membership from the other end of the wire.
+//
+// Workers converge by pulling. A promotion only moves the fence; every
+// register and heartbeat answer names it, and a worker below it pulls
+// the snapshot. The front tier knows a worker's version only from that
+// worker's own reports, and routes only to workers that report a
+// version it holds: the fence, or for one lease after a promotion the
+// version that promotion replaced.
 //
 // The paper's scale-out setting — multiple instantiations of each
 // version behind a load balancer — is served for real here: worker nodes
@@ -14,9 +20,10 @@
 package fleet
 
 import (
+	"maps"
 	"net"
-	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -36,7 +43,7 @@ type Options struct {
 	// Now overrides the clock (tests pin lease expiry with it).
 	Now func() time.Time
 	// Logf, when set, receives control-plane events (joins, expiries,
-	// rollout steps).
+	// promotions).
 	Logf func(format string, args ...any)
 }
 
@@ -57,7 +64,7 @@ type member struct {
 	reqHead string // "POST <base path>", opening every proxied request
 	reqHost string // from " HTTP/1.1" through the Host and Content-Type lines
 
-	version atomic.Int64
+	version atomic.Int64 // as the worker last reported it
 	expires atomic.Int64 // lease end, UnixNano
 
 	requests, failures, failedOver, inflight atomic.Int64
@@ -86,14 +93,13 @@ func newMember(name, base string) *member {
 func (m *member) live(now time.Time) bool { return now.UnixNano() <= m.expires.Load() }
 
 // Pool is the front tier's fleet state: the worker registry, the
-// routing/failover accounting, the rule-table version fence, and the
-// rolling-push machinery.
+// routing/failover accounting and the rule-table version fence.
 type Pool struct {
-	opts   Options
-	client *http.Client // table pushes only; dispatches ride workerConns
+	opts Options
 
-	// routes is the name-sorted member list the dispatch path reads:
-	// copy-on-write, republished under mu whenever the set changes.
+	// routes is the name-sorted list of routable members the dispatch
+	// path reads: copy-on-write, republished under mu whenever the set
+	// changes.
 	routes            atomic.Pointer[[]*member]
 	rr                atomic.Uint64
 	proxied, fallback atomic.Int64
@@ -101,17 +107,17 @@ type Pool struct {
 	mu      sync.Mutex
 	members map[string]*member
 	version int64
-	rollout *rollout
+	// replaced is the version the last promotion moved the fence off.
+	// Its members stay routable until replacedUntil, one lease after the
+	// promotion, while they pull; zero replacedUntil means no allowance.
+	replaced      int64
+	replacedUntil time.Time
 }
 
 // NewPool builds the front tier's fleet pool.
 func NewPool(opts Options) *Pool {
-	p := &Pool{
-		opts:    opts,
-		client:  &http.Client{Timeout: 30 * time.Second},
-		members: make(map[string]*member),
-	}
-	p.publishLocked()
+	p := &Pool{opts: opts, members: make(map[string]*member)}
+	p.routes.Store(new([]*member))
 	return p
 }
 
@@ -135,14 +141,10 @@ func (p *Pool) logf(format string, args ...any) {
 	}
 }
 
-// Close cancels any rolling push in flight and closes the idle worker
-// connections.
+// Close closes the idle worker connections.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.rollout != nil && !p.rollout.done {
-		p.rollout.cancel()
-	}
 	for _, m := range p.members {
 		m.retire()
 	}
@@ -158,10 +160,23 @@ func (p *Pool) SetVersion(v int64) {
 	}
 }
 
-// Register grants (or renews) a worker's lease. Resync is set when the
-// worker's tables are not at the fenced version — it joined
-// mid-promotion or across a front-tier restart — telling it to re-pull
-// the snapshot before its version label can be trusted.
+// Promote moves the fence to ver, under the pool lock, so Status,
+// Register and Heartbeat see it at once. It reaches no worker: each
+// pulls the snapshot the front tier already persisted and serves under
+// ver when its next heartbeat answer names ver. Members at the version
+// ver replaces stay routable for one lease while they do.
+func (p *Pool) Promote(ver int64) {
+	now := p.now()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.replaced, p.replacedUntil = p.version, now.Add(p.lease())
+	p.version = ver
+	p.publishLocked()
+	p.logf("fleet: promoted table v%d; %d worker(s) converge by pull", ver, len(p.members))
+}
+
+// Register grants (or renews) a worker's lease and records the version
+// it reports. The answer names the fence; a worker below it pulls.
 func (p *Pool) Register(name, base string, ver int64) api.FleetRegisterResponse {
 	now := p.now()
 	lease := p.lease()
@@ -176,20 +191,17 @@ func (p *Pool) Register(name, base string, ver int64) api.FleetRegisterResponse 
 	if m == nil {
 		m = newMember(name, base)
 		p.members[name] = m
-		defer p.publishLocked() // with the lease below in place, still under mu
 		p.logf("fleet: worker %s joined at %s (table v%d)", name, base, ver)
 	}
 	m.version.Store(ver)
 	m.expires.Store(now.Add(lease).UnixNano())
-	return api.FleetRegisterResponse{
-		LeaseMS:      lease.Milliseconds(),
-		TableVersion: p.version,
-		Resync:       ver != p.version,
-	}
+	p.publishLocked()
+	return api.FleetRegisterResponse{LeaseMS: lease.Milliseconds(), TableVersion: p.version}
 }
 
-// Heartbeat renews a lease. Known=false means the pool no longer holds
-// it (expired, evicted, or a front-tier restart) and the worker must
+// Heartbeat renews a lease and records the version the worker reports.
+// Known=false means the pool no longer holds the lease (expired,
+// deregistered, or a front-tier restart) and the worker must
 // re-register.
 func (p *Pool) Heartbeat(name string, ver int64) api.FleetHeartbeatResponse {
 	now := p.now()
@@ -202,7 +214,9 @@ func (p *Pool) Heartbeat(name string, ver int64) api.FleetHeartbeatResponse {
 		return api.FleetHeartbeatResponse{Known: false, TableVersion: p.version}
 	}
 	m.expires.Store(now.Add(lease).UnixNano())
-	m.version.Store(ver)
+	if m.version.Swap(ver) != ver {
+		p.publishLocked()
+	}
 	return api.FleetHeartbeatResponse{
 		Known:        true,
 		LeaseMS:      lease.Milliseconds(),
@@ -228,19 +242,32 @@ func (p *Pool) dropLocked(m *member) {
 	m.retire()
 }
 
-// publishLocked republishes the routing snapshot. Callers hold p.mu.
+// routableLocked reports whether the front tier holds the tables of
+// version ver: the fence, or the version the last promotion replaced
+// while its allowance lasts. Callers hold p.mu.
+func (p *Pool) routableLocked(ver int64) bool {
+	return ver == p.version || (!p.replacedUntil.IsZero() && ver == p.replaced)
+}
+
+// publishLocked republishes the routing snapshot if the set of routable
+// members differs from the one published. Callers hold p.mu.
 func (p *Pool) publishLocked() {
 	routes := make([]*member, 0, len(p.members))
 	for _, m := range p.members {
-		routes = append(routes, m)
+		if p.routableLocked(m.version.Load()) {
+			routes = append(routes, m)
+		}
 	}
 	sort.Slice(routes, func(i, j int) bool { return routes[i].name < routes[j].name })
-	p.routes.Store(&routes)
+	if !slices.Equal(routes, *p.routes.Load()) {
+		p.routes.Store(&routes)
+	}
 }
 
-// pruneLocked drops expired leases. Every control-plane call runs it;
-// the dispatch path does not wait for it, it skips an expired member on
-// sight. Callers hold p.mu.
+// pruneLocked drops expired leases and an expired replaced-version
+// allowance. Every control-plane call runs it; the dispatch path does
+// not wait for it, it skips an expired member on sight. Callers hold
+// p.mu.
 func (p *Pool) pruneLocked(now time.Time) {
 	pruned := false
 	for name, m := range p.members {
@@ -250,18 +277,13 @@ func (p *Pool) pruneLocked(now time.Time) {
 			p.logf("fleet: worker %s lease expired; removed from rotation", name)
 		}
 	}
+	if !p.replacedUntil.IsZero() && now.After(p.replacedUntil) {
+		p.replacedUntil = time.Time{}
+		pruned = true
+	}
 	if pruned {
 		p.publishLocked()
 	}
-}
-
-// HasLive reports whether any worker holds a current lease.
-func (p *Pool) HasLive() bool {
-	now := p.now()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.pruneLocked(now)
-	return len(p.members) > 0
 }
 
 // rendezvous scores (tenant, worker) for highest-random-weight
@@ -284,10 +306,11 @@ func rendezvous(tenant, worker string) uint64 {
 }
 
 // candidates fills buf, the caller's empty scratch, with the live
-// workers one dispatch may try, at most failoverAttempts of them, in
-// routing-preference order: the highest rendezvous scores for a named
-// tenant, the next stretch of the round-robin over the name-sorted list
-// for anonymous traffic. It reads the routing snapshot and takes no lock.
+// routable workers one dispatch may try, at most failoverAttempts of
+// them, in routing-preference order: the highest rendezvous scores for
+// a named tenant, the next stretch of the round-robin over the
+// name-sorted list for anonymous traffic. It reads the routing snapshot
+// and takes no lock.
 func (p *Pool) candidates(tenant string, buf []*member) []*member {
 	routes, now := *p.routes.Load(), p.now()
 	if tenant == "" && len(routes) > 0 {
@@ -322,8 +345,8 @@ func (p *Pool) candidates(tenant string, buf []*member) []*member {
 	return buf
 }
 
-// Status assembles GET /fleet: live workers, the fence, and the latest
-// rollout.
+// Status assembles GET /fleet: the fence and every leased worker, routed
+// or not, at the version it last reported.
 func (p *Pool) Status() api.FleetStatus {
 	now := p.now()
 	p.mu.Lock()
@@ -335,7 +358,8 @@ func (p *Pool) Status() api.FleetStatus {
 		Proxied:       p.proxied.Load(),
 		LocalFallback: p.fallback.Load(),
 	}
-	for _, m := range *p.routes.Load() {
+	for _, name := range slices.Sorted(maps.Keys(p.members)) {
+		m := p.members[name]
 		m.connMu.Lock()
 		mean, p95 := m.lat.Mean, m.ring.Quantile(0.95)
 		m.connMu.Unlock()
@@ -351,15 +375,6 @@ func (p *Pool) Status() api.FleetStatus {
 			P95LatencyMS:     p95,
 			LeaseRemainingMS: time.Duration(m.expires.Load() - now.UnixNano()).Milliseconds(),
 		})
-	}
-	if ro := p.rollout; ro != nil {
-		st.Rollout = &api.FleetRollout{
-			Version: ro.version,
-			Done:    ro.done,
-			Pushed:  append([]string(nil), ro.pushed...),
-			Evicted: append([]string(nil), ro.evicted...),
-			Error:   ro.err,
-		}
 	}
 	return st
 }

@@ -372,6 +372,8 @@ func TestFailoverPrefersTheFirstPicksTableVersion(t *testing.T) {
 	fresh := workerStub(t, http.StatusOK, `{}`, &hits[2])
 	p := NewPool(Options{})
 	defer p.Close()
+	p.SetVersion(1)
+	p.Promote(2) // v1 stays routable for the lease: b is a candidate
 	p.Register("a", bad.URL, 2)
 	p.Register("b", stale.URL, 1)
 	p.Register("c", fresh.URL, 2)
@@ -403,10 +405,12 @@ func TestProxyHammer(t *testing.T) {
 				return
 			default:
 			}
-			p.Register("flappy", flappy.URL, 0)
+			ver := int64(i/8 + 1)
+			p.Register("flappy", flappy.URL, ver)
 			p.Heartbeat("flappy", int64(i))
 			if i%8 == 0 {
-				p.Promote(int64(i/8+1), nil)
+				p.Promote(ver)
+				p.Heartbeat("steady", ver) // steady pulls; until then v-1 is routed
 			}
 			p.Status()
 			p.Deregister("flappy")

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,21 +11,17 @@ import (
 
 	"github.com/toltiers/toltiers/internal/api"
 	"github.com/toltiers/toltiers/internal/dispatch"
-	"github.com/toltiers/toltiers/internal/fleet"
 	"github.com/toltiers/toltiers/internal/rulegen"
 	"github.com/toltiers/toltiers/internal/state"
 	"github.com/toltiers/toltiers/internal/tiers"
 )
 
 // Fleet glue: the front tier's control-plane handlers (register,
-// heartbeat, status, snapshot shipping), the worker-side fenced
-// table-push handler, and the assembly of a serving node from a shipped
-// snapshot (the core of ttserver -join). Dispatch traffic reaches the pool from
-// the parse stage (parseCall in dispatch.go).
-
-// maxTableBody bounds a fenced table push — far above any real table
-// set, a backstop against unbounded reads.
-const maxTableBody = 64 << 20
+// heartbeat, status, snapshot shipping) and the assembly of a serving
+// node from a shipped snapshot (the core of ttserver -join), which
+// later snapshots keep current through InstallSnapshot. Dispatch
+// traffic reaches the pool from the parse stage (parseCall in
+// dispatch.go).
 
 func (s *Server) handleFleetRegister(w http.ResponseWriter, r *http.Request) {
 	var req api.FleetRegisterRequest
@@ -94,40 +89,9 @@ func (s *Server) handleFleetSnapshot(w http.ResponseWriter, _ *http.Request) {
 	_, _ = w.Write(buf.Bytes())
 }
 
-// handleFleetTable is the worker-side half of the rolling update: one
-// fenced table push, installed under install's fence — a version below
-// the served one is refused with 409, the same or a higher one swaps
-// the registry and the fence atomically (in-flight resolves finish on
-// the version they started with), so pushes are idempotent and
-// unreorderable. The ack names the version this install put in place:
-// install returns nil only once it serves exactly upd.Version, which the
-// front tier checks against the one it pushed.
-func (s *Server) handleFleetTable(w http.ResponseWriter, r *http.Request) {
-	var upd api.FleetTableUpdate
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxTableBody)).Decode(&upd); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid table update: %v", err)
-		return
-	}
-	tables, err := fleet.DecodeTables(upd.Tables)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "decoding tables: %v", err)
-		return
-	}
-	if err := s.install(tableSet{reg: newRegistryFrom(s.registry(), tables), ver: upd.Version}); err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(err, errFence) {
-			code = http.StatusConflict
-		}
-		httpError(w, code, "%v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(api.FleetTableAck{Version: upd.Version})
-}
-
 // tablesOf collects a registry's full table set in objective order —
-// what a promotion ships to workers (the complete set, not just the
-// regenerated objectives, so a resync and a push converge identically).
+// what a snapshot ships to workers (the complete set, not just the
+// regenerated objectives).
 func tablesOf(reg *tiers.Registry) []rulegen.RuleTable {
 	objs := reg.Objectives()
 	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
@@ -155,8 +119,8 @@ type WorkerOptions struct {
 // shipped snapshot: replay backends over the profile matrix (the matrix
 // is the model — no corpus or profiling run exists on the worker), the
 // shipped rule tables as its registry, and the snapshot's table version
-// as its fence. The node serves the full dispatch wire surface plus
-// POST /fleet/table for rolling updates.
+// as its fence. The node serves the full dispatch wire surface; a
+// fleet.Agent keeps its tables current through InstallSnapshot.
 func NewWorkerFromSnapshot(snap *state.Snapshot, opts WorkerOptions) (*Server, error) {
 	if snap == nil || snap.Matrix == nil {
 		return nil, fmt.Errorf("server: worker snapshot has no profile matrix")
@@ -181,9 +145,10 @@ func NewWorkerFromSnapshot(snap *state.Snapshot, opts WorkerOptions) (*Server, e
 
 // InstallSnapshot adopts a re-pulled fleet snapshot on a worker: the
 // shipped rule tables, version fence and training matrix, through
-// install. It is the resync path — a worker evicted mid-rollout or
-// joining behind the fence converges through here. A snapshot behind
-// the local fence is refused; an equal version re-installs.
+// install. It is how a worker converges on every promotion: its agent
+// pulls when a register or heartbeat answer names a version above the
+// worker's own. A snapshot behind the local fence is refused; an equal
+// version re-installs.
 func (s *Server) InstallSnapshot(snap *state.Snapshot) error {
 	if snap == nil || len(snap.Tables) == 0 {
 		return fmt.Errorf("server: snapshot has no rule tables")

@@ -27,7 +27,7 @@ import (
 )
 
 // Fleet failure-mode tests: the front tier's routing, failover, lease,
-// and rolling-update guarantees exercised end to end over httptest —
+// and pull-convergence guarantees exercised end to end over httptest —
 // real HTTP between the front tier and real worker nodes assembled
 // from shipped snapshots, all under -race in CI.
 
@@ -79,6 +79,70 @@ func startFleetWorker(t testing.TB, front *httptest.Server, name string, opts Wo
 	t.Cleanup(ws.Close)
 	registerWorker(t, front, name, ws.URL, w.TableVersion())
 	return w, ws
+}
+
+// runWorkerAgent runs the membership loop ttserver -join runs for w,
+// advertised at base, on a 10ms heartbeat: a resync pulls join's
+// snapshot and installs it. It returns the pull count; the cleanup
+// stops the loop.
+func runWorkerAgent(t testing.TB, join, name string, w *Server, base string) *atomic.Int64 {
+	t.Helper()
+	pulls := new(atomic.Int64)
+	a := &fleet.Agent{
+		Join: join, Name: name, Advertise: base,
+		Heartbeat: 10 * time.Millisecond,
+		Version:   w.TableVersion,
+		Resync: func(ctx context.Context, _ int64) error {
+			pulls.Add(1)
+			snap, err := fleet.PullSnapshot(ctx, nil, join)
+			if err != nil {
+				return err
+			}
+			return w.InstallSnapshot(snap)
+		},
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); _ = a.Run(ctx) }()
+	t.Cleanup(func() { cancel(); <-done })
+	return pulls
+}
+
+// joinFleetWorker is startFleetWorker whose worker then stays a member
+// through a real agent.
+func joinFleetWorker(t testing.TB, front *httptest.Server, name string) (w *Server, pulls *atomic.Int64) {
+	t.Helper()
+	w, ws := startFleetWorker(t, front, name, WorkerOptions{})
+	return w, runWorkerAgent(t, front.URL, name, w, ws.URL)
+}
+
+// promote mints the next version on s the way a rule job's apply does.
+func promote(t testing.TB, s *Server) {
+	t.Helper()
+	if err := s.install(tableSet{reg: s.registry(), job: &ruleJob{}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// waitReported polls s's fleet status until every listed worker, and
+// at least want of them, reports ver.
+func waitReported(t testing.TB, s *Server, want int, ver int64) api.FleetStatus {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		st := s.Fleet().Status()
+		n := 0
+		for _, w := range st.Workers {
+			if w.TableVersion == ver {
+				n++
+			}
+		}
+		if n == len(st.Workers) && n >= want {
+			return st
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("fleet never converged on v%d with %d worker(s): %+v", ver, want, st.Workers)
+		}
+	}
 }
 
 // TestFleetSnapshotDeclaresLength: the snapshot goes out with a
@@ -282,13 +346,15 @@ func TestFleetLeaseExpiryRemovesHungWorker(t *testing.T) {
 // TestFleetRollingUpdateNeverServesMixedVersions promotes a new table
 // version while concurrent batch load runs through the front tier and
 // checks the fence: every batch carries exactly one version, and the
-// version a worker reports never moves backwards — a worker is either
-// wholly on the old tables or wholly on the new ones. The rollout must
-// converge with both workers pushed and none evicted.
+// version a worker serves never moves backwards — a worker is either
+// wholly on the old tables or wholly on the new ones. The fleet has
+// converged when every worker reports the fence; both stay members
+// throughout.
 func TestFleetRollingUpdateNeverServesMixedVersions(t *testing.T) {
 	front, fts, c := fleetFront(t, 30*time.Second)
-	w1, _ := startFleetWorker(t, fts, "a", WorkerOptions{})
-	w2, _ := startFleetWorker(t, fts, "b", WorkerOptions{})
+	w1, _ := joinFleetWorker(t, fts, "a")
+	w2, _ := joinFleetWorker(t, fts, "b")
+	waitReported(t, front, 2, 0)
 	ids := make([]int, 4)
 	for i := range ids {
 		ids[i] = c.Requests[i].ID
@@ -327,34 +393,14 @@ func TestFleetRollingUpdateNeverServesMixedVersions(t *testing.T) {
 	}
 
 	time.Sleep(50 * time.Millisecond) // let the load establish on v0
-	if err := front.install(tableSet{reg: front.registry(), job: &ruleJob{}}); err != nil {
-		t.Fatal(err)
-	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st := front.pool.Status()
-		if st.Rollout != nil && st.Rollout.Done && st.Rollout.Version == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("rollout never converged: %+v", st.Rollout)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	promote(t, front)
+	st := waitReported(t, front, 2, 1)
 	time.Sleep(50 * time.Millisecond) // keep load on the new fence a moment
 	close(stop)
 	wg.Wait()
 
-	st := front.pool.Status()
-	if len(st.Rollout.Evicted) != 0 {
-		t.Errorf("healthy workers evicted during rollout: %v", st.Rollout.Evicted)
-	}
-	if len(st.Rollout.Pushed) != 2 {
-		t.Errorf("rollout pushed %v, want both workers", st.Rollout.Pushed)
-	}
-	if got := front.TableVersion(); got != 1 {
-		t.Errorf("front fence = v%d, want v1", got)
+	if len(st.Workers) != 2 || st.TableVersion != 1 {
+		t.Errorf("converged fleet %+v, want both workers at fence v1", st)
 	}
 	for name, w := range map[string]*Server{"a": w1, "b": w2} {
 		if got := w.TableVersion(); got != 1 {
@@ -362,16 +408,15 @@ func TestFleetRollingUpdateNeverServesMixedVersions(t *testing.T) {
 		}
 	}
 	if worker, ver, ok := postBatch(t, fts.Client(), fts.URL, ids); ok && worker != "" && ver != 1 {
-		t.Errorf("post-rollout dispatch served v%d by %s, want v1", ver, worker)
+		t.Errorf("post-convergence dispatch served v%d by %s, want v1", ver, worker)
 	}
 }
 
-// TestFleetSnapshotBootstrapAndFencedTablePush walks the worker
-// lifecycle without a front-tier router in the path: bootstrap from the
-// shipped snapshot, serve dispatch at the snapshot's fence, accept a
-// higher fenced push, refuse a lower one with 409, re-install an equal
-// one, and refuse a stale snapshot on resync.
-func TestFleetSnapshotBootstrapAndFencedTablePush(t *testing.T) {
+// TestFleetSnapshotBootstrapAndPulledResync walks the worker lifecycle
+// from the worker's side: bootstrap from the shipped snapshot, serve
+// dispatch at the snapshot's fence, reach each promotion by pulling the
+// snapshot on the heartbeat that names it, and refuse a stale snapshot.
+func TestFleetSnapshotBootstrapAndPulledResync(t *testing.T) {
 	front, fts, c := fleetFront(t, 30*time.Second)
 	snap, err := fleet.PullSnapshot(context.Background(), fts.Client(), fts.URL)
 	if err != nil {
@@ -392,37 +437,91 @@ func TestFleetSnapshotBootstrapAndFencedTablePush(t *testing.T) {
 	if _, ver, ok := postBatch(t, ws.Client(), ws.URL, ids); !ok || ver != snap.TableVersion {
 		t.Fatalf("bootstrap dispatch fence = v%d, want v%d", ver, snap.TableVersion)
 	}
-
-	tables, err := fleet.EncodeTables(tablesOf(front.registry()))
-	if err != nil {
-		t.Fatal(err)
+	pulls := runWorkerAgent(t, fts.URL, "w", w, ws.URL)
+	waitReported(t, front, 1, 0)
+	if n := pulls.Load(); n != 0 {
+		t.Fatalf("a worker at the fence pulled %d time(s)", n)
 	}
-	push := func(ver int64) int {
-		body, _ := json.Marshal(api.FleetTableUpdate{Version: ver, Tables: tables})
-		resp, err := ws.Client().Post(ws.URL+"/fleet/table", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		return resp.StatusCode
-	}
-	if got := push(2); got != http.StatusOK {
-		t.Fatalf("push v2: status %d", got)
-	}
+	promote(t, front)
+	promote(t, front)
+	waitReported(t, front, 1, 2)
 	if got := w.TableVersion(); got != 2 {
-		t.Fatalf("after push, fence = v%d, want v2", got)
-	}
-	if got := push(1); got != http.StatusConflict {
-		t.Fatalf("push v1 behind the fence: status %d, want 409", got)
-	}
-	if got := push(2); got != http.StatusOK {
-		t.Fatalf("re-push of v2: status %d", got)
+		t.Fatalf("after the pull, fence = v%d, want v2", got)
 	}
 	if _, ver, ok := postBatch(t, ws.Client(), ws.URL, ids); !ok || ver != 2 {
-		t.Fatalf("post-push dispatch fence = v%d, want v2", ver)
+		t.Fatalf("post-pull dispatch fence = v%d, want v2", ver)
 	}
 	if err := w.InstallSnapshot(snap); err == nil {
 		t.Fatal("stale snapshot (v0 behind the v2 fence) was accepted on resync")
+	}
+}
+
+// switchHandler serves through whichever handler it was last set to:
+// one address, a front tier restarted behind it.
+type switchHandler struct {
+	h          atomic.Pointer[http.Handler]
+	heartbeats atomic.Int64
+}
+
+func (s *switchHandler) set(h http.Handler) { s.h.Store(&h) }
+
+func (s *switchHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/fleet/heartbeat" {
+		s.heartbeats.Add(1)
+	}
+	(*s.h.Load()).ServeHTTP(w, r)
+}
+
+// TestFleetDisklessFrontTierRoutesOnlyVersionsItHolds: a worker that
+// reached v2 under one diskless front tier is taken by a fresh one at
+// v0, at the same address. The fresh front tier lists it at the v2 it
+// reports but routes it nothing, and the worker pulls nothing: neither
+// while the fresh fence is v0 nor after its first promotion mints v1.
+func TestFleetDisklessFrontTierRoutesOnlyVersionsItHolds(t *testing.T) {
+	a, _, c := fleetFront(t, 30*time.Second)
+	sw := &switchHandler{}
+	sw.set(a)
+	fts := httptest.NewServer(sw)
+	t.Cleanup(fts.Close)
+	w, pulls := joinFleetWorker(t, fts, "w")
+	promote(t, a)
+	promote(t, a)
+	waitReported(t, a, 1, 2)
+	if got := w.TableVersion(); got != 2 {
+		t.Fatalf("worker serves v%d under front tier A, want v2", got)
+	}
+
+	b, _, _ := fleetFront(t, 30*time.Second)
+	pulled := pulls.Load()
+	sw.set(b)
+	for _, fence := range []int64{0, 1} {
+		if fence == 1 {
+			promote(t, b)
+		}
+		st := waitReported(t, b, 1, 2) // the worker re-registers with B
+		if st.TableVersion != fence {
+			t.Fatalf("B's fence is v%d, want v%d", st.TableVersion, fence)
+		}
+		for since := sw.heartbeats.Load(); sw.heartbeats.Load() < since+5; time.Sleep(2 * time.Millisecond) {
+		}
+		for i := 0; i < 16; i++ {
+			resp := postDispatch(t, fts.Client(), fts.URL, c.Requests[i].ID)
+			if resp == nil {
+				t.FailNow()
+			}
+			if got := resp.Header.Get(api.HeaderWorker); got != "" {
+				t.Fatalf("B at v%d routed a dispatch to %s, which serves v2", fence, got)
+			}
+			if got := resp.Header.Get(api.HeaderTableVersion); resp.StatusCode != http.StatusOK || got != strconv.FormatInt(fence, 10) {
+				t.Fatalf("B at v%d answered %d with table version %q", fence, resp.StatusCode, got)
+			}
+		}
+		if n := pulls.Load(); n != pulled {
+			t.Fatalf("the worker pulled %d snapshot(s) from B at v%d, want none", n-pulled, fence)
+		}
+		if got := w.TableVersion(); got != 2 {
+			t.Fatalf("the worker serves v%d, want its own v2", got)
+		}
 	}
 }
 

@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -38,6 +39,7 @@ import (
 	"github.com/toltiers/toltiers/internal/drift"
 	"github.com/toltiers/toltiers/internal/fleet"
 	"github.com/toltiers/toltiers/internal/profile"
+	"github.com/toltiers/toltiers/internal/rulegen"
 	"github.com/toltiers/toltiers/internal/service"
 	"github.com/toltiers/toltiers/internal/state"
 	"github.com/toltiers/toltiers/internal/tiers"
@@ -105,8 +107,8 @@ type Config struct {
 	// dispatch traffic is routed across registered worker nodes with
 	// tenant-affine consistent routing and transparent failover (the
 	// node serves locally only when no worker can), and every table
-	// promotion rolls to the workers one at a time behind a version
-	// fence. See internal/fleet.
+	// promotion moves the fleet's version fence, which the workers
+	// reach by pulling the snapshot. See internal/fleet.
 	Fleet *fleet.Options
 }
 
@@ -240,10 +242,7 @@ func NewWithConfig(reg *tiers.Registry, reqs []*service.Request, cfg Config) *Se
 	mux.HandleFunc("GET /trace/recent", s.handleTraceRecent)
 	mux.HandleFunc("GET /trace/{id}", s.handleTraceGet)
 	mux.HandleFunc("GET /metrics/prometheus", s.handlePrometheus)
-	// Every node accepts fenced table pushes (the rolling update's
-	// worker-side half); the rest of the fleet control plane mounts only
-	// on a front tier.
-	mux.HandleFunc("POST /fleet/table", s.handleFleetTable)
+	// The fleet control plane mounts only on a front tier.
 	if s.pool != nil {
 		mux.HandleFunc("POST /fleet/register", s.handleFleetRegister)
 		mux.HandleFunc("POST /fleet/heartbeat", s.handleFleetHeartbeat)
@@ -330,7 +329,7 @@ func (s *Server) TableVersion() int64 {
 func (s *Server) Fleet() *fleet.Pool { return s.pool }
 
 // tableSet is one change of the served tables, as install takes it:
-// ver is the fence a fleet push or resync names (a set carrying its
+// ver is the fence a resync names (a set carrying its
 // rule job is this node's own promotion, which mints the served
 // version + 1 instead); matrix, when set, replaces the training matrix
 // (a heal's re-profile, a resync's shipped one); heal, when set, is the
@@ -348,14 +347,15 @@ type tableSet struct {
 var errFence = errors.New("version fence")
 
 // install is the only code that changes the served table set — a
-// manual apply, a canary win, a fleet push and a resync all run it —
+// manual apply, a canary win and a resync all run it —
 // and the only place a version is minted. A version below the served
 // one is refused; the same or a higher one installs. The steps run in
 // one order: encode (an unencodable set is refused before anything is
 // written), persist (with Config.StateDir; a failed save refuses the
 // install), publish (registry and fence swap together under regMu, then
-// the matrix, the baselines and the job's applied mark), push (the
-// fleet's rolling update). installMu serialises installs and snapshot
+// the matrix, the baselines and the job's applied mark), fence (a front
+// tier's pool moves to the new version; its workers pull it from the
+// snapshot published before). installMu serialises installs and snapshot
 // writes and is held outside regMu, so no resolve waits on an fsync.
 func (s *Server) install(next tableSet) error {
 	s.installMu.Lock()
@@ -366,9 +366,10 @@ func (s *Server) install(next tableSet) error {
 	case next.ver < cur:
 		return fmt.Errorf("%w: serving v%d, refusing v%d", errFence, cur, next.ver)
 	}
-	blobs, err := fleet.EncodeTables(tablesOf(next.reg))
-	if err != nil {
-		return fmt.Errorf("encoding tables: %w", err)
+	for _, t := range tablesOf(next.reg) {
+		if err := rulegen.WriteTable(io.Discard, t); err != nil {
+			return fmt.Errorf("encoding tables: %w", err)
+		}
 	}
 	if err := s.saveState(&next); err != nil {
 		return err
@@ -388,7 +389,7 @@ func (s *Server) install(next tableSet) error {
 	}
 	s.jobMu.Unlock()
 	if s.pool != nil {
-		s.pool.Promote(next.ver, blobs)
+		s.pool.Promote(next.ver)
 	}
 	return nil
 }

@@ -12,20 +12,21 @@
 #      the in-flight requests over to siblings — ttload's ledger
 #      (sent = graded + failed + shed, zero hard failures) is the
 #      zero-lost proof.
-#   3. Regenerate rules with apply: the promotion must roll the new
-#      table version across the surviving workers one at a time behind
-#      the version fence, evicting nobody.
-#   4. kill -9 the front tier (it runs with -state-dir) once the rollout
+#   3. Regenerate rules with apply: the promotion moves the front tier's
+#      version fence, and the fleet has converged when every surviving
+#      worker reports that version in GET /fleet (each pulls the
+#      snapshot on its next heartbeat). The smoke prints the time from
+#      the fence moving to the last worker reporting it.
+#   4. kill -9 the front tier (it runs with -state-dir) once the fleet
 #      has converged and restart it: it must come back at the fence its
 #      workers serve, both workers must rejoin without a failed resync,
-#      and a second promotion must converge at the next version with
-#      zero evictions.
+#      and a second promotion must converge at the next version.
 #
 # The same guarantees are pinned in-process (and under -race) by the
 # internal/fleet unit tests and internal/server fleet e2e tests; this
 # smoke covers the binary-level plumbing CI can actually drive: flags,
-# worker bootstrap over HTTP, heartbeats, SIGKILL failover, the rolling
-# push.
+# worker bootstrap over HTTP, heartbeats, SIGKILL failover, pull
+# convergence.
 #
 #   ./scripts/fleet_smoke.sh [addr]
 #
@@ -91,35 +92,54 @@ start_front() {
     fail "front tier never became ready on $BASE"
 }
 
-# promote applies a regenerated table and waits until its rollout has
-# converged on every live worker, leaving GET /fleet in $FLEET and the
-# front tier's fence in $VER.
+# fence prints the front tier's fenced table version: the first
+# table_version in GET /fleet (the workers' own follow it).
+fence() {
+    grep -o '"table_version":[0-9]*' <<<"$1" | head -1 | grep -o '[0-9]*$'
+}
+
+# converged succeeds when GET /fleet ($1) lists exactly $2 workers and
+# every one reports the fence.
+converged() {
+    local fv reports
+    fv="$(fence "$1")"
+    reports="$(grep -o '"table_version":[0-9]*' <<<"$1" | tail -n +2 | grep -o '[0-9]*$')"
+    [[ "$(grep -c . <<<"$reports")" -eq "$2" ]] || return 1
+    ! grep -qvx "$fv" <<<"$reports"
+}
+
+now_ms() { echo $(($(date +%s%N) / 1000000)); }
+
+# promote applies a regenerated table, waits for the fence to move past
+# its current value, then waits until both surviving workers report the
+# new fence, leaving GET /fleet in $FLEET, the fence in $VER and the
+# promotion-to-converged time in $CONVERGE_MS.
 promote() {
+    local before start
+    before="$(fence "$(curl -fsS "$BASE/fleet")")"
     curl -fsS -X POST "$BASE/rules/generate" \
         --data '{"apply": true, "objectives": ["response-time"], "min_trials": 5, "max_trials": 24, "threshold_points": 4}' \
         >/dev/null || fail "rules job refused"
-    for _ in $(seq 1 150); do
-        STATUS="$(curl -fsS "$BASE/rules/status")"
-        grep -q '"state":"done"' <<<"$STATUS" && break
-        grep -qE '"state":"(failed|cancelled)"' <<<"$STATUS" && fail "rules job did not apply: $STATUS"
-        sleep 0.2
-    done
-    grep -q '"state":"done"' <<<"$STATUS" || fail "rules job never finished: $STATUS"
-
-    for _ in $(seq 1 100); do
+    for _ in $(seq 1 1500); do
         FLEET="$(curl -fsS "$BASE/fleet")"
-        grep -q '"done":true' <<<"$FLEET" && break
-        sleep 0.2
+        [[ "$(fence "$FLEET")" -gt "$before" ]] && break
+        STATUS="$(curl -fsS "$BASE/rules/status")"
+        grep -qE '"state":"(failed|cancelled)"' <<<"$STATUS" && fail "rules job did not apply: $STATUS"
+        sleep 0.02
     done
-    grep -q '"done":true' <<<"$FLEET" || fail "rollout never converged: $FLEET"
-    grep -q '"evicted"' <<<"$FLEET" && fail "clean rolling push evicted a healthy worker: $FLEET"
-    PUSHED="$(grep -o '"pushed":\[[^]]*\]' <<<"$FLEET" | grep -o '"worker-[0-9]*"' | wc -l)"
-    [[ "$PUSHED" -eq 2 ]] || fail "rollout pushed $PUSHED workers, want the 2 survivors: $FLEET"
-    VER="$(grep -o '"table_version":[0-9]*' <<<"$FLEET" | head -1 | grep -o '[0-9]*$')"
-    # Every surviving worker must serve the fenced version.
-    grep -o '"table_version":[0-9]*' <<<"$FLEET" | grep -o '[0-9]*$' | while read -r v; do
-        [[ "$v" -eq "$VER" ]] || fail "mixed table versions after rollout: $FLEET"
+    start="$(now_ms)"
+    VER="$(fence "$FLEET")"
+    [[ "$VER" -gt "$before" ]] || fail "the fence never moved past v$before: $(curl -fsS "$BASE/rules/status")"
+
+    for _ in $(seq 1 1000); do
+        FLEET="$(curl -fsS "$BASE/fleet")"
+        converged "$FLEET" 2 && break
+        sleep 0.02
     done
+    converged "$FLEET" 2 || fail "the 2 survivors never both reported v$VER: $FLEET"
+    CONVERGE_MS=$(($(now_ms) - start))
+    [[ "$(fence "$FLEET")" -eq "$VER" ]] || fail "the fence moved again during convergence: $FLEET"
+    echo "fleet_smoke: promotion to v$VER converged on 2 workers in ${CONVERGE_MS} ms (heartbeat 250ms)"
 }
 
 echo "fleet_smoke: [0/4] a front tier without -state-dir is refused"
@@ -155,10 +175,10 @@ wait "$LOAD_PID" || fail "ttload lost requests across the worker crash (sent != 
 grep -q "assert: accounting reconciles" "$LOG_DIR/ttload.log" \
     || fail "ttload never ran the assertion"
 # The killed worker stops heartbeating; its lease must lapse before the
-# rollout so the push set is deterministic.
+# promotion so the converged set is deterministic.
 wait_workers 2
 
-echo "fleet_smoke: [3/4] promotion rolls the table fence across the survivors"
+echo "fleet_smoke: [3/4] promotion converges: every survivor reports the fence"
 promote
 [[ "$VER" -ge 1 ]] || fail "front tier fence never advanced: $FLEET"
 FIRST_VER="$VER"
@@ -182,4 +202,4 @@ kill -TERM "$SRV_PID" 2>/dev/null || true
 wait "$SRV_PID" 2>/dev/null || true
 SRV_PID=""
 
-echo "fleet_smoke: ok — 3 workers joined, SIGKILL failover lost nothing, rolling pushes converged at v$FIRST_VER and, after a front-tier kill -9, at v$VER with zero evictions"
+echo "fleet_smoke: ok — 3 workers joined, SIGKILL failover lost nothing, promotions converged by pull at v$FIRST_VER and, after a front-tier kill -9, at v$VER"
