@@ -126,9 +126,6 @@ func NewDecoder(lm *speech.LanguageModel, am *speech.AcousticModel, cfg Config) 
 	}
 }
 
-// Config returns the decoder's configuration.
-func (d *Decoder) Config() Config { return d.cfg }
-
 // token is one partial hypothesis.
 type token struct {
 	score float64

@@ -192,7 +192,7 @@ func (c *dispatchCall) runReplay(ctx context.Context, req *service.Request, t Ti
 	pk := pri.m.Index(prow, pri.version)
 	pLat := time.Duration(pri.m.LatencyNs[pk])
 	pConf := pri.m.Confidence[pk]
-	d.trackers[p.Primary].observe(float64(pLat))
+	d.trackers[p.Primary].Add(float64(pLat))
 
 	switch {
 	case p.Kind == ensemble.Single:
@@ -223,7 +223,7 @@ func (c *dispatchCall) runReplay(ctx context.Context, req *service.Request, t Ti
 		c.legReplay(pri.name, int64(pLat), false, false)
 		sk := sec.m.Index(srow, sec.version)
 		sLat := time.Duration(sec.m.LatencyNs[sk])
-		d.trackers[p.Secondary].observe(float64(sLat))
+		d.trackers[p.Secondary].Add(float64(sLat))
 		c.txn.addInvocation(p.Secondary, sLat, sec.m.InvCost[sk], sec.m.IaaSCost[sk])
 		c.legReplay(sec.name, int64(sLat), false, true)
 		c.replayEscalated(p, pri, pk, pLat, pConf, sec, sk, sLat, pLat+sLat, false, o)
@@ -241,7 +241,7 @@ func (c *dispatchCall) runReplay(ctx context.Context, req *service.Request, t Ti
 		}
 		sk := sec.m.Index(srow, sec.version)
 		sLat := time.Duration(sec.m.LatencyNs[sk])
-		d.trackers[p.Secondary].observe(float64(sLat))
+		d.trackers[p.Secondary].Add(float64(sLat))
 		c.txn.addInvocation(p.Primary, pLat, pri.m.InvCost[pk], pri.m.IaaSCost[pk])
 		c.legReplay(pri.name, int64(pLat), false, false)
 		if pConf >= p.Threshold {

@@ -39,6 +39,7 @@ import (
 	"github.com/toltiers/toltiers/internal/api"
 	"github.com/toltiers/toltiers/internal/ensemble"
 	"github.com/toltiers/toltiers/internal/service"
+	"github.com/toltiers/toltiers/internal/stats"
 	"github.com/toltiers/toltiers/internal/trace"
 )
 
@@ -232,7 +233,7 @@ type Dispatcher struct {
 	// recorder leg capture) skip the interface call.
 	names    []string
 	sems     []semaphore
-	trackers []*latencyTracker
+	trackers []*stats.Window
 	tel      *Telemetry
 	obs      Observer
 	cobs     CanaryObserver // opts.Observer's canary extension, if any
@@ -247,12 +248,22 @@ type Dispatcher struct {
 // consults; drift baselines are taken at the same quantile.
 const HedgeQuantile = 0.95
 
+// Each backend's latency window: the last trackerWindow observations,
+// its quantile refreshed once every trackerRefresh of them, read only
+// after trackerMinSamples — a single cold-start outlier must not arm
+// (or suppress) hedging for every following request.
+const (
+	trackerWindow     = 128
+	trackerRefresh    = 16
+	trackerMinSamples = 8
+)
+
 // New builds a dispatcher over the backends.
 func New(backends []Backend, opts Options) *Dispatcher {
 	d := &Dispatcher{
 		backends: backends,
 		sems:     make([]semaphore, len(backends)),
-		trackers: make([]*latencyTracker, len(backends)),
+		trackers: make([]*stats.Window, len(backends)),
 		obs:      opts.Observer,
 		rec:      opts.Recorder,
 		hedging:  !opts.DisableHedging,
@@ -262,7 +273,7 @@ func New(backends []Backend, opts Options) *Dispatcher {
 	for i, b := range backends {
 		names[i] = b.Name()
 		d.sems[i] = newSemaphore(opts.MaxConcurrentPerBackend)
-		d.trackers[i] = newLatencyTracker(HedgeQuantile)
+		d.trackers[i] = stats.NewWindow(trackerWindow, trackerMinSamples, trackerRefresh, HedgeQuantile)
 	}
 	d.names = names
 	d.tel = newTelemetry(names)
@@ -276,7 +287,7 @@ func New(backends []Backend, opts Options) *Dispatcher {
 // Snapshot renders the wire view of the telemetry, including the
 // per-backend hedging estimates.
 func (d *Dispatcher) Snapshot() api.TelemetrySnapshot {
-	return d.tel.snapshot(func(i int) float64 { return d.trackers[i].estimate() })
+	return d.tel.snapshot(func(i int) float64 { return d.trackers[i].Quantile() })
 }
 
 // TenantSnapshot renders one tenant's telemetry partition — what
@@ -287,7 +298,7 @@ func (d *Dispatcher) TenantSnapshot(tenant string) api.TenantTelemetry {
 
 // P95 returns the observed latency quantile estimate of one backend in
 // nanoseconds (NaN until enough observations).
-func (d *Dispatcher) P95(backend int) float64 { return d.trackers[backend].estimate() }
+func (d *Dispatcher) P95(backend int) float64 { return d.trackers[backend].Quantile() }
 
 // SetHedgeQuantile swaps one backend's hedging quantile at runtime —
 // the drift-aware hedging hook: while a heal is in flight the
@@ -300,7 +311,7 @@ func (d *Dispatcher) SetHedgeQuantile(backend int, q float64) {
 	if backend < 0 || backend >= len(d.trackers) {
 		return
 	}
-	d.trackers[backend].setQuantile(q)
+	d.trackers[backend].SetQuantile(q)
 }
 
 // Tracing reports whether a flight recorder is armed — callers that
@@ -319,7 +330,7 @@ func (d *Dispatcher) Recorder() *trace.Recorder { return d.rec }
 // evidence. It is recomputed by one min pass over the window whenever an
 // observation has landed since the last read, never by P95's quantile
 // selection.
-func (d *Dispatcher) Floor(backend int) float64 { return d.trackers[backend].estimateFloor() }
+func (d *Dispatcher) Floor(backend int) float64 { return d.trackers[backend].Min() }
 
 // dispatchCall is the pooled per-dispatch scratch: the summed
 // telemetry transaction, the reusable hedge-leg channel, and the
@@ -524,8 +535,8 @@ func (d *Dispatcher) shouldHedge(p ensemble.Policy, budget time.Duration) bool {
 	if !d.hedging || budget <= 0 {
 		return false
 	}
-	pp := d.trackers[p.Primary].estimate()
-	sp := d.trackers[p.Secondary].estimate()
+	pp := d.trackers[p.Primary].Quantile()
+	sp := d.trackers[p.Secondary].Quantile()
 	if math.IsNaN(pp) || math.IsNaN(sp) {
 		return false
 	}
@@ -572,7 +583,7 @@ func (c *dispatchCall) invoke(ctx context.Context, idx int, req *service.Request
 	if err != nil {
 		return Response{}, true, queueNs, fmt.Errorf("dispatch: backend %s: %w", d.backends[idx].Name(), err)
 	}
-	d.trackers[idx].observe(float64(resp.Result.Latency))
+	d.trackers[idx].Add(float64(resp.Result.Latency))
 	return resp, true, queueNs, nil
 }
 

@@ -455,34 +455,6 @@ func TestServiceBackendMatchesExecute(t *testing.T) {
 	}
 }
 
-// TestLatencyTracker exercises the sliding-window quantile estimate.
-func TestLatencyTracker(t *testing.T) {
-	tr := newLatencyTracker(0.95)
-	if !math.IsNaN(tr.estimate()) {
-		t.Fatal("estimate before observations")
-	}
-	// A handful of observations — including a cold-start outlier — must
-	// not arm the estimate yet.
-	tr.observe(5e8)
-	for i := 0; i < trackerMinSamples-2; i++ {
-		tr.observe(1000)
-	}
-	if !math.IsNaN(tr.estimate()) {
-		t.Fatalf("estimate armed after %d observations", trackerMinSamples-1)
-	}
-	tr.observe(1000)
-	if math.IsNaN(tr.estimate()) {
-		t.Fatalf("estimate not armed at %d observations", trackerMinSamples)
-	}
-	for i := 0; i < 200; i++ {
-		tr.observe(float64(i % 100))
-	}
-	got := tr.estimate()
-	if got < 90 || got > 99 {
-		t.Fatalf("p95 of 0..99 window = %v", got)
-	}
-}
-
 // TestDispatchRejectsBadPolicy validates tickets up front.
 func TestDispatchRejectsBadPolicy(t *testing.T) {
 	m := visionMatrix(t)

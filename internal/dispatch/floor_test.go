@@ -95,53 +95,3 @@ func TestObserverExcludesDowngraded(t *testing.T) {
 		t.Fatalf("downgraded failure observed %d times", obs2.failures)
 	}
 }
-
-// TestFloorTracksWindowMinimum pins the floor's own refresh. Read after
-// every observation, the floor is NaN through the warm-up (after 1
-// observation, say) and from trackerMinSamples on exactly the minimum of
-// the samples still in the window — after 8, 128 and 300 observations
-// alike, an old minimum leaving with its slot — and reading it never
-// runs the quantile selection, whose mark stays unset. A refreshing read
-// allocates nothing.
-func TestFloorTracksWindowMinimum(t *testing.T) {
-	tr := newLatencyTracker(0.95)
-	var seen []float64
-	for n := 1; n <= 300; n++ {
-		v := float64(1000 + (n*37)%101)
-		switch n {
-		case 5:
-			v = 1 // the floor until its slot is overwritten at n = 133
-		case 200:
-			v = 7
-		}
-		tr.observe(v)
-		seen = append(seen, v)
-		got := tr.estimateFloor()
-		if n < trackerMinSamples {
-			if !math.IsNaN(got) {
-				t.Fatalf("floor after %d observations = %v, want NaN until %d", n, got, trackerMinSamples)
-			}
-			continue
-		}
-		want := math.Inf(1)
-		for _, s := range seen[max(0, n-trackerWindow):] {
-			want = math.Min(want, s)
-		}
-		if got != want {
-			t.Fatalf("floor after %d observations = %v, want window minimum %v", n, got, want)
-		}
-	}
-	if tr.refreshedAt.Load() != 0 {
-		t.Fatal("reading the floor refreshed the quantile cache")
-	}
-
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; alloc budget measured without -race")
-	}
-	if avg := testing.AllocsPerRun(100, func() {
-		tr.observe(1500)
-		tr.estimateFloor()
-	}); avg != 0 {
-		t.Fatalf("%v allocs per refreshing floor read, want 0", avg)
-	}
-}

@@ -21,7 +21,8 @@ import (
 // registry only on a win.
 
 // canaryLatRing bounds each arm's latency reservoir: enough samples for
-// a stable p95 without unbounded growth on a long trial.
+// a stable p95 without unbounded growth on a long trial. The verdict
+// reads the reservoir as it stands.
 const canaryLatRing = 512
 
 // canaryArm accumulates one side of the comparison. Guarded by the
@@ -32,10 +33,10 @@ type canaryArm struct {
 	errN     int64
 	errMean  float64 // Welford over graded errors (failures graded 1)
 	errM2    float64
-	lat      stats.Ring // latency reservoir, ns
+	lat      *stats.Window // latency reservoir, ns
 }
 
-func newCanaryArm() canaryArm { return canaryArm{lat: stats.NewRing(canaryLatRing)} }
+func newCanaryArm() canaryArm { return canaryArm{lat: stats.NewWindow(canaryLatRing, 1, 1, 0.95)} }
 
 func (a *canaryArm) observeErr(e float64) {
 	a.errN++
@@ -149,9 +150,10 @@ const (
 
 // CanaryTierVerdict is one tier's side of the comparison.
 type CanaryTierVerdict struct {
-	Tier                        string
-	CanaryN, IncumbentN         int64
-	CanaryErr, IncumbentErr     float64
+	Tier                    string
+	CanaryN, IncumbentN     int64
+	CanaryErr, IncumbentErr float64
+	// The arms' reservoir p95s, NaN while an arm holds no latency sample.
 	CanaryP95Ns, IncumbentP95Ns float64
 	// Ready reports both arms reached CanaryMinSamples; Pass the canary
 	// won (only meaningful when Ready).
@@ -199,8 +201,8 @@ func (m *Monitor) CanaryVerdict(now time.Time) CanaryDecision {
 			IncumbentN:     tt.incumbent.n,
 			CanaryErr:      tt.canary.errMean,
 			IncumbentErr:   tt.incumbent.errMean,
-			CanaryP95Ns:    tt.canary.lat.Quantile(0.95),
-			IncumbentP95Ns: tt.incumbent.lat.Quantile(0.95),
+			CanaryP95Ns:    tt.canary.lat.Quantile(),
+			IncumbentP95Ns: tt.incumbent.lat.Quantile(),
 		}
 		v.Ready = tt.canary.n >= int64(cfg.CanaryMinSamples) && tt.incumbent.n >= int64(cfg.CanaryMinSamples)
 		if !v.Ready {
@@ -216,10 +218,9 @@ func (m *Monitor) CanaryVerdict(now time.Time) CanaryDecision {
 		se := math.Sqrt(tt.canary.errVar()/float64(maxI64(tt.canary.errN, 1)) +
 			tt.incumbent.errVar()/float64(maxI64(tt.incumbent.errN, 1)))
 		errPass := v.CanaryErr <= v.IncumbentErr+cfg.CanaryErrSigma*se+1e-12
-		latPass := true
-		if v.IncumbentP95Ns > 0 { // 0 = an arm with no latency samples (all failures)
-			latPass = v.CanaryP95Ns <= v.IncumbentP95Ns*(1+cfg.CanaryLatSlack)
-		}
+		// An arm with no latency sample (all failures) reads NaN, which
+		// compares false: it never fails the latency test.
+		latPass := !(v.CanaryP95Ns > v.IncumbentP95Ns*(1+cfg.CanaryLatSlack))
 		v.Pass = errPass && latPass
 		switch {
 		case v.Pass:

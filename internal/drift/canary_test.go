@@ -1,6 +1,7 @@
 package drift
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -109,6 +110,43 @@ func TestCanaryVerdictFoldsFailuresAsError(t *testing.T) {
 	d := m.CanaryVerdict(time.Unix(1001, 0))
 	if d.Action != CanaryReject {
 		t.Fatalf("failing canary not rejected: %+v", d)
+	}
+}
+
+// TestCanaryVerdictReadsWindowAsItStands pins the latency test to the
+// arms' reservoirs as they stand at the verdict: four slow canary
+// samples after a passing verdict move its rank-rule p95 (index
+// int(0.95·19) = 18 of 20) to 80 ms at once, not after a refresh
+// interval.
+func TestCanaryVerdictReadsWindowAsItStands(t *testing.T) {
+	m := NewMonitor(canaryConfig(), []string{"b0"}, nil)
+	m.StartCanaryTrial(time.Unix(1000, 0))
+	feedArms(m, "response-time/0.05", 16, 0.05, 0.05, 20*time.Millisecond, 20*time.Millisecond)
+	if d := m.CanaryVerdict(time.Unix(1001, 0)); d.Action != CanaryPromote {
+		t.Fatalf("matching canary not promoted: %+v", d)
+	}
+	for i := 0; i < 4; i++ {
+		m.ObserveCanaryOutcome("response-time/0.05", &dispatch.Outcome{Err: 0.05, Latency: 80 * time.Millisecond})
+	}
+	d := m.CanaryVerdict(time.Unix(1002, 0))
+	if d.Action != CanaryReject || d.Tiers[0].CanaryP95Ns != float64(80*time.Millisecond) {
+		t.Fatalf("verdict after four slow samples: %+v", d)
+	}
+}
+
+// TestCanaryVerdictArmWithoutLatency pins an arm with no latency sample
+// (every dispatch failed) to pass the latency test: its p95 reads NaN,
+// and only the error comparison judges it.
+func TestCanaryVerdictArmWithoutLatency(t *testing.T) {
+	m := NewMonitor(canaryConfig(), []string{"b0"}, nil)
+	m.StartCanaryTrial(time.Unix(1000, 0))
+	for i := 0; i < 16; i++ {
+		m.ObserveCanaryFailure("response-time/0.05")
+		m.ObserveOutcome("response-time/0.05", &dispatch.Outcome{Err: 1, Latency: 20 * time.Millisecond})
+	}
+	d := m.CanaryVerdict(time.Unix(1001, 0))
+	if d.Action != CanaryPromote || !math.IsNaN(d.Tiers[0].CanaryP95Ns) {
+		t.Fatalf("latency-less canary judged on latency: %+v", d)
 	}
 }
 

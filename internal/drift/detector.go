@@ -80,9 +80,6 @@ func (p *PageHinkley) Alarmed() bool {
 // N returns the number of observations folded so far.
 func (p *PageHinkley) N() int64 { return p.n }
 
-// Mean returns the running mean of the stream.
-func (p *PageHinkley) Mean() float64 { return p.mean }
-
 // Reset rewinds the test for a new stream, keeping its parameters.
 func (p *PageHinkley) Reset() {
 	p.n, p.mean = 0, 0

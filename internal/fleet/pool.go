@@ -21,6 +21,7 @@ package fleet
 
 import (
 	"maps"
+	"math"
 	"net"
 	"net/url"
 	"slices"
@@ -48,7 +49,8 @@ type Options struct {
 }
 
 // latencyRingSize bounds the sliding window behind a member's p95
-// round-trip estimate.
+// round-trip estimate. GET /fleet reads it rarely, so it reads the
+// window as it stands.
 const latencyRingSize = 256
 
 // member is one registered worker at one base URL (a worker that moves
@@ -74,11 +76,11 @@ type member struct {
 	gone   bool // left the pool: returning connections are closed
 	// Served round trips, in ms; putConn records them.
 	lat  stats.Stream
-	ring stats.Ring
+	ring *stats.Window
 }
 
 func newMember(name, base string) *member {
-	m := &member{name: name, nameHdr: []string{name}, base: base, ring: stats.NewRing(latencyRingSize)}
+	m := &member{name: name, nameHdr: []string{name}, base: base, ring: stats.NewWindow(latencyRingSize, 1, 1, 0.95)}
 	if u, err := url.Parse(base); err == nil && u.Host != "" {
 		m.addr = u.Host
 		if u.Port() == "" {
@@ -361,8 +363,11 @@ func (p *Pool) Status() api.FleetStatus {
 	for _, name := range slices.Sorted(maps.Keys(p.members)) {
 		m := p.members[name]
 		m.connMu.Lock()
-		mean, p95 := m.lat.Mean, m.ring.Quantile(0.95)
+		mean, p95 := m.lat.Mean, m.ring.Quantile()
 		m.connMu.Unlock()
+		if math.IsNaN(p95) { // no served round trip yet
+			p95 = 0
+		}
 		st.Workers = append(st.Workers, api.FleetWorker{
 			Name:             m.name,
 			BaseURL:          m.base,

@@ -117,6 +117,8 @@ func (s *Server) writePrometheus(b *bytes.Buffer) {
 	p.family("toltiers_tier_escalations_total", "counter", "Per-tier escalations to the secondary backend.")
 	p.family("toltiers_tier_hedges_total", "counter", "Per-tier deadline-forced hedges.")
 	p.family("toltiers_tier_deadline_misses_total", "counter", "Per-tier latency-budget overruns.")
+	p.family("toltiers_tier_escalation_failures_total", "counter", "Per-tier escalations whose secondary failed, served from the primary.")
+	p.family("toltiers_tier_graded_total", "counter", "Per-tier requests whose task error was known.")
 	p.family("toltiers_tier_mean_error", "gauge", "Per-tier online mean task error over graded requests.")
 	p.family("toltiers_tier_mean_latency_ms", "gauge", "Per-tier mean reported latency.")
 	p.family("toltiers_tier_max_latency_ms", "gauge", "Per-tier max reported latency.")
@@ -127,6 +129,8 @@ func (s *Server) writePrometheus(b *bytes.Buffer) {
 		p.count("toltiers_tier_escalations_total", t.Escalations, l...)
 		p.count("toltiers_tier_hedges_total", t.Hedges, l...)
 		p.count("toltiers_tier_deadline_misses_total", t.DeadlineMisses, l...)
+		p.count("toltiers_tier_escalation_failures_total", t.EscalationFailures, l...)
+		p.count("toltiers_tier_graded_total", t.Graded, l...)
 		p.sample("toltiers_tier_mean_error", t.MeanErr, l...)
 		p.sample("toltiers_tier_mean_latency_ms", t.MeanLatencyMS, l...)
 		p.sample("toltiers_tier_max_latency_ms", t.MaxLatencyMS, l...)

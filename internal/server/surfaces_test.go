@@ -203,6 +203,8 @@ func TestSurfacesReconcile(t *testing.T) {
 		want["toltiers_tier_escalations_total"+l] = float64(tr.Escalations)
 		want["toltiers_tier_hedges_total"+l] = float64(tr.Hedges)
 		want["toltiers_tier_deadline_misses_total"+l] = float64(tr.DeadlineMisses)
+		want["toltiers_tier_escalation_failures_total"+l] = float64(tr.EscalationFailures)
+		want["toltiers_tier_graded_total"+l] = float64(tr.Graded)
 		want["toltiers_tier_mean_error"+l] = tr.MeanErr
 		want["toltiers_tier_mean_latency_ms"+l] = tr.MeanLatencyMS
 		want["toltiers_tier_max_latency_ms"+l] = tr.MaxLatencyMS

@@ -50,9 +50,6 @@ func (v *ASRVersion) Name() string { return v.cfg.Name }
 // Plan implements Version.
 func (v *ASRVersion) Plan() costmodel.Plan { return v.plan }
 
-// Config returns the underlying beam-search configuration.
-func (v *ASRVersion) Config() asr.Config { return v.cfg }
-
 // Process implements Version. It is safe for concurrent use; each call
 // borrows a pooled decoder.
 func (v *ASRVersion) Process(req *Request) Result {

@@ -37,28 +37,6 @@ func TestQuantileDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestRing(t *testing.T) {
-	r := NewRing(4)
-	if r.Len() != 0 || r.Quantile(0.5) != 0 {
-		t.Fatalf("empty ring: len %d, median %v", r.Len(), r.Quantile(0.5))
-	}
-	r.Add(4)
-	r.Add(1)
-	if r.Len() != 2 || !approx(r.Quantile(0.5), 2.5, 1e-12) {
-		t.Fatalf("partial ring: len %d, median %v", r.Len(), r.Quantile(0.5))
-	}
-	// Wrap: 100..105 leaves the newest four, 102..105.
-	for x := 100.0; x <= 105; x++ {
-		r.Add(x)
-	}
-	if r.Len() != 4 || r.Quantile(0) != 102 || r.Quantile(1) != 105 {
-		t.Fatalf("wrapped ring: len %d, range %v..%v", r.Len(), r.Quantile(0), r.Quantile(1))
-	}
-	if n := testing.AllocsPerRun(100, func() { r.Add(1) }); n != 0 {
-		t.Fatalf("Add allocates %v times", n)
-	}
-}
-
 func TestNormPPFKnownValues(t *testing.T) {
 	cases := []struct{ p, want float64 }{
 		{0.5, 0},

@@ -14,8 +14,8 @@
 // fixed-size record under an uncontended per-slot lock (slots are
 // reused only once per ring revolution, and a reader contends with at
 // most the single writer of one slot). The per-tier tail threshold is
-// a lock-free atomic latency ring with a lazily refreshed cached p99,
-// memoized per call site through Cache so the steady state never
+// a stats.Window, a lock-free latency ring with a lazily refreshed
+// cached p99, memoized per call site through Cache so the steady state never
 // touches the tier map.
 //
 // Head-sampling keeps 1 in SampleEvery dispatches by a deterministic
@@ -32,6 +32,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/toltiers/toltiers/internal/stats"
 )
 
 // Kind classifies why a span was captured (the tail-exemplar reason,
@@ -231,7 +233,8 @@ type Recorder struct {
 	// host, and the stamps are immune to wall-clock jumps.
 	epoch int64
 	start time.Time
-	// tails holds the per-tier p99 threshold state (map[string]*tail).
+	// tails holds the per-tier p99 threshold windows
+	// (map[string]*stats.Window).
 	tails sync.Map
 }
 
@@ -281,7 +284,7 @@ func (r *Recorder) SampleEvery() int { return int(r.sample) }
 // pooled per-call scratch next to the Span.
 type Cache struct {
 	key string
-	t   *tail
+	t   *stats.Window
 }
 
 // Observe is the dispatch-path entry point: it counts the dispatch,
@@ -303,12 +306,11 @@ func (r *Recorder) Observe(ctx context.Context, s *Span, c *Cache) {
 		// systematic sample is an unbiased picture of the tier's latency
 		// distribution, and gating the feed here keeps the (N-1)-in-N
 		// fast path free of atomic read-modify-writes — the non-sampled
-		// dispatch pays one counter add and one threshold load.
+		// dispatch pays one counter add and the threshold's cached read.
 		if stride {
-			t.add(s.LatencyNs)
+			t.Add(float64(s.LatencyNs))
 		}
-		p := t.p99.Load()
-		slow = p > 0 && s.LatencyNs > p
+		slow = float64(s.LatencyNs) > t.Quantile() // false while NaN, unarmed
 	}
 	kind := KindSampled
 	keep := true
@@ -483,89 +485,31 @@ func (r *Recorder) Get(id uint64) (Span, bool) {
 	return Span{}, false
 }
 
-// P99 reports a tier's cached tail threshold in nanoseconds (0 until
-// armed).
-func (r *Recorder) P99(tier string) int64 {
-	if r == nil {
-		return 0
-	}
-	v, ok := r.tails.Load(tier)
-	if !ok {
-		return 0
-	}
-	return v.(*tail).p99.Load()
-}
-
-func (r *Recorder) tailFor(tier string, c *Cache) *tail {
+func (r *Recorder) tailFor(tier string, c *Cache) *stats.Window {
 	if c != nil && c.t != nil && c.key == tier {
 		return c.t
 	}
 	v, ok := r.tails.Load(tier)
 	if !ok {
-		v, _ = r.tails.LoadOrStore(tier, newTail())
+		v, _ = r.tails.LoadOrStore(tier, stats.NewWindow(tailWindow, tailWindow, tailRefresh, tailQuantile))
 	}
-	t := v.(*tail)
+	t := v.(*stats.Window)
 	if c != nil {
 		c.key, c.t = tier, t
 	}
 	return t
 }
 
-// Per-tier tail threshold: a lock-free sliding window of observed
-// latencies with a lazily refreshed cached p99, the same shape as the
-// dispatcher's hedging tracker. The threshold arms only once the
-// window is full, so early traffic is never all "slow".
-// A request-path specialization stats.Ring cannot replace: BENCH.json BenchmarkTraceObserve (29 ns, 0 allocs) pins it.
+// Per-tier tail threshold: the second-largest of the tier's last
+// tailWindow stride-sampled latencies (index int(0.995·127) = 126, the
+// ceil(0.99·128)-th order statistic), refreshed once every tailRefresh
+// samples. It arms only once the window is full, so early traffic is
+// never all "slow".
 const (
-	tailWindow  = 128
-	tailRefresh = 32
+	tailWindow   = 128
+	tailRefresh  = 32
+	tailQuantile = 0.995
 )
-
-type tail struct {
-	ring [tailWindow]atomic.Int64
-	n    atomic.Uint64
-	p99  atomic.Int64 // cached threshold ns; 0 = not armed
-	mu   sync.Mutex   // serializes refresh; TryLock so observers never block
-}
-
-func newTail() *tail {
-	return &tail{}
-}
-
-// add feeds one latency into the sliding window; every tailRefresh-th
-// addition attempts a threshold refresh behind a TryLock. Callers gate
-// this on the head sampler's stride, so the window holds a systematic
-// sample of the tier's traffic and arms after stride x tailWindow
-// dispatches.
-func (t *tail) add(lat int64) {
-	i := t.n.Add(1)
-	t.ring[(i-1)%tailWindow].Store(lat)
-	if i%tailRefresh == 0 && i >= tailWindow {
-		t.refresh()
-	}
-}
-
-func (t *tail) refresh() {
-	if !t.mu.TryLock() {
-		return
-	}
-	defer t.mu.Unlock()
-	// The ceil(0.99 * 128)-th order statistic of a 128-sample window is
-	// its second-largest value, so a top-2 scan replaces a full sort —
-	// the refresh is a linear pass of atomic loads, cheap enough to
-	// amortize invisibly into the recording fast path.
-	var max1, max2 int64
-	for i := range t.ring {
-		v := t.ring[i].Load()
-		switch {
-		case v > max1:
-			max2, max1 = max1, v
-		case v > max2:
-			max2 = v
-		}
-	}
-	t.p99.Store(max2)
-}
 
 // Trace ids: unique within a fleet with overwhelming probability —
 // a splitmix64 permutation of a process-seeded counter, so ids from

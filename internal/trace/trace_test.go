@@ -2,6 +2,7 @@ package trace
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
 )
@@ -97,7 +98,7 @@ func TestSlowExemplar(t *testing.T) {
 		s.LatencyNs = 1_000_000
 		r.Observe(ctx, &s, &c)
 	}
-	if r.P99("tier") == 0 {
+	if math.IsNaN(c.t.Quantile()) {
 		t.Fatal("tail threshold never armed")
 	}
 	// Stride keeps land on odd dispatch counts (sample = 2). One filler
@@ -242,9 +243,6 @@ func TestNilRecorder(t *testing.T) {
 	}
 	if _, ok := r.Get(1); ok {
 		t.Fatal("nil Get returned a span")
-	}
-	if r.P99("t") != 0 {
-		t.Fatal("nil P99 nonzero")
 	}
 	if st := r.Stats(); st.Dispatches != 0 || st.Committed != 0 {
 		t.Fatalf("nil Stats = %+v", st)

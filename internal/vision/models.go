@@ -194,12 +194,6 @@ func NewWorld(cfg WorldConfig) *World {
 	return w
 }
 
-// Classes returns the number of classes.
-func (w *World) Classes() int { return w.classes }
-
-// Dim returns the feature dimensionality.
-func (w *World) Dim() int { return w.dim }
-
 // Image is one classification request.
 type Image struct {
 	ID    int
